@@ -41,6 +41,10 @@ uint64_t HashChoices(const ChoiceSet& choices) {
 Result<StableModelSet> ChaseEngine::SolveOutcome(
     const ChoiceSet& choices, const GroundRuleSet& grounding,
     uint64_t solver_max_nodes) const {
+  if (grounder_->SettlesNegation()) {
+    return grounder_->ReadOffModels(grounding);
+  }
+
   // Σ ∪ G(Σ): the grounding plus one AtR rule Active → Result per choice.
   std::vector<GroundRule> choice_rules;
   choice_rules.reserve(choices.size());

@@ -47,8 +47,9 @@ struct ChaseOptions {
   uint64_t trigger_shuffle_seed = 0;
   /// Extend the parent node's grounding instead of re-deriving it from
   /// scratch at every chase node (sound by grounder monotonicity,
-  /// Definition 3.3). Used when the grounder supports it (the simple
-  /// grounder does; the perfect grounder falls back to from-scratch).
+  /// Definition 3.3). Both grounders support it: the simple grounder
+  /// resumes its single fixpoint, the perfect grounder the stratum its
+  /// parent stalled in.
   bool incremental = true;
   /// Worker threads for Explore: 0 = one per hardware thread, 1 = serial
   /// (the pre-parallel behavior, no pool spawned). Branches of the chase
@@ -127,9 +128,11 @@ class ChaseEngine {
   const Grounder& grounder() const { return *grounder_; }
   const FactStore& db() const { return *db_; }
 
-  /// sms(Σ ∪ G(Σ)): builds the ground normal program of an outcome
-  /// (grounding plus one Active→Result rule per choice) and enumerates its
-  /// stable models.
+  /// sms(Σ ∪ G(Σ)) of a leaf's grounding. When the grounder settles
+  /// negation (the perfect grounder), its one candidate model is read off
+  /// the grounding (Grounder::ReadOffModels). Otherwise builds the ground
+  /// normal program (grounding plus one Active→Result rule per choice) and
+  /// enumerates its stable models.
   Result<StableModelSet> SolveOutcome(const ChoiceSet& choices,
                                       const GroundRuleSet& grounding,
                                       uint64_t solver_max_nodes) const;

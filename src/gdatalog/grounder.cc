@@ -424,6 +424,10 @@ Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Build(
   }
   grounder->constraint_body_preds_ =
       CollectBodyPreds(grounder->constraint_rules_);
+  for (const CompiledRule& rule : grounder->compiled_) {
+    if (rule.aux_head) grounder->aux_preds_.push_back(rule.head.predicate);
+  }
+  std::sort(grounder->aux_preds_.begin(), grounder->aux_preds_.end());
   return grounder;
 }
 
@@ -450,46 +454,130 @@ Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::CreateDelta(
   return grounder;
 }
 
-Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
-                               MatchStats* stats) const {
-  *out = db_base_->Clone();
-  for (const GroundRule& fact : db_tail_) out->Add(fact);
+namespace {
 
+/// AtR_Σ ↪ Σ↑C_{i-1} fails: some Active atom of the instance has no
+/// recorded choice yet.
+bool HasPendingActive(const TranslatedProgram& translated,
+                      const FactStore& heads, const ChoiceSet& choices) {
+  for (const DeltaSignature& sig : translated.signatures()) {
+    for (const Tuple& row : heads.Rows(sig.active_pred)) {
+      if (!choices.Defined(GroundAtom{sig.active_pred, row})) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+Status PerfectGrounder::RunStratum(size_t si, const ChoiceSet& choices,
+                                   bool resume, GroundRuleSet* out,
+                                   MatchStats* stats) const {
   // Stratum attribution for the per-rule profiler: the fixpoint stamps
   // each rule with the sink's current_stratum. Rule→stratum is a static
   // property of Π, so re-stamping across calls is idempotent.
   ChaseProfile* const prof = ProfileScope::Current();
+  if (prof != nullptr) prof->current_stratum = static_cast<int>(si);
+  Status status = RunGroundingFixpoint(
+      *translated_, stratum_rules_[si], stratum_body_preds_[si], choices,
+      /*check_negative=*/true, out, resume, stats);
+  if (prof != nullptr) prof->current_stratum = -1;
+  return status;
+}
 
-  for (size_t si = 0; si < stratum_rules_.size(); ++si) {
-    const std::vector<const CompiledRule*>& stratum = stratum_rules_[si];
-    // AtR_Σ ↪ Σ↑C_{i-1}: grounding stalls until every Active atom produced
-    // by earlier strata has a recorded choice (Definition 5.1).
-    for (const DeltaSignature& sig : translated_->signatures()) {
-      for (const Tuple& row : out->heads().Rows(sig.active_pred)) {
-        if (!choices.Defined(GroundAtom{sig.active_pred, row})) {
-          if (prof != nullptr) prof->current_stratum = -1;
-          return Status::OK();  // Σ↑C_i = Σ↑C_{i-1} for all later strata.
-        }
-      }
+Status PerfectGrounder::GroundFrom(size_t first, const ChoiceSet& choices,
+                                   GroundRuleSet* out,
+                                   MatchStats* stats) const {
+  // Grounding of stratum i (and of the constraints, which read every
+  // stratum's negation) stalls until every Active atom produced by earlier
+  // strata has a recorded choice (Definition 5.1): Σ↑C_i = Σ↑C_{i-1} for
+  // all later strata.
+  for (size_t si = first; si < stratum_rules_.size(); ++si) {
+    if (HasPendingActive(*translated_, out->heads(), choices)) {
+      out->set_stall_stage(static_cast<uint32_t>(si));
+      return Status::OK();
     }
-    if (stratum.empty()) continue;
-    if (prof != nullptr) prof->current_stratum = static_cast<int>(si);
-    Status stratum_status = RunGroundingFixpoint(*translated_, stratum,
-                                                 stratum_body_preds_[si],
-                                                 choices,
-                                                 /*check_negative=*/true, out,
-                                                 /*resume=*/false, stats);
-    if (prof != nullptr) prof->current_stratum = -1;
-    GDLOG_RETURN_IF_ERROR(stratum_status);
+    if (stratum_rules_[si].empty()) continue;
+    GDLOG_RETURN_IF_ERROR(
+        RunStratum(si, choices, /*resume=*/false, out, stats));
   }
-  if (!constraint_rules_.empty()) {
-    GDLOG_RETURN_IF_ERROR(RunGroundingFixpoint(*translated_, constraint_rules_,
-                                               constraint_body_preds_,
-                                               choices,
-                                               /*check_negative=*/true, out,
-                                               /*resume=*/false, stats));
+  if (HasPendingActive(*translated_, out->heads(), choices)) {
+    out->set_stall_stage(static_cast<uint32_t>(stratum_rules_.size()));
+    return Status::OK();
   }
-  return Status::OK();
+  out->set_stall_stage(GroundRuleSet::kNoStall);
+  if (constraint_rules_.empty()) return Status::OK();
+  return RunGroundingFixpoint(*translated_, constraint_rules_,
+                              constraint_body_preds_, choices,
+                              /*check_negative=*/true, out,
+                              /*resume=*/false, stats);
+}
+
+Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
+                               MatchStats* stats) const {
+  *out = db_base_->Clone();
+  for (const GroundRule& fact : db_tail_) out->Add(fact);
+  return GroundFrom(0, choices, out, stats);
+}
+
+Status PerfectGrounder::Extend(const ChoiceSet& choices,
+                               const GroundAtom& new_active,
+                               GroundRuleSet* out) const {
+  const uint32_t stall = out->stall_stage();
+  if (stall > stratum_rules_.size() || !choices.Defined(new_active) ||
+      !out->heads().Contains(new_active)) {
+    return Status::InvalidArgument(
+        "perfect grounder: Extend needs a grounding stalled on the newly "
+        "chosen Active atom");
+  }
+  // The stall check before stratum `stall` failed, the one before
+  // stall - 1 passed: the new choice's Active atom was derived by stratum
+  // stall - 1, whose fixpoint resumes from the Result atom the cascade
+  // pre-pass inserts for it. (A stall at 0 means D itself holds Active
+  // atoms; no stratum has run yet.)
+  if (stall > 0) {
+    GDLOG_RETURN_IF_ERROR(
+        RunStratum(stall - 1, choices, /*resume=*/true, out, nullptr));
+  }
+  return GroundFrom(stall, choices, out, nullptr);
+}
+
+Result<StableModelSet> PerfectGrounder::ReadOffModels(
+    const GroundRuleSet& grounding) const {
+  // Every negative literal of G(Σ) was checked against a complete lower
+  // stratum and stays false, so G(Σ) ∪ Σ is positive in effect and its
+  // one candidate model is its least model: every rule head (each rule's
+  // body matched heads derived before it) plus the Result atom of every
+  // choice whose Active atom was derived — exactly what the cascade put
+  // into heads() beside the __join atoms. A ground constraint enters G(Σ)
+  // only with its body true in that model, so it leaves no model at all.
+  if (grounding.stall_stage() != GroundRuleSet::kNoStall) {
+    return Status::InvalidArgument(
+        "perfect grounder: read-off needs a grounding without pending "
+        "Active atoms");
+  }
+  StableModelSet models;
+  for (const GroundRule* rule : grounding.rules()) {
+    if (rule->is_constraint) return models;
+  }
+  const FactStore& heads = grounding.heads();
+  StableModel model;
+  model.reserve(heads.size());
+  std::vector<const Tuple*> rows;
+  // Predicate by predicate, rows sorted, is GroundAtom's canonical order.
+  for (uint32_t pred : heads.Predicates()) {
+    if (std::binary_search(aux_preds_.begin(), aux_preds_.end(), pred)) {
+      continue;
+    }
+    rows.clear();
+    for (const Tuple& row : heads.Rows(pred)) rows.push_back(&row);
+    std::sort(rows.begin(), rows.end(), [](const Tuple* a, const Tuple* b) {
+      return a->size() != b->size() ? a->size() < b->size() : *a < *b;
+    });
+    for (const Tuple* row : rows) model.push_back(GroundAtom{pred, *row});
+  }
+  models.insert(std::move(model));
+  return models;
 }
 
 std::vector<GroundAtom> FindTriggers(const TranslatedProgram& translated,

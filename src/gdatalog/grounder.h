@@ -13,6 +13,7 @@
 #include "ground/dependency_graph.h"
 #include "ground/ground_rule.h"
 #include "ground/join_plan.h"
+#include "stable/solver.h"
 
 namespace gdlog {
 
@@ -52,6 +53,21 @@ class Grounder {
     (void)out;
     return Status::Unsupported(std::string(name()) +
                                " grounder does not support incremental mode");
+  }
+
+  /// Leaf read-off (optional). Whether every complete grounding checked
+  /// each negative literal only against parts of the instance that were
+  /// already complete, so that G(Σ) ∪ Σ has at most one stable model,
+  /// readable off heads() without a solver.
+  virtual bool SettlesNegation() const { return false; }
+
+  /// sms(G(Σ) ∪ Σ) of a complete grounding `grounding` of Σ, read off
+  /// without a solver. Only valid when SettlesNegation().
+  virtual Result<StableModelSet> ReadOffModels(
+      const GroundRuleSet& grounding) const {
+    (void)grounding;
+    return Status::Unsupported(std::string(name()) +
+                               " grounder does not read off models");
   }
 };
 
@@ -125,7 +141,19 @@ class SimpleGrounder : public Grounder {
 /// within a stratum, h(σ) is added only when additionally the negative body
 /// does not match heads so far (h(B-(σ)) ∩ heads = ∅); grounding of later
 /// strata stalls until every Active atom produced so far has a choice
-/// (AtR_Σ ↪ Σ↑C_{i-1}).
+/// (AtR_Σ ↪ Σ↑C_{i-1}). The constraints, which may negate any stratum, are
+/// grounded last and only once no Active atom is pending.
+///
+/// Incremental: a grounding records the stratum its fixpoint stalled
+/// before (GroundRuleSet::stall_stage). Every pending Active atom then
+/// comes from the stratum t just below the stall — an unchosen one from a
+/// lower stratum t' would have stalled grounding before t'+1 — so Extend
+/// resumes t's semi-naive fixpoint from the new Result atom and grounds
+/// t+1 onwards from scratch. That equals Ground(Σ ∪ {c}): strata below t
+/// are complete and unchanged (c's Active atom is first derived in t, so
+/// from scratch, too, its Result atom first enters during t), and t's
+/// operator is monotone, since its negative literals only read lower,
+/// complete strata.
 class PerfectGrounder : public Grounder {
  public:
   /// `pi` is the original (desugared, plain-constraint-free) program the
@@ -136,9 +164,10 @@ class PerfectGrounder : public Grounder {
 
   /// Delta-extension construction: shares `base`'s database-prefix
   /// grounding and appends the delta rows as a tail. Unlike the simple
-  /// grounder there is no fixpoint resume: under negation, added facts can
-  /// retract derivations (DRed territory), so every Ground() still runs
-  /// the per-stratum fixpoints from the (shared) prefix.
+  /// grounder the root is not resumed from the base's: under negation,
+  /// added facts can retract derivations (DRed territory), so every
+  /// Ground() still runs the per-stratum fixpoints from the (shared)
+  /// prefix. Chase nodes below the root Extend as usual.
   static Result<std::unique_ptr<PerfectGrounder>> CreateDelta(
       const Program& pi, const TranslatedProgram* translated,
       const FactStore* db, const PerfectGrounder& base,
@@ -149,11 +178,37 @@ class PerfectGrounder : public Grounder {
   Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
                 MatchStats* stats = nullptr) const override;
 
+  bool SupportsIncremental() const override { return true; }
+  /// Returns an error, leaving `out` untouched, unless `out` stalled on
+  /// pending Active atoms and `new_active` is one of them with a choice in
+  /// `choices`.
+  Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
+                GroundRuleSet* out) const override;
+
+  /// Negation in G(Σ) is only ever checked against completed lower strata.
+  bool SettlesNegation() const override { return true; }
+  /// No model if G(Σ) holds a ground constraint; else the one model:
+  /// heads() without the optimizer's __join atoms, i.e. every rule head
+  /// plus the Result atom of every choice whose Active atom was derived.
+  Result<StableModelSet> ReadOffModels(
+      const GroundRuleSet& grounding) const override;
+
   size_t stratum_count() const { return stratum_rules_.size(); }
 
  private:
   PerfectGrounder(const TranslatedProgram* translated, const FactStore* db)
       : translated_(translated), db_(db) {}
+
+  /// Grounds strata `first`.. and then the constraints, each from scratch,
+  /// into `out` (whose lower strata are complete). Stops at the first
+  /// stratum — or the constraint pass — that an unchosen Active atom
+  /// stalls, recording it as out's stall stage.
+  Status GroundFrom(size_t first, const ChoiceSet& choices,
+                    GroundRuleSet* out, MatchStats* stats) const;
+  /// Runs stratum `si`'s fixpoint, resumed or from scratch, attributing
+  /// the work to `si` in the per-rule profile.
+  Status RunStratum(size_t si, const ChoiceSet& choices, bool resume,
+                    GroundRuleSet* out, MatchStats* stats) const;
 
   /// Everything Create/CreateDelta share: strata, rule compilation, body
   /// predicate sets — all but the database prefix.
@@ -173,6 +228,9 @@ class PerfectGrounder : public Grounder {
   /// and for the constraint pass, each sorted.
   std::vector<std::vector<uint32_t>> stratum_body_preds_;
   std::vector<uint32_t> constraint_body_preds_;
+  /// Head predicates of the synthesized __join rules, sorted: matching
+  /// state in heads() that is no part of any model.
+  std::vector<uint32_t> aux_preds_;
   /// See SimpleGrounder::db_base_ / db_tail_.
   std::shared_ptr<const GroundRuleSet> db_base_;
   std::vector<GroundRule> db_tail_;

@@ -2,6 +2,7 @@
 #define GDLOG_GROUND_GROUND_RULE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -165,12 +166,21 @@ class GroundRuleSet {
   /// should treat heads() as derived state.
   FactStore* mutable_heads() { return &heads_; }
 
+  /// Where a grounder that grounds in stages (the perfect grounder's
+  /// strata) stopped short of its fixpoint: the first stage not yet
+  /// grounded, or kNoStall for a complete grounding. Clone() carries it,
+  /// so an Extend on the clone knows where to resume.
+  static constexpr uint32_t kNoStall = UINT32_MAX;
+  uint32_t stall_stage() const { return stall_stage_; }
+  void set_stall_stage(uint32_t stage) { stall_stage_ = stage; }
+
   /// Deep copy of the rule set; the matching instance copies copy-on-write
   /// (a pointer per predicate). Used by the incremental chase to branch
   /// grounding state per child.
   GroundRuleSet Clone() const {
     GroundRuleSet copy;
     copy.heads_ = heads_;
+    copy.stall_stage_ = stall_stage_;
     copy.rules_.reserve(rules_.size());
     for (const GroundRule* rule : rules_) {
       auto [it, inserted] = copy.set_.insert(*rule);
@@ -193,6 +203,7 @@ class GroundRuleSet {
   std::unordered_set<GroundRule, GroundRuleHash> set_;
   std::vector<const GroundRule*> rules_;
   FactStore heads_;
+  uint32_t stall_stage_ = kNoStall;
 };
 
 }  // namespace gdlog

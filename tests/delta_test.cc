@@ -286,16 +286,25 @@ TEST(DeltaEngine, RemovalRejectedAtEngineLevel) {
   EXPECT_EQ(inc.status().code(), StatusCode::kUnsupported);
 }
 
-TEST(DeltaGrounder, ExtendStubNamesTheGrounder) {
-  auto engine = MakeEngine(kNetworkProgram, Clique(3),
-                           GrounderKind::kPerfect);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_FALSE(engine->grounder().SupportsIncremental());
-  GroundRuleSet out;
-  Status status = engine->grounder().Extend(ChoiceSet(), GroundAtom(), &out);
-  EXPECT_EQ(status.code(), StatusCode::kUnsupported);
-  EXPECT_NE(status.message().find("perfect"), std::string::npos)
-      << status.message();
+TEST(DeltaGrounder, PerfectExtendRefusesAnUnstalledGrounding) {
+  // Both grounders are incremental, on base and delta engines alike. The
+  // perfect grounder resumes where a grounding stalled, so a grounding
+  // that never stalled is an error naming the grounder, never a silently
+  // wrong extension.
+  auto base = MakeEngine(kNetworkProgram, Clique(3), GrounderKind::kPerfect);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto inc = GDatalog::WithDatabaseDelta(*base, "connected(1, 1).\n");
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  for (const GDatalog* engine : {&*base, &*inc}) {
+    ASSERT_TRUE(engine->grounder().SupportsIncremental());
+    GroundRuleSet out;
+    Status status =
+        engine->grounder().Extend(ChoiceSet(), GroundAtom(), &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("perfect"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(out.size(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Byte-identity against committed outputs: gdlog_cli --json on E1 (network
+# clique-4) and E3 (dime/quarter) must reproduce the files in this
+# directory exactly, serially, with 4 chase threads and with 4 shards.
+# The goldens were generated by the engine that preceded the perfect
+# grounder's resume and leaf read-off, so this compares against an
+# earlier binary, not only between configurations of the current one.
+#
+#   tests/golden/check.sh [path/to/gdlog_cli]   (default build/tools/gdlog_cli)
+set -euo pipefail
+here="$(cd "$(dirname "$0")" && pwd)"
+cli="$(realpath "${1:-$here/../../build/tools/gdlog_cli}")"
+cd "$here"
+
+status=0
+for config in "--threads 1" "--threads 4" "--shards 4"; do
+  # shellcheck disable=SC2086  # $config is two words on purpose
+  if ! "$cli" --program network.gdl --db clique4.db --json --events \
+      $config | cmp - e1_clique4.json; then
+    echo "E1 clique-4 differs from the golden ($config)" >&2
+    status=1
+  fi
+  # shellcheck disable=SC2086
+  if ! "$cli" --program dime_quarter.gdl --db dime_quarter.db --json \
+      --outcomes --events $config | cmp - e3_dime_quarter.json; then
+    echo "E3 dime/quarter differs from the golden ($config)" >&2
+    status=1
+  fi
+done
+if [ "$status" = 0 ]; then echo "golden bytes: all configurations match"; fi
+exit "$status"
