@@ -33,14 +33,14 @@ int main() {
     return 1;
   }
 
+  const gdlog::Prob evidence = space->ProbConsistent();
   std::printf("outcomes: %zu, evidence probability P(john calls) = %s\n",
-              space->outcomes.size(),
-              space->ProbConsistent().ToString().c_str());
+              space->outcomes.size(), evidence.ToString().c_str());
 
   auto report = [&](const char* label, const char* atom_text) {
     auto atom = engine->ParseGroundAtom(atom_text);
     if (!atom.ok()) return;
-    auto posterior = space->MarginalGivenConsistent(*atom);
+    auto posterior = space->MarginalGivenConsistent(*atom, evidence);
     auto prior = space->Marginal(*atom);
     if (posterior) {
       std::printf("%-28s prior(joint)=%-8s posterior=%s (= %.5f)\n", label,
@@ -58,7 +58,7 @@ int main() {
 
   // Sanity: P(alarm | john calls) must be 1 — john cannot call otherwise.
   auto alarm = engine->ParseGroundAtom("alarm");
-  auto posterior = space->MarginalGivenConsistent(*alarm);
+  auto posterior = space->MarginalGivenConsistent(*alarm, evidence);
   std::printf("P(alarm | evidence)          = %s\n",
               posterior->lower.ToString().c_str());
   return 0;

@@ -55,14 +55,14 @@ int main() {
     std::fprintf(stderr, "error: %s\n", space.status().ToString().c_str());
     return 1;
   }
+  const gdlog::Prob resolved = space->ProbConsistent();
   std::printf("outcomes: %zu, P(resolved within 2 attempts) = %s\n",
-              space->outcomes.size(),
-              space->ProbConsistent().ToString().c_str());
+              space->outcomes.size(), resolved.ToString().c_str());
 
   auto p1 = engine->ParseGroundAtom("wins(1)");
   auto p2 = engine->ParseGroundAtom("wins(2)");
-  auto w1 = space->MarginalGivenConsistent(*p1);
-  auto w2 = space->MarginalGivenConsistent(*p2);
+  auto w1 = space->MarginalGivenConsistent(*p1, resolved);
+  auto w2 = space->MarginalGivenConsistent(*p2, resolved);
   if (w1 && w2) {
     std::printf("P(player 1 wins | resolved) = %s (= %.4f)\n",
                 w1->lower.ToString().c_str(), w1->lower.value());

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -223,10 +222,11 @@ Result<ChoiceSet> ReadChoices(const JsonValue& value,
 
 }  // namespace
 
-std::string OutcomeSpaceToJson(const OutcomeSpace& space,
+std::string OutcomeSpaceToJson(const AnswerIndex& index,
                                const TranslatedProgram& translated,
                                const Interner* interner,
                                const JsonExportOptions& options) {
+  const OutcomeSpace& space = index.space();
   JsonWriter json;
   json.BeginObject();
   json.KV("complete", space.complete);
@@ -236,9 +236,9 @@ std::string OutcomeSpaceToJson(const OutcomeSpace& space,
   json.Key("residual_mass");
   WriteProbJson(json, space.residual_mass());
   json.Key("prob_consistent");
-  WriteProbJson(json, space.ProbConsistent());
+  WriteProbJson(json, index.prob_consistent());
   json.Key("prob_inconsistent");
-  WriteProbJson(json, space.ProbInconsistent());
+  WriteProbJson(json, index.prob_inconsistent());
   json.KV("depth_truncated_paths",
           static_cast<long long>(space.depth_truncated_paths));
   json.KV("pruned_paths", static_cast<long long>(space.pruned_paths));
@@ -276,19 +276,13 @@ std::string OutcomeSpaceToJson(const OutcomeSpace& space,
   }
 
   if (options.include_events) {
-    std::map<StableModelSet, Prob> events = space.Events();
-    std::map<StableModelSet, size_t> outcome_counts;
-    for (const PossibleOutcome& outcome : space.outcomes) {
-      ++outcome_counts[outcome.models];
-    }
     json.Key("events").BeginArray();
-    for (const auto& [models, mass] : events) {
+    for (const AnswerIndex::EventRow& row : index.events()) {
       json.BeginObject();
       json.Key("mass");
-      WriteProbJson(json, mass);
-      json.KV("num_models", static_cast<long long>(models.size()));
-      json.KV("num_outcomes",
-              static_cast<long long>(outcome_counts[models]));
+      WriteProbJson(json, row.mass);
+      json.KV("num_models", static_cast<long long>(row.num_models));
+      json.KV("num_outcomes", static_cast<long long>(row.num_outcomes));
       json.EndObject();
     }
     json.EndArray();
@@ -296,6 +290,14 @@ std::string OutcomeSpaceToJson(const OutcomeSpace& space,
 
   json.EndObject();
   return json.str();
+}
+
+std::string OutcomeSpaceToJson(const OutcomeSpace& space,
+                               const TranslatedProgram& translated,
+                               const Interner* interner,
+                               const JsonExportOptions& options) {
+  return OutcomeSpaceToJson(AnswerIndex(space), translated, interner,
+                            options);
 }
 
 std::string PartialSpaceToJson(const PartialSpace& partial,

@@ -40,6 +40,17 @@ struct JsonExportOptions {
 ///                 "choices": [{"active": "...", "outcome": "..."}], ...}],
 ///   "events": [{"mass": {...}, "num_models": 0, "num_outcomes": 1}]
 /// }
+///
+/// Masses and event rows come from `index` (see AnswerIndex), so a cached
+/// index renders without re-summing anything.
+std::string OutcomeSpaceToJson(const AnswerIndex& index,
+                               const TranslatedProgram& translated,
+                               const Interner* interner,
+                               const JsonExportOptions& options =
+                                   JsonExportOptions{});
+
+/// The same document for a space with no index at hand: builds a local
+/// one and renders from it.
 std::string OutcomeSpaceToJson(const OutcomeSpace& space,
                                const TranslatedProgram& translated,
                                const Interner* interner,

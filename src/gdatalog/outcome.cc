@@ -49,8 +49,7 @@ OutcomeSpace::Bounds OutcomeSpace::Marginal(const GroundAtom& atom) const {
 }
 
 std::optional<OutcomeSpace::Bounds> OutcomeSpace::MarginalGivenConsistent(
-    const GroundAtom& atom) const {
-  Prob consistent = ProbConsistent();
+    const GroundAtom& atom, const Prob& consistent) const {
   if (!(consistent.value() > 0.0)) return std::nullopt;
   Bounds joint = Marginal(atom);
   Bounds conditioned;
@@ -82,25 +81,122 @@ StableModel OutcomeSpace::StripAuxiliary(const StableModel& model,
   return out;
 }
 
+namespace {
+
+// WithAddedFacts copies OutcomeSpace and PossibleOutcome field by field.
+// These mirrors list the fields it copies, in declaration order; a field
+// added to either struct changes its size and fails the asserts below
+// until WithAddedFacts copies it too.
+struct OutcomeSpaceFields {
+  std::vector<PossibleOutcome> outcomes;
+  Prob finite_mass;
+  bool complete;
+  size_t depth_truncated_paths;
+  Prob support_truncation_mass;
+  size_t pruned_paths;
+};
+struct PossibleOutcomeFields {
+  ChoiceSet choices;
+  Prob prob;
+  StableModelSet models;
+  std::shared_ptr<const GroundRuleSet> grounding;
+};
+static_assert(sizeof(OutcomeSpace) == sizeof(OutcomeSpaceFields),
+              "OutcomeSpace changed: update WithAddedFacts and the mirror");
+static_assert(sizeof(PossibleOutcome) == sizeof(PossibleOutcomeFields),
+              "PossibleOutcome changed: update WithAddedFacts and the mirror");
+
+}  // namespace
+
 OutcomeSpace OutcomeSpace::WithAddedFacts(
     const std::vector<GroundAtom>& facts) const {
-  OutcomeSpace out = *this;
-  if (facts.empty()) return out;
+  if (facts.empty()) return *this;
   std::vector<GroundAtom> sorted = facts;
   std::sort(sorted.begin(), sorted.end());
-  for (PossibleOutcome& outcome : out.outcomes) {
-    StableModelSet patched;
+  // Every field but the outcomes is copied as is; the outcomes are built
+  // here rather than copied and then overwritten, which would copy every
+  // model only to discard it.
+  OutcomeSpace out;
+  out.finite_mass = finite_mass;
+  out.complete = complete;
+  out.depth_truncated_paths = depth_truncated_paths;
+  out.support_truncation_mass = support_truncation_mass;
+  out.pruned_paths = pruned_paths;
+  out.outcomes.reserve(outcomes.size());
+  for (const PossibleOutcome& outcome : outcomes) {
+    PossibleOutcome& patched = out.outcomes.emplace_back();
+    patched.choices = outcome.choices;
+    patched.prob = outcome.prob;
+    patched.grounding = outcome.grounding;
     for (const StableModel& model : outcome.models) {
       StableModel merged;
       merged.reserve(model.size() + sorted.size());
       std::merge(model.begin(), model.end(), sorted.begin(), sorted.end(),
                  std::back_inserter(merged));
       merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      patched.insert(std::move(merged));
+      patched.models.insert(std::move(merged));
     }
-    outcome.models = std::move(patched);
   }
   return out;
+}
+
+AnswerIndex::AnswerIndex(std::shared_ptr<const OutcomeSpace> space)
+    : space_(std::move(space)) {
+  // One pass, each mass summed in outcome order: the same additions, in the
+  // same order, as ProbConsistent() and ProbInconsistent().
+  for (const PossibleOutcome& outcome : space_->outcomes) {
+    Prob& mass =
+        outcome.models.empty() ? prob_inconsistent_ : prob_consistent_;
+    mass = mass + outcome.prob;
+  }
+}
+
+// The aliasing constructor with an empty owner: a non-owning pointer.
+AnswerIndex::AnswerIndex(const OutcomeSpace& space)
+    : AnswerIndex(std::shared_ptr<const OutcomeSpace>(
+          std::shared_ptr<const OutcomeSpace>(), &space)) {}
+
+AnswerIndex::AnswerIndex(std::shared_ptr<const OutcomeSpace> space,
+                         const Prob& prob_consistent,
+                         const Prob& prob_inconsistent)
+    : space_(std::move(space)),
+      prob_consistent_(prob_consistent),
+      prob_inconsistent_(prob_inconsistent) {}
+
+const std::vector<AnswerIndex::EventRow>& AnswerIndex::events() const {
+  std::call_once(events_once_, [this] {
+    struct DerefLess {
+      bool operator()(const StableModelSet* a,
+                      const StableModelSet* b) const {
+        return *a < *b;
+      }
+    };
+    // Mirrors Events(): the first outcome of a set seeds its mass, later
+    // ones add to it in outcome order.
+    std::map<const StableModelSet*, EventRow, DerefLess> groups;
+    for (const PossibleOutcome& outcome : space_->outcomes) {
+      auto [it, inserted] = groups.try_emplace(&outcome.models);
+      EventRow& row = it->second;
+      if (inserted) {
+        row.mass = outcome.prob;
+        row.num_models = outcome.models.size();
+      } else {
+        row.mass = row.mass + outcome.prob;
+      }
+      ++row.num_outcomes;
+    }
+    events_.reserve(groups.size());
+    for (const auto& [models, row] : groups) events_.push_back(row);
+  });
+  return events_;
+}
+
+std::shared_ptr<const AnswerIndex> AnswerIndex::WithAddedFacts(
+    const std::vector<GroundAtom>& facts) const {
+  auto patched =
+      std::make_shared<const OutcomeSpace>(space_->WithAddedFacts(facts));
+  return std::shared_ptr<const AnswerIndex>(new AnswerIndex(
+      std::move(patched), prob_consistent_, prob_inconsistent_));
 }
 
 }  // namespace gdlog

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -78,9 +79,12 @@ class OutcomeSpace {
   Bounds Marginal(const GroundAtom& atom) const;
 
   /// Conditional credal marginal given consistency: Marginal() divided by
-  /// ProbConsistent() (the constraint-conditioning of PPDL). Returns
-  /// nullopt when P(consistent) = 0.
-  std::optional<Bounds> MarginalGivenConsistent(const GroundAtom& atom) const;
+  /// `consistent`, which must be this space's ProbConsistent() — callers
+  /// pass the precomputed AnswerIndex::prob_consistent() rather than
+  /// re-summing it (the constraint-conditioning of PPDL). Returns nullopt
+  /// when P(consistent) = 0.
+  std::optional<Bounds> MarginalGivenConsistent(const GroundAtom& atom,
+                                                const Prob& consistent) const;
 
   /// Strips Active/Result bookkeeping atoms from a model, yielding the
   /// user-facing instance over sch(Π) ("modulo active/result").
@@ -95,6 +99,59 @@ class OutcomeSpace {
   /// (splitting-set argument in ROADMAP "Incremental serving
   /// architecture"). The serving layer's cache-revalidation patch.
   OutcomeSpace WithAddedFacts(const std::vector<GroundAtom>& facts) const;
+};
+
+/// Definition 3.8's answers over one immutable OutcomeSpace, derived once
+/// instead of on every read — what the serving layer caches beside each
+/// space, and what OutcomeSpaceToJson renders from.
+///
+/// P(consistent) and P(inconsistent) are computed by the constructor in
+/// one pass. The event rows are built by the first events() call (once,
+/// thread-safe), so readers that never ask for events never pay for them.
+/// Every mass is summed in outcome order, exactly as ProbConsistent(),
+/// ProbInconsistent() and Events() sum it, so inexact probabilities round
+/// to the same bits.
+class AnswerIndex {
+ public:
+  /// One generating event of F: the outcomes sharing a stable-model set.
+  struct EventRow {
+    Prob mass;
+    size_t num_models = 0;    ///< |sms| of the shared model set.
+    size_t num_outcomes = 0;  ///< Outcomes in the event.
+  };
+
+  /// Indexes a space the index shares ownership of.
+  explicit AnswerIndex(std::shared_ptr<const OutcomeSpace> space);
+  /// Indexes a space the caller keeps alive for the index's lifetime.
+  explicit AnswerIndex(const OutcomeSpace& space);
+
+  const OutcomeSpace& space() const { return *space_; }
+  const Prob& prob_consistent() const { return prob_consistent_; }
+  const Prob& prob_inconsistent() const { return prob_inconsistent_; }
+
+  /// The rows of Events(), in its std::map<StableModelSet> order, with each
+  /// event's outcome count. Outcomes are grouped by pointer to their model
+  /// set, so no model set is copied.
+  const std::vector<EventRow>& events() const;
+
+  /// The index of space().WithAddedFacts(facts), for cache revalidation.
+  /// Adding the same facts to every model changes no probability and no
+  /// model set's emptiness, so the scalars carry over as they are. The
+  /// event rows do not: the added facts can reorder model sets (with
+  /// [a] < [a,c], adding d gives [a,c,d] < [a,d]) or merge two of them,
+  /// so the new index rebuilds its rows on first use.
+  std::shared_ptr<const AnswerIndex> WithAddedFacts(
+      const std::vector<GroundAtom>& facts) const;
+
+ private:
+  AnswerIndex(std::shared_ptr<const OutcomeSpace> space,
+              const Prob& prob_consistent, const Prob& prob_inconsistent);
+
+  std::shared_ptr<const OutcomeSpace> space_;
+  Prob prob_consistent_;
+  Prob prob_inconsistent_;
+  mutable std::once_flag events_once_;
+  mutable std::vector<EventRow> events_;
 };
 
 }  // namespace gdlog

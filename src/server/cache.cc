@@ -52,7 +52,10 @@ size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
   auto atom_bytes = [](const GroundAtom& atom) {
     return sizeof(GroundAtom) + atom.args.capacity() * sizeof(Value);
   };
-  size_t bytes = sizeof(OutcomeSpace);
+  // The index: its scalars plus one event row per outcome, an upper bound
+  // on the rows it may build later.
+  size_t bytes = sizeof(OutcomeSpace) + sizeof(AnswerIndex) +
+                 space.outcomes.size() * sizeof(AnswerIndex::EventRow);
   for (const PossibleOutcome& outcome : space.outcomes) {
     bytes += sizeof(PossibleOutcome);
     for (const auto& [active, value] : outcome.choices.entries()) {
@@ -66,7 +69,7 @@ size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
   return bytes;
 }
 
-Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::LookupOrCompute(
+Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
     const std::string& key, const ComputeFn& compute) {
   std::shared_ptr<Inflight> flight;
   {
@@ -75,49 +78,53 @@ Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::LookupOrCompute(
     if (it != entries_.end()) {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.space;
+      return it->second.index;
     }
     auto in = inflight_.find(key);
     if (in != inflight_.end()) {
-      // Someone else is already chasing this key: wait for their result
-      // instead of burning a second chase on identical work.
+      // Someone else is already chasing (or patching) this key: wait for
+      // their result instead of burning a second chase on identical work.
       ++coalesced_;
       std::shared_ptr<Inflight> theirs = in->second;
       cv_.wait(lock, [&] { return theirs->done; });
       if (!theirs->status.ok()) return theirs->status;
-      return theirs->space;
+      return theirs->index;
     }
     ++misses_;
     flight = std::make_shared<Inflight>();
     inflight_.emplace(key, flight);
   }
 
-  // The chase runs without the lock: concurrent lookups of *other* keys
-  // proceed, and same-key lookups block on the inflight entry above.
+  // The chase, the index's scalars and the footprint walk all run without
+  // the lock: concurrent lookups of *other* keys proceed, and same-key
+  // lookups block on the inflight entry above.
   Result<OutcomeSpace> result = compute();
+  IndexPtr index;
+  size_t bytes = 0;
+  if (result.ok()) {
+    index = std::make_shared<const AnswerIndex>(
+        std::make_shared<const OutcomeSpace>(std::move(*result)));
+    bytes = ApproxBytes(index->space());
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (result.ok()) {
-    flight->space =
-        std::make_shared<const OutcomeSpace>(std::move(*result));
-    InsertLocked(key, flight->space);
+  if (index != nullptr) {
+    flight->index = index;
+    InsertLocked(key, std::move(index), bytes);
   } else {
     flight->status = result.status();
   }
-  flight->done = true;
-  inflight_.erase(key);
-  cv_.notify_all();
+  CompleteLocked(key, flight);
   if (!flight->status.ok()) return flight->status;
-  return flight->space;
+  return flight->index;
 }
 
-void InferenceCache::InsertLocked(
-    const std::string& key, std::shared_ptr<const OutcomeSpace> space) {
-  size_t bytes = ApproxBytes(*space);
+void InferenceCache::InsertLocked(const std::string& key, IndexPtr index,
+                                  size_t bytes) {
   if (bytes > capacity_bytes_) return;  // would evict everything for nothing
   lru_.push_front(key);
   EntryData data;
-  data.space = std::move(space);
+  data.index = std::move(index);
   data.bytes = bytes;
   data.lru_it = lru_.begin();
   entries_[key] = std::move(data);
@@ -137,47 +144,65 @@ void InferenceCache::EraseLocked(
   entries_.erase(it);
 }
 
-size_t InferenceCache::Revalidate(std::string_view program_prefix,
-                                  std::string_view old_prefix,
-                                  std::string_view new_prefix,
-                                  const PatchFn& patch, size_t* evicted) {
+void InferenceCache::CompleteLocked(const std::string& key,
+                                    const std::shared_ptr<Inflight>& flight) {
+  flight->done = true;
+  inflight_.erase(key);
+  cv_.notify_all();
+}
+
+InferenceCache::Revalidation InferenceCache::BeginRevalidate(
+    std::string_view program_prefix, std::string_view old_prefix,
+    std::string_view new_prefix) {
+  Revalidation revalidation;
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::shared_ptr<const OutcomeSpace>>>
-      moved;
-  size_t dropped = 0;
+  auto publish = [&](std::string_view old_key, IndexPtr index) {
+    std::string new_key(new_prefix);
+    new_key += old_key.substr(old_prefix.size());
+    // Skipped when a fresh lookup of the new lineage got there first.
+    if (entries_.count(new_key) != 0 || inflight_.count(new_key) != 0) {
+      return;
+    }
+    auto flight = std::make_shared<Inflight>();
+    inflight_.emplace(new_key, flight);
+    revalidation.moves_.push_back(
+        {std::move(new_key), std::move(index), std::move(flight)});
+  };
+  auto starts_with = [](std::string_view key, std::string_view prefix) {
+    return key.substr(0, prefix.size()) == prefix;
+  };
+
   for (auto it = entries_.begin(); it != entries_.end();) {
-    std::string_view key = it->first;
-    if (key.substr(0, program_prefix.size()) != program_prefix) {
+    if (!starts_with(it->first, program_prefix)) {
       ++it;
       continue;
     }
-    if (key.substr(0, old_prefix.size()) == old_prefix) {
-      moved.emplace_back(
-          std::string(new_prefix) + std::string(key.substr(old_prefix.size())),
-          it->second.space);
+    if (starts_with(it->first, old_prefix)) {
+      publish(it->first, it->second.index);
     } else {
       ++evictions_;
-      ++dropped;
+      ++revalidation.dropped_;
     }
     auto victim = it++;
     EraseLocked(victim);
   }
-  size_t count = 0;
-  for (auto& [key, space] : moved) {
-    std::shared_ptr<const OutcomeSpace> patched =
-        patch ? patch(*space) : space;
-    if (patched == nullptr) {
-      ++evictions_;
-      ++dropped;
-      continue;
-    }
-    if (entries_.count(key) != 0) continue;  // fresh compute landed first
-    InsertLocked(key, std::move(patched));
-    ++count;
+  return revalidation;
+}
+
+size_t InferenceCache::FinishRevalidate(Revalidation revalidation,
+                                        const PatchFn& patch,
+                                        size_t* evicted) {
+  for (Revalidation::Move& move : revalidation.moves_) {
+    IndexPtr patched = patch(*move.index);
+    size_t bytes = ApproxBytes(patched->space());
+    std::lock_guard<std::mutex> lock(mu_);
+    move.flight->index = patched;
+    InsertLocked(move.key, std::move(patched), bytes);
     ++revalidated_;
+    CompleteLocked(move.key, move.flight);
   }
-  if (evicted != nullptr) *evicted = dropped;
-  return count;
+  if (evicted != nullptr) *evicted = revalidation.dropped_;
+  return revalidation.moves_.size();
 }
 
 size_t InferenceCache::ErasePrefix(std::string_view prefix) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "gdatalog/chase.h"
 #include "gdatalog/outcome.h"
@@ -17,7 +18,11 @@
 namespace gdlog {
 
 /// Maps a canonical fingerprint of (program id, DB revision, the
-/// semantics-affecting ChaseOptions) to a shared immutable OutcomeSpace.
+/// semantics-affecting ChaseOptions) to a shared immutable AnswerIndex: the
+/// outcome space plus its Definition 3.8 answers. P(consistent) and
+/// P(inconsistent) are summed once, when the compute lands; the event rows
+/// are built by the first read that asks for them. A warm read therefore
+/// re-sums nothing.
 ///
 /// Why exact results are cacheable at all: the chase is deterministic —
 /// for a fixed program, database, grounder and budgets, Explore() produces
@@ -31,8 +36,18 @@ namespace gdlog {
 /// Concurrency: LRU-bounded by an approximate memory footprint, with
 /// single-flight deduplication — N concurrent lookups of the same key run
 /// one chase, and the other N-1 block until it lands (counted as
-/// `coalesced`).
+/// `coalesced`). Chases, index scalars, footprints and revalidation
+/// patches all run outside the cache lock; a revalidation publishes an
+/// in-flight marker for each new key as the new lineage becomes visible,
+/// so lookups of the new lineage coalesce onto the patch instead of
+/// starting a chase.
+///
+/// Lock order: BeginRevalidate() runs inside ProgramRegistry's publish
+/// hook, so the registry lock is taken before the cache lock. Cache code
+/// never calls into the registry, which keeps that order acyclic.
 class InferenceCache {
+  struct Inflight;
+
  public:
   struct Stats {
     uint64_t hits = 0;         ///< Served from the cache.
@@ -41,24 +56,25 @@ class InferenceCache {
     uint64_t evictions = 0;    ///< Entries dropped to respect the bound.
     uint64_t inserts = 0;      ///< Entries ever stored.
     uint64_t revalidated = 0;  ///< Entries moved to a new lineage by
-                               ///< Revalidate() instead of evicted.
+                               ///< FinishRevalidate() instead of evicted.
     size_t entries = 0;        ///< Current entry count.
     size_t bytes = 0;          ///< Current approximate footprint.
     size_t capacity_bytes = 0;
   };
 
   using ComputeFn = std::function<Result<OutcomeSpace>()>;
+  using IndexPtr = std::shared_ptr<const AnswerIndex>;
 
   explicit InferenceCache(size_t capacity_bytes)
       : capacity_bytes_(capacity_bytes) {}
 
-  /// Returns the cached space for `key`, or runs `compute` (outside the
-  /// cache lock) and caches its result. Concurrent callers with the same
-  /// key share one compute; a failed compute is returned to every waiter
-  /// and never cached. A space larger than the whole capacity is returned
-  /// uncached.
-  Result<std::shared_ptr<const OutcomeSpace>> LookupOrCompute(
-      const std::string& key, const ComputeFn& compute);
+  /// Returns the cached index for `key`, or runs `compute` (outside the
+  /// cache lock), indexes its result and caches it. Concurrent callers with
+  /// the same key share one compute; a failed compute is returned to every
+  /// waiter and never cached. A space larger than the whole capacity is
+  /// returned uncached.
+  Result<IndexPtr> LookupOrCompute(const std::string& key,
+                                   const ComputeFn& compute);
 
   /// Drops every entry whose key starts with `prefix` (fingerprints embed
   /// the program id first, so this is "forget program X"). Returns the
@@ -93,28 +109,59 @@ class InferenceCache {
     return Fingerprint(program_id, revision, "", options);
   }
 
-  /// Lineage-keyed revalidation (the PATCH /db path for deltas that
-  /// provably cannot change any grounding fixpoint): every entry under
-  /// `old_prefix` is re-keyed under `new_prefix` (same option suffix)
-  /// after passing its space through `patch`; entries under
-  /// `program_prefix` but not `old_prefix` (older revisions/lineages) are
-  /// dropped as ordinary evictions. A `patch` returning nullptr demotes
-  /// that entry to an eviction; a re-keyed entry whose new key is already
-  /// present (a fresh compute landed first) is skipped. Returns the number
-  /// revalidated; `evicted`, when non-null, receives the number dropped.
-  using PatchFn =
-      std::function<std::shared_ptr<const OutcomeSpace>(const OutcomeSpace&)>;
-  size_t Revalidate(std::string_view program_prefix,
-                    std::string_view old_prefix, std::string_view new_prefix,
-                    const PatchFn& patch, size_t* evicted = nullptr);
+  using PatchFn = std::function<IndexPtr(const AnswerIndex&)>;
 
-  /// Approximate heap footprint of a space (outcomes, choice sets, stable
-  /// models) — the unit of the LRU bound.
+  /// A lineage-keyed revalidation between its two phases.
+  class Revalidation {
+   private:
+    friend class InferenceCache;
+    struct Move {
+      std::string key;                   ///< The new-lineage key.
+      IndexPtr index;                    ///< The entry to patch.
+      std::shared_ptr<Inflight> flight;  ///< The new key's marker.
+    };
+    std::vector<Move> moves_;
+    size_t dropped_ = 0;
+  };
+
+  /// Lineage-keyed revalidation (the PATCH /db path for deltas that
+  /// provably cannot change any grounding fixpoint), phase one. Each entry
+  /// under `old_prefix` is erased, and its key under `new_prefix` (same
+  /// option suffix) gets an in-flight marker, so lookups of the new lineage
+  /// wait for the patch instead of chasing. A revalidation begun while an
+  /// earlier one is still patching does not wait for it: the earlier
+  /// result is not yet an entry, so the newer lineage misses once and
+  /// chases, and the earlier result lands under a key nothing reads until
+  /// the LRU drops it. Entries under
+  /// `program_prefix` but not `old_prefix` (older revisions/lineages) are
+  /// dropped as ordinary evictions. A re-keyed entry whose new key is
+  /// already present or being computed (a fresh lookup got there first) is
+  /// skipped.
+  ///
+  /// Patches nothing, only scans the entries under the cache lock, so the
+  /// caller can run it inside the critical section that makes the new
+  /// lineage visible (the registry's publish).
+  /// Every call must be followed by FinishRevalidate.
+  Revalidation BeginRevalidate(std::string_view program_prefix,
+                               std::string_view old_prefix,
+                               std::string_view new_prefix);
+
+  /// Phase two, outside the lock: passes each re-keyed index through
+  /// `patch` (which returns the patched index, never nullptr), caches it
+  /// under its new key and completes that key's marker. Returns the number
+  /// revalidated; `evicted`, when non-null, receives the number dropped.
+  size_t FinishRevalidate(Revalidation revalidation, const PatchFn& patch,
+                          size_t* evicted = nullptr);
+
+  /// Approximate heap footprint of a cached space (outcomes, choice sets,
+  /// stable models) plus its AnswerIndex, counting the event rows at their
+  /// upper bound of one per outcome — the unit of the LRU bound. Fixed at
+  /// insert, so building the rows later never changes an entry's charge.
   static size_t ApproxBytes(const OutcomeSpace& space);
 
  private:
   struct EntryData {
-    std::shared_ptr<const OutcomeSpace> space;
+    IndexPtr index;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
@@ -122,13 +169,16 @@ class InferenceCache {
   struct Inflight {
     bool done = false;
     Status status;
-    std::shared_ptr<const OutcomeSpace> space;
+    IndexPtr index;
   };
 
   /// Inserts under mu_ and evicts from the LRU tail until within bounds.
-  void InsertLocked(const std::string& key,
-                    std::shared_ptr<const OutcomeSpace> space);
+  /// `bytes` is ApproxBytes of the index's space, computed before locking.
+  void InsertLocked(const std::string& key, IndexPtr index, size_t bytes);
   void EraseLocked(std::unordered_map<std::string, EntryData>::iterator it);
+  /// Publishes `flight`'s outcome to its waiters and retires its key.
+  void CompleteLocked(const std::string& key,
+                      const std::shared_ptr<Inflight>& flight);
 
   const size_t capacity_bytes_;
 

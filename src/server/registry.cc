@@ -152,7 +152,8 @@ Result<ProgramRegistry::Info> ProgramRegistry::ReplaceDatabase(
 }
 
 Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
-    const std::string& id, const std::string& delta_text) {
+    const std::string& id, const std::string& delta_text,
+    const PublishHook& on_publish) {
   std::shared_ptr<const Entry> current = Find(id);
   if (current == nullptr) {
     return Status::NotFound("unknown program id: " + id);
@@ -217,6 +218,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   it->second = entry;
   result.info = InfoFor(*entry, /*created=*/false);
   result.entry = entry;
+  if (on_publish) on_publish(result);
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,7 +128,7 @@ class ProgramRegistry {
     bool touches_rule_bodies = false;
     DeltaStats stats;
     /// The facts actually appended (duplicates excluded) — the cache
-    /// revalidation patch (OutcomeSpace::WithAddedFacts) input.
+    /// revalidation patch (AnswerIndex::WithAddedFacts) input.
     std::vector<GroundAtom> added_facts;
     std::shared_ptr<const Entry> entry;
   };
@@ -139,9 +140,15 @@ class ProgramRegistry {
   /// wins), a delta is *relative* to the revision it was computed against:
   /// if another update published concurrently, returns kAlreadyExists so
   /// the caller can re-read and retry rather than silently dropping the
-  /// other update.
+  /// other update. `on_publish`, when set, runs inside the critical section
+  /// that publishes the new revision — before any Find() can return it —
+  /// so the caller can prepare for the new lineage (the serving layer
+  /// publishes its cache markers there). It must be cheap and must not
+  /// call back into the registry.
+  using PublishHook = std::function<void(const DeltaResult&)>;
   Result<DeltaResult> ApplyDatabaseDelta(const std::string& id,
-                                         const std::string& delta_text);
+                                         const std::string& delta_text,
+                                         const PublishHook& on_publish = {});
 
   /// Unregisters `id`. In-flight queries holding the entry keep it alive.
   Status Remove(const std::string& id);

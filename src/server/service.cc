@@ -258,7 +258,23 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       if (!body.ok()) return ErrorResponse(body.status());
       auto delta = RequiredString(*body, "delta");
       if (!delta.ok()) return ErrorResponse(delta.status());
-      auto applied = registry_.ApplyDatabaseDelta(id, *delta);
+      // When the delta's predicates occur in no rule body of Π, every
+      // outcome space of the old lineage equals the new one minus the
+      // appended facts (splitting-set argument in ROADMAP): the entries are
+      // carried over — patched with the new facts — instead of re-chased.
+      // Their new keys get in-flight markers inside the registry's publish,
+      // so no query sees the new lineage before a marker it can wait on.
+      InferenceCache::Revalidation revalidation;
+      auto on_publish = [&](const ProgramRegistry::DeltaResult& result) {
+        if (result.touches_rule_bodies) return;
+        revalidation = cache_.BeginRevalidate(
+            id + "|",
+            InferenceCache::KeyPrefix(id, result.base_revision,
+                                      result.old_lineage_digest),
+            InferenceCache::KeyPrefix(id, result.info.revision,
+                                      result.new_lineage_digest));
+      };
+      auto applied = registry_.ApplyDatabaseDelta(id, *delta, on_publish);
       if (!applied.ok()) return ErrorResponse(applied.status());
       delta_patches_.fetch_add(1, std::memory_order_relaxed);
       // Partial lines always pin revision + lineage, so post-delta lookups
@@ -271,23 +287,13 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
         // this program is stale. Drop them all.
         evicted = cache_.ErasePrefix(id + "|");
       } else {
-        // The delta's predicates occur in no rule body of Π, so every
-        // outcome space of the old lineage equals the new one minus the
-        // appended facts (splitting-set argument in ROADMAP): carry the
-        // entries over — patched with the new facts — instead of
-        // re-chasing them on the next query.
-        std::vector<GroundAtom> added = applied->added_facts;
-        auto patch = [added](const OutcomeSpace& space) {
-          return std::make_shared<const OutcomeSpace>(
-              space.WithAddedFacts(added));
-        };
-        revalidated = cache_.Revalidate(
-            id + "|",
-            InferenceCache::KeyPrefix(id, applied->base_revision,
-                                      applied->old_lineage_digest),
-            InferenceCache::KeyPrefix(id, applied->info.revision,
-                                      applied->new_lineage_digest),
-            patch, &evicted);
+        const std::vector<GroundAtom>& added = applied->added_facts;
+        revalidated = cache_.FinishRevalidate(
+            std::move(revalidation),
+            [&added](const AnswerIndex& index) {
+              return index.WithAddedFacts(added);
+            },
+            &evicted);
       }
       spaces_revalidated_.fetch_add(revalidated, std::memory_order_relaxed);
       spaces_evicted_.fetch_add(evicted, std::memory_order_relaxed);
@@ -416,6 +422,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
       lookup_ns >= compute_ns ? lookup_ns - compute_ns : 0);
   if (compute_ns != 0) chase_hist_.RecordNanos(compute_ns);
   if (!space.ok()) return ErrorResponse(space.status());
+  const AnswerIndex& answers = **space;
   if (queries == nullptr) {
     auto include_outcomes = OptionalBool(*body, "include_outcomes", false);
     auto include_models = OptionalBool(*body, "include_models", false);
@@ -431,7 +438,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
     // `gdlog_cli --json` stdout for the same program/DB/options, which is
     // what makes the server a drop-in for scripted batch runs.
     return JsonResponse(
-        200, OutcomeSpaceToJson(**space, entry->engine.translated(),
+        200, OutcomeSpaceToJson(answers, entry->engine.translated(),
                                 entry->engine.program().interner(),
                                 json_options) +
                  "\n");
@@ -448,9 +455,9 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
   json.BeginObject();
   json.KV("program_id", entry->id);
   json.KV("revision", static_cast<long long>(entry->revision));
-  json.KV("complete", (*space)->complete);
+  json.KV("complete", answers.space().complete);
   json.Key("prob_consistent");
-  WriteProbJson(json, (*space)->ProbConsistent());
+  WriteProbJson(json, answers.prob_consistent());
   json.KV("condition", *condition);
   json.Key("marginals").BeginArray();
   for (const JsonValue& query : queries->array()) {
@@ -474,11 +481,12 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
       // answer MarginalGivenConsistent gives a known-but-absent atom.
       std::optional<OutcomeSpace::Bounds> bounds;
       if (unknown_name) {
-        if (!((*space)->ProbConsistent() == Prob::Zero())) {
+        if (!(answers.prob_consistent() == Prob::Zero())) {
           bounds = OutcomeSpace::Bounds{};
         }
       } else {
-        bounds = (*space)->MarginalGivenConsistent(*atom);
+        bounds = answers.space().MarginalGivenConsistent(
+            *atom, answers.prob_consistent());
       }
       if (!bounds) {
         json.KV("undefined", true);
@@ -490,7 +498,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
       }
     } else {
       OutcomeSpace::Bounds bounds;
-      if (!unknown_name) bounds = (*space)->Marginal(*atom);
+      if (!unknown_name) bounds = answers.space().Marginal(*atom);
       json.Key("lower");
       WriteProbJson(json, bounds.lower);
       json.Key("upper");

@@ -501,6 +501,45 @@ TEST(DeltaService, UntouchedPredicateDeltaRevalidatesCache) {
   EXPECT_EQ(after.body, fresh.body);
 }
 
+TEST(DeltaService, RevalidatedEventRowsAreRebuiltNotCopied) {
+  // `lucky` is a rule head and in no rule body, so a PATCH adding it
+  // revalidates. It is already in the coin(1) models, so adding it to
+  // every model reorders the model sets: before, [lucky, coin(1)] sorts
+  // first; after, [lucky, coin(0)] does. Event rows copied from the old
+  // index would keep the old order.
+  constexpr const char* kProgram = "lucky :- coin(1).\ncoin(flip<0.3>).\n";
+  InferenceService::Options options;
+  options.default_chase.num_threads = 1;
+  InferenceService service(options);
+  std::string id = RegisterProgram(service, kProgram, "");
+  std::string query = "{\"program_id\":\"" + id +
+                      "\",\"include_events\":true}";
+  HttpResponse before = service.Handle(MakeRequest("POST", "/query", query));
+  ASSERT_EQ(before.status, 200) << before.body;
+
+  HttpResponse patched = service.Handle(MakeRequest(
+      "PATCH", "/programs/" + id + "/db", PatchBody("lucky.\n")));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 1);
+
+  HttpResponse after = service.Handle(MakeRequest("POST", "/query", query));
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(service.cache().stats().misses, 1u);  // served revalidated
+
+  InferenceService fresh_service(options);
+  std::string fresh_id = RegisterProgram(fresh_service, kProgram, "lucky.\n");
+  HttpResponse fresh = fresh_service.Handle(MakeRequest(
+      "POST", "/query",
+      "{\"program_id\":\"" + fresh_id + "\",\"include_events\":true}"));
+  ASSERT_EQ(fresh.status, 200);
+  EXPECT_EQ(after.body, fresh.body);
+  auto events = [](const std::string& body) {
+    return body.substr(body.find("\"events\""));
+  };
+  EXPECT_NE(events(before.body), events(after.body))
+      << "the delta must reorder the rows for this case to bite";
+}
+
 TEST(DeltaService, BodyPredicateDeltaEvictsCache) {
   InferenceService::Options options;
   options.default_chase.num_threads = 1;

@@ -120,7 +120,8 @@ TEST(Engine, MarginalGivenConsistentUndefinedWhenInconsistent) {
   ASSERT_TRUE(space.ok());
   EXPECT_EQ(space->ProbConsistent(), Prob::Zero());
   auto atom = engine->ParseGroundAtom("p(1)");
-  EXPECT_FALSE(space->MarginalGivenConsistent(*atom).has_value());
+  EXPECT_FALSE(space->MarginalGivenConsistent(*atom, space->ProbConsistent())
+                   .has_value());
 }
 
 TEST(Engine, StripAuxiliaryRemovesActiveAndResult) {

@@ -1,5 +1,13 @@
-// JsonWriter and outcome-space export tests.
+// JsonWriter and outcome-space export tests, including the AnswerIndex
+// the export renders from.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
@@ -304,6 +312,229 @@ TEST(JsonExport, InexactMassesExportNullRational) {
                                         engine->program().interner());
   EXPECT_NE(json.find("\"rational\":null"), std::string::npos);
   EXPECT_NE(json.find("\"complete\":false"), std::string::npos);
+}
+
+
+// ---------------------------------------------------------------------------
+// AnswerIndex: index-rendered bodies against a reference that re-derives
+// every answer from Events(), ProbConsistent() and ProbInconsistent().
+// ---------------------------------------------------------------------------
+
+/// The export rendered the slow way: masses re-summed per call and the event
+/// table read off Events() plus a second map of outcome counts.
+std::string ReferenceJson(const OutcomeSpace& space,
+                          const TranslatedProgram& translated,
+                          const Interner* interner,
+                          const JsonExportOptions& options) {
+  JsonWriter json;
+  json.BeginObject();
+  json.KV("complete", space.complete);
+  json.KV("num_outcomes", static_cast<long long>(space.outcomes.size()));
+  json.Key("finite_mass");
+  WriteProbJson(json, space.finite_mass);
+  json.Key("residual_mass");
+  WriteProbJson(json, space.residual_mass());
+  json.Key("prob_consistent");
+  WriteProbJson(json, space.ProbConsistent());
+  json.Key("prob_inconsistent");
+  WriteProbJson(json, space.ProbInconsistent());
+  json.KV("depth_truncated_paths",
+          static_cast<long long>(space.depth_truncated_paths));
+  json.KV("pruned_paths", static_cast<long long>(space.pruned_paths));
+  if (options.include_outcomes) {
+    json.Key("outcomes").BeginArray();
+    for (const PossibleOutcome& outcome : space.outcomes) {
+      json.BeginObject();
+      json.Key("prob");
+      WriteProbJson(json, outcome.prob);
+      json.KV("num_models", static_cast<long long>(outcome.models.size()));
+      json.Key("choices").BeginArray();
+      for (const auto& [active, value] : outcome.choices.entries()) {
+        json.BeginObject();
+        json.KV("active", active.ToString(interner));
+        json.KV("outcome", value.ToString(interner));
+        json.EndObject();
+      }
+      json.EndArray();
+      if (options.include_models) {
+        json.Key("models").BeginArray();
+        for (const StableModel& model : outcome.models) {
+          json.BeginArray();
+          for (const GroundAtom& atom :
+               OutcomeSpace::StripAuxiliary(model, translated)) {
+            json.String(atom.ToString(interner));
+          }
+          json.EndArray();
+        }
+        json.EndArray();
+      }
+      json.EndObject();
+    }
+    json.EndArray();
+  }
+  if (options.include_events) {
+    std::map<StableModelSet, size_t> outcome_counts;
+    for (const PossibleOutcome& outcome : space.outcomes) {
+      ++outcome_counts[outcome.models];
+    }
+    json.Key("events").BeginArray();
+    for (const auto& [models, mass] : space.Events()) {
+      json.BeginObject();
+      json.Key("mass");
+      WriteProbJson(json, mass);
+      json.KV("num_models", static_cast<long long>(models.size()));
+      json.KV("num_outcomes", static_cast<long long>(outcome_counts[models]));
+      json.EndObject();
+    }
+    json.EndArray();
+  }
+  json.EndObject();
+  return json.str();
+}
+
+std::string CliqueDb(int n) {
+  std::string db;
+  for (int i = 1; i <= n; ++i) db += "router(" + std::to_string(i) + ").\n";
+  for (int i = 1; i <= n; ++i) {
+    for (int j = 1; j <= n; ++j) {
+      if (i != j) {
+        db += "connected(" + std::to_string(i) + "," + std::to_string(j) +
+              ").\n";
+      }
+    }
+  }
+  return db + "infected(1, 1).\n";
+}
+
+std::string NetworkProgram(const char* rate) {
+  return std::string("infected(Y, flip<") + rate +
+         ">[X, Y]) :- infected(X, 1), connected(X, Y).\n"
+         "uninfected(X) :- router(X), not infected(X, 1).\n"
+         ":- uninfected(X), uninfected(Y), connected(X, Y).\n";
+}
+
+struct IndexCase {
+  const char* name;
+  std::string program;
+  std::string db;
+};
+
+std::vector<IndexCase> IndexCases() {
+  return {
+      {"E1 clique-4", NetworkProgram("0.1"), CliqueDb(4)},
+      {"E3 dime/quarter",
+       "dimetail(X, flip<0.5>[X]) :- dime(X).\n"
+       "somedimetail :- dimetail(X, 1).\n"
+       "quartertail(X, flip<0.5>[X]) :- quarter(X), not somedimetail.\n",
+       "dime(1).\ndime(2).\nquarter(3).\n"},
+      // 0.123456789012345 has no exact decimal rational of at most nine
+      // places, so every mass is an inexact double. The constraint makes
+      // 128 of the 256 outcomes inconsistent, and the order in which their
+      // masses are summed shows in the bits of P(inconsistent) and of the
+      // empty-model-set event.
+      {"inexact coins",
+       "coin(X, flip<0.123456789012345>[X]) :- item(X).\n:- coin(1, 1).\n",
+       "item(1).\nitem(2).\nitem(3).\nitem(4).\n"
+       "item(5).\nitem(6).\nitem(7).\nitem(8).\n"},
+  };
+}
+
+TEST(AnswerIndex, RenderedBodiesEqualTheEventsReference) {
+  for (const IndexCase& c : IndexCases()) {
+    SCOPED_TRACE(c.name);
+    auto engine = GDatalog::Create(c.program, c.db);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto space = engine->Infer();
+    ASSERT_TRUE(space.ok());
+    auto shared = std::make_shared<const OutcomeSpace>(std::move(*space));
+    AnswerIndex index(shared);
+    const Interner* interner = engine->program().interner();
+
+    JsonExportOptions summary;
+    summary.include_outcomes = false;
+    summary.include_events = false;
+    JsonExportOptions events = summary;
+    events.include_events = true;
+    JsonExportOptions outcomes;
+    outcomes.include_outcomes = true;
+    outcomes.include_models = true;
+    outcomes.include_events = true;
+    for (const JsonExportOptions& options : {summary, events, outcomes}) {
+      std::string reference =
+          ReferenceJson(*shared, engine->translated(), interner, options);
+      EXPECT_EQ(OutcomeSpaceToJson(index, engine->translated(), interner,
+                                   options),
+                reference);
+      EXPECT_EQ(OutcomeSpaceToJson(*shared, engine->translated(), interner,
+                                   options),
+                reference);
+    }
+    // The rows are Events() in order, with the per-event outcome counts.
+    std::map<StableModelSet, Prob> expected = shared->Events();
+    ASSERT_EQ(index.events().size(), expected.size());
+    size_t i = 0;
+    size_t outcomes_seen = 0;
+    for (const auto& [models, mass] : expected) {
+      const AnswerIndex::EventRow& row = index.events()[i++];
+      EXPECT_EQ(row.mass.value(), mass.value());
+      EXPECT_EQ(row.mass.exact(), mass.exact());
+      EXPECT_EQ(row.num_models, models.size());
+      outcomes_seen += row.num_outcomes;
+    }
+    EXPECT_EQ(outcomes_seen, shared->outcomes.size());
+  }
+}
+
+TEST(AnswerIndex, InexactCasePinsTheSummationOrder) {
+  // Guards the case above: it only pins the order if some inexact event
+  // really sums more than one outcome.
+  IndexCase c = IndexCases().back();
+  auto engine = GDatalog::Create(c.program, c.db);
+  ASSERT_TRUE(engine.ok());
+  auto space = engine->Infer();
+  ASSERT_TRUE(space.ok());
+  AnswerIndex index(*space);
+  EXPECT_FALSE(index.prob_consistent().exact());
+  bool summed_inexact = false;
+  for (const AnswerIndex::EventRow& row : index.events()) {
+    summed_inexact |= row.num_outcomes > 1 && !row.mass.exact();
+  }
+  EXPECT_TRUE(summed_inexact);
+}
+
+TEST(AnswerIndex, ConcurrentFirstEventsReadsBuildTheRowsOnce) {
+  IndexCase c = IndexCases().front();
+  auto engine = GDatalog::Create(c.program, c.db);
+  ASSERT_TRUE(engine.ok());
+  auto space = engine->Infer();
+  ASSERT_TRUE(space.ok());
+  JsonExportOptions events;
+  events.include_outcomes = false;
+  events.include_events = true;
+  const Interner* interner = engine->program().interner();
+  const std::string reference =
+      ReferenceJson(*space, engine->translated(), interner, events);
+
+  AnswerIndex index(*space);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::string> bodies(kThreads);
+  std::vector<const AnswerIndex::EventRow*> rows(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      bodies[t] =
+          OutcomeSpaceToJson(index, engine->translated(), interner, events);
+      rows[t] = index.events().data();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(bodies[t], reference) << "thread " << t;
+    EXPECT_EQ(rows[t], rows[0]) << "one row vector, built once";
+  }
 }
 
 }  // namespace

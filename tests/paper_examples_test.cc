@@ -210,7 +210,8 @@ TEST(NetworkResilience, MarginalOfInfectionIsExact) {
   EXPECT_EQ(bounds.upper, Prob(Rational(109, 1000)));
 
   // Conditioned on domination (= consistency): (109/1000) / (19/100).
-  auto conditioned = space->MarginalGivenConsistent(*atom);
+  auto conditioned =
+      space->MarginalGivenConsistent(*atom, space->ProbConsistent());
   ASSERT_TRUE(conditioned.has_value());
   EXPECT_EQ(conditioned->lower, Prob(Rational(109, 190)));
 }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -152,7 +153,7 @@ TEST(InferenceCache, SingleFlightCoalescesConcurrentIdenticalLookups) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
       auto space = cache.LookupOrCompute("same-key", slow_compute);
-      if (space.ok() && (*space)->outcomes.size() == 1) ++ok;
+      if (space.ok() && (*space)->space().outcomes.size() == 1) ++ok;
     });
   }
   for (std::thread& t : threads) t.join();
@@ -229,6 +230,65 @@ TEST(InferenceCache, ErasePrefixDropsOneProgramsLines) {
   auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 2u);
+}
+
+TEST(InferenceCache, RevalidationPatchesOutsideTheLock) {
+  InferenceCache cache(1 << 20);
+  auto compute = []() -> Result<OutcomeSpace> {
+    return SpaceWithOutcomes(1);
+  };
+  auto never = []() -> Result<OutcomeSpace> {
+    ADD_FAILURE() << "no lookup here may start a chase";
+    return Status::Internal("unexpected compute");
+  };
+  ASSERT_TRUE(cache.LookupOrCompute("p1|rev=0|lin=|k", compute).ok());
+  ASSERT_TRUE(cache.LookupOrCompute("p2|rev=0|lin=|k", compute).ok());
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto blocking_patch = [&](const AnswerIndex& index) {
+    entered.set_value();
+    released.wait();
+    return index.WithAddedFacts({});
+  };
+  InferenceCache::Revalidation revalidation =
+      cache.BeginRevalidate("p1|", "p1|rev=0|lin=|", "p1|rev=1|lin=x|");
+  std::thread patcher([&] {
+    EXPECT_EQ(cache.FinishRevalidate(std::move(revalidation), blocking_patch),
+              1u);
+  });
+  entered.get_future().wait();
+
+  // Another program's entry is served while the patch is blocked.
+  auto other = std::async(std::launch::async, [&] {
+    return cache.LookupOrCompute("p2|rev=0|lin=|k", never).ok();
+  });
+  if (other.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "a blocked patch stalled an unrelated lookup";
+    release.set_value();  // the patch holds the cache lock: free it
+    patcher.join();
+    return;
+  }
+
+  // A lookup of the new lineage waits on the patch instead of chasing.
+  auto renewed = std::async(std::launch::async, [&] {
+    auto index = cache.LookupOrCompute("p1|rev=1|lin=x|k", never);
+    return index.ok() && (*index)->space().outcomes.size() == 1;
+  });
+  for (int i = 0; i < 1000 && cache.stats().coalesced == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  release.set_value();
+  patcher.join();
+  EXPECT_TRUE(other.get());
+  EXPECT_TRUE(renewed.get());
+
+  InferenceCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.misses, 2u);  // the two seeding computes only
+  EXPECT_EQ(stats.revalidated, 1u);
+  EXPECT_EQ(stats.entries, 2u);
 }
 
 TEST(InferenceCache, FingerprintSeparatesSemanticOptions) {
@@ -702,10 +762,16 @@ TEST(HttpServer, RejectsOversizedHeadersWith431) {
   std::string request = "GET /healthz HTTP/1.1\r\nX-Big: ";
   request += std::string(128 * 1024, 'a');
   ASSERT_TRUE(conn->WriteAll(request, 5000).ok());
+  // Status line and error envelope may arrive in separate TCP segments;
+  // keep reading until the body shows up (EOF or timeout otherwise).
   char buf[1024];
-  auto n = conn->ReadSome(buf, sizeof(buf), 5000);
-  ASSERT_TRUE(n.ok());
-  std::string head(buf, *n);
+  std::string head;
+  while (head.find("\"error\"") == std::string::npos) {
+    auto n = conn->ReadSome(buf, sizeof(buf), 5000);
+    ASSERT_TRUE(n.ok());
+    if (*n == 0) break;
+    head.append(buf, *n);
+  }
   EXPECT_NE(head.find("431"), std::string::npos);
   EXPECT_NE(head.find("\"error\""), std::string::npos);
 }

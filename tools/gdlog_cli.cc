@@ -389,13 +389,14 @@ int RunExact(const gdlog::GDatalog& engine, const CliOptions& opts) {
 
 int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
                 const CliOptions& opts) {
+  const gdlog::AnswerIndex answers(space);
   if (opts.json) {
     gdlog::JsonExportOptions json_options;
     json_options.include_outcomes = opts.print_outcomes;
     json_options.include_models = opts.print_outcomes;
     json_options.include_events = opts.print_events;
     std::printf("%s\n",
-                gdlog::OutcomeSpaceToJson(space, engine.translated(),
+                gdlog::OutcomeSpaceToJson(answers, engine.translated(),
                                           engine.program().interner(),
                                           json_options)
                     .c_str());
@@ -411,18 +412,18 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
                 space.residual_mass().ToString().c_str());
   }
   std::printf("P(consistent)     : %s (= %.6f)\n",
-              space.ProbConsistent().ToString().c_str(),
-              space.ProbConsistent().value());
+              answers.prob_consistent().ToString().c_str(),
+              answers.prob_consistent().value());
   std::printf("P(no stable model): %s\n",
-              space.ProbInconsistent().ToString().c_str());
+              answers.prob_inconsistent().ToString().c_str());
 
   const gdlog::Interner* names = engine.program().interner();
 
   if (opts.print_events) {
     std::printf("\nevents (stable-model sets -> mass):\n");
-    for (const auto& [models, mass] : space.Events()) {
-      std::printf("  mass %-10s |sms| = %zu\n", mass.ToString().c_str(),
-                  models.size());
+    for (const gdlog::AnswerIndex::EventRow& row : answers.events()) {
+      std::printf("  mass %-10s |sms| = %zu\n", row.mass.ToString().c_str(),
+                  row.num_models);
     }
   }
 
@@ -446,7 +447,8 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
       return 1;
     }
     if (opts.condition) {
-      auto bounds = space.MarginalGivenConsistent(*atom);
+      auto bounds =
+          space.MarginalGivenConsistent(*atom, answers.prob_consistent());
       if (!bounds) {
         std::printf("P(%s | consistent) undefined (P(consistent) = 0)\n",
                     query.c_str());
