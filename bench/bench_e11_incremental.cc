@@ -99,7 +99,7 @@ std::string RegisterDeltaServingProgram(gdlog::InferenceService& service) {
       .KV("grounder", "simple")
       .EndObject();
   gdlog::HttpResponse registered =
-      MustHandle(service, "POST", "/programs", reg.str(), 201);
+      MustHandle(service, "POST", "/v1/programs", reg.str(), 201);
   auto doc = gdlog::JsonValue::Parse(registered.body);
   if (!doc.ok() || doc->Find("id") == nullptr) std::abort();
   return doc->Find("id")->string_value();
@@ -137,7 +137,7 @@ void DeltaServingTable() {
   options.default_chase.num_threads = 1;
   gdlog::InferenceService service(options);
   std::string id = RegisterDeltaServingProgram(service);
-  std::string db_target = "/programs/" + id + "/db";
+  std::string db_target = "/v1/programs/" + id + "/db";
   std::string query_body = "{\"program_id\":\"" + id + "\"}";
 
   using clock = std::chrono::steady_clock;
@@ -174,7 +174,7 @@ void DeltaServingTable() {
 
   // Revalidation regime: warm the cache, PATCH a meta-only delta, and the
   // next identical query must be served from the revalidated entry.
-  MustHandle(service, "POST", "/query", query_body, 200);
+  MustHandle(service, "POST", "/v1/query", query_body, 200);
   gdlog::HttpResponse patched = MustHandle(
       service, "PATCH", db_target, PatchBody(MetaDelta(/*round=*/0)), 200);
   auto patch_doc = gdlog::JsonValue::Parse(patched.body);
@@ -182,7 +182,7 @@ void DeltaServingTable() {
       patch_doc.ok() ? JsonCounter(*patch_doc, "delta", "spaces_revalidated")
                      : -1;
   gdlog::InferenceCache::Stats before = service.cache().stats();
-  MustHandle(service, "POST", "/query", query_body, 200);
+  MustHandle(service, "POST", "/v1/query", query_body, 200);
   gdlog::InferenceCache::Stats after = service.cache().stats();
   bool zero_chase = after.misses == before.misses && revalidated >= 1;
   std::printf("%-28s revalidated=%lld, post-delta misses=+%llu "
@@ -291,7 +291,7 @@ void BM_DeltaUpdate_Patch1Pct(benchmark::State& state) {
   options.default_chase.num_threads = 1;
   gdlog::InferenceService service(options);
   std::string id = RegisterDeltaServingProgram(service);
-  std::string db_target = "/programs/" + id + "/db";
+  std::string db_target = "/v1/programs/" + id + "/db";
   gdlog::HttpRequest request;
   request.method = "PATCH";
   request.target = db_target;
@@ -317,7 +317,7 @@ void BM_DeltaUpdate_FullRebuild(benchmark::State& state) {
   std::string id = RegisterDeltaServingProgram(service);
   gdlog::HttpRequest request;
   request.method = "PUT";
-  request.target = "/programs/" + id + "/db";
+  request.target = "/v1/programs/" + id + "/db";
   request.body = PutBody(DeltaServingDb());
   for (auto _ : state) {
     gdlog::HttpResponse response = service.Handle(request);
@@ -338,10 +338,10 @@ void BM_DeltaQuery_Revalidated(benchmark::State& state) {
   options.default_chase.num_threads = 1;
   gdlog::InferenceService service(options);
   std::string id = RegisterDeltaServingProgram(service);
-  std::string db_target = "/programs/" + id + "/db";
+  std::string db_target = "/v1/programs/" + id + "/db";
   gdlog::HttpRequest query;
   query.method = "POST";
-  query.target = "/query";
+  query.target = "/v1/query";
   query.body = "{\"program_id\":\"" + id + "\"}";
   if (service.Handle(query).status != 200) std::abort();  // warm the cache
   gdlog::HttpRequest patch;

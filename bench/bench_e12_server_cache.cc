@@ -96,7 +96,7 @@ gdlog::HttpRequest WarmQuery(gdlog::InferenceService& service,
       .EndObject();
   gdlog::HttpRequest register_request;
   register_request.method = "POST";
-  register_request.target = "/programs";
+  register_request.target = "/v1/programs";
   register_request.body = reg.str();
   gdlog::HttpResponse registered = service.Handle(register_request);
   if (registered.status != 201) std::abort();
@@ -104,7 +104,7 @@ gdlog::HttpRequest WarmQuery(gdlog::InferenceService& service,
   if (!doc.ok() || doc->Find("id") == nullptr) std::abort();
   gdlog::HttpRequest query;
   query.method = "POST";
-  query.target = "/query";
+  query.target = "/v1/query";
   query.body = "{\"program_id\":\"" + doc->Find("id")->string_value() +
                "\"" + extra + "}";
   if (service.Handle(query).status != 200) std::abort();

@@ -6,11 +6,11 @@
 # Usage: examples/serve_quickstart.sh [build_dir]   (default: build)
 #
 # Everything is plain curl + JSON, so this doubles as the HTTP API tour:
-#   POST /programs          register a program+DB once, get a stable id
-#   POST /query             exact inference (cached by fingerprint);
-#                           body is byte-identical to `gdlog_cli --json`
-#   POST /sample            Monte-Carlo estimates (never cached)
-#   GET  /healthz, /stats   liveness and cache/request counters
+#   POST /v1/programs             register a program+DB once, get a stable id
+#   POST /v1/query                exact inference (cached by fingerprint);
+#                                 body is byte-identical to `gdlog_cli --json`
+#   POST /v1/sample               Monte-Carlo estimates (never cached)
+#   GET  /v1/healthz, /v1/stats   liveness and cache/request counters
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,11 +26,11 @@ port=18090
 daemon=$!
 trap 'kill -TERM $daemon 2>/dev/null; wait $daemon 2>/dev/null' EXIT
 for _ in $(seq 1 100); do
-  curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && break
+  curl -fsS "http://127.0.0.1:$port/v1/healthz" >/dev/null 2>&1 && break
   sleep 0.1
 done
 
-base="http://127.0.0.1:$port"
+base="http://127.0.0.1:$port/v1"
 
 echo "== register the 3-router clique (Examples 1.1/3.6; expect P(consistent) = 19/100)"
 id=$(curl -fsS -X POST "$base/programs" -d '{
@@ -44,7 +44,7 @@ echo "== exact query (cold: runs the chase)"
 curl -fsS -X POST "$base/query" -d "{\"program_id\":\"$id\"}"
 
 echo
-echo "== the same query again (served from the cache — see /stats below)"
+echo "== the same query again (served from the cache — see /v1/stats below)"
 curl -fsS -X POST "$base/query" -d "{\"program_id\":\"$id\"}"
 
 echo

@@ -22,7 +22,7 @@ enum class GrounderKind {
 };
 
 /// Observability counters for a WithDatabaseDelta construction — surfaced
-/// on gdlog_cli --stats and the server's GET /stats.
+/// on gdlog_cli --stats and the server's GET /v1/stats.
 struct DeltaStats {
   bool applied = false;  ///< This engine was built by WithDatabaseDelta.
   size_t rows_appended = 0;

@@ -18,7 +18,7 @@ struct PassStat {
 };
 
 /// The pipeline's result record: per-pass stats plus the aggregate
-/// counters, surfaced through gdlog_cli --stats and gdlogd GET /stats.
+/// counters, surfaced through gdlog_cli --stats and gdlogd GET /v1/stats.
 struct OptStats {
   bool enabled = false;         ///< A pipeline actually ran.
   bool demand_applied = false;  ///< The demand pass was part of it.

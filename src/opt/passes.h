@@ -12,7 +12,7 @@
 namespace gdlog {
 
 /// Raw rewrite counters the passes accumulate (surfaced through
-/// gdlog_cli --stats and gdlogd GET /stats).
+/// gdlog_cli --stats and gdlogd GET /v1/stats).
 struct OptCounters {
   uint64_t rules_eliminated = 0;        ///< Dead-rule pass removals.
   uint64_t rules_specialized = 0;       ///< Rules narrowed or split.

@@ -76,7 +76,7 @@ Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
     std::unique_lock<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++hits_;
+      ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return it->second.index;
     }
@@ -84,13 +84,13 @@ Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
     if (in != inflight_.end()) {
       // Someone else is already chasing (or patching) this key: wait for
       // their result instead of burning a second chase on identical work.
-      ++coalesced_;
+      ++stats_.coalesced;
       std::shared_ptr<Inflight> theirs = in->second;
       cv_.wait(lock, [&] { return theirs->done; });
       if (!theirs->status.ok()) return theirs->status;
       return theirs->index;
     }
-    ++misses_;
+    ++stats_.misses;
     flight = std::make_shared<Inflight>();
     inflight_.emplace(key, flight);
   }
@@ -121,27 +121,30 @@ Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
 
 void InferenceCache::InsertLocked(const std::string& key, IndexPtr index,
                                   size_t bytes) {
-  if (bytes > capacity_bytes_) return;  // would evict everything for nothing
+  // A space over the whole capacity would evict everything for nothing.
+  if (bytes > stats_.capacity_bytes) return;
   lru_.push_front(key);
   EntryData data;
   data.index = std::move(index);
   data.bytes = bytes;
   data.lru_it = lru_.begin();
   entries_[key] = std::move(data);
-  bytes_ += bytes;
-  ++inserts_;
-  while (bytes_ > capacity_bytes_ && lru_.size() > 1) {
+  stats_.entries = entries_.size();
+  stats_.bytes += bytes;
+  ++stats_.inserts;
+  while (stats_.bytes > stats_.capacity_bytes && lru_.size() > 1) {
     auto victim = entries_.find(lru_.back());
-    ++evictions_;
+    ++stats_.evictions;
     EraseLocked(victim);
   }
 }
 
 void InferenceCache::EraseLocked(
     std::unordered_map<std::string, EntryData>::iterator it) {
-  bytes_ -= it->second.bytes;
+  stats_.bytes -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
+  stats_.entries = entries_.size();
 }
 
 void InferenceCache::CompleteLocked(const std::string& key,
@@ -180,7 +183,7 @@ InferenceCache::Revalidation InferenceCache::BeginRevalidate(
     if (starts_with(it->first, old_prefix)) {
       publish(it->first, it->second.index);
     } else {
-      ++evictions_;
+      ++stats_.evictions;
       ++revalidation.dropped_;
     }
     auto victim = it++;
@@ -198,7 +201,7 @@ size_t InferenceCache::FinishRevalidate(Revalidation revalidation,
     std::lock_guard<std::mutex> lock(mu_);
     move.flight->index = patched;
     InsertLocked(move.key, std::move(patched), bytes);
-    ++revalidated_;
+    ++stats_.revalidated;
     CompleteLocked(move.key, move.flight);
   }
   if (evicted != nullptr) *evicted = revalidation.dropped_;
@@ -212,7 +215,7 @@ size_t InferenceCache::ErasePrefix(std::string_view prefix) {
     if (std::string_view(it->first).substr(0, prefix.size()) == prefix) {
       auto victim = it++;
       EraseLocked(victim);
-      ++evictions_;
+      ++stats_.evictions;
       ++dropped;
     } else {
       ++it;
@@ -225,22 +228,13 @@ void InferenceCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
-  bytes_ = 0;
+  stats_.entries = 0;
+  stats_.bytes = 0;
 }
 
 InferenceCache::Stats InferenceCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.coalesced = coalesced_;
-  stats.evictions = evictions_;
-  stats.inserts = inserts_;
-  stats.revalidated = revalidated_;
-  stats.entries = entries_.size();
-  stats.bytes = bytes_;
-  stats.capacity_bytes = capacity_bytes_;
-  return stats;
+  return stats_;
 }
 
 }  // namespace gdlog

@@ -65,8 +65,9 @@ class InferenceCache {
   using ComputeFn = std::function<Result<OutcomeSpace>()>;
   using IndexPtr = std::shared_ptr<const AnswerIndex>;
 
-  explicit InferenceCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+  explicit InferenceCache(size_t capacity_bytes) {
+    stats_.capacity_bytes = capacity_bytes;
+  }
 
   /// Returns the cached index for `key`, or runs `compute` (outside the
   /// cache lock), indexes its result and caches it. Concurrent callers with
@@ -180,20 +181,13 @@ class InferenceCache {
   void CompleteLocked(const std::string& key,
                       const std::shared_ptr<Inflight>& flight);
 
-  const size_t capacity_bytes_;
-
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< signaled when an inflight completes
   std::unordered_map<std::string, EntryData> entries_;
   std::list<std::string> lru_;  ///< front = most recent
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-  size_t bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t coalesced_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t inserts_ = 0;
-  uint64_t revalidated_ = 0;
+  /// The counters and sizes, all kept current under mu_; stats() copies it.
+  Stats stats_;
 };
 
 }  // namespace gdlog

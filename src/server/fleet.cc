@@ -1,6 +1,7 @@
 #include "server/fleet.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -176,7 +177,7 @@ void FleetService::PartialCache::ErasePrefix(std::string_view prefix) {
 // ---------------------------------------------------------------------------
 
 HttpResponse FleetService::HandleShards(const HttpRequest& request) {
-  shard_requests_.fetch_add(1, std::memory_order_relaxed);
+  counters_.shard_requests.Add();
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
 
@@ -278,14 +279,14 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
   auto produce = [this, state](size_t index) -> Result<std::string> {
     std::string key = state->key_prefix + "|shard=" + std::to_string(index);
     if (auto cached = partial_cache_.Lookup(key)) {
-      partial_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.partial_cache_hits.Add();
       return std::move(*cached);
     }
-    partial_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    counters_.partial_cache_misses.Add();
     auto partial = state->entry->engine.chase().ExploreShard(
         state->plan, index, state->chase);
     if (!partial.ok()) return partial.status();
-    shards_explored_.fetch_add(1, std::memory_order_relaxed);
+    counters_.shards_explored.Add();
     ShardPartialMeta meta =
         MakeShardPartialMeta(state->plan, index, state->chase);
     std::string line =
@@ -327,14 +328,14 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
 
 HttpResponse FleetService::HandleJobs(const HttpRequest& request,
                                       const std::string& trace) {
-  jobs_.fetch_add(1, std::memory_order_relaxed);
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
+  counters_.jobs.Add();
+  counters_.jobs_in_flight.Add();
   struct InFlightGuard {
-    std::atomic<uint64_t>* gauge;
-    ~InFlightGuard() { gauge->fetch_sub(1, std::memory_order_relaxed); }
-  } in_flight_guard{&jobs_in_flight_};
+    RelaxedCounter* gauge;
+    ~InFlightGuard() { gauge->Sub(); }
+  } in_flight_guard{&counters_.jobs_in_flight};
   auto fail = [&](const Status& status) {
-    jobs_failed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.jobs_failed.Add();
     return ErrorResponse(status);
   };
   auto body = ParseBody(request);
@@ -571,22 +572,16 @@ Result<OutcomeSpace> FleetService::RunJob(
     if (position >= want.size() || meta.shard_index != want[position]) {
       return Status::Internal("worker returned partials out of order");
     }
-    partials_streamed_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t now_resident =
-        resident.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t peak =
-        peak_resident_partials_.load(std::memory_order_relaxed);
-    while (now_resident > peak &&
-           !peak_resident_partials_.compare_exchange_weak(
-               peak, now_resident, std::memory_order_relaxed)) {
-    }
+    counters_.partials_streamed.Add();
+    counters_.peak_resident_partials.RaiseTo(
+        resident.fetch_add(1, std::memory_order_relaxed) + 1);
     std::lock_guard<std::mutex> lock(st.mu);
     if (st.merged[meta.shard_index]) {
       // A stolen (or re-dispatched) duplicate lost the race: the first
       // delivered copy won, this one is discarded. Deterministic because
       // identical plans produce identical partials — which copy merged
       // never changes the bytes.
-      duplicate_partials_.fetch_add(1, std::memory_order_relaxed);
+      counters_.duplicate_partials.Add();
       resident.fetch_sub(1, std::memory_order_relaxed);
       return Status::OK();
     }
@@ -594,7 +589,7 @@ Result<OutcomeSpace> FleetService::RunJob(
     resident.fetch_sub(1, std::memory_order_relaxed);
     st.merged[meta.shard_index] = 1;
     --st.remaining;
-    partials_merged_.fetch_add(1, std::memory_order_relaxed);
+    counters_.partials_merged.Add();
     if (st.remaining == 0) {
       job_done.store(true, std::memory_order_release);
       st.cv.notify_all();
@@ -606,7 +601,7 @@ Result<OutcomeSpace> FleetService::RunJob(
   // stream in, then settle the flight under the lock.
   auto dispatch = [&](size_t worker, std::vector<size_t> indices,
                       const char* kind, size_t exchange_ordinal) {
-    dispatches_.fetch_add(1, std::memory_order_relaxed);
+    counters_.dispatches.Add();
     std::string request_body =
         ShardRequestBody(entry.spec, chase, coords, indices);
     const uint64_t start_ns = MonotonicNanos();
@@ -668,7 +663,7 @@ Result<OutcomeSpace> FleetService::RunJob(
       // A genuine failure — not the deliberate cancel of a straggler
       // exchange after the job completed. The worker is abandoned and the
       // undelivered indices return to the common pool.
-      worker_failures_.fetch_add(1, std::memory_order_relaxed);
+      counters_.worker_failures.Add();
       st.healthy[worker] = 0;
       st.last_error = result;
       std::vector<size_t> undelivered;
@@ -752,7 +747,7 @@ Result<OutcomeSpace> FleetService::RunJob(
         }
         kind = chosen->is_retry ? "retry" : "dispatch";
         if (chosen->is_retry) {
-          retries_.fetch_add(1, std::memory_order_relaxed);
+          counters_.retries.Add();
         }
         if (leftover.empty()) {
           st.pending.erase(chosen);
@@ -794,7 +789,7 @@ Result<OutcomeSpace> FleetService::RunJob(
           }
           victim.steal_target = true;
           kind = "steal";
-          steals_.fetch_add(1, std::memory_order_relaxed);
+          counters_.steals.Add();
         }
       }
 
@@ -896,36 +891,6 @@ FleetService::WorkerDispatches() const {
     out.emplace(worker, std::move(snapshot));
   }
   return out;
-}
-
-FleetService::Counters FleetService::counters() const {
-  Counters counters;
-  counters.shard_requests =
-      shard_requests_.load(std::memory_order_relaxed);
-  counters.shards_explored =
-      shards_explored_.load(std::memory_order_relaxed);
-  counters.jobs = jobs_.load(std::memory_order_relaxed);
-  counters.jobs_failed = jobs_failed_.load(std::memory_order_relaxed);
-  counters.dispatches = dispatches_.load(std::memory_order_relaxed);
-  counters.retries = retries_.load(std::memory_order_relaxed);
-  counters.steals = steals_.load(std::memory_order_relaxed);
-  counters.worker_failures =
-      worker_failures_.load(std::memory_order_relaxed);
-  counters.partials_merged =
-      partials_merged_.load(std::memory_order_relaxed);
-  counters.partials_streamed =
-      partials_streamed_.load(std::memory_order_relaxed);
-  counters.duplicate_partials =
-      duplicate_partials_.load(std::memory_order_relaxed);
-  counters.partial_cache_hits =
-      partial_cache_hits_.load(std::memory_order_relaxed);
-  counters.partial_cache_misses =
-      partial_cache_misses_.load(std::memory_order_relaxed);
-  counters.jobs_in_flight =
-      jobs_in_flight_.load(std::memory_order_relaxed);
-  counters.peak_resident_partials =
-      peak_resident_partials_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 }  // namespace gdlog

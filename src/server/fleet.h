@@ -1,7 +1,6 @@
 #ifndef GDLOG_SERVER_FLEET_H_
 #define GDLOG_SERVER_FLEET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -15,6 +14,7 @@
 #include "gdatalog/chase.h"
 #include "gdatalog/shard.h"
 #include "obs/histogram.h"
+#include "obs/series.h"
 #include "server/cache.h"
 #include "server/http.h"
 #include "server/registry.h"
@@ -114,27 +114,28 @@ class FleetService {
     std::vector<Exchange> exchanges;
   };
 
-  /// Aggregated fleet counters for /v1/stats. All monotonic totals except
-  /// the two gauges called out below.
+  /// Aggregated fleet counters: the live counters and, copied, their
+  /// snapshot. All monotonic totals except the two gauges called out
+  /// below.
   struct Counters {
-    uint64_t shard_requests = 0;   ///< /v1/shards requests served.
-    uint64_t shards_explored = 0;  ///< Shard indices explored locally.
-    uint64_t jobs = 0;             ///< /v1/jobs requests served.
-    uint64_t jobs_failed = 0;      ///< Jobs that returned non-2xx.
-    uint64_t dispatches = 0;       ///< Worker exchanges attempted.
-    uint64_t retries = 0;          ///< Failed groups re-dispatched.
-    uint64_t steals = 0;           ///< Straggler exchanges duplicated.
-    uint64_t worker_failures = 0;  ///< Worker exchanges that failed.
-    uint64_t partials_merged = 0;  ///< Partials folded into job results.
-    uint64_t partials_streamed = 0;  ///< Partial lines received mid-flight.
-    uint64_t duplicate_partials = 0;  ///< Late duplicate lines discarded.
-    uint64_t partial_cache_hits = 0;    ///< Worker cache served the line.
-    uint64_t partial_cache_misses = 0;  ///< Worker cache had to chase.
-    uint64_t jobs_in_flight = 0;  ///< GAUGE: jobs currently dispatching.
+    RelaxedCounter shard_requests;        ///< /v1/shards requests served.
+    RelaxedCounter shards_explored;       ///< Shard indices explored locally.
+    RelaxedCounter jobs;                  ///< /v1/jobs requests served.
+    RelaxedCounter jobs_failed;           ///< Jobs that returned non-2xx.
+    RelaxedCounter dispatches;            ///< Worker exchanges attempted.
+    RelaxedCounter retries;               ///< Failed groups re-dispatched.
+    RelaxedCounter steals;                ///< Straggler exchanges duplicated.
+    RelaxedCounter worker_failures;       ///< Worker exchanges that failed.
+    RelaxedCounter partials_merged;       ///< Partials folded into job results.
+    RelaxedCounter partials_streamed;     ///< Partial lines received mid-job.
+    RelaxedCounter duplicate_partials;    ///< Late duplicate lines discarded.
+    RelaxedCounter partial_cache_hits;    ///< Worker cache served the line.
+    RelaxedCounter partial_cache_misses;  ///< Worker cache had to chase.
+    RelaxedCounter jobs_in_flight;        ///< GAUGE: jobs dispatching now.
     /// GAUGE (high-water): most partials ever resident at once on the
     /// coordinator — bounded by the worker count, not the shard count,
     /// thanks to the streaming merge.
-    uint64_t peak_resident_partials = 0;
+    RelaxedCounter peak_resident_partials;
   };
 
   /// Per-worker dispatch latency, keyed by "host:port".
@@ -160,7 +161,7 @@ class FleetService {
   HttpResponse HandleJobs(const HttpRequest& request,
                           const std::string& trace = "");
 
-  Counters counters() const;
+  Counters counters() const { return counters_; }
 
   /// Latency of individual worker exchanges (every dispatch, retry, and
   /// steal), for /v1/metrics.
@@ -224,21 +225,7 @@ class FleetService {
   InferenceCache* cache_;
   Options options_;
 
-  std::atomic<uint64_t> shard_requests_{0};
-  std::atomic<uint64_t> shards_explored_{0};
-  std::atomic<uint64_t> jobs_{0};
-  std::atomic<uint64_t> jobs_failed_{0};
-  std::atomic<uint64_t> dispatches_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> worker_failures_{0};
-  std::atomic<uint64_t> partials_merged_{0};
-  std::atomic<uint64_t> partials_streamed_{0};
-  std::atomic<uint64_t> duplicate_partials_{0};
-  std::atomic<uint64_t> partial_cache_hits_{0};
-  std::atomic<uint64_t> partial_cache_misses_{0};
-  std::atomic<uint64_t> jobs_in_flight_{0};
-  std::atomic<uint64_t> peak_resident_partials_{0};
+  Counters counters_;
   LatencyHistogram dispatch_hist_;
 
   struct WorkerStats {
@@ -248,7 +235,8 @@ class FleetService {
   };
   mutable std::mutex worker_mu_;
   /// std::map for node stability (LatencyHistogram holds atomics and can
-  /// never move) and sorted, deterministic /stats and /metrics emission.
+  /// never move) and sorted, deterministic /v1/stats and /v1/metrics
+  /// emission.
   std::map<std::string, WorkerStats> worker_stats_;
 
   PartialCache partial_cache_;

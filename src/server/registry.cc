@@ -130,10 +130,8 @@ Result<ProgramRegistry::Info> ProgramRegistry::ReplaceDatabase(
   // matches, skipping translation and the whole pass pipeline.
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine,
                          GDatalog::WithDatabase(current->engine, spec.db_text));
-  db_replacements_.fetch_add(1, std::memory_order_relaxed);
-  if (engine.opt_stats().pipeline_reused) {
-    pipeline_reuses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  opt_.db_replacements.Add();
+  if (engine.opt_stats().pipeline_reused) opt_.pipeline_reuses.Add();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);
   if (it == by_id_.end()) {
@@ -186,14 +184,10 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   std::vector<LineageLink> lineage = current->lineage;
   lineage.push_back(LineageLink{current->revision, result.delta_digest});
 
-  deltas_applied_.fetch_add(1, std::memory_order_relaxed);
-  delta_rows_appended_.fetch_add(result.stats.rows_appended,
-                                 std::memory_order_relaxed);
-  delta_rules_refired_.fetch_add(result.stats.rules_refired,
-                                 std::memory_order_relaxed);
-  if (result.stats.pipeline_reused) {
-    delta_pipeline_reuses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  delta_.deltas_applied.Add();
+  delta_.rows_appended.Add(result.stats.rows_appended);
+  delta_.rules_refired.Add(result.stats.rules_refired);
+  if (result.stats.pipeline_reused) delta_.pipeline_reuses.Add();
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);
@@ -259,7 +253,7 @@ Result<std::shared_ptr<const GDatalog>> ProgramRegistry::DemandEngine(
     std::lock_guard<std::mutex> lock(entry.demand_mu);
     auto it = entry.demand_engines.find(signature);
     if (it != entry.demand_engines.end()) {
-      demand_hits_.fetch_add(1, std::memory_order_relaxed);
+      opt_.demand_cache_hits.Add();
       return it->second;
     }
   }
@@ -271,34 +265,12 @@ Result<std::shared_ptr<const GDatalog>> ProgramRegistry::DemandEngine(
                      sorted_goals.end());
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine,
                          BuildEngine(entry.spec, std::move(sorted_goals)));
-  demand_built_.fetch_add(1, std::memory_order_relaxed);
+  opt_.demand_engines_built.Add();
   auto built = std::make_shared<const GDatalog>(std::move(engine));
   std::lock_guard<std::mutex> lock(entry.demand_mu);
   auto [it, inserted] = entry.demand_engines.emplace(signature, built);
   (void)inserted;
   return it->second;
-}
-
-ProgramRegistry::OptCounters ProgramRegistry::opt_counters() const {
-  OptCounters counters;
-  counters.db_replacements = db_replacements_.load(std::memory_order_relaxed);
-  counters.pipeline_reuses = pipeline_reuses_.load(std::memory_order_relaxed);
-  counters.demand_engines_built =
-      demand_built_.load(std::memory_order_relaxed);
-  counters.demand_cache_hits = demand_hits_.load(std::memory_order_relaxed);
-  return counters;
-}
-
-ProgramRegistry::DeltaCounters ProgramRegistry::delta_counters() const {
-  DeltaCounters counters;
-  counters.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
-  counters.rows_appended =
-      delta_rows_appended_.load(std::memory_order_relaxed);
-  counters.rules_refired =
-      delta_rules_refired_.load(std::memory_order_relaxed);
-  counters.pipeline_reuses =
-      delta_pipeline_reuses_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 }  // namespace gdlog

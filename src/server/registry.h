@@ -1,7 +1,6 @@
 #ifndef GDLOG_SERVER_REGISTRY_H_
 #define GDLOG_SERVER_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "gdatalog/engine.h"
+#include "obs/series.h"
 
 namespace gdlog {
 
@@ -167,26 +167,27 @@ class ProgramRegistry {
   static std::string DemandSignature(std::vector<std::string> goals);
 
   /// Pass-pipeline observability counters, aggregated across entries.
+  /// The live counters and, copied, their snapshot.
   struct OptCounters {
-    uint64_t db_replacements = 0;
+    RelaxedCounter db_replacements;
     /// ReplaceDatabase calls that adopted the already-optimized Σ_Π
     /// because the new database's summary matched.
-    uint64_t pipeline_reuses = 0;
-    uint64_t demand_engines_built = 0;
-    uint64_t demand_cache_hits = 0;
+    RelaxedCounter pipeline_reuses;
+    RelaxedCounter demand_engines_built;
+    RelaxedCounter demand_cache_hits;
   };
-  OptCounters opt_counters() const;
+  OptCounters opt_counters() const { return opt_; }
 
   /// Incremental-update observability counters, aggregated across entries.
   struct DeltaCounters {
-    uint64_t deltas_applied = 0;
-    uint64_t rows_appended = 0;
-    uint64_t rules_refired = 0;
+    RelaxedCounter deltas_applied;
+    RelaxedCounter rows_appended;
+    RelaxedCounter rules_refired;
     /// Deltas whose DB summary stayed pipeline-equivalent, so the
     /// optimized Σ_Π (and the simple grounder's root cache) was reused.
-    uint64_t pipeline_reuses = 0;
+    RelaxedCounter pipeline_reuses;
   };
-  DeltaCounters delta_counters() const;
+  DeltaCounters delta_counters() const { return delta_; }
 
   static Info InfoFor(const Entry& entry, bool created);
 
@@ -199,14 +200,8 @@ class ProgramRegistry {
   /// (collisions resolved by comparing the stored spec).
   std::unordered_map<uint64_t, std::string> by_hash_;
   uint64_t next_id_ = 1;
-  std::atomic<uint64_t> db_replacements_{0};
-  std::atomic<uint64_t> pipeline_reuses_{0};
-  std::atomic<uint64_t> demand_built_{0};
-  std::atomic<uint64_t> demand_hits_{0};
-  std::atomic<uint64_t> deltas_applied_{0};
-  std::atomic<uint64_t> delta_rows_appended_{0};
-  std::atomic<uint64_t> delta_rules_refired_{0};
-  std::atomic<uint64_t> delta_pipeline_reuses_{0};
+  OptCounters opt_;
+  DeltaCounters delta_;
 };
 
 /// Builds an engine for a spec — the one translation of ProgramSpec into

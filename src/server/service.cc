@@ -99,16 +99,10 @@ InferenceService::InferenceService(Options options)
 
 HttpResponse InferenceService::Handle(const HttpRequest& request) {
   const uint64_t start_ns = MonotonicNanos();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  // The API surface lives under /v1/; the original unversioned paths stay
-  // routable as deprecated aliases, marked with a Deprecation header (RFC
-  // 9745) so clients can migrate on their own schedule.
-  std::string target = request.target;
-  bool versioned = false;
-  if (target.rfind("/v1/", 0) == 0) {
-    versioned = true;
-    target = target.substr(3);
-  }
+  counters_.requests.Add();
+  // The API surface lives under /v1/; any other target is a 404.
+  const bool versioned = request.target.rfind("/v1/", 0) == 0;
+  const std::string target = versioned ? request.target.substr(3) : "";
   // Trace propagation: adopt the caller's well-formed id (so a multi-hop
   // request keeps one id end to end), mint one otherwise. Every response —
   // error envelopes included — echoes it.
@@ -119,13 +113,10 @@ HttpResponse InferenceService::Handle(const HttpRequest& request) {
   } else {
     trace = GenerateTraceId();
   }
-  HttpResponse response = Route(request, target, trace);
-  if (!versioned) {
-    response.headers.emplace_back("Deprecation", "true");
-    response.headers.emplace_back("Link",
-                                  "</v1" + target +
-                                      ">; rel=\"successor-version\"");
-  }
+  HttpResponse response =
+      versioned ? Route(request, target, trace)
+                : ErrorResponse(Status::NotFound("no such resource: " +
+                                                 request.target));
   response.headers.emplace_back(kTraceHeader, trace);
   request_hist_[EndpointFor(target)].RecordNanos(MonotonicNanos() -
                                                  start_ns);
@@ -276,7 +267,6 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       };
       auto applied = registry_.ApplyDatabaseDelta(id, *delta, on_publish);
       if (!applied.ok()) return ErrorResponse(applied.status());
-      delta_patches_.fetch_add(1, std::memory_order_relaxed);
       // Partial lines always pin revision + lineage, so post-delta lookups
       // can never hit the old entries; dropping them is eager hygiene.
       fleet_.InvalidatePartials(id + "|");
@@ -295,8 +285,8 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
             },
             &evicted);
       }
-      spaces_revalidated_.fetch_add(revalidated, std::memory_order_relaxed);
-      spaces_evicted_.fetch_add(evicted, std::memory_order_relaxed);
+      counters_.spaces_revalidated.Add(revalidated);
+      counters_.spaces_evicted.Add(evicted);
 
       const DeltaStats& stats = applied->stats;
       JsonWriter json;
@@ -348,7 +338,7 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
 }
 
 HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  counters_.queries.Add();
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   auto id = RequiredString(*body, "program_id");
@@ -388,7 +378,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
         engine = demand_holder.get();
         demand_suffix =
             "|demand:" + ProgramRegistry::DemandSignature(std::move(goals));
-        demand_queries_.fetch_add(1, std::memory_order_relaxed);
+        counters_.demand_queries.Add();
       }
     }
   }
@@ -512,7 +502,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
 }
 
 HttpResponse InferenceService::HandleSample(const HttpRequest& request) {
-  samples_.fetch_add(1, std::memory_order_relaxed);
+  counters_.samples.Add();
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   auto id = RequiredString(*body, "program_id");
@@ -597,14 +587,11 @@ HttpResponse InferenceService::HandleSample(const HttpRequest& request) {
 }
 
 HttpResponse InferenceService::HandleHealthz() {
-  double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
   JsonWriter json;
   json.BeginObject();
   json.KV("status", "ok");
   json.KV("version", GdlogVersion());
-  json.KV("uptime_s", uptime);
+  json.KV("uptime_s", UptimeSeconds());
   json.KV("pid", static_cast<long long>(::getpid()));
   json.KV("fleet_workers_configured",
           static_cast<long long>(options_.fleet_workers.size()));
@@ -612,19 +599,151 @@ HttpResponse InferenceService::HandleHealthz() {
   return JsonResponse(200, json.str() + "\n");
 }
 
-InferenceService::ServiceCounters InferenceService::SnapshotCounters() const {
-  ServiceCounters counters;
-  counters.requests = requests_.load(std::memory_order_relaxed);
-  counters.queries = queries_.load(std::memory_order_relaxed);
-  counters.samples = samples_.load(std::memory_order_relaxed);
-  counters.demand_queries =
-      demand_queries_.load(std::memory_order_relaxed);
-  counters.delta_patches = delta_patches_.load(std::memory_order_relaxed);
-  counters.spaces_revalidated =
-      spaces_revalidated_.load(std::memory_order_relaxed);
-  counters.spaces_evicted =
-      spaces_evicted_.load(std::memory_order_relaxed);
-  return counters;
+double InferenceService::UptimeSeconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
+
+InferenceService::Snapshot InferenceService::TakeSnapshot() const {
+  return Snapshot{counters_,
+                  registry_.size(),
+                  cache_.stats(),
+                  registry_.opt_counters(),
+                  registry_.delta_counters(),
+                  fleet_.counters()};
+}
+
+const std::vector<Series<InferenceService::Snapshot>>&
+InferenceService::SeriesTable() {
+  using S = Snapshot;
+  constexpr SeriesKind kCounter = SeriesKind::kCounter;
+  constexpr SeriesKind kGauge = SeriesKind::kGauge;
+  static const std::vector<Series<Snapshot>> table = {
+      {"server", "requests.total", "gdlog_http_requests_total", kCounter,
+       "HTTP requests routed (all endpoints).",
+       [](const S& s) -> uint64_t { return s.server.requests; }},
+      {"server", "requests.queries", "gdlog_queries_total", kCounter,
+       "POST /v1/query requests.",
+       [](const S& s) -> uint64_t { return s.server.queries; }},
+      {"server", "requests.samples", "gdlog_samples_total", kCounter,
+       "POST /v1/sample requests.",
+       [](const S& s) -> uint64_t { return s.server.samples; }},
+      {"registry", "programs", "gdlog_registry_programs", kGauge,
+       "Programs currently registered.",
+       [](const S& s) -> uint64_t { return s.programs; }},
+
+      {"cache", "hits", "gdlog_cache_hits_total", kCounter,
+       "Inference cache lookups served from memory.",
+       [](const S& s) -> uint64_t { return s.cache.hits; }},
+      {"cache", "misses", "gdlog_cache_misses_total", kCounter,
+       "Inference cache lookups that computed.",
+       [](const S& s) -> uint64_t { return s.cache.misses; }},
+      {"cache", "coalesced", "gdlog_cache_coalesced_total", kCounter,
+       "Lookups that waited on another thread's compute.",
+       [](const S& s) -> uint64_t { return s.cache.coalesced; }},
+      {"cache", "evictions", "gdlog_cache_evictions_total", kCounter,
+       "Cache entries evicted (LRU or invalidation).",
+       [](const S& s) -> uint64_t { return s.cache.evictions; }},
+      {"cache", "inserts", "gdlog_cache_inserts_total", kCounter,
+       "Cache entries inserted.",
+       [](const S& s) -> uint64_t { return s.cache.inserts; }},
+      {"cache", "revalidated", "gdlog_cache_revalidated_total", kCounter,
+       "Cache entries carried across a database delta.",
+       [](const S& s) -> uint64_t { return s.cache.revalidated; }},
+      {"cache", "entries", "gdlog_cache_entries", kGauge,
+       "Cache entries resident.",
+       [](const S& s) -> uint64_t { return s.cache.entries; }},
+      {"cache", "bytes", "gdlog_cache_bytes", kGauge,
+       "Approximate cache bytes resident.",
+       [](const S& s) -> uint64_t { return s.cache.bytes; }},
+      {"cache", "capacity_bytes", "gdlog_cache_capacity_bytes", kGauge,
+       "Cache byte capacity.",
+       [](const S& s) -> uint64_t { return s.cache.capacity_bytes; }},
+
+      {"opt", "db_replacements", "gdlog_opt_db_replacements_total", kCounter,
+       "PUT /db database replacements.",
+       [](const S& s) -> uint64_t { return s.opt.db_replacements; }},
+      {"opt", "pipeline_reuses", "gdlog_opt_pipeline_reuses_total", kCounter,
+       "Optimization pipelines reused across revisions.",
+       [](const S& s) -> uint64_t { return s.opt.pipeline_reuses; }},
+      {"opt", "demand_engines_built", "gdlog_opt_demand_engines_built_total",
+       kCounter, "Demand-transformed engines built.",
+       [](const S& s) -> uint64_t { return s.opt.demand_engines_built; }},
+      {"opt", "demand_cache_hits", "gdlog_opt_demand_cache_hits_total",
+       kCounter, "Demand-engine cache hits.",
+       [](const S& s) -> uint64_t { return s.opt.demand_cache_hits; }},
+      {"opt", "demand_queries", "gdlog_demand_queries_total", kCounter,
+       "Marginal queries served through a demand-transformed engine.",
+       [](const S& s) -> uint64_t { return s.server.demand_queries; }},
+
+      {"delta", "patches", "gdlog_delta_patches_total", kCounter,
+       "PATCH /db deltas applied.",
+       [](const S& s) -> uint64_t { return s.delta.deltas_applied; }},
+      {"delta", "rows_appended", "gdlog_delta_rows_appended_total", kCounter,
+       "Facts appended by deltas.",
+       [](const S& s) -> uint64_t { return s.delta.rows_appended; }},
+      {"delta", "rules_refired", "gdlog_delta_rules_refired_total", kCounter,
+       "Rules re-fired by incremental re-grounding.",
+       [](const S& s) -> uint64_t { return s.delta.rules_refired; }},
+      {"delta", "pipeline_reuses", "gdlog_delta_pipeline_reuses_total",
+       kCounter, "Grounding pipelines reused across deltas.",
+       [](const S& s) -> uint64_t { return s.delta.pipeline_reuses; }},
+      {"delta", "spaces_revalidated", "gdlog_delta_spaces_revalidated_total",
+       kCounter, "Cached outcome spaces revalidated across a delta.",
+       [](const S& s) -> uint64_t { return s.server.spaces_revalidated; }},
+      {"delta", "spaces_evicted", "gdlog_delta_spaces_evicted_total",
+       kCounter, "Cached outcome spaces evicted by a delta.",
+       [](const S& s) -> uint64_t { return s.server.spaces_evicted; }},
+
+      {"fleet", "shard_requests", "gdlog_fleet_shard_requests_total",
+       kCounter, "POST /v1/shards requests served.",
+       [](const S& s) -> uint64_t { return s.fleet.shard_requests; }},
+      {"fleet", "shards_explored", "gdlog_fleet_shards_explored_total",
+       kCounter, "Shard indices explored locally.",
+       [](const S& s) -> uint64_t { return s.fleet.shards_explored; }},
+      {"fleet", "jobs", "gdlog_fleet_jobs_total", kCounter,
+       "POST /v1/jobs requests.",
+       [](const S& s) -> uint64_t { return s.fleet.jobs; }},
+      {"fleet", "jobs_failed", "gdlog_fleet_jobs_failed_total", kCounter,
+       "Jobs that returned non-2xx.",
+       [](const S& s) -> uint64_t { return s.fleet.jobs_failed; }},
+      {"fleet", "dispatches", "gdlog_fleet_dispatches_total", kCounter,
+       "Worker exchanges attempted.",
+       [](const S& s) -> uint64_t { return s.fleet.dispatches; }},
+      {"fleet", "retries", "gdlog_fleet_retries_total", kCounter,
+       "Shard groups re-dispatched.",
+       [](const S& s) -> uint64_t { return s.fleet.retries; }},
+      {"fleet", "steals", "gdlog_fleet_steals_total", kCounter,
+       "Straggler exchanges stolen by idle workers.",
+       [](const S& s) -> uint64_t { return s.fleet.steals; }},
+      {"fleet", "worker_failures", "gdlog_fleet_worker_failures_total",
+       kCounter, "Worker exchanges that failed.",
+       [](const S& s) -> uint64_t { return s.fleet.worker_failures; }},
+      {"fleet", "partials_merged", "gdlog_fleet_partials_merged_total",
+       kCounter, "Partials merged into job results.",
+       [](const S& s) -> uint64_t { return s.fleet.partials_merged; }},
+      {"fleet", "partials_streamed", "gdlog_fleet_partials_streamed_total",
+       kCounter, "Partial lines received mid-exchange (pre-dedup).",
+       [](const S& s) -> uint64_t { return s.fleet.partials_streamed; }},
+      {"fleet", "duplicate_partials", "gdlog_fleet_duplicate_partials_total",
+       kCounter, "Late duplicate partial lines discarded.",
+       [](const S& s) -> uint64_t { return s.fleet.duplicate_partials; }},
+      {"fleet", "partial_cache_hits", "gdlog_fleet_partial_cache_hits_total",
+       kCounter, "Worker partial-cache lines served without a chase.",
+       [](const S& s) -> uint64_t { return s.fleet.partial_cache_hits; }},
+      {"fleet", "partial_cache_misses",
+       "gdlog_fleet_partial_cache_misses_total", kCounter,
+       "Worker partial-cache misses that ran the chase.",
+       [](const S& s) -> uint64_t { return s.fleet.partial_cache_misses; }},
+      {"fleet", "jobs_in_flight", "gdlog_fleet_jobs_in_flight", kGauge,
+       "Coordinator jobs currently dispatching.",
+       [](const S& s) -> uint64_t { return s.fleet.jobs_in_flight; }},
+      {"fleet", "peak_resident_partials", "gdlog_fleet_peak_resident_partials",
+       kGauge, "High-water mark of partials resident on the coordinator.",
+       [](const S& s) -> uint64_t { return s.fleet.peak_resident_partials; }},
+  };
+  return table;
 }
 
 void InferenceService::RecordRuleProfiles(
@@ -643,235 +762,79 @@ void InferenceService::RecordRuleProfiles(
 }
 
 HttpResponse InferenceService::HandleStats() {
-  // All subsystem snapshots are taken up front, before any serialization:
-  // each is internally coherent (one load per counter, under the
-  // subsystem's own discipline), so no sum in the document mixes two
-  // points in time.
-  ServiceCounters server = SnapshotCounters();
-  InferenceCache::Stats cache_stats = cache_.stats();
-  ProgramRegistry::OptCounters opt = registry_.opt_counters();
-  ProgramRegistry::DeltaCounters delta = registry_.delta_counters();
-  FleetService::Counters fleet = fleet_.counters();
-  size_t programs = registry_.size();
-  double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
+  const Snapshot snapshot = TakeSnapshot();
+  const std::map<std::string, FleetService::WorkerDispatchStats> workers =
+      fleet_.WorkerDispatches();
   // Counters nest under one stable key per subsystem (server, registry,
-  // cache, opt, delta, fleet) — the schema clients (gdlog_load --check,
-  // the CI greps) key on.
+  // cache, opt, delta, fleet), in table order — the schema clients
+  // (gdlog_load --check, the CI greps) key on. Two entries are not table
+  // rows: the uptime opens "server", and the per-worker block closes
+  // "fleet".
   JsonWriter json;
   json.BeginObject();
-  json.Key("server").BeginObject();
-  json.KV("uptime_seconds", uptime);
-  json.Key("requests").BeginObject();
-  json.KV("total", static_cast<long long>(server.requests));
-  json.KV("queries", static_cast<long long>(server.queries));
-  json.KV("samples", static_cast<long long>(server.samples));
-  json.EndObject();
-  json.EndObject();
-  json.Key("registry").BeginObject();
-  json.KV("programs", static_cast<long long>(programs));
-  json.EndObject();
-  json.Key("cache").BeginObject();
-  json.KV("hits", static_cast<long long>(cache_stats.hits));
-  json.KV("misses", static_cast<long long>(cache_stats.misses));
-  json.KV("coalesced", static_cast<long long>(cache_stats.coalesced));
-  json.KV("evictions", static_cast<long long>(cache_stats.evictions));
-  json.KV("inserts", static_cast<long long>(cache_stats.inserts));
-  json.KV("revalidated", static_cast<long long>(cache_stats.revalidated));
-  json.KV("entries", static_cast<long long>(cache_stats.entries));
-  json.KV("bytes", static_cast<long long>(cache_stats.bytes));
-  json.KV("capacity_bytes",
-          static_cast<long long>(cache_stats.capacity_bytes));
-  json.EndObject();
-  json.Key("opt").BeginObject();
-  json.KV("db_replacements", static_cast<long long>(opt.db_replacements));
-  json.KV("pipeline_reuses", static_cast<long long>(opt.pipeline_reuses));
-  json.KV("demand_engines_built",
-          static_cast<long long>(opt.demand_engines_built));
-  json.KV("demand_cache_hits",
-          static_cast<long long>(opt.demand_cache_hits));
-  json.KV("demand_queries",
-          static_cast<long long>(server.demand_queries));
-  json.EndObject();
-  json.Key("delta").BeginObject();
-  json.KV("patches", static_cast<long long>(delta.deltas_applied));
-  json.KV("rows_appended", static_cast<long long>(delta.rows_appended));
-  json.KV("rules_refired", static_cast<long long>(delta.rules_refired));
-  json.KV("pipeline_reuses", static_cast<long long>(delta.pipeline_reuses));
-  json.KV("spaces_revalidated",
-          static_cast<long long>(server.spaces_revalidated));
-  json.KV("spaces_evicted",
-          static_cast<long long>(server.spaces_evicted));
-  json.EndObject();
-  json.Key("fleet").BeginObject();
-  json.KV("shard_requests", static_cast<long long>(fleet.shard_requests));
-  json.KV("shards_explored", static_cast<long long>(fleet.shards_explored));
-  json.KV("jobs", static_cast<long long>(fleet.jobs));
-  json.KV("jobs_failed", static_cast<long long>(fleet.jobs_failed));
-  json.KV("dispatches", static_cast<long long>(fleet.dispatches));
-  json.KV("retries", static_cast<long long>(fleet.retries));
-  json.KV("steals", static_cast<long long>(fleet.steals));
-  json.KV("worker_failures", static_cast<long long>(fleet.worker_failures));
-  json.KV("partials_merged", static_cast<long long>(fleet.partials_merged));
-  json.KV("partials_streamed",
-          static_cast<long long>(fleet.partials_streamed));
-  json.KV("duplicate_partials",
-          static_cast<long long>(fleet.duplicate_partials));
-  json.KV("partial_cache_hits",
-          static_cast<long long>(fleet.partial_cache_hits));
-  json.KV("partial_cache_misses",
-          static_cast<long long>(fleet.partial_cache_misses));
-  json.KV("jobs_in_flight", static_cast<long long>(fleet.jobs_in_flight));
-  json.KV("peak_resident_partials",
-          static_cast<long long>(fleet.peak_resident_partials));
-  // Per-worker exchange latency, keyed by address. Quantiles are bucket
-  // upper bounds (log-scale histogram) — coarse but monotone, enough to
-  // single out a straggler worker at a glance.
-  json.Key("workers").BeginObject();
-  for (const auto& [worker, stats] : fleet_.WorkerDispatches()) {
-    json.Key(worker).BeginObject();
-    json.KV("dispatches", static_cast<long long>(stats.dispatches));
-    json.KV("p50_ms", HistogramQuantileMs(stats.hist, 0.50));
-    json.KV("p95_ms", HistogramQuantileMs(stats.hist, 0.95));
-    json.KV("max_ms", static_cast<double>(stats.max_ns) / 1e6);
+  std::string_view section;
+  std::string_view group;  // the open prefix of a dotted key, if any
+  auto close_section = [&] {
+    if (!group.empty()) json.EndObject();
+    if (section == "fleet") {
+      // Per-worker exchange latency, keyed by address. Quantiles are
+      // bucket upper bounds (log-scale histogram) — coarse but monotone,
+      // enough to single out a straggler worker at a glance.
+      json.Key("workers").BeginObject();
+      for (const auto& [worker, stats] : workers) {
+        json.Key(worker).BeginObject();
+        json.KV("dispatches", static_cast<long long>(stats.dispatches));
+        json.KV("p50_ms", HistogramQuantileMs(stats.hist, 0.50));
+        json.KV("p95_ms", HistogramQuantileMs(stats.hist, 0.95));
+        json.KV("max_ms", static_cast<double>(stats.max_ns) / 1e6);
+        json.EndObject();
+      }
+      json.EndObject();
+    }
     json.EndObject();
+  };
+  for (const Series<Snapshot>& row : SeriesTable()) {
+    std::string_view key = row.key;
+    std::string_view row_group;
+    if (size_t dot = key.find('.'); dot != std::string_view::npos) {
+      row_group = key.substr(0, dot);
+      key = key.substr(dot + 1);
+    }
+    if (row.section != section) {
+      if (!section.empty()) close_section();
+      section = row.section;
+      group = {};
+      json.Key(section).BeginObject();
+      if (section == "server") json.KV("uptime_seconds", UptimeSeconds());
+    }
+    if (row_group != group) {
+      if (!group.empty()) json.EndObject();
+      group = row_group;
+      if (!group.empty()) json.Key(group).BeginObject();
+    }
+    json.KV(key, static_cast<long long>(row.value(snapshot)));
   }
-  json.EndObject();
-  json.EndObject();
+  close_section();
   json.EndObject();
   return JsonResponse(200, json.str() + "\n");
 }
 
 HttpResponse InferenceService::HandleMetrics() {
-  // Same snapshot-first discipline as /v1/stats: every family renders from
-  // one point-in-time view per subsystem.
-  ServiceCounters server = SnapshotCounters();
-  InferenceCache::Stats cache_stats = cache_.stats();
-  ProgramRegistry::OptCounters opt = registry_.opt_counters();
-  ProgramRegistry::DeltaCounters delta = registry_.delta_counters();
-  FleetService::Counters fleet = fleet_.counters();
-  size_t programs = registry_.size();
-  double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-
+  const Snapshot snapshot = TakeSnapshot();
   MetricsWriter metrics;
   metrics.Gauge("gdlog_build_info",
                 "Build metadata; the value is always 1.",
                 "version=\"" + EscapeLabelValue(GdlogVersion()) + "\"", 1.0);
   metrics.Gauge("gdlog_uptime_seconds",
-                "Seconds since the service started.", "", uptime);
-  metrics.Gauge("gdlog_registry_programs",
-                "Programs currently registered.",
-                "", static_cast<double>(programs));
-
-  metrics.Counter("gdlog_http_requests_total",
-                  "HTTP requests routed (all endpoints).", "",
-                  server.requests);
-  metrics.Counter("gdlog_queries_total", "POST /v1/query requests.", "",
-                  server.queries);
-  metrics.Counter("gdlog_samples_total", "POST /v1/sample requests.", "",
-                  server.samples);
-  metrics.Counter("gdlog_demand_queries_total",
-                  "Marginal queries served through a demand-transformed "
-                  "engine.",
-                  "", server.demand_queries);
-
-  metrics.Counter("gdlog_cache_hits_total",
-                  "Inference cache lookups served from memory.", "",
-                  cache_stats.hits);
-  metrics.Counter("gdlog_cache_misses_total",
-                  "Inference cache lookups that computed.", "",
-                  cache_stats.misses);
-  metrics.Counter("gdlog_cache_coalesced_total",
-                  "Lookups that waited on another thread's compute.", "",
-                  cache_stats.coalesced);
-  metrics.Counter("gdlog_cache_evictions_total",
-                  "Cache entries evicted (LRU or invalidation).", "",
-                  cache_stats.evictions);
-  metrics.Counter("gdlog_cache_inserts_total",
-                  "Cache entries inserted.", "", cache_stats.inserts);
-  metrics.Counter("gdlog_cache_revalidated_total",
-                  "Cache entries carried across a database delta.", "",
-                  cache_stats.revalidated);
-  metrics.Gauge("gdlog_cache_entries", "Cache entries resident.", "",
-                static_cast<double>(cache_stats.entries));
-  metrics.Gauge("gdlog_cache_bytes", "Approximate cache bytes resident.",
-                "", static_cast<double>(cache_stats.bytes));
-  metrics.Gauge("gdlog_cache_capacity_bytes", "Cache byte capacity.", "",
-                static_cast<double>(cache_stats.capacity_bytes));
-
-  metrics.Counter("gdlog_opt_db_replacements_total",
-                  "PUT /db database replacements.", "",
-                  opt.db_replacements);
-  metrics.Counter("gdlog_opt_pipeline_reuses_total",
-                  "Optimization pipelines reused across revisions.", "",
-                  opt.pipeline_reuses);
-  metrics.Counter("gdlog_opt_demand_engines_built_total",
-                  "Demand-transformed engines built.", "",
-                  opt.demand_engines_built);
-  metrics.Counter("gdlog_opt_demand_cache_hits_total",
-                  "Demand-engine cache hits.", "", opt.demand_cache_hits);
-
-  metrics.Counter("gdlog_delta_patches_total",
-                  "PATCH /db deltas applied.", "", delta.deltas_applied);
-  metrics.Counter("gdlog_delta_rows_appended_total",
-                  "Facts appended by deltas.", "", delta.rows_appended);
-  metrics.Counter("gdlog_delta_rules_refired_total",
-                  "Rules re-fired by incremental re-grounding.", "",
-                  delta.rules_refired);
-  metrics.Counter("gdlog_delta_pipeline_reuses_total",
-                  "Grounding pipelines reused across deltas.", "",
-                  delta.pipeline_reuses);
-  metrics.Counter("gdlog_delta_spaces_revalidated_total",
-                  "Cached outcome spaces revalidated across a delta.", "",
-                  server.spaces_revalidated);
-  metrics.Counter("gdlog_delta_spaces_evicted_total",
-                  "Cached outcome spaces evicted by a delta.", "",
-                  server.spaces_evicted);
-
-  metrics.Counter("gdlog_fleet_shard_requests_total",
-                  "POST /v1/shards requests served.", "",
-                  fleet.shard_requests);
-  metrics.Counter("gdlog_fleet_shards_explored_total",
-                  "Shard indices explored locally.", "",
-                  fleet.shards_explored);
-  metrics.Counter("gdlog_fleet_jobs_total", "POST /v1/jobs requests.", "",
-                  fleet.jobs);
-  metrics.Counter("gdlog_fleet_jobs_failed_total",
-                  "Jobs that returned non-2xx.", "", fleet.jobs_failed);
-  metrics.Counter("gdlog_fleet_dispatches_total",
-                  "Worker exchanges attempted.", "", fleet.dispatches);
-  metrics.Counter("gdlog_fleet_retries_total",
-                  "Shard groups re-dispatched.", "", fleet.retries);
-  metrics.Counter("gdlog_fleet_worker_failures_total",
-                  "Worker exchanges that failed.", "",
-                  fleet.worker_failures);
-  metrics.Counter("gdlog_fleet_partials_merged_total",
-                  "Partials merged into job results.", "",
-                  fleet.partials_merged);
-  metrics.Counter("gdlog_fleet_steals_total",
-                  "Straggler exchanges stolen by idle workers.", "",
-                  fleet.steals);
-  metrics.Counter("gdlog_fleet_partials_streamed_total",
-                  "Partial lines received mid-exchange (pre-dedup).", "",
-                  fleet.partials_streamed);
-  metrics.Counter("gdlog_fleet_duplicate_partials_total",
-                  "Late duplicate partial lines discarded.", "",
-                  fleet.duplicate_partials);
-  metrics.Counter("gdlog_fleet_partial_cache_hits_total",
-                  "Worker partial-cache lines served without a chase.", "",
-                  fleet.partial_cache_hits);
-  metrics.Counter("gdlog_fleet_partial_cache_misses_total",
-                  "Worker partial-cache misses that ran the chase.", "",
-                  fleet.partial_cache_misses);
-  metrics.Gauge("gdlog_fleet_jobs_in_flight",
-                "Coordinator jobs currently dispatching.", "",
-                static_cast<double>(fleet.jobs_in_flight));
-  metrics.Gauge("gdlog_fleet_peak_resident_partials",
-                "High-water mark of partials resident on the coordinator.",
-                "", static_cast<double>(fleet.peak_resident_partials));
+                "Seconds since the service started.", "", UptimeSeconds());
+  for (const Series<Snapshot>& row : SeriesTable()) {
+    const uint64_t value = row.value(snapshot);
+    if (row.kind == SeriesKind::kCounter) {
+      metrics.Counter(row.metric, row.help, "", value);
+    } else {
+      metrics.Gauge(row.metric, row.help, "", static_cast<double>(value));
+    }
+  }
 
   for (size_t i = 0; i < kEndpointCount; ++i) {
     metrics.Histogram(

@@ -2,16 +2,17 @@
 #define GDLOG_SERVER_SERVICE_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "gdatalog/chase.h"
 #include "obs/histogram.h"
 #include "obs/profile.h"
+#include "obs/series.h"
 #include "server/cache.h"
 #include "server/fleet.h"
 #include "server/http.h"
@@ -25,10 +26,9 @@ namespace gdlog {
 ///
 /// The surface is versioned: every endpoint lives under /v1/ (the full
 /// contract — methods, schemas, error codes — is documented in
-/// docs/API.md). The original unversioned paths remain as deprecated
-/// aliases: same behavior, plus a "Deprecation: true" header and a Link
-/// to the /v1 successor. Every non-2xx response, HTTP framing layer
-/// included, carries the uniform {"error":{"code","message"}} envelope.
+/// docs/API.md), and any other target is a 404. Every non-2xx response,
+/// HTTP framing layer included, carries the uniform
+/// {"error":{"code","message"}} envelope.
 ///
 /// Endpoints (all request bodies are JSON):
 ///
@@ -66,9 +66,14 @@ namespace gdlog {
 ///                                uptime_s, pid}
 ///   GET    /v1/stats             per-subsystem counters: {server,
 ///                                registry, cache, opt, delta, fleet}
-///   GET    /v1/metrics           Prometheus text exposition: every /stats
-///                                counter plus latency histograms and
-///                                per-rule chase-profile totals
+///   GET    /v1/metrics           Prometheus text exposition: every
+///                                /v1/stats counter plus latency
+///                                histograms and per-rule chase-profile
+///                                totals
+///
+/// /v1/stats and /v1/metrics both render every scalar counter from one
+/// table (SeriesTable), so a counter is declared once: a field in its
+/// subsystem's counter struct plus one table row.
 ///
 /// Every response (errors included) echoes a request trace id on the
 /// X-Gdlog-Trace header: the caller's value when it sent a well-formed
@@ -105,6 +110,36 @@ class InferenceService {
   const InferenceCache& cache() const { return cache_; }
   const FleetService& fleet() const { return fleet_; }
 
+  /// The service's own counters: the live counters and, copied, their
+  /// snapshot.
+  struct ServiceCounters {
+    RelaxedCounter requests;
+    RelaxedCounter queries;
+    RelaxedCounter samples;
+    /// Marginal queries served through a demand-transformed engine.
+    RelaxedCounter demand_queries;
+    /// Cached outcome spaces carried across a delta (patched + re-keyed)
+    /// versus dropped because the delta touched rule bodies.
+    RelaxedCounter spaces_revalidated;
+    RelaxedCounter spaces_evicted;
+  };
+
+  /// Every subsystem's counters at one point in time, each copied once
+  /// under its subsystem's own discipline — what /v1/stats and
+  /// /v1/metrics render from, so no sum in either mixes two points in
+  /// time.
+  struct Snapshot {
+    ServiceCounters server;
+    uint64_t programs = 0;
+    InferenceCache::Stats cache;
+    ProgramRegistry::OptCounters opt;
+    ProgramRegistry::DeltaCounters delta;
+    FleetService::Counters fleet;
+  };
+
+  /// The counter table: one row per scalar series, in /v1/stats order.
+  static const std::vector<Series<Snapshot>>& SeriesTable();
+
  private:
   /// The per-endpoint request-latency histogram family. kOther covers
   /// unroutable targets (404s); /programs/<id>[/db] maps to kProgram.
@@ -124,24 +159,12 @@ class InferenceService {
   static Endpoint EndpointFor(const std::string& target);
   static const char* EndpointName(Endpoint endpoint);
 
-  /// One coherent load of the service-owned atomics (each subsystem's
-  /// counters() snapshot plays the same role), so /v1/stats and
-  /// /v1/metrics render from a single point-in-time view instead of
-  /// re-reading atomics mid-serialization.
-  struct ServiceCounters {
-    uint64_t requests = 0;
-    uint64_t queries = 0;
-    uint64_t samples = 0;
-    uint64_t demand_queries = 0;
-    uint64_t delta_patches = 0;
-    uint64_t spaces_revalidated = 0;
-    uint64_t spaces_evicted = 0;
-  };
-  ServiceCounters SnapshotCounters() const;
+  Snapshot TakeSnapshot() const;
+  double UptimeSeconds() const;
 
-  /// Routes a version-stripped target ("/query" for both /query and
-  /// /v1/query). `trace` is the request's trace id (already validated or
-  /// minted by Handle); handlers that fan out forward it.
+  /// Routes a version-stripped target ("/query" for /v1/query). `trace`
+  /// is the request's trace id (already validated or minted by Handle);
+  /// handlers that fan out forward it.
   HttpResponse Route(const HttpRequest& request, const std::string& target,
                      const std::string& trace);
   HttpResponse HandleRegister(const HttpRequest& request);
@@ -166,17 +189,7 @@ class InferenceService {
   FleetService fleet_;
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> samples_{0};
-  /// Marginal queries served through a demand-transformed engine.
-  std::atomic<uint64_t> demand_queries_{0};
-  /// PATCH /db requests that applied successfully.
-  std::atomic<uint64_t> delta_patches_{0};
-  /// Cached outcome spaces carried across a delta (patched + re-keyed)
-  /// versus dropped because the delta touched rule bodies.
-  std::atomic<uint64_t> spaces_revalidated_{0};
-  std::atomic<uint64_t> spaces_evicted_{0};
+  ServiceCounters counters_;
 
   /// Request latency per endpoint, plus the two /query-internal phases:
   /// chase wall time (cache-miss computes only) and cache lookup overhead

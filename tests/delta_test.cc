@@ -433,7 +433,7 @@ std::string RegisterProgram(InferenceService& service,
   JsonWriter reg;
   reg.BeginObject().KV("program", program).KV("db", db).EndObject();
   HttpResponse response =
-      service.Handle(MakeRequest("POST", "/programs", reg.str()));
+      service.Handle(MakeRequest("POST", "/v1/programs", reg.str()));
   EXPECT_EQ(response.status, 201) << response.body;
   auto doc = JsonValue::Parse(response.body);
   EXPECT_TRUE(doc.ok());
@@ -470,12 +470,12 @@ TEST(DeltaService, UntouchedPredicateDeltaRevalidatesCache) {
   std::string query = "{\"program_id\":\"" + id +
                       "\",\"include_outcomes\":true,"
                       "\"include_models\":true}";
-  HttpResponse warm = service.Handle(MakeRequest("POST", "/query", query));
+  HttpResponse warm = service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(warm.status, 200) << warm.body;
   EXPECT_EQ(service.cache().stats().misses, 1u);
 
   HttpResponse patched = service.Handle(MakeRequest(
-      "PATCH", "/programs/" + id + "/db", PatchBody("meta(99).\n")));
+      "PATCH", "/v1/programs/" + id + "/db", PatchBody("meta(99).\n")));
   ASSERT_EQ(patched.status, 200) << patched.body;
   EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 1);
   EXPECT_EQ(DeltaField(patched, "spaces_evicted"), 0);
@@ -484,7 +484,7 @@ TEST(DeltaService, UntouchedPredicateDeltaRevalidatesCache) {
   // The next identical query is served from the revalidated entry: no new
   // chase (misses unchanged), and its document equals what a from-scratch
   // engine on the merged database produces.
-  HttpResponse after = service.Handle(MakeRequest("POST", "/query", query));
+  HttpResponse after = service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(after.status, 200);
   EXPECT_EQ(service.cache().stats().misses, 1u);
   EXPECT_EQ(service.cache().stats().revalidated, 1u);
@@ -496,7 +496,7 @@ TEST(DeltaService, UntouchedPredicateDeltaRevalidatesCache) {
                             "\",\"include_outcomes\":true,"
                             "\"include_models\":true}";
   HttpResponse fresh =
-      fresh_service.Handle(MakeRequest("POST", "/query", fresh_query));
+      fresh_service.Handle(MakeRequest("POST", "/v1/query", fresh_query));
   ASSERT_EQ(fresh.status, 200);
   EXPECT_EQ(after.body, fresh.body);
 }
@@ -514,22 +514,22 @@ TEST(DeltaService, RevalidatedEventRowsAreRebuiltNotCopied) {
   std::string id = RegisterProgram(service, kProgram, "");
   std::string query = "{\"program_id\":\"" + id +
                       "\",\"include_events\":true}";
-  HttpResponse before = service.Handle(MakeRequest("POST", "/query", query));
+  HttpResponse before = service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(before.status, 200) << before.body;
 
   HttpResponse patched = service.Handle(MakeRequest(
-      "PATCH", "/programs/" + id + "/db", PatchBody("lucky.\n")));
+      "PATCH", "/v1/programs/" + id + "/db", PatchBody("lucky.\n")));
   ASSERT_EQ(patched.status, 200) << patched.body;
   EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 1);
 
-  HttpResponse after = service.Handle(MakeRequest("POST", "/query", query));
+  HttpResponse after = service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(after.status, 200);
   EXPECT_EQ(service.cache().stats().misses, 1u);  // served revalidated
 
   InferenceService fresh_service(options);
   std::string fresh_id = RegisterProgram(fresh_service, kProgram, "lucky.\n");
   HttpResponse fresh = fresh_service.Handle(MakeRequest(
-      "POST", "/query",
+      "POST", "/v1/query",
       "{\"program_id\":\"" + fresh_id + "\",\"include_events\":true}"));
   ASSERT_EQ(fresh.status, 200);
   EXPECT_EQ(after.body, fresh.body);
@@ -547,17 +547,19 @@ TEST(DeltaService, BodyPredicateDeltaEvictsCache) {
   std::string id = RegisterProgram(service, kNetworkProgram, Clique(3));
 
   std::string query = "{\"program_id\":\"" + id + "\"}";
-  ASSERT_EQ(service.Handle(MakeRequest("POST", "/query", query)).status, 200);
+  ASSERT_EQ(service.Handle(MakeRequest("POST", "/v1/query", query)).status,
+            200);
   EXPECT_EQ(service.cache().stats().misses, 1u);
 
   // connected occurs in rule bodies: the cached space may be stale.
   HttpResponse patched = service.Handle(MakeRequest(
-      "PATCH", "/programs/" + id + "/db", PatchBody("connected(1,1).\n")));
+      "PATCH", "/v1/programs/" + id + "/db", PatchBody("connected(1,1).\n")));
   ASSERT_EQ(patched.status, 200) << patched.body;
   EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 0);
   EXPECT_EQ(DeltaField(patched, "spaces_evicted"), 1);
 
-  ASSERT_EQ(service.Handle(MakeRequest("POST", "/query", query)).status, 200);
+  ASSERT_EQ(service.Handle(MakeRequest("POST", "/v1/query", query)).status,
+            200);
   EXPECT_EQ(service.cache().stats().misses, 2u);  // had to re-chase
 }
 
@@ -566,7 +568,7 @@ TEST(DeltaService, RemovalDeltaReturns501) {
   InferenceService service(options);
   std::string id = RegisterProgram(service, kNetworkProgram, Clique(3));
   HttpResponse response = service.Handle(MakeRequest(
-      "PATCH", "/programs/" + id + "/db", PatchBody("-infected(1, 1).\n")));
+      "PATCH", "/v1/programs/" + id + "/db", PatchBody("-infected(1, 1).\n")));
   EXPECT_EQ(response.status, 501) << response.body;
 }
 
@@ -576,11 +578,11 @@ TEST(DeltaService, StatsExposeDeltaCounters) {
   std::string id = RegisterProgram(service, kNetworkProgram,
                                    Clique(3) + "meta(1).\n");
   ASSERT_EQ(service
-                .Handle(MakeRequest("PATCH", "/programs/" + id + "/db",
+                .Handle(MakeRequest("PATCH", "/v1/programs/" + id + "/db",
                                     PatchBody("meta(2).\n")))
                 .status,
             200);
-  HttpResponse stats = service.Handle(MakeRequest("GET", "/stats"));
+  HttpResponse stats = service.Handle(MakeRequest("GET", "/v1/stats"));
   ASSERT_EQ(stats.status, 200);
   auto doc = JsonValue::Parse(stats.body);
   ASSERT_TRUE(doc.ok());

@@ -343,7 +343,7 @@ std::string MustRegister(InferenceService& service, const char* program,
   JsonWriter body;
   body.BeginObject().KV("program", program).KV("db", db).EndObject();
   HttpResponse response =
-      service.Handle(MakeRequest("POST", "/programs", body.str()));
+      service.Handle(MakeRequest("POST", "/v1/programs", body.str()));
   EXPECT_EQ(response.status, 201) << response.body;
   auto doc = JsonValue::Parse(response.body);
   EXPECT_TRUE(doc.ok());
@@ -382,12 +382,12 @@ TEST(InferenceService, QueryBodyIsByteIdenticalToCliJsonExport) {
       "\n";
 
   HttpResponse bare_response = service.Handle(MakeRequest(
-      "POST", "/query", std::string(R"({"program_id":")") + id + "\"}"));
+      "POST", "/v1/query", std::string(R"({"program_id":")") + id + "\"}"));
   ASSERT_EQ(bare_response.status, 200) << bare_response.body;
   EXPECT_EQ(bare_response.body, cli_bare);
 
   HttpResponse full_response = service.Handle(MakeRequest(
-      "POST", "/query",
+      "POST", "/v1/query",
       std::string(R"({"program_id":")") + id +
           R"(","include_outcomes":true,"include_models":true,)"
           R"("include_events":true})"));
@@ -399,8 +399,8 @@ TEST(InferenceService, RepeatedQueryIsServedFromTheCache) {
   InferenceService service(ServiceOptions());
   std::string id = MustRegister(service, kCoinProgram);
   std::string body = std::string(R"({"program_id":")") + id + "\"}";
-  HttpResponse first = service.Handle(MakeRequest("POST", "/query", body));
-  HttpResponse second = service.Handle(MakeRequest("POST", "/query", body));
+  HttpResponse first = service.Handle(MakeRequest("POST", "/v1/query", body));
+  HttpResponse second = service.Handle(MakeRequest("POST", "/v1/query", body));
   ASSERT_EQ(first.status, 200);
   ASSERT_EQ(second.status, 200);
   EXPECT_EQ(first.body, second.body);
@@ -409,7 +409,7 @@ TEST(InferenceService, RepeatedQueryIsServedFromTheCache) {
   EXPECT_EQ(stats.hits, 1u);
   // Different budgets are a different space: a fresh chase.
   HttpResponse other = service.Handle(MakeRequest(
-      "POST", "/query",
+      "POST", "/v1/query",
       std::string(R"({"program_id":")") + id +
           R"(","options":{"support_limit":32}})"));
   ASSERT_EQ(other.status, 200);
@@ -420,7 +420,7 @@ TEST(InferenceService, MarginalQueriesMatchOutcomeSpaceBounds) {
   InferenceService service(ServiceOptions());
   std::string id = MustRegister(service, kCoinProgram);
   HttpResponse response = service.Handle(MakeRequest(
-      "POST", "/query",
+      "POST", "/v1/query",
       std::string(R"({"program_id":")") + id +
           R"x(","queries":["win","never_mentioned(3)"]})x"));
   ASSERT_EQ(response.status, 200) << response.body;
@@ -444,7 +444,7 @@ TEST(InferenceService, SampleEndpointEstimatesAndNeverCaches) {
   std::string body = std::string(R"({"program_id":")") + id +
                      R"(","samples":400,"seed":11,"queries":["win"]})";
   HttpResponse response =
-      service.Handle(MakeRequest("POST", "/sample", body));
+      service.Handle(MakeRequest("POST", "/v1/sample", body));
   ASSERT_EQ(response.status, 200) << response.body;
   auto doc = JsonValue::Parse(response.body);
   ASSERT_TRUE(doc.ok());
@@ -459,7 +459,7 @@ TEST(InferenceService, SampleEndpointEstimatesAndNeverCaches) {
   EXPECT_EQ(service.cache().stats().hits, 0u);
   // Sample counts above the server cap are rejected.
   HttpResponse too_many = service.Handle(MakeRequest(
-      "POST", "/sample",
+      "POST", "/v1/sample",
       std::string(R"({"program_id":")") + id +
           R"(","samples":99000000000})"));
   EXPECT_EQ(too_many.status, 400);
@@ -470,16 +470,16 @@ TEST(InferenceService, DatabaseReplacementInvalidatesCachedSpaces) {
   std::string id = MustRegister(service, kNetworkProgram, kClique3Db);
   std::string query = std::string(R"({"program_id":")") + id + "\"}";
   HttpResponse before =
-      service.Handle(MakeRequest("POST", "/query", query));
+      service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(before.status, 200);
   // Shrink the network to two routers: a different outcome space.
   HttpResponse replaced = service.Handle(MakeRequest(
-      "PUT", "/programs/" + id + "/db",
+      "PUT", "/v1/programs/" + id + "/db",
       R"({"db":"router(1). router(2). connected(1,2). connected(2,1). )"
       R"(infected(1, 1)."})"));
   ASSERT_EQ(replaced.status, 200) << replaced.body;
   EXPECT_EQ(service.cache().stats().entries, 0u);
-  HttpResponse after = service.Handle(MakeRequest("POST", "/query", query));
+  HttpResponse after = service.Handle(MakeRequest("POST", "/v1/query", query));
   ASSERT_EQ(after.status, 200);
   EXPECT_NE(after.body, before.body);
   EXPECT_EQ(service.cache().stats().misses, 2u);
@@ -495,51 +495,51 @@ TEST(InferenceService, MalformedRequestsGetFourHundreds) {
   };
   std::vector<Case> cases;
   cases.push_back({"query body is not json",
-                   MakeRequest("POST", "/query", "not json"), 400});
+                   MakeRequest("POST", "/v1/query", "not json"), 400});
   cases.push_back({"query body is not an object",
-                   MakeRequest("POST", "/query", "[1,2]"), 400});
+                   MakeRequest("POST", "/v1/query", "[1,2]"), 400});
   cases.push_back({"missing program_id",
-                   MakeRequest("POST", "/query", "{}"), 400});
+                   MakeRequest("POST", "/v1/query", "{}"), 400});
   cases.push_back({"unknown program id",
-                   MakeRequest("POST", "/query",
+                   MakeRequest("POST", "/v1/query",
                                R"({"program_id":"p999"})"), 404});
   cases.push_back({"bad options type",
-                   MakeRequest("POST", "/query",
+                   MakeRequest("POST", "/v1/query",
                                std::string(R"({"program_id":")") + id +
                                    R"(","options":{"max_depth":"x"}})"),
                    400});
   cases.push_back({"queries not an array",
-                   MakeRequest("POST", "/query",
+                   MakeRequest("POST", "/v1/query",
                                std::string(R"({"program_id":")") + id +
                                    R"(","queries":"win"})"),
                    400});
   cases.push_back({"query atom is not an atom",
-                   MakeRequest("POST", "/query",
+                   MakeRequest("POST", "/v1/query",
                                std::string(R"({"program_id":")") + id +
                                    R"(","queries":["not an atom ("]})"),
                    400});
   cases.push_back({"register without program",
-                   MakeRequest("POST", "/programs", R"({"db":""})"), 400});
+                   MakeRequest("POST", "/v1/programs", R"({"db":""})"), 400});
   cases.push_back({"register with parse error",
-                   MakeRequest("POST", "/programs",
+                   MakeRequest("POST", "/v1/programs",
                                R"({"program":"syntax error here"})"),
                    400});
   cases.push_back({"register with bad grounder",
-                   MakeRequest("POST", "/programs",
+                   MakeRequest("POST", "/v1/programs",
                                R"({"program":"a.","grounder":"quantum"})"),
                    400});
   cases.push_back({"unknown path",
                    MakeRequest("GET", "/nothing"), 404});
   cases.push_back({"unknown program subresource",
-                   MakeRequest("GET", "/programs/p1/tea"), 404});
+                   MakeRequest("GET", "/v1/programs/p1/tea"), 404});
   cases.push_back({"wrong method on /query",
-                   MakeRequest("GET", "/query"), 405});
+                   MakeRequest("GET", "/v1/query"), 405});
   cases.push_back({"wrong method on /healthz",
-                   MakeRequest("POST", "/healthz", "{}"), 405});
+                   MakeRequest("POST", "/v1/healthz", "{}"), 405});
   cases.push_back({"delete unknown program",
-                   MakeRequest("DELETE", "/programs/p999"), 404});
+                   MakeRequest("DELETE", "/v1/programs/p999"), 404});
   cases.push_back({"sample without samples",
-                   MakeRequest("POST", "/sample",
+                   MakeRequest("POST", "/v1/sample",
                                std::string(R"({"program_id":")") + id +
                                    "\"}"),
                    400});
@@ -598,7 +598,7 @@ TEST(HttpServer, HealthzAndKeepAliveOnOneConnection) {
   auto client = HttpClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
   // Two requests over the same connection exercise keep-alive framing.
-  auto first = client->Request("GET", "/healthz");
+  auto first = client->Request("GET", "/v1/healthz");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->status, 200);
   auto health = JsonValue::Parse(first->body);
@@ -609,7 +609,7 @@ TEST(HttpServer, HealthzAndKeepAliveOnOneConnection) {
   EXPECT_NE(health->Find("version"), nullptr);
   EXPECT_NE(health->Find("uptime_s"), nullptr);
   EXPECT_NE(health->Find("pid"), nullptr);
-  auto second = client->Request("GET", "/stats");
+  auto second = client->Request("GET", "/v1/stats");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->status, 200);
   auto doc = JsonValue::Parse(second->body);
@@ -624,7 +624,7 @@ TEST(HttpServer, ConcurrentIdenticalQueriesRunOneChase) {
   JsonWriter reg;
   reg.BeginObject().KV("program", kNetworkProgram).KV("db", kClique3Db)
       .EndObject();
-  auto registered = setup->Request("POST", "/programs", reg.str());
+  auto registered = setup->Request("POST", "/v1/programs", reg.str());
   ASSERT_TRUE(registered.ok());
   ASSERT_EQ(registered->status, 201) << registered->body;
   auto doc = JsonValue::Parse(registered->body);
@@ -644,7 +644,7 @@ TEST(HttpServer, ConcurrentIdenticalQueriesRunOneChase) {
       auto client = HttpClient::Connect("127.0.0.1", server.port());
       if (!client.ok()) return;
       for (int r = 0; r < kRequestsEach; ++r) {
-        auto response = client->Request("POST", "/query", body);
+        auto response = client->Request("POST", "/v1/query", body);
         if (!response.ok() || response->status != 200) continue;
         std::lock_guard<std::mutex> lock(mu);
         if (reference.empty()) {
@@ -680,30 +680,22 @@ TEST(InferenceService, V1PathsServeWithoutDeprecationHeaders) {
   EXPECT_EQ(query.FindHeader("Deprecation"), nullptr);
 }
 
-TEST(InferenceService, UnversionedAliasesCarryDeprecationAndSuccessor) {
+TEST(InferenceService, UnversionedPathsAreNotFound) {
   InferenceService service(ServiceOptions());
-  HttpResponse response = service.Handle(MakeRequest("GET", "/healthz"));
-  EXPECT_EQ(response.status, 200);
-  const std::string* deprecation = response.FindHeader("Deprecation");
-  ASSERT_NE(deprecation, nullptr);
-  EXPECT_EQ(*deprecation, "true");
-  const std::string* link = response.FindHeader("Link");
-  ASSERT_NE(link, nullptr);
-  EXPECT_NE(link->find("/v1/healthz"), std::string::npos);
-  EXPECT_NE(link->find("successor-version"), std::string::npos);
-
-  // The alias is behavior-identical: same schema as the /v1 path (the
-  // bodies themselves differ only in the live uptime_s reading).
-  HttpResponse versioned = service.Handle(MakeRequest("GET", "/v1/healthz"));
-  auto alias_doc = JsonValue::Parse(response.body);
-  auto v1_doc = JsonValue::Parse(versioned.body);
-  ASSERT_TRUE(alias_doc.ok());
-  ASSERT_TRUE(v1_doc.ok());
-  const JsonValue* alias_status = alias_doc->Find("status");
-  const JsonValue* v1_status = v1_doc->Find("status");
-  ASSERT_NE(alias_status, nullptr);
-  ASSERT_NE(v1_status, nullptr);
-  EXPECT_EQ(alias_status->string_value(), v1_status->string_value());
+  for (const char* target : {"/healthz", "/stats", "/query", "/v2/healthz"}) {
+    HttpResponse response = service.Handle(MakeRequest("GET", target));
+    EXPECT_EQ(response.status, 404) << target;
+    EXPECT_EQ(response.FindHeader("Deprecation"), nullptr) << target;
+    EXPECT_EQ(response.FindHeader("Link"), nullptr) << target;
+    auto doc = JsonValue::Parse(response.body);
+    ASSERT_TRUE(doc.ok()) << target;
+    const JsonValue* error = doc->Find("error");
+    ASSERT_NE(error, nullptr) << target;
+    const JsonValue* code = error->Find("code");
+    ASSERT_NE(code, nullptr) << target;
+    EXPECT_EQ(code->string_value(), "NotFound") << target;
+  }
+  EXPECT_EQ(service.Handle(MakeRequest("GET", "/v1/healthz")).status, 200);
 }
 
 TEST(InferenceService, StatsAreNestedPerSubsystem) {
@@ -743,7 +735,7 @@ TEST(HttpServer, RejectsOversizedBodiesWith413) {
   auto client = HttpClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
   std::string big(2048, 'x');
-  auto response = client->Request("POST", "/query", big);
+  auto response = client->Request("POST", "/v1/query", big);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 413);
   // Framing-layer rejections use the same error envelope as the service.
@@ -820,7 +812,7 @@ TEST(InferenceService, ClampsClientThreadCounts) {
   InferenceService service(ServiceOptions());
   std::string id = MustRegister(service, kCoinProgram);
   HttpResponse response = service.Handle(MakeRequest(
-      "POST", "/query",
+      "POST", "/v1/query",
       std::string(R"({"program_id":")") + id +
           R"(","options":{"num_threads":1000000000}})"));
   EXPECT_EQ(response.status, 200) << response.body;
@@ -964,7 +956,7 @@ TEST(HttpServer, ShutdownDrainsAndServeReturns) {
   // An idle keep-alive connection must not block the drain.
   auto idle = HttpClient::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(idle.ok());
-  ASSERT_TRUE(idle->Request("GET", "/healthz").ok());
+  ASSERT_TRUE(idle->Request("GET", "/v1/healthz").ok());
   auto start = std::chrono::steady_clock::now();
   server->Shutdown();
   serving.join();

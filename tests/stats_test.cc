@@ -7,6 +7,7 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -323,6 +324,79 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "gdlog_samples_total 0",
   };
   EXPECT_EQ(ScalarMetricLines(metrics.body), expected);
+}
+
+/// Every numeric leaf of a /v1/stats document as "section.key" (dotted for
+/// nested objects) → number text, skipping the two entries that are not
+/// counter-table rows: server.uptime_seconds and the fleet.workers block.
+void StatsLeaves(const JsonValue& value, const std::string& path,
+                 std::map<std::string, std::string>* leaves) {
+  for (const auto& [key, member] : value.members()) {
+    const std::string child = path.empty() ? key : path + "." + key;
+    if (child == "server.uptime_seconds" || child == "fleet.workers") continue;
+    if (member.is_object()) {
+      StatsLeaves(member, child, leaves);
+    } else {
+      (*leaves)[child] = member.number_text();
+    }
+  }
+}
+
+TEST(StatsParity, EveryTableRowReadsTheSameOnBothEndpoints) {
+  InferenceService service(ServiceOptions());
+  RunSequence(service);
+  HttpResponse stats = Call(service, "GET", "/v1/stats");
+  HttpResponse metrics = Call(service, "GET", "/v1/metrics");
+  ASSERT_EQ(stats.status, 200);
+  ASSERT_EQ(metrics.status, 200);
+  auto doc = JsonValue::Parse(stats.body);
+  ASSERT_TRUE(doc.ok());
+  std::map<std::string, std::string> leaves;
+  StatsLeaves(*doc, "", &leaves);
+
+  // Unlabelled samples and declared types of the exposition, by family.
+  std::map<std::string, std::string> samples;
+  std::map<std::string, std::string> types;
+  std::istringstream in(metrics.body);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    std::string first, second, third, fourth;
+    words >> first >> second >> third >> fourth;
+    if (first == "#") {
+      if (second == "TYPE") types[third] = fourth;
+    } else if (first.find('{') == std::string::npos) {
+      samples[first] = second;
+    }
+  }
+
+  std::set<std::string> paths;
+  std::set<std::string> names;
+  for (const auto& row : InferenceService::SeriesTable()) {
+    const std::string path = std::string(row.section) + "." + row.key;
+    SCOPED_TRACE(path);
+    EXPECT_TRUE(paths.insert(path).second) << "duplicate stats path";
+    EXPECT_TRUE(names.insert(row.metric).second) << "duplicate metric";
+    ASSERT_EQ(leaves.count(path), 1u) << "row missing from /v1/stats";
+    ASSERT_EQ(samples.count(row.metric), 1u) << "row missing from /v1/metrics";
+    EXPECT_EQ(types[row.metric],
+              row.kind == SeriesKind::kCounter ? "counter" : "gauge");
+    uint64_t stats_value = std::stoull(leaves[path]);
+    // The /v1/metrics request is itself one more routed request.
+    if (path == "server.requests.total") ++stats_value;
+    EXPECT_EQ(std::to_string(stats_value), samples[row.metric]);
+  }
+
+  // The converse: nothing is exported on one endpoint without a row.
+  for (const auto& [path, value] : leaves) {
+    EXPECT_EQ(paths.count(path), 1u) << path << " has no table row";
+  }
+  for (const auto& [name, kind] : types) {
+    if (kind == "histogram" || name == "gdlog_build_info" ||
+        name == "gdlog_uptime_seconds" || samples.count(name) == 0) {
+      continue;
+    }
+    EXPECT_EQ(names.count(name), 1u) << name << " has no table row";
+  }
 }
 
 }  // namespace
