@@ -40,43 +40,36 @@ uint64_t HashChoices(const ChoiceSet& choices) {
 
 Result<StableModelSet> ChaseEngine::SolveOutcome(
     const ChoiceSet& choices, const GroundRuleSet& grounding,
-    uint64_t solver_max_nodes) const {
+    uint64_t solver_max_nodes, uint64_t* nodes_used) const {
+  if (nodes_used != nullptr) *nodes_used = 0;
   if (grounder_->SettlesNegation()) {
     return grounder_->ReadOffModels(grounding);
   }
 
   // Σ ∪ G(Σ): the grounding plus one AtR rule Active → Result per choice.
-  std::vector<GroundRule> choice_rules;
-  choice_rules.reserve(choices.size());
-  std::vector<const GroundRule*> all_rules = grounding.rules();
+  // The program refers to its atoms, so the Result atoms live in `results`
+  // (reserved up front: no reallocation moves them).
+  size_t literals = choices.size();
+  for (const GroundRule* rule : grounding.rules()) {
+    literals += rule->positive.size() + rule->negative.size();
+  }
+  NormalProgram::Builder builder(grounding.size() + choices.size(), literals);
+  for (const GroundRule* rule : grounding.rules()) builder.AddRule(*rule);
+  std::vector<GroundAtom> results;
+  results.reserve(choices.size());
   for (const auto& [active, outcome] : choices.entries()) {
     const DeltaSignature* sig =
         translated_->SignatureByActive(active.predicate);
     if (sig == nullptr) {
       return Status::Internal("choice on a non-Active predicate");
     }
-    GroundRule rule;
-    rule.head = ChoiceSet::ResultAtom(sig->result_pred, active, outcome);
-    rule.positive.push_back(active);
-    choice_rules.push_back(std::move(rule));
+    results.push_back(ChoiceSet::ResultAtom(sig->result_pred, active, outcome));
+    builder.AddRule(results.back(), active);
   }
-  for (const GroundRule& r : choice_rules) all_rules.push_back(&r);
-
-  NormalProgram prog = NormalProgram::FromRules(all_rules);
+  const NormalProgram prog = std::move(builder).Build();
   StableModelEnumerator::Options solver_options;
   solver_options.max_nodes = solver_max_nodes;
-  StableModelEnumerator solver(prog, solver_options);
-  StableModelSet models;
-  Status st = solver.Enumerate([&](const std::vector<uint32_t>& atoms) {
-    StableModel model;
-    model.reserve(atoms.size());
-    for (uint32_t a : atoms) model.push_back(prog.atoms().Get(a));
-    std::sort(model.begin(), model.end());
-    models.insert(std::move(model));
-    return true;
-  });
-  if (!st.ok()) return st;
-  return models;
+  return StableModels(prog, solver_options, nodes_used);
 }
 
 void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
@@ -176,11 +169,13 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
     if (options.compute_models) {
       const uint64_t solve_start_ns =
           prof != nullptr ? MonotonicNanos() : 0;
-      auto models =
-          SolveOutcome(item.choices, *grounding, options.solver_max_nodes);
+      uint64_t solve_nodes = 0;
+      auto models = SolveOutcome(item.choices, *grounding,
+                                 options.solver_max_nodes, &solve_nodes);
       if (prof != nullptr) {
         const uint64_t elapsed = MonotonicNanos() - solve_start_ns;
         ++prof->solve_calls;
+        prof->solve_nodes += solve_nodes;
         prof->solve_time_ns += elapsed;
         prof->Depth(item.depth).solve_time_ns += elapsed;
       }

@@ -132,10 +132,12 @@ class ChaseEngine {
   /// negation (the perfect grounder), its one candidate model is read off
   /// the grounding (Grounder::ReadOffModels). Otherwise builds the ground
   /// normal program (grounding plus one Active→Result rule per choice) and
-  /// enumerates its stable models.
+  /// enumerates its stable models. `nodes_used`, when given, receives the
+  /// solver's search node count (0 when the models were read off).
   Result<StableModelSet> SolveOutcome(const ChoiceSet& choices,
                                       const GroundRuleSet& grounding,
-                                      uint64_t solver_max_nodes) const;
+                                      uint64_t solver_max_nodes,
+                                      uint64_t* nodes_used = nullptr) const;
 
  private:
   struct ExploreState;

@@ -44,6 +44,7 @@ void ChaseProfile::Merge(const ChaseProfile& other) {
   ground_calls += other.ground_calls;
   ground_time_ns += other.ground_time_ns;
   solve_calls += other.solve_calls;
+  solve_nodes += other.solve_nodes;
   solve_time_ns += other.solve_time_ns;
 }
 
@@ -62,12 +63,14 @@ std::string FormatChaseProfileTable(
   auto ms = [](uint64_t ns) { return static_cast<double>(ns) / 1e6; };
   std::snprintf(line, sizeof(line),
                 "chase profile: %llu nodes, ground %llu calls %.3f ms, "
-                "solve %llu calls %.3f ms (times non-deterministic)\n",
+                "solve %llu calls %.3f ms, solve_nodes %llu "
+                "(times non-deterministic)\n",
                 static_cast<unsigned long long>(profile.nodes),
                 static_cast<unsigned long long>(profile.ground_calls),
                 ms(profile.ground_time_ns),
                 static_cast<unsigned long long>(profile.solve_calls),
-                ms(profile.solve_time_ns));
+                ms(profile.solve_time_ns),
+                static_cast<unsigned long long>(profile.solve_nodes));
   out += line;
   std::snprintf(line, sizeof(line), "%10s %8s %10s %12s %12s %12s  %s\n",
                 "time_ms", "stratum", "calls", "bindings", "derived", "",

@@ -43,6 +43,7 @@ struct ChaseProfile {
   uint64_t ground_calls = 0;  ///< Ground/Extend invocations
   uint64_t ground_time_ns = 0;
   uint64_t solve_calls = 0;  ///< stable-model solves (leaves)
+  uint64_t solve_nodes = 0;  ///< solver search nodes over those solves
   uint64_t solve_time_ns = 0;
   /// Attribution state while collecting (set by the perfect grounder around
   /// each stratum's fixpoint); not an accumulator, never merged.

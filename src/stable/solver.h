@@ -21,11 +21,26 @@ using StableModelSet = std::set<StableModel>;
 
 /// Enumerates the stable models of a ground normal program.
 ///
-/// Algorithm: DPLL-style search over the atoms that occur in negative
-/// bodies (the only atoms whose truth distinguishes stable models), with
-/// conditioned well-founded propagation for pruning, and Gelfond–Lifschitz
-/// reduct verification at the leaves. Stratified ground programs are solved
-/// without branching (their well-founded model is total).
+/// Algorithm: depth-first search over the atoms that occur in negative
+/// bodies (the only atoms whose truth distinguishes stable models), tried
+/// true then false in ascending id order, kept on an explicit decision
+/// stack over one assignment trail — no recursion, and backtracking
+/// undoes the trail. Each decision is propagated incrementally, as in
+/// smodels' expand (Simons, Niemelä & Soininen 2002): per-rule counters of
+/// open and falsified body literals and per-atom counts of unblocked
+/// supporting rules drive forward inference (a true body makes its head
+/// true; an atom with no unblocked rule is false) and backward inference
+/// (a true atom with one unblocked rule makes that body true; a false head
+/// falsifies the last open literal of a rule; ⊥ is false, so constraints
+/// prune). An unfounded-set check falsifies atoms on positive loops that
+/// lost every non-circular support: each such atom keeps a source rule
+/// whose same-component positive atoms are themselves sourced, and only
+/// atoms whose source was blocked are re-sourced. The closure contains
+/// the well-founded model conditioned on the decisions, so the search tree
+/// is never larger than one that recomputes that model at every node, and
+/// stratified programs are solved without branching. Every leaf is still
+/// verified against the least model of its Gelfond–Lifschitz reduct, so
+/// soundness never rests on propagation.
 class StableModelEnumerator {
  public:
   struct Options {
@@ -44,23 +59,23 @@ class StableModelEnumerator {
   /// duplicates.
   Status Enumerate(const std::function<bool(const std::vector<uint32_t>&)>& cb);
 
-  /// Number of search nodes used by the last Enumerate call.
+  /// Number of search nodes used by the last Enumerate call: the root plus
+  /// one per decision tried.
   uint64_t nodes_used() const { return nodes_; }
 
  private:
-  Status Search(std::vector<Truth>& external,
-                const std::function<bool(const std::vector<uint32_t>&)>& cb,
-                bool* keep_going);
-
-  void EmitLeaf(const std::vector<Truth>& external,
-                const std::function<bool(const std::vector<uint32_t>&)>& cb,
-                bool* keep_going);
-
   const NormalProgram& prog_;
   Options options_ = {};
   uint64_t nodes_ = 0;
-  uint64_t models_ = 0;
 };
+
+/// All stable models of `prog`, each as a canonically sorted ground-atom
+/// vector, in a sorted set. Honors `options` budgets; `nodes_used`, when
+/// given, receives the search's node count.
+Result<StableModelSet> StableModels(
+    const NormalProgram& prog,
+    StableModelEnumerator::Options options = StableModelEnumerator::Options{},
+    uint64_t* nodes_used = nullptr);
 
 /// Convenience: all stable models of a ground TGD¬ program, as canonically
 /// sorted ground-atom vectors, sorted set. Honors `options` budgets.

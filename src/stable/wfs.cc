@@ -1,74 +1,68 @@
 #include "stable/wfs.h"
 
-#include <deque>
+#include <algorithm>
 
 namespace gdlog {
 
 namespace {
+constexpr uint32_t kBlocked = UINT32_MAX;
+}  // namespace
 
-/// Γ(X): least model of the reduct where a negative literal "not a" is
-/// satisfied iff a is not assumed true. Assumed-true means: external says
-/// kTrue, or external is kUndefined/absent and X[a] holds.
-std::vector<bool> Gamma(const NormalProgram& prog, const std::vector<bool>& X,
-                        const std::vector<Truth>* external) {
-  const auto& rules = prog.rules();
-  size_t n = prog.atom_count();
-  std::vector<bool> derived(n, false);
-  std::vector<uint32_t> missing(rules.size(), 0);
-  std::deque<uint32_t> ready;
+ReductLeastModel::ReductLeastModel(const NormalProgram& prog)
+    : prog_(prog),
+      derived_(prog.atom_count(), 0),
+      missing_(prog.rule_count(), 0) {
+  ready_.reserve(prog.rule_count());
+}
 
-  for (uint32_t ri = 0; ri < rules.size(); ++ri) {
-    const NormalRule& r = rules[ri];
-    bool blocked = false;
-    for (uint32_t a : r.negative) {
-      Truth ext = external == nullptr ? Truth::kUndefined : (*external)[a];
-      bool assumed_true =
-          ext == Truth::kTrue || (ext == Truth::kUndefined && X[a]);
-      if (assumed_true) {
-        blocked = true;
+const std::vector<uint8_t>& ReductLeastModel::Compute(
+    const std::vector<Truth>* external, const std::vector<uint8_t>* assumed) {
+  std::fill(derived_.begin(), derived_.end(), 0);
+  ready_.clear();
+  const auto rules = static_cast<uint32_t>(prog_.rule_count());
+  for (uint32_t r = 0; r < rules; ++r) {
+    missing_[r] = static_cast<uint32_t>(prog_.positive(r).size());
+    for (uint32_t a : prog_.negative(r)) {
+      const Truth ext =
+          external == nullptr ? Truth::kUndefined : (*external)[a];
+      if (ext == Truth::kTrue ||
+          (ext == Truth::kUndefined && assumed != nullptr && (*assumed)[a])) {
+        missing_[r] = kBlocked;
         break;
       }
     }
-    if (blocked) {
-      missing[ri] = UINT32_MAX;  // never fires
-      continue;
-    }
-    missing[ri] = static_cast<uint32_t>(r.positive.size());
-    if (missing[ri] == 0) ready.push_back(ri);
+    if (missing_[r] == 0) ready_.push_back(r);
   }
-
-  while (!ready.empty()) {
-    uint32_t ri = ready.front();
-    ready.pop_front();
-    uint32_t head = rules[ri].head;
-    if (derived[head]) continue;
-    derived[head] = true;
-    for (uint32_t rj : prog.pos_occurrences()[head]) {
-      if (missing[rj] == UINT32_MAX || missing[rj] == 0) continue;
+  // Each rule enters ready_ once, when its last positive atom is derived.
+  for (size_t i = 0; i < ready_.size(); ++i) {
+    const uint32_t head = prog_.head(ready_[i]);
+    if (derived_[head]) continue;
+    derived_[head] = 1;
+    for (uint32_t rj : prog_.pos_occurrences(head)) {
+      if (missing_[rj] == kBlocked || missing_[rj] == 0) continue;
       // pos_occurrences lists a rule once per positive occurrence and
-      // missing[] was initialized to the occurrence count, so decrementing
-      // by one per entry is consistent even with duplicated body atoms.
-      if (--missing[rj] == 0) ready.push_back(rj);
+      // missing_ starts at the occurrence count, so decrementing by one
+      // per entry is consistent even with duplicated body atoms.
+      if (--missing_[rj] == 0) ready_.push_back(rj);
     }
   }
-  return derived;
+  return derived_;
 }
-
-}  // namespace
 
 WellFoundedModel ComputeWellFounded(const NormalProgram& prog,
                                     const std::vector<Truth>* external) {
-  size_t n = prog.atom_count();
-  std::vector<bool> T(n, false);
+  const size_t n = prog.atom_count();
+  ReductLeastModel gamma(prog);
+  std::vector<uint8_t> T(n, 0);
 
   // Alternating fixpoint: U_i = Γ(T_i) (possibly true), T_{i+1} = Γ(U_i)
   // (surely true). T is increasing, U decreasing; both stabilize together.
-  std::vector<bool> U = Gamma(prog, T, external);
+  std::vector<uint8_t> U = gamma.Compute(external, &T);
   for (;;) {
-    std::vector<bool> T_next = Gamma(prog, U, external);
+    const std::vector<uint8_t>& T_next = gamma.Compute(external, &U);
     if (T_next == T) break;
-    T = std::move(T_next);
-    U = Gamma(prog, T, external);
+    T = T_next;
+    U = gamma.Compute(external, &T);
   }
 
   WellFoundedModel wfm;
@@ -86,9 +80,10 @@ WellFoundedModel ComputeWellFounded(const NormalProgram& prog,
 std::vector<bool> LeastModelOfReduct(const NormalProgram& prog,
                                      const std::vector<Truth>& external) {
   // With a total external assignment over negative atoms, Γ no longer
-  // depends on X.
-  std::vector<bool> X(prog.atom_count(), false);
-  return Gamma(prog, X, &external);
+  // depends on the assumed set.
+  ReductLeastModel gamma(prog);
+  const std::vector<uint8_t>& derived = gamma.Compute(&external, nullptr);
+  return std::vector<bool>(derived.begin(), derived.end());
 }
 
 }  // namespace gdlog

@@ -50,10 +50,31 @@ WellFoundedModel ComputeWellFounded(const NormalProgram& prog,
 
 /// Least model of the reduct Σ^ν where ν is a *total* assignment to the
 /// atoms occurring negatively ("not a" is satisfied iff external[a] !=
-/// kTrue). Returns the set of derived atoms as a bitmask. This is the Γ
-/// operator exposed for the solver's leaf verification.
+/// kTrue). Returns the set of derived atoms as a bitmask: a one-shot
+/// ReductLeastModel::Compute.
 std::vector<bool> LeastModelOfReduct(const NormalProgram& prog,
                                      const std::vector<Truth>& external);
+
+/// The Γ operator with its buffers kept across calls: least models of
+/// Gelfond–Lifschitz reducts of one program, computed by counting unmet
+/// positive body atoms per rule.
+class ReductLeastModel {
+ public:
+  explicit ReductLeastModel(const NormalProgram& prog);
+
+  /// Least model of the reduct in which "not a" is falsified iff a is
+  /// assumed true: external[a] == kTrue, or external is absent or
+  /// kUndefined at a and assumed[a] is set (assumed may be null). Returns
+  /// one 0/1 flag per atom, valid until the next call.
+  const std::vector<uint8_t>& Compute(const std::vector<Truth>* external,
+                                      const std::vector<uint8_t>* assumed);
+
+ private:
+  const NormalProgram& prog_;
+  std::vector<uint8_t> derived_;
+  std::vector<uint32_t> missing_;  ///< per rule; kBlocked = never fires
+  std::vector<uint32_t> ready_;    ///< rules whose body is met, in order
+};
 
 }  // namespace gdlog
 

@@ -7,6 +7,7 @@
 #include "ast/parser.h"
 #include "stable/solver.h"
 #include "stable/wfs.h"
+#include "util/thread_pool.h"
 
 namespace gdlog {
 namespace {
@@ -295,6 +296,52 @@ TEST(Solver, HasStableModelShortCircuits) {
   auto hasnt = HasStableModel(unsat);
   ASSERT_TRUE(hasnt.ok());
   EXPECT_FALSE(*hasnt);
+}
+
+TEST(Solver, DeepSearchOnPoolWorkerIsIterative) {
+  // 20,000 independent even loops a_i :- not b_i. b_i :- not a_i. The
+  // search takes 20,000 decisions on one path; it must neither grow the
+  // stack per decision nor redo work proportional to the program per node
+  // — here on a pool worker, whose stack is what chase leaves get.
+  constexpr uint32_t kLoops = 20'000;
+  GroundRuleSet rules;
+  for (uint32_t i = 0; i < kLoops; ++i) {
+    GroundAtom a{2 * i, {}};
+    GroundAtom b{2 * i + 1, {}};
+    GroundRule ra;
+    ra.head = a;
+    ra.negative.push_back(b);
+    rules.Add(std::move(ra));
+    GroundRule rb;
+    rb.head = b;
+    rb.negative.push_back(a);
+    rules.Add(std::move(rb));
+  }
+  Result<bool> has = Status::Internal("not run");
+  uint64_t nodes = 0;
+  size_t model_size = 0;
+  {
+    ThreadPool pool(1);
+    pool.Submit([&](size_t) {
+      has = HasStableModel(rules);
+      NormalProgram prog = NormalProgram::FromRuleSet(rules);
+      StableModelEnumerator::Options options;
+      options.max_models = 1;
+      StableModelEnumerator solver(prog, options);
+      Status st = solver.Enumerate([&](const std::vector<uint32_t>& atoms) {
+        model_size = atoms.size();
+        return true;
+      });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      nodes = solver.nodes_used();
+    });
+    pool.WaitIdle();
+  }
+  ASSERT_TRUE(has.ok()) << has.status().ToString();
+  EXPECT_TRUE(*has);
+  EXPECT_EQ(model_size, kLoops);
+  // The root plus one decision per loop: propagation settles each b_i.
+  EXPECT_EQ(nodes, kLoops + 1);
 }
 
 // ---------------------------------------------------------------------------
