@@ -1,7 +1,8 @@
-// E11 (ablation) — incremental grounding: the chase can extend the parent
-// node's grounding (monotonicity, Definition 3.3) instead of re-deriving
-// it from scratch at every node. Measures exact inference and path
-// sampling under both modes; the outcome spaces are identical (checked).
+// E11 — incremental grounding and incremental serving. The chase extends
+// each child from its parent's grounding (monotonicity, Definition 3.3);
+// the Explore/Sample rows time exact inference and path sampling on that
+// path (tests/incremental_test.cc checks it against a from-scratch
+// reference).
 //
 // The delta-serving section drives the PR 7 incremental-update path
 // against a live in-process registry: PATCH /db with a 1%-sized fact
@@ -194,34 +195,10 @@ void DeltaServingTable() {
   std::printf("\n");
 }
 
-void VerificationTable() {
-  std::printf("=== E11 (ablation): incremental vs from-scratch grounding ===\n");
-  std::printf("%-10s %-12s %-14s %-14s\n", "database", "outcomes",
-              "P(dominated)", "identical");
-  for (const auto& [label, db] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"clique3", Clique(3)}, {"ring5", Ring(5)}}) {
-    auto engine = MustCreate(kNetworkProgram, db, gdlog::GrounderKind::kSimple);
-    gdlog::ChaseOptions inc, scr;
-    inc.incremental = true;
-    scr.incremental = false;
-    auto a = MustInfer(engine, inc);
-    auto b = MustInfer(engine, scr);
-    bool same = a.outcomes.size() == b.outcomes.size() &&
-                a.finite_mass == b.finite_mass &&
-                a.ProbConsistent() == b.ProbConsistent();
-    std::printf("%-10s %-12zu %-14s %-14s\n", label.c_str(),
-                a.outcomes.size(), a.ProbConsistent().ToString().c_str(),
-                same ? "YES" : "NO (BUG)");
-  }
-  std::printf("\n");
-}
-
 void BM_Explore_Incremental(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   auto engine = MustCreate(kNetworkProgram, Ring(n), gdlog::GrounderKind::kSimple);
   gdlog::ChaseOptions options;
-  options.incremental = true;
   options.compute_models = false;  // isolate grounding cost
   for (auto _ : state) {
     auto space = MustInfer(engine, options);
@@ -231,26 +208,11 @@ void BM_Explore_Incremental(benchmark::State& state) {
 BENCHMARK(BM_Explore_Incremental)->Arg(4)->Arg(5)->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Explore_FromScratch(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto engine = MustCreate(kNetworkProgram, Ring(n), gdlog::GrounderKind::kSimple);
-  gdlog::ChaseOptions options;
-  options.incremental = false;
-  options.compute_models = false;
-  for (auto _ : state) {
-    auto space = MustInfer(engine, options);
-    benchmark::DoNotOptimize(space.finite_mass);
-  }
-}
-BENCHMARK(BM_Explore_FromScratch)->Arg(4)->Arg(5)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Sample_Incremental(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   auto engine = MustCreate(NetworkProgram(0.3), RandomNetwork(n, 0.3, 99),
                            gdlog::GrounderKind::kSimple);
   gdlog::ChaseOptions options;
-  options.incremental = true;
   options.compute_models = false;
   options.max_depth = 100000;
   gdlog::Rng rng(5);
@@ -261,24 +223,6 @@ void BM_Sample_Incremental(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Sample_Incremental)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Sample_FromScratch(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto engine = MustCreate(NetworkProgram(0.3), RandomNetwork(n, 0.3, 99),
-                           gdlog::GrounderKind::kSimple);
-  gdlog::ChaseOptions options;
-  options.incremental = false;
-  options.compute_models = false;
-  options.max_depth = 100000;
-  gdlog::Rng rng(5);
-  for (auto _ : state) {
-    auto s = engine.chase().SamplePath(&rng, options);
-    benchmark::DoNotOptimize(s->prob);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Sample_FromScratch)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 /// PATCH /db with a fresh 1%-sized delta per iteration — the serving-layer
@@ -372,7 +316,6 @@ BENCHMARK(BM_DeltaQuery_Revalidated)
 }  // namespace
 
 int main(int argc, char** argv) {
-  VerificationTable();
   DeltaServingTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

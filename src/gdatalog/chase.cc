@@ -118,7 +118,7 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
 
   auto grounding = std::make_shared<GroundRuleSet>();
   Status ground_status;
-  if (state.incremental && item.parent_grounding != nullptr) {
+  if (item.parent_grounding != nullptr) {
     // Branch: clone the parent's fixpoint state and extend it with the
     // newly recorded choice (sound by monotonicity, Definition 3.3). The
     // clone's matching instance is copy-on-write, so it costs one pointer
@@ -236,10 +236,8 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
     }
     child.path_prob = item.path_prob * p;
     child.depth = item.depth + 1;
-    if (state.incremental) {
-      child.parent_grounding = grounding;
-      child.new_active = trigger;
-    }
+    child.parent_grounding = grounding;
+    child.new_active = trigger;
     children->push_back(std::move(child));
   }
   if (!finite_support) {
@@ -293,8 +291,6 @@ Result<OutcomeSpace> ChaseEngine::Explore(const ChaseOptions& options,
                                           ChaseProfile* profile) const {
   ExploreState state;
   state.options = &options;
-  state.incremental =
-      options.incremental && grounder_->SupportsIncremental();
 
   size_t workers = options.num_threads != 0
                        ? options.num_threads
@@ -328,24 +324,11 @@ Result<OutcomeSpace> ChaseEngine::Explore(const ChaseOptions& options,
 Result<ChaseEngine::PathSample> ChaseEngine::SamplePath(
     Rng* rng, const ChaseOptions& options) const {
   PathSample sample;
-  bool incremental =
-      options.incremental && grounder_->SupportsIncremental();
-  // A single path never backtracks, so incremental mode can thread one
-  // grounding through the whole walk without cloning.
-  auto incremental_grounding = std::make_shared<GroundRuleSet>();
-  if (incremental) {
-    GDLOG_RETURN_IF_ERROR(
-        grounder_->Ground(sample.choices, incremental_grounding.get()));
-  }
+  // A single path never backtracks, so one grounding is threaded through
+  // the whole walk and extended in place, without cloning.
+  auto grounding = std::make_shared<GroundRuleSet>();
+  GDLOG_RETURN_IF_ERROR(grounder_->Ground(sample.choices, grounding.get()));
   for (size_t depth = 0;; ++depth) {
-    std::shared_ptr<GroundRuleSet> grounding;
-    if (incremental) {
-      grounding = incremental_grounding;
-    } else {
-      grounding = std::make_shared<GroundRuleSet>();
-      GDLOG_RETURN_IF_ERROR(
-          grounder_->Ground(sample.choices, grounding.get()));
-    }
     std::vector<GroundAtom> triggers =
         FindTriggers(*translated_, *grounding, sample.choices);
     if (triggers.empty()) {
@@ -377,10 +360,8 @@ Result<ChaseEngine::PathSample> ChaseEngine::SamplePath(
     if (!sample.choices.Assign(trigger, o)) {
       return Status::Internal("functionally inconsistent sampled choice");
     }
-    if (incremental) {
-      GDLOG_RETURN_IF_ERROR(grounder_->Extend(sample.choices, trigger,
-                                              incremental_grounding.get()));
-    }
+    GDLOG_RETURN_IF_ERROR(
+        grounder_->Extend(sample.choices, trigger, grounding.get()));
   }
 }
 

@@ -45,12 +45,6 @@ struct ChaseOptions {
   /// for every thread count and schedule). Lemma 4.4 guarantees the
   /// resulting outcome space is identical — exercised by experiment E4.
   uint64_t trigger_shuffle_seed = 0;
-  /// Extend the parent node's grounding instead of re-deriving it from
-  /// scratch at every chase node (sound by grounder monotonicity,
-  /// Definition 3.3). Both grounders support it: the simple grounder
-  /// resumes its single fixpoint, the perfect grounder the stratum its
-  /// parent stalled in.
-  bool incremental = true;
   /// Worker threads for Explore: 0 = one per hardware thread, 1 = serial
   /// (the pre-parallel behavior, no pool spawned). Branches of the chase
   /// tree are independent once a trigger is resolved, so workers drain a
@@ -74,6 +68,10 @@ struct ChaseOptions {
 /// under the current choice set, applies a trigger (branching over the
 /// distribution's support), and collects the results of finite maximal
 /// paths — which are exactly the finite possible outcomes (Lemma 4.5).
+/// A child's grounding is its parent's, cloned and extended by the one new
+/// choice (Grounder::Extend; sound by grounder monotonicity, Definition
+/// 3.3). Only roots — the empty choice set and shard tasks — are grounded
+/// from scratch.
 class ChaseEngine {
  public:
   /// All pointees must outlive the engine.

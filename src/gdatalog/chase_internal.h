@@ -32,7 +32,6 @@ struct ChaseEngine::WorkItem {
 
 struct ChaseEngine::ExploreState {
   const ChaseOptions* options = nullptr;
-  bool incremental = false;
 
   /// Plan mode (shard.cc): when set, ProcessNode records frontier nodes —
   /// nodes whose depth reached `plan_prefix_depth`, and leaves above it —

@@ -378,7 +378,6 @@ Result<PartialSpace> PartialSpaceFromJson(std::string_view json_text,
   GDLOG_ASSIGN_OR_RETURN(meta->prefix_depth, ReadSize(doc, "prefix_depth"));
   // Mergers size per-shard bookkeeping by num_shards; an absurd value from
   // a corrupt file must fail here, not as an allocation crash downstream.
-  constexpr size_t kMaxShards = size_t{1} << 20;
   if (meta->num_shards < 1 || meta->num_shards > kMaxShards ||
       meta->shard_index >= meta->num_shards) {
     return FieldError("shard coordinates out of range");

@@ -37,23 +37,19 @@ class Grounder {
   virtual Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
                         MatchStats* stats = nullptr) const = 0;
 
-  /// Incremental protocol (optional). Grounders are monotone in the choice
-  /// set (Definition 3.3), so G(Σ ∪ {c}) can be computed by resuming the
-  /// fixpoint from G(Σ) with c's Result atom as the only new fact — the
-  /// chase exploits this to avoid re-deriving the grounding at every node.
-  virtual bool SupportsIncremental() const { return false; }
+  /// Whether Extend() may be used. Always true: both grounders implement
+  /// it and the chase always extends. Kept, non-virtual, only because the
+  /// benchmark's layer breakdown (perfbench) still calls it.
+  bool SupportsIncremental() const { return true; }
 
   /// Extends `out` — produced by Ground()/Extend() for `choices` minus its
   /// most recent assignment `new_active` — to the grounding of the full
-  /// `choices`. Only valid when SupportsIncremental().
+  /// `choices`. Grounders are monotone in the choice set (Definition 3.3),
+  /// so G(Σ ∪ {c}) is the fixpoint resumed from G(Σ) with c's Result atom
+  /// as the only new fact: the chase extends each child from a clone of
+  /// its parent's grounding instead of re-deriving it.
   virtual Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
-                        GroundRuleSet* out) const {
-    (void)choices;
-    (void)new_active;
-    (void)out;
-    return Status::Unsupported(std::string(name()) +
-                               " grounder does not support incremental mode");
-  }
+                        GroundRuleSet* out) const = 0;
 
   /// Leaf read-off (optional). Whether every complete grounding checked
   /// each negative literal only against parts of the instance that were
@@ -102,7 +98,6 @@ class SimpleGrounder : public Grounder {
   Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
                 MatchStats* stats = nullptr) const override;
 
-  bool SupportsIncremental() const override { return true; }
   Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
                 GroundRuleSet* out) const override;
 
@@ -178,7 +173,6 @@ class PerfectGrounder : public Grounder {
   Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
                 MatchStats* stats = nullptr) const override;
 
-  bool SupportsIncremental() const override { return true; }
   /// Returns an error, leaving `out` untouched, unless `out` stalled on
   /// pending Active atoms and `new_active` is one of them with a choice in
   /// `choices`.

@@ -116,7 +116,6 @@ Result<ShardPlan> ChaseEngine::PlanShards(const ChaseOptions& options,
     plan.prefix_depth = depth;
     ExploreState state;
     state.options = &options;
-    state.incremental = options.incremental && grounder_->SupportsIncremental();
     state.partials.resize(1);
     state.plan_tasks = &plan.tasks;
     state.plan_prefix_depth = depth;
@@ -164,7 +163,6 @@ Result<PartialSpace> ChaseEngine::ExploreShard(
 
   ExploreState state;
   state.options = &options;
-  state.incremental = options.incremental && grounder_->SupportsIncremental();
   size_t workers = options.num_threads != 0
                        ? options.num_threads
                        : ThreadPool::DefaultWorkerCount();

@@ -12,6 +12,12 @@
 
 namespace gdlog {
 
+/// Upper bound on a shard count, enforced wherever one arrives from outside
+/// (CLI flags, HTTP requests, serialized partials): plan assignment and
+/// merge bookkeeping allocate per shard, so an absurd count must fail as an
+/// argument error, not as an allocation failure.
+constexpr size_t kMaxShards = size_t{1} << 20;
+
 /// One frontier node of the shard plan: a chase-tree node identified by its
 /// choice-set prefix. Its depth is choices.size() — every chase edge records
 /// exactly one choice — so the prefix alone reconstructs the node (the
@@ -157,9 +163,10 @@ class StreamingMerger {
   size_t folded_ = 0;
 };
 
-/// Convenience in-process driver: plans `num_shards` shards, explores each
-/// one (sequentially, in this process) and merges. Used by tests and as a
-/// reference for the subprocess orchestration in gdlog_cli.
+/// In-process driver: plans `num_shards` shards, explores each one
+/// (sequentially, in this process) and merges. Backs `gdlog_cli --shards`;
+/// the fleet (server/fleet.h) runs the same plan/explore/merge across
+/// processes.
 Result<OutcomeSpace> ShardedExplore(const ChaseEngine& engine,
                                     const ChaseOptions& options,
                                     size_t num_shards,

@@ -35,8 +35,9 @@ Result<PlanCoordinates> ReadPlanCoordinates(const JsonValue& body,
   PlanCoordinates plan;
   GDLOG_ASSIGN_OR_RETURN(uint64_t shards,
                          OptionalU64(body, "shards", default_shards));
-  if (shards < 1) {
-    return Status::InvalidArgument("'shards' must be a positive integer");
+  if (shards < 1 || shards > kMaxShards) {
+    return Status::InvalidArgument("'shards' must be an integer in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   plan.shards = static_cast<size_t>(shards);
   GDLOG_ASSIGN_OR_RETURN(uint64_t depth,

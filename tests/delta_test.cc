@@ -296,7 +296,6 @@ TEST(DeltaGrounder, PerfectExtendRefusesAnUnstalledGrounding) {
   auto inc = GDatalog::WithDatabaseDelta(*base, "connected(1, 1).\n");
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
   for (const GDatalog* engine : {&*base, &*inc}) {
-    ASSERT_TRUE(engine->grounder().SupportsIncremental());
     GroundRuleSet out;
     Status status =
         engine->grounder().Extend(ChoiceSet(), GroundAtom(), &out);

@@ -90,8 +90,9 @@ class LiveWorker {
     thread_.join();
   }
 
+  int port() const { return server_->port(); }
   std::string address() const {
-    return "127.0.0.1:" + std::to_string(server_->port());
+    return "127.0.0.1:" + std::to_string(port());
   }
   InferenceService& service() { return *service_; }
 
@@ -327,6 +328,45 @@ TEST(FleetShards, RejectsBadRequests) {
     ASSERT_TRUE(doc.ok()) << c.name;
     EXPECT_NE(doc->Find("error"), nullptr) << c.name;
   }
+}
+
+TEST(FleetShards, OversizedShardCountIsRejectedAndServingContinues) {
+  // Unchecked, a shard count past kMaxShards reaches the plan's per-shard
+  // allocation, which throws out of the handler and terminates the daemon.
+  // Both fleet endpoints must answer it with a 400 envelope instead.
+  LiveWorker server;
+  std::string id = RegisterNetwork(server.service());
+  const std::string shards = std::to_string(uint64_t{1} << 62);
+  auto post = [&](const char* target,
+                  const std::string& body) -> Result<HttpResponse> {
+    auto client = HttpClient::Connect("127.0.0.1", server.port());
+    if (!client.ok()) return client.status();
+    return client->Request("POST", target, body);
+  };
+  struct Case {
+    const char* target;
+    std::string body;
+  };
+  const Case cases[] = {
+      {"/v1/shards", "{\"program\":\"c(flip<0.5>).\",\"shards\":" + shards +
+                         ",\"shard_indices\":[0]}"},
+      {"/v1/jobs", "{\"program_id\":\"" + id + "\",\"shards\":" + shards +
+                       ",\"workers\":[\"" + server.address() + "\"]}"},
+  };
+  for (const Case& c : cases) {
+    auto response = post(c.target, c.body);
+    ASSERT_TRUE(response.ok()) << c.target << ": "
+                               << response.status().ToString();
+    EXPECT_EQ(response->status, 400) << c.target << ": " << response->body;
+    auto doc = JsonValue::Parse(response->body);
+    ASSERT_TRUE(doc.ok()) << c.target;
+    EXPECT_NE(doc->Find("error"), nullptr) << c.target;
+  }
+  auto client = HttpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto health = client->Request("GET", "/v1/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200) << health->body;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity against committed outputs: gdlog_cli --json on E1 (network
 # clique-4) and E3 (dime/quarter) must reproduce the files in this
-# directory exactly, serially, with 4 chase threads and with 4 shards.
+# directory exactly, serially, with 4 chase threads, with 4 shards in one
+# process, and with 4 shards run one per process (--shard-index 0..3, each
+# partial written to a file) and recombined by --merge, which sends every
+# partial through the partial wire format.
 # The goldens were generated by the engine that preceded the perfect
 # grounder's resume and leaf read-off, so this compares against an
 # earlier binary, not only between configurations of the current one.
@@ -18,30 +21,45 @@ here="$(cd "$(dirname "$0")" && pwd)"
 cli="$(realpath "${1:-$here/../../build/tools/gdlog_cli}")"
 cd "$here"
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# Runs gdlog_cli with the given arguments under configuration $config.
+run() {
+  if [ "$config" = "--shard-index/--merge" ]; then
+    local merge=()
+    for i in 0 1 2 3; do
+      "$cli" "$@" --shards 4 --shard-index "$i" > "$tmp/partial$i.json" \
+        || return 1
+      merge+=(--merge "$tmp/partial$i.json")
+    done
+    "$cli" "$@" "${merge[@]}"
+  else
+    # shellcheck disable=SC2086  # $config is two words on purpose
+    "$cli" "$@" $config
+  fi
+}
+
 status=0
-for config in "--threads 1" "--threads 4" "--shards 4"; do
-  # shellcheck disable=SC2086  # $config is two words on purpose
-  if ! "$cli" --program network.gdl --db clique4.db --json --events \
-      $config | cmp - e1_clique4.json; then
+for config in "--threads 1" "--threads 4" "--shards 4" "--shard-index/--merge"; do
+  if ! run --program network.gdl --db clique4.db --json --events \
+      | cmp - e1_clique4.json; then
     echo "E1 clique-4 differs from the golden ($config)" >&2
     status=1
   fi
-  # shellcheck disable=SC2086
-  if ! "$cli" --program network.gdl --db clique4.db --json --events \
-      --grounder simple $config | cmp - e1_clique4.json; then
+  if ! run --program network.gdl --db clique4.db --json --events \
+      --grounder simple | cmp - e1_clique4.json; then
     echo "E1 clique-4 under --grounder simple differs from the golden" \
       "($config)" >&2
     status=1
   fi
-  # shellcheck disable=SC2086
-  if ! "$cli" --program quarantine.gdl --db clique4.db --json --events \
-      $config | cmp - e1_quarantine_clique4.json; then
+  if ! run --program quarantine.gdl --db clique4.db --json --events \
+      | cmp - e1_quarantine_clique4.json; then
     echo "E1 quarantine clique-4 differs from the golden ($config)" >&2
     status=1
   fi
-  # shellcheck disable=SC2086
-  if ! "$cli" --program dime_quarter.gdl --db dime_quarter.db --json \
-      --outcomes --events $config | cmp - e3_dime_quarter.json; then
+  if ! run --program dime_quarter.gdl --db dime_quarter.db --json \
+      --outcomes --events | cmp - e3_dime_quarter.json; then
     echo "E3 dime/quarter differs from the golden ($config)" >&2
     status=1
   fi

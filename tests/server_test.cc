@@ -313,7 +313,7 @@ TEST(InferenceCache, FingerprintSeparatesSemanticOptions) {
   // ...while purely operational knobs do not.
   ChaseOptions threads = base;
   threads.num_threads = 16;
-  threads.incremental = false;
+  threads.profile = true;
   threads.keep_groundings = true;
   EXPECT_EQ(InferenceCache::Fingerprint("p1", 0, threads), key);
 }

@@ -28,14 +28,15 @@
 //                         hardware thread, 1 = serial; default 0). Results
 //                         are identical for any N when no budget binds.
 //   --shards N            exact mode: decompose the chase tree by
-//                         choice-set prefix into N shards, explore them in
-//                         N worker subprocesses and merge — the merged
-//                         space (and its --json export) is byte-identical
-//                         to the single-process run when no budget binds
-//   --shard-index I       run only shard I (0-based) and print the partial
-//                         outcome space as JSON — the worker mode spawned
-//                         by --shards, also usable manually to spread
-//                         shards across machines (merge with --merge)
+//                         choice-set prefix into N shards (at most 2^20),
+//                         explore them one after another in this process
+//                         and merge — the merged space (and its --json
+//                         export) is byte-identical to the unsharded run
+//                         when no budget binds
+//   --shard-index I       run only shard I (0-based) of --shards N and
+//                         print the partial outcome space as JSON — for
+//                         spreading shards across processes or machines
+//                         (recombine with --merge)
 //   --shard-prefix-depth K  choice-prefix depth of the shard plan
 //                         (default 0 = auto-pick from the frontier width)
 //   --merge FILE          merge partial-space JSON files (one --merge per
@@ -86,7 +87,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gdatalog/engine.h"
@@ -95,7 +95,6 @@
 #include "gdatalog/shard.h"
 #include "ground/dependency_graph.h"
 #include "obs/profile.h"
-#include "util/subprocess.h"
 
 namespace {
 
@@ -128,7 +127,6 @@ struct CliOptions {
   size_t shard_prefix_depth = 0;       // 0 = auto
   std::vector<std::string> merge_files;
   long long normalgrid_max_cells = -1;  // -1 = default
-  std::string argv0;
 };
 
 [[noreturn]] void Usage(const char* argv0, const char* error = nullptr) {
@@ -228,6 +226,11 @@ CliOptions ParseArgs(int argc, char** argv) {
     }
   }
   if (opts.program_path.empty()) Usage(argv[0], "--program is required");
+  if (opts.shards > gdlog::kMaxShards) {
+    Usage(argv[0], ("--shards must be at most " +
+                    std::to_string(gdlog::kMaxShards))
+                       .c_str());
+  }
   if (opts.shard_index != kNoShardIndex) {
     if (opts.shards < 1) Usage(argv[0], "--shard-index requires --shards");
     if (opts.shard_index >= opts.shards) {
@@ -469,8 +472,8 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
 
 // Worker mode (--shards N --shard-index I): recompute the deterministic
 // shard plan, explore shard I, and print the partial outcome space as a
-// single JSON line on stdout — the only stdout output, so the driver (or an
-// operator piping to a file for a cross-machine merge) captures it cleanly.
+// single JSON line on stdout — the only stdout output, so piping it to a
+// file for a later --merge (on this or another machine) captures it cleanly.
 int RunShardWorker(const gdlog::GDatalog& engine, const CliOptions& opts) {
   gdlog::ChaseOptions chase = MakeChaseOptions(opts);
   auto plan = engine.chase().PlanShards(chase, opts.shards,
@@ -539,88 +542,18 @@ int MergeAndReport(const gdlog::GDatalog& engine, const CliOptions& opts,
   return ReportSpace(engine, space, opts);
 }
 
-// Driver mode (--shards N without --shard-index): spawn one worker
-// subprocess per shard — this binary re-invoked with --shard-index —
-// collect the partial spaces over pipes, merge, and report exactly like a
-// single-process run.
-int RunShardDriver(const gdlog::GDatalog& engine, const CliOptions& opts) {
-  std::string exe = gdlog::Subprocess::SelfExecutable(opts.argv0);
-  // With the default --threads 0, every worker would start one chase
-  // thread per hardware thread — N shards × all cores oversubscribes the
-  // machine N-fold. Split the cores across the workers instead (an
-  // explicit --threads value is forwarded as given: the operator asked
-  // for it, e.g. when the workers land on different machines). Thread
-  // count never changes results, only speed.
-  size_t worker_threads = opts.threads;
-  if (worker_threads == 0) {
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw < 1) hw = 1;
-    worker_threads = std::max<size_t>(1, hw / opts.shards);
+// Sharded mode (--shards N without --shard-index): plan, explore every
+// shard in this process and merge (ShardedExplore), then report exactly
+// like an unsharded run.
+int RunSharded(const gdlog::GDatalog& engine, const CliOptions& opts) {
+  auto space = gdlog::ShardedExplore(engine.chase(), MakeChaseOptions(opts),
+                                     opts.shards, opts.shard_prefix_depth);
+  if (!space.ok()) {
+    std::fprintf(stderr, "sharded inference error: %s\n",
+                 space.status().ToString().c_str());
+    return 1;
   }
-  std::vector<gdlog::Subprocess> workers;
-  for (size_t shard = 0; shard < opts.shards; ++shard) {
-    std::vector<std::string> argv = {
-        exe,
-        "--program", opts.program_path,
-        "--grounder", opts.grounder,
-        "--max-outcomes", std::to_string(opts.max_outcomes),
-        "--max-depth", std::to_string(opts.max_depth),
-        "--support-limit", std::to_string(opts.support_limit),
-        "--threads", std::to_string(worker_threads),
-        "--shards", std::to_string(opts.shards),
-        "--shard-prefix-depth", std::to_string(opts.shard_prefix_depth),
-        "--shard-index", std::to_string(shard),
-    };
-    if (!opts.db_path.empty()) {
-      argv.push_back("--db");
-      argv.push_back(opts.db_path);
-    }
-    if (!opts.db_delta_path.empty()) {
-      argv.push_back("--db-delta");
-      argv.push_back(opts.db_delta_path);
-    }
-    if (opts.extensions) argv.push_back("--extensions");
-    if (!opts.optimize) argv.push_back("--no-opt");
-    if (opts.normalgrid_max_cells >= 0) {
-      argv.push_back("--normalgrid-max-cells");
-      argv.push_back(std::to_string(opts.normalgrid_max_cells));
-    }
-    auto worker = gdlog::Subprocess::Spawn(argv);
-    if (!worker.ok()) {
-      std::fprintf(stderr, "error spawning shard %zu: %s\n", shard,
-                   worker.status().ToString().c_str());
-      return 1;
-    }
-    workers.push_back(std::move(*worker));
-  }
-
-  std::vector<gdlog::PartialSpace> partials;
-  std::vector<gdlog::ShardPartialMeta> metas;
-  for (size_t shard = 0; shard < workers.size(); ++shard) {
-    std::string output;
-    auto exit_code = workers[shard].Wait(&output);
-    if (!exit_code.ok()) {
-      std::fprintf(stderr, "error waiting for shard %zu: %s\n", shard,
-                   exit_code.status().ToString().c_str());
-      return 1;
-    }
-    if (*exit_code != 0) {
-      std::fprintf(stderr, "shard %zu worker exited with code %d\n", shard,
-                   *exit_code);
-      return 1;
-    }
-    gdlog::ShardPartialMeta meta;
-    auto partial = gdlog::PartialSpaceFromJson(
-        output, *engine.program().interner(), &meta);
-    if (!partial.ok()) {
-      std::fprintf(stderr, "bad partial from shard %zu: %s\n", shard,
-                   partial.status().ToString().c_str());
-      return 1;
-    }
-    partials.push_back(std::move(*partial));
-    metas.push_back(meta);
-  }
-  return MergeAndReport(engine, opts, std::move(partials), metas);
+  return ReportSpace(engine, *space, opts);
 }
 
 // Merge mode (--merge FILE...): recombine partials written by workers run
@@ -694,7 +627,6 @@ int RunMonteCarlo(const gdlog::GDatalog& engine, const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts = ParseArgs(argc, argv);
-  opts.argv0 = argv[0];
 
   std::string program_text = ReadFile(opts.program_path);
   std::string db_text = opts.db_path.empty() ? "" : ReadFile(opts.db_path);
@@ -789,6 +721,6 @@ int main(int argc, char** argv) {
 
   if (opts.mc_samples > 0) return RunMonteCarlo(*engine, opts);
   if (!opts.merge_files.empty()) return RunMerge(*engine, opts);
-  if (opts.shards > 0) return RunShardDriver(*engine, opts);
+  if (opts.shards > 0) return RunSharded(*engine, opts);
   return RunExact(*engine, opts);
 }
