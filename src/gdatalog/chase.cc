@@ -36,6 +36,23 @@ uint64_t HashChoices(const ChoiceSet& choices) {
   return h;
 }
 
+/// Drops a chase node's grounding and its hold on its parent's when the
+/// node is done, on every exit path and in the serial and the pooled drain
+/// alike; children keep their own references. With a profile sink the
+/// frees are timed into release_time_ns.
+struct GroundingRelease {
+  ChaseProfile* prof;
+  std::shared_ptr<const GroundRuleSet>* parent;
+  std::shared_ptr<GroundRuleSet>* own;
+
+  ~GroundingRelease() {
+    const uint64_t start_ns = prof != nullptr ? MonotonicNanos() : 0;
+    own->reset();
+    parent->reset();
+    if (prof != nullptr) prof->release_time_ns += MonotonicNanos() - start_ns;
+  }
+};
+
 }  // namespace
 
 Result<StableModelSet> ChaseEngine::SolveOutcome(
@@ -117,13 +134,19 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
   }
 
   auto grounding = std::make_shared<GroundRuleSet>();
+  GroundingRelease release{prof, &item.parent_grounding, &grounding};
   Status ground_status;
   if (item.parent_grounding != nullptr) {
-    // Branch: clone the parent's fixpoint state and extend it with the
-    // newly recorded choice (sound by monotonicity, Definition 3.3). The
-    // clone's matching instance is copy-on-write, so it costs one pointer
-    // per predicate until the extension actually derives new facts.
+    // Branch: share the parent's grounding and extend it with the newly
+    // recorded choice (sound by monotonicity, Definition 3.3). The clone
+    // shares the parent's rule segments and, copy-on-write, its matching
+    // instance: it costs a pointer per rule and per predicate, and the
+    // extension pays only for the rules and facts it derives.
+    const uint64_t branch_start_ns = prof != nullptr ? MonotonicNanos() : 0;
     *grounding = item.parent_grounding->Clone();
+    if (prof != nullptr) {
+      prof->branch_time_ns += MonotonicNanos() - branch_start_ns;
+    }
     ground_status = grounder_->Extend(item.choices, item.new_active,
                                       grounding.get());
   } else {

@@ -16,11 +16,11 @@
 
 namespace gdlog {
 
-/// One chase node awaiting expansion. The parent's grounding fixpoint
-/// state is shared read-only (never mutated after the parent finishes);
-/// each child clones it and extends the clone. The grounding's heads()
-/// carries the whole matching instance, so no separate fact store rides
-/// along.
+/// One chase node awaiting expansion. The parent's grounding is shared
+/// read-only (never mutated after the parent finishes); each child clones
+/// it, which shares its rule segments and matching instance, and extends
+/// the clone. The grounding's heads() carries the whole matching
+/// instance, so no separate fact store rides along.
 struct ChaseEngine::WorkItem {
   ChoiceSet choices;
   Prob path_prob = Prob::One();

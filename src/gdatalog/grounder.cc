@@ -1,7 +1,6 @@
 #include "gdatalog/grounder.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
 #include "obs/histogram.h"
@@ -92,14 +91,49 @@ bool NegativeBodyHits(const CompiledRule& rule, const BindingFrame& frame,
   return false;
 }
 
+/// Inserts the chosen Result atom of Active atom `atom`, if Σ records a
+/// choice for it (heads(Σ) of the choice set takes part in matching,
+/// Definition 3.4 uses Σ' = Σ∄ ∪ Σ).
+void CascadeChoice(const TranslatedProgram& translated,
+                   const ChoiceSet& choices, const GroundAtom& atom,
+                   FactStore* heads) {
+  const DeltaSignature* sig = translated.SignatureByActive(atom.predicate);
+  if (sig == nullptr) return;
+  auto outcome = choices.Lookup(atom);
+  if (!outcome) return;
+  heads->Insert(ChoiceSet::ResultAtom(sig->result_pred, atom, *outcome));
+}
+
+/// The entry cascade of a grounding call (see EntryCascade).
+void CascadeOnEntry(const TranslatedProgram& translated,
+                    const ChoiceSet& choices, const EntryCascade& entry,
+                    FactStore* heads) {
+  if (entry.active != nullptr) {
+    CascadeChoice(translated, choices, *entry.active, heads);
+    return;
+  }
+  if (!entry.scan) return;
+  for (const DeltaSignature& sig : translated.signatures()) {
+    // Collect first: inserting may detach the relation being read.
+    std::vector<GroundAtom> chosen;
+    for (const Tuple& row : heads->Rows(sig.active_pred)) {
+      GroundAtom active{sig.active_pred, row};
+      if (choices.Defined(active)) chosen.push_back(std::move(active));
+    }
+    for (const GroundAtom& active : chosen) {
+      CascadeChoice(translated, choices, active, heads);
+    }
+  }
+}
+
 }  // namespace
 
 Status RunGroundingFixpoint(const TranslatedProgram& translated,
                             const std::vector<const CompiledRule*>& rules,
                             const std::vector<uint32_t>& body_preds,
                             const ChoiceSet& choices, bool check_negative,
-                            GroundRuleSet* out, bool resume,
-                            MatchStats* stats,
+                            GroundRuleSet* out, EntryCascade entry,
+                            bool resume, MatchStats* stats,
                             const std::unordered_map<uint32_t, uint32_t>*
                                 seed_watermarks) {
   FactStore* heads = out->mutable_heads();
@@ -125,44 +159,16 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
     snapshot_old();
   }
 
-  // Cascades an inserted Active atom into its chosen Result atom
-  // (heads(Σ) of the choice set takes part in matching, Definition 3.4
-  // uses Σ' = Σ∄ ∪ Σ).
-  std::function<void(const GroundAtom&)> cascade =
-      [&](const GroundAtom& atom) {
-        const DeltaSignature* sig =
-            translated.SignatureByActive(atom.predicate);
-        if (sig == nullptr) return;
-        auto outcome = choices.Lookup(atom);
-        if (!outcome) return;
-        GroundAtom result =
-            ChoiceSet::ResultAtom(sig->result_pred, atom, *outcome);
-        if (heads->Insert(result)) cascade(result);
-      };
-
+  // Every head insertion cascades its Active atom's chosen Result atom, so
+  // on return each chosen Active atom of the instance has its Result atom
+  // there; only what entered without that cascade needs the entry pass,
+  // run after the resume snapshot so its Result atoms are the delta.
+  CascadeOnEntry(translated, choices, entry, heads);
   auto add_ground_rule = [&](GroundRule gr) {
     bool new_head = false;
     const GroundRule* stored = out->AddAndGet(std::move(gr), &new_head);
-    if (new_head) cascade(stored->head);
+    if (new_head) CascadeChoice(translated, choices, stored->head, heads);
   };
-
-  // Catch up on Active atoms that entered the instance before this call
-  // (e.g. in an earlier stratum) whose choices were not yet cascaded.
-  for (const DeltaSignature& sig : translated.signatures()) {
-    std::vector<GroundAtom> to_cascade;
-    for (const Tuple& row : heads->Rows(sig.active_pred)) {
-      GroundAtom active{sig.active_pred, row};
-      auto outcome = choices.Lookup(active);
-      if (outcome) {
-        GroundAtom result =
-            ChoiceSet::ResultAtom(sig.result_pred, active, *outcome);
-        if (!heads->Contains(result)) to_cascade.push_back(result);
-      }
-    }
-    for (GroundAtom& r : to_cascade) {
-      if (heads->Insert(r)) cascade(r);
-    }
-  }
 
   MatchStats local;
   BindingFrame empty_frame;
@@ -326,8 +332,8 @@ SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
   ChoiceSet no_choices;
   Status status = RunGroundingFixpoint(
       *translated_, all_rules_, body_preds_, no_choices,
-      /*check_negative=*/false, &root, /*resume=*/true, /*stats=*/nullptr,
-      &watermarks);
+      /*check_negative=*/false, &root, EntryCascade{}, /*resume=*/true,
+      /*stats=*/nullptr, &watermarks);
   if (!status.ok()) return;  // Fall back to the lazy from-scratch root.
   if (rules_refired != nullptr) {
     *rules_refired = static_cast<uint64_t>(root.size() - before);
@@ -346,7 +352,8 @@ Result<std::shared_ptr<const GroundRuleSet>> SimpleGrounder::RootGrounding(
   ChoiceSet no_choices;
   GDLOG_RETURN_IF_ERROR(RunGroundingFixpoint(
       *translated_, all_rules_, body_preds_, no_choices,
-      /*check_negative=*/false, &root, /*resume=*/false, stats));
+      /*check_negative=*/false, &root, EntryCascade{}, /*resume=*/false,
+      stats));
   root.mutable_heads()->Freeze();
   root_ = std::make_shared<const GroundRuleSet>(std::move(root));
   return root_;
@@ -357,13 +364,14 @@ Status SimpleGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
   // Π[D]: the database (and everything choice-independently derivable from
   // it) enters as the shared saturated root G(∅); the fixpoint resumes from
   // its clone with `choices`' Result atoms as the only new facts, which by
-  // monotonicity of Simple^∞ yields exactly G(Σ).
+  // monotonicity of Simple^∞ yields exactly G(Σ). The root was grounded
+  // without choices, so the entry pass scans its Active atoms.
   GDLOG_ASSIGN_OR_RETURN(std::shared_ptr<const GroundRuleSet> root,
                          RootGrounding(stats));
   *out = root->Clone();
   return RunGroundingFixpoint(*translated_, all_rules_, body_preds_, choices,
                               /*check_negative=*/false, out,
-                              /*resume=*/true, stats);
+                              EntryCascade::Scan(), /*resume=*/true, stats);
 }
 
 Status SimpleGrounder::Extend(const ChoiceSet& choices,
@@ -371,13 +379,12 @@ Status SimpleGrounder::Extend(const ChoiceSet& choices,
                               GroundRuleSet* out) const {
   // Monotonicity of Simple^∞ (Definition 3.4): the grounding of Σ ∪ {c}
   // is the least fixpoint reached by resuming from the grounding of Σ with
-  // c's Result atom as the only new fact. The cascade pre-pass inside the
-  // fixpoint inserts that Result atom (new_active is already in the
-  // instance and now has a recorded choice).
-  (void)new_active;
+  // c's Result atom as the only new fact. The fixpoint's entry pass
+  // inserts that Result atom (new_active is already in the instance and
+  // now has a recorded choice).
   return RunGroundingFixpoint(*translated_, all_rules_, body_preds_, choices,
                               /*check_negative=*/false, out,
-                              /*resume=*/true);
+                              EntryCascade::Of(new_active), /*resume=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +478,8 @@ bool HasPendingActive(const TranslatedProgram& translated,
 }  // namespace
 
 Status PerfectGrounder::RunStratum(size_t si, const ChoiceSet& choices,
-                                   bool resume, GroundRuleSet* out,
+                                   EntryCascade entry, bool resume,
+                                   GroundRuleSet* out,
                                    MatchStats* stats) const {
   // Stratum attribution for the per-rule profiler: the fixpoint stamps
   // each rule with the sink's current_stratum. Rule→stratum is a static
@@ -480,7 +488,7 @@ Status PerfectGrounder::RunStratum(size_t si, const ChoiceSet& choices,
   if (prof != nullptr) prof->current_stratum = static_cast<int>(si);
   Status status = RunGroundingFixpoint(
       *translated_, stratum_rules_[si], stratum_body_preds_[si], choices,
-      /*check_negative=*/true, out, resume, stats);
+      /*check_negative=*/true, out, entry, resume, stats);
   if (prof != nullptr) prof->current_stratum = -1;
   return status;
 }
@@ -499,7 +507,8 @@ Status PerfectGrounder::GroundFrom(size_t first, const ChoiceSet& choices,
     }
     if (stratum_rules_[si].empty()) continue;
     GDLOG_RETURN_IF_ERROR(
-        RunStratum(si, choices, /*resume=*/false, out, stats));
+        RunStratum(si, choices, EntryCascade{}, /*resume=*/false, out,
+                   stats));
   }
   if (HasPendingActive(*translated_, out->heads(), choices)) {
     out->set_stall_stage(static_cast<uint32_t>(stratum_rules_.size()));
@@ -509,7 +518,7 @@ Status PerfectGrounder::GroundFrom(size_t first, const ChoiceSet& choices,
   if (constraint_rules_.empty()) return Status::OK();
   return RunGroundingFixpoint(*translated_, constraint_rules_,
                               constraint_body_preds_, choices,
-                              /*check_negative=*/true, out,
+                              /*check_negative=*/true, out, EntryCascade{},
                               /*resume=*/false, stats);
 }
 
@@ -517,6 +526,13 @@ Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
                                MatchStats* stats) const {
   *out = db_base_->Clone();
   for (const GroundRule& fact : db_tail_) out->Add(fact);
+  // The one entry scan of this call: D's own Active atoms and, for a chase
+  // node that arrives with a whole choice set (a shard task), every
+  // choice among them. Each stratum grounds from scratch, so these Result
+  // atoms count as new there; every later Active atom is cascaded as it
+  // is derived.
+  CascadeOnEntry(*translated_, choices, EntryCascade::Scan(),
+                 out->mutable_heads());
   return GroundFrom(0, choices, out, stats);
 }
 
@@ -532,12 +548,16 @@ Status PerfectGrounder::Extend(const ChoiceSet& choices,
   }
   // The stall check before stratum `stall` failed, the one before
   // stall - 1 passed: the new choice's Active atom was derived by stratum
-  // stall - 1, whose fixpoint resumes from the Result atom the cascade
-  // pre-pass inserts for it. (A stall at 0 means D itself holds Active
-  // atoms; no stratum has run yet.)
+  // stall - 1, whose fixpoint resumes from the Result atom its entry pass
+  // inserts for it. (A stall at 0 means D itself holds Active atoms; no
+  // stratum has run yet, and all of them ground from scratch.)
   if (stall > 0) {
-    GDLOG_RETURN_IF_ERROR(
-        RunStratum(stall - 1, choices, /*resume=*/true, out, nullptr));
+    GDLOG_RETURN_IF_ERROR(RunStratum(stall - 1, choices,
+                                     EntryCascade::Of(new_active),
+                                     /*resume=*/true, out, nullptr));
+  } else {
+    CascadeOnEntry(*translated_, choices, EntryCascade::Of(new_active),
+                   out->mutable_heads());
   }
   return GroundFrom(stall, choices, out, nullptr);
 }

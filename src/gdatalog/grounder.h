@@ -17,6 +17,21 @@
 
 namespace gdlog {
 
+/// Which Active atoms of its instance a grounding call cascades into their
+/// chosen Result atoms on entry. Inserting a rule head cascades that
+/// head's choice, so after any grounding call every chosen Active atom of
+/// heads() already has its Result atom there: a Ground() scans once, for
+/// the Active atoms it inherits (D's facts, a root grounded without
+/// choices) and the choices it arrives with; an Extend cascades just its
+/// new choice; every other call cascades nothing.
+struct EntryCascade {
+  bool scan = false;                   ///< every Active atom of the instance
+  const GroundAtom* active = nullptr;  ///< just this one (Extend's choice)
+
+  static EntryCascade Scan() { return {true, nullptr}; }
+  static EntryCascade Of(const GroundAtom& atom) { return {false, &atom}; }
+};
+
 /// A grounder G of Π[D] (Definition 3.3): a monotone map from functionally
 /// consistent sets Σ of ground AtR TGDs (ChoiceSet) to subsets of
 /// ground(Σ∄_Π[D]) such that, whenever AtR_Σ is compatible with G(Σ), the
@@ -47,7 +62,9 @@ class Grounder {
   /// `choices`. Grounders are monotone in the choice set (Definition 3.3),
   /// so G(Σ ∪ {c}) is the fixpoint resumed from G(Σ) with c's Result atom
   /// as the only new fact: the chase extends each child from a clone of
-  /// its parent's grounding instead of re-deriving it.
+  /// its parent's grounding (which shares the parent's rules) instead of
+  /// re-deriving it. Only new_active's choice is cascaded: every other
+  /// chosen Active atom of `out` already has its Result atom there.
   virtual Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
                         GroundRuleSet* out) const = 0;
 
@@ -201,8 +218,8 @@ class PerfectGrounder : public Grounder {
                     GroundRuleSet* out, MatchStats* stats) const;
   /// Runs stratum `si`'s fixpoint, resumed or from scratch, attributing
   /// the work to `si` in the per-rule profile.
-  Status RunStratum(size_t si, const ChoiceSet& choices, bool resume,
-                    GroundRuleSet* out, MatchStats* stats) const;
+  Status RunStratum(size_t si, const ChoiceSet& choices, EntryCascade entry,
+                    bool resume, GroundRuleSet* out, MatchStats* stats) const;
 
   /// Everything Create/CreateDelta share: strata, rule compilation, body
   /// predicate sets — all but the database prefix.
@@ -239,13 +256,13 @@ std::vector<GroundAtom> FindTriggers(const TranslatedProgram& translated,
 /// Shared Simple^∞ / Perfect^∞ fixpoint machinery (used by both grounders).
 /// Starts from the rules/facts already in `out`, whose heads() is the
 /// matching instance (it also holds Result atoms contributed by earlier
-/// `choices` cascades); saturates `rules` (compiled to slot form by the
-/// owning grounder) and returns. With `check_negative`, a rule instance is
-/// added only if its negative body misses the instance (Perfect
-/// semantics). With `resume`, only facts cascaded by newly applicable
-/// choices are treated as new (incremental continuation of an earlier
-/// fixpoint). With `stats` non-null, compiled-join counters accumulate
-/// into it.
+/// `choices` cascades); cascades the choices `entry` names, then
+/// saturates `rules` (compiled to slot form by the owning grounder) and
+/// returns. With `check_negative`, a rule instance is added only if its
+/// negative body misses the instance (Perfect semantics). With `resume`,
+/// only the facts the entry cascade inserts are treated as new
+/// (incremental continuation of an earlier fixpoint). With `stats`
+/// non-null, compiled-join counters accumulate into it.
 /// `body_preds` must list the positive-body predicates of `rules`, sorted
 /// and unique (the grounders precompute it once; it drives the delta
 /// watermarks).
@@ -260,8 +277,8 @@ Status RunGroundingFixpoint(
     const TranslatedProgram& translated,
     const std::vector<const CompiledRule*>& rules,
     const std::vector<uint32_t>& body_preds, const ChoiceSet& choices,
-    bool check_negative, GroundRuleSet* out, bool resume = false,
-    MatchStats* stats = nullptr,
+    bool check_negative, GroundRuleSet* out, EntryCascade entry,
+    bool resume = false, MatchStats* stats = nullptr,
     const std::unordered_map<uint32_t, uint32_t>* seed_watermarks = nullptr);
 
 }  // namespace gdlog

@@ -312,14 +312,15 @@ OutcomeSpace MergePartialSpaces(std::vector<PartialSpace> partials,
 
 Result<OutcomeSpace> ShardedExplore(const ChaseEngine& engine,
                                     const ChaseOptions& options,
-                                    size_t num_shards, size_t prefix_depth) {
+                                    size_t num_shards, size_t prefix_depth,
+                                    ChaseProfile* profile) {
   GDLOG_ASSIGN_OR_RETURN(ShardPlan plan,
                          engine.PlanShards(options, num_shards, prefix_depth));
   std::vector<PartialSpace> partials;
   partials.reserve(plan.num_shards);
   for (size_t shard = 0; shard < plan.num_shards; ++shard) {
     GDLOG_ASSIGN_OR_RETURN(PartialSpace partial,
-                           engine.ExploreShard(plan, shard, options));
+                           engine.ExploreShard(plan, shard, options, profile));
     partials.push_back(std::move(partial));
   }
   return MergePartialSpaces(std::move(partials), options.max_outcomes);

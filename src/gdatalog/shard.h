@@ -166,11 +166,13 @@ class StreamingMerger {
 /// In-process driver: plans `num_shards` shards, explores each one
 /// (sequentially, in this process) and merges. Backs `gdlog_cli --shards`;
 /// the fleet (server/fleet.h) runs the same plan/explore/merge across
-/// processes.
+/// processes. With options.profile and `profile` non-null, every shard's
+/// exploration is profiled into `profile` (the planning prefix is not).
 Result<OutcomeSpace> ShardedExplore(const ChaseEngine& engine,
                                     const ChaseOptions& options,
                                     size_t num_shards,
-                                    size_t prefix_depth = 0);
+                                    size_t prefix_depth = 0,
+                                    ChaseProfile* profile = nullptr);
 
 }  // namespace gdlog
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -65,10 +66,10 @@ struct GroundRule {
            positive == other.positive && negative == other.negative;
   }
 
-  /// Memoized (rules are immutable once stored; the incremental chase
-  /// re-hashes every rule on every Clone, so this is hot). The relaxed
-  /// atomic keeps concurrent first computations race-free; both writers
-  /// store the same value.
+  /// Memoized (rules are immutable once stored, and a GroundRuleSet
+  /// probes every segment of its chain with the same rule on insertion).
+  /// The relaxed atomic keeps concurrent first computations race-free;
+  /// both writers store the same value.
   size_t Hash() const {
     size_t cached = cached_hash_.load(std::memory_order_relaxed);
     if (cached != 0) return cached;
@@ -119,12 +120,18 @@ struct GroundRuleHash {
 /// rule head plus the Result atoms the grounding layer cascades from the
 /// choice set — i.e. heads(Σ' ∪ Σ), the instance Definition 3.4 matches
 /// against — so the fixpoint needs no second fact store.
+///
+/// The rules live in a chain of segments shared between clones, oldest
+/// first (VLog's FCTable stores relations the same way: chains of
+/// immutable, shared blocks). Only a segment this set alone holds is ever
+/// appended to; once Clone() shares it, both sides open a fresh tail on
+/// their next insertion. Branching thus copies no rule, and dropping a set
+/// frees only the rules it added itself.
 class GroundRuleSet {
  public:
   GroundRuleSet() = default;
 
-  // Move-only: rules_ holds pointers into set_'s nodes, which survive moves
-  // (unordered_set nodes are stable) but not copies.
+  // Move-only, so that every branch point is an explicit Clone().
   GroundRuleSet(const GroundRuleSet&) = delete;
   GroundRuleSet& operator=(const GroundRuleSet&) = delete;
   GroundRuleSet(GroundRuleSet&&) = default;
@@ -140,7 +147,16 @@ class GroundRuleSet {
   /// duplicates, constraints, and heads another rule already derived.
   const GroundRule* AddAndGet(GroundRule rule, bool* new_head = nullptr) {
     if (new_head != nullptr) *new_head = false;
-    auto [it, inserted] = set_.insert(std::move(rule));
+    // The same use_count copy-on-write as FactStore::MutableRelation: a
+    // tail some clone also holds is frozen, so open a private one.
+    const bool own_tail =
+        !segments_.empty() && segments_.back().use_count() == 1;
+    const size_t shared = segments_.size() - (own_tail ? 1 : 0);
+    for (size_t i = 0; i < shared; ++i) {
+      if (segments_[i]->count(rule) != 0) return nullptr;
+    }
+    if (!own_tail) segments_.push_back(std::make_shared<Segment>());
+    auto [it, inserted] = segments_.back()->insert(std::move(rule));
     if (!inserted) return nullptr;
     rules_.push_back(&*it);
     if (!it->is_constraint) {
@@ -150,7 +166,12 @@ class GroundRuleSet {
     return &*it;
   }
 
-  bool Contains(const GroundRule& rule) const { return set_.count(rule) != 0; }
+  bool Contains(const GroundRule& rule) const {
+    for (const std::shared_ptr<Segment>& segment : segments_) {
+      if (segment->count(rule) != 0) return true;
+    }
+    return false;
+  }
 
   /// Insertion-ordered view of the rules.
   const std::vector<const GroundRule*>& rules() const { return rules_; }
@@ -174,19 +195,16 @@ class GroundRuleSet {
   uint32_t stall_stage() const { return stall_stage_; }
   void set_stall_stage(uint32_t stage) { stall_stage_ = stage; }
 
-  /// Deep copy of the rule set; the matching instance copies copy-on-write
-  /// (a pointer per predicate). Used by the incremental chase to branch
-  /// grounding state per child.
+  /// A copy that shares this set's rule segments and, copy-on-write, its
+  /// matching instance (a pointer per predicate): it copies the rules()
+  /// view, not the rules. The incremental chase branches each child's
+  /// grounding this way.
   GroundRuleSet Clone() const {
     GroundRuleSet copy;
+    copy.segments_ = segments_;
+    copy.rules_ = rules_;
     copy.heads_ = heads_;
     copy.stall_stage_ = stall_stage_;
-    copy.rules_.reserve(rules_.size());
-    for (const GroundRule* rule : rules_) {
-      auto [it, inserted] = copy.set_.insert(*rule);
-      (void)inserted;
-      copy.rules_.push_back(&*it);
-    }
     return copy;
   }
 
@@ -200,7 +218,9 @@ class GroundRuleSet {
   }
 
  private:
-  std::unordered_set<GroundRule, GroundRuleHash> set_;
+  using Segment = std::unordered_set<GroundRule, GroundRuleHash>;
+
+  std::vector<std::shared_ptr<Segment>> segments_;
   std::vector<const GroundRule*> rules_;
   FactStore heads_;
   uint32_t stall_stage_ = kNoStall;

@@ -43,6 +43,8 @@ void ChaseProfile::Merge(const ChaseProfile& other) {
   nodes += other.nodes;
   ground_calls += other.ground_calls;
   ground_time_ns += other.ground_time_ns;
+  branch_time_ns += other.branch_time_ns;
+  release_time_ns += other.release_time_ns;
   solve_calls += other.solve_calls;
   solve_nodes += other.solve_nodes;
   solve_time_ns += other.solve_time_ns;
@@ -62,12 +64,14 @@ std::string FormatChaseProfileTable(
   char line[256];
   auto ms = [](uint64_t ns) { return static_cast<double>(ns) / 1e6; };
   std::snprintf(line, sizeof(line),
-                "chase profile: %llu nodes, ground %llu calls %.3f ms, "
+                "chase profile: %llu nodes, ground %llu calls %.3f ms "
+                "(branch %.3f ms), release %.3f ms, "
                 "solve %llu calls %.3f ms, solve_nodes %llu "
                 "(times non-deterministic)\n",
                 static_cast<unsigned long long>(profile.nodes),
                 static_cast<unsigned long long>(profile.ground_calls),
-                ms(profile.ground_time_ns),
+                ms(profile.ground_time_ns), ms(profile.branch_time_ns),
+                ms(profile.release_time_ns),
                 static_cast<unsigned long long>(profile.solve_calls),
                 ms(profile.solve_time_ns),
                 static_cast<unsigned long long>(profile.solve_nodes));

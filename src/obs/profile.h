@@ -42,6 +42,12 @@ struct ChaseProfile {
   uint64_t nodes = 0;         ///< chase nodes expanded
   uint64_t ground_calls = 0;  ///< Ground/Extend invocations
   uint64_t ground_time_ns = 0;
+  /// The part of ground_time_ns spent branching: cloning the parent's
+  /// grounding before an Extend.
+  uint64_t branch_time_ns = 0;
+  /// Dropping each node's grounding (and, with its last child, its
+  /// parent's) once the node is done.
+  uint64_t release_time_ns = 0;
   uint64_t solve_calls = 0;  ///< stable-model solves (leaves)
   uint64_t solve_nodes = 0;  ///< solver search nodes over those solves
   uint64_t solve_time_ns = 0;

@@ -1,12 +1,14 @@
-// FactStore, homomorphism Matcher, and DependencyGraph tests.
+// FactStore, GroundRuleSet, homomorphism Matcher, and DependencyGraph tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "ast/parser.h"
 #include "ground/dependency_graph.h"
 #include "ground/fact_store.h"
+#include "ground/ground_rule.h"
 #include "ground/matcher.h"
 
 namespace gdlog {
@@ -107,6 +109,111 @@ TEST(GroundAtomT, OrderingIsTotalAndConsistent) {
   EXPECT_LT(a, c);
   EXPECT_FALSE(a < a);
   EXPECT_EQ(a.Hash(), (GroundAtom{1, {Value::Int(1)}}.Hash()));
+}
+
+// ---------------------------------------------------------------------------
+// GroundRuleSet: rule segments shared between clones
+// ---------------------------------------------------------------------------
+
+/// p(v) :- q(v), or the fact p(v) with `body` false.
+GroundRule RuleFor(int64_t v, bool body = true) {
+  GroundRule rule;
+  rule.head = GroundAtom{1, {Value::Int(v)}};
+  if (body) rule.positive.push_back(GroundAtom{2, {Value::Int(v)}});
+  return rule;
+}
+
+GroundRuleSet SetOf(std::initializer_list<int64_t> values) {
+  GroundRuleSet set;
+  for (int64_t v : values) EXPECT_TRUE(set.Add(RuleFor(v)));
+  return set;
+}
+
+TEST(GroundRuleSetSharing, CloneSharesTheParentsRuleObjects) {
+  GroundRuleSet parent = SetOf({1, 2, 3});
+  ASSERT_TRUE(parent.Add(RuleFor(4, /*body=*/false)));
+  GroundRuleSet clone = parent.Clone();
+  ASSERT_EQ(clone.size(), parent.size());
+  // Pointer-equal: branching copied no GroundRule.
+  for (size_t i = 0; i < parent.size(); ++i) {
+    EXPECT_EQ(clone.rules()[i], parent.rules()[i]) << "rule " << i;
+  }
+  EXPECT_TRUE(clone.Contains(RuleFor(2)));
+  EXPECT_TRUE(clone.heads().Contains(GroundAtom{1, {Value::Int(4)}}));
+}
+
+TEST(GroundRuleSetSharing, AddToACloneIsInvisibleToParentAndSibling) {
+  GroundRuleSet parent = SetOf({1, 2});
+  GroundRuleSet left = parent.Clone();
+  GroundRuleSet right = parent.Clone();
+  EXPECT_TRUE(left.Add(RuleFor(10)));
+  EXPECT_TRUE(right.Add(RuleFor(20)));
+  EXPECT_EQ(parent.size(), 2u);
+  EXPECT_EQ(left.size(), 3u);
+  EXPECT_EQ(right.size(), 3u);
+  EXPECT_FALSE(parent.Contains(RuleFor(10)));
+  EXPECT_FALSE(parent.Contains(RuleFor(20)));
+  EXPECT_FALSE(right.Contains(RuleFor(10)));
+  EXPECT_FALSE(left.Contains(RuleFor(20)));
+  EXPECT_FALSE(parent.heads().Contains(GroundAtom{1, {Value::Int(10)}}));
+  EXPECT_FALSE(right.heads().Contains(GroundAtom{1, {Value::Int(10)}}));
+  // Each side may add the rule the other added: it is new to that side.
+  EXPECT_TRUE(right.Add(RuleFor(10)));
+  EXPECT_TRUE(parent.Add(RuleFor(20)));
+}
+
+TEST(GroundRuleSetSharing, AddToTheParentAfterCloneIsInvisibleToTheClone) {
+  GroundRuleSet parent = SetOf({1, 2});
+  GroundRuleSet clone = parent.Clone();
+  EXPECT_TRUE(parent.Add(RuleFor(3)));
+  EXPECT_EQ(parent.size(), 3u);
+  EXPECT_EQ(clone.size(), 2u);
+  EXPECT_FALSE(clone.Contains(RuleFor(3)));
+  EXPECT_FALSE(clone.heads().Contains(GroundAtom{1, {Value::Int(3)}}));
+  EXPECT_TRUE(clone.Add(RuleFor(3)));
+}
+
+TEST(GroundRuleSetSharing, RuleOfAnAncestorSegmentIsADuplicate) {
+  GroundRuleSet grandparent = SetOf({1, 2});
+  GroundRuleSet parent = grandparent.Clone();
+  ASSERT_TRUE(parent.Add(RuleFor(3)));
+  GroundRuleSet child = parent.Clone();
+  ASSERT_TRUE(child.Add(RuleFor(4)));
+  // Stored only in the grandparent's segment, then only in the parent's.
+  EXPECT_FALSE(child.Add(RuleFor(1)));
+  EXPECT_FALSE(child.Add(RuleFor(3)));
+  bool new_head = true;
+  EXPECT_EQ(child.AddAndGet(RuleFor(2), &new_head), nullptr);
+  EXPECT_FALSE(new_head);
+  EXPECT_EQ(child.size(), 4u);
+  // A rule of the child's own tail is a duplicate, too.
+  EXPECT_FALSE(child.Add(RuleFor(4)));
+  EXPECT_EQ(child.size(), 4u);
+}
+
+TEST(GroundRuleSetSharing, CloneStaysReadableAfterItsParentIsDestroyed) {
+  auto parent = std::make_unique<GroundRuleSet>(SetOf({1, 2, 3}));
+  GroundRuleSet clone = parent->Clone();
+  ASSERT_TRUE(clone.Add(RuleFor(4)));
+  parent.reset();
+  ASSERT_EQ(clone.size(), 4u);
+  for (size_t i = 0; i < clone.size(); ++i) {
+    EXPECT_EQ(clone.rules()[i]->head,
+              (GroundAtom{1, {Value::Int(static_cast<int64_t>(i) + 1)}}));
+  }
+  EXPECT_TRUE(clone.Contains(RuleFor(1)));
+  EXPECT_FALSE(clone.Add(RuleFor(2)));
+  EXPECT_TRUE(clone.Add(RuleFor(5)));
+}
+
+TEST(GroundRuleSetSharing, CloneCarriesTheStallStage) {
+  GroundRuleSet parent = SetOf({1});
+  EXPECT_EQ(parent.Clone().stall_stage(), GroundRuleSet::kNoStall);
+  parent.set_stall_stage(2);
+  GroundRuleSet clone = parent.Clone();
+  EXPECT_EQ(clone.stall_stage(), 2u);
+  clone.set_stall_stage(GroundRuleSet::kNoStall);
+  EXPECT_EQ(parent.stall_stage(), 2u);
 }
 
 // ---------------------------------------------------------------------------

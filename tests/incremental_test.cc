@@ -160,10 +160,13 @@ struct Walk {
 /// first trigger or, with `shuffle`, a seeded pick, over every value of
 /// its (finite) support. Every node is grounded from scratch by
 /// Grounder::Ground, and every node below the root also as Clone()+Extend
-/// of its parent's grounding; the two must agree. A leaf's models are
-/// AllStableModels over the from-scratch grounding, and SolveOutcome over
-/// the extended one must match them. Only the perfect grounder stalls, and
-/// it stalls exactly at inner nodes.
+/// of its parent's grounding; the two must agree. Depth-2 nodes hand their
+/// children the from-scratch grounding instead, as a shard task's root
+/// does, so Extend also runs below a Ground() whose entry scan cascaded a
+/// non-empty choice set. A leaf's models are AllStableModels over the
+/// from-scratch grounding, and SolveOutcome over the extended one must
+/// match them. Only the perfect grounder stalls, and it stalls exactly at
+/// inner nodes.
 Walk WalkChase(const GDatalog& engine, uint64_t shuffle) {
   struct Node {
     ChoiceSet choices;
@@ -214,7 +217,8 @@ Walk WalkChase(const GDatalog& engine, uint64_t shuffle) {
       child.choices = node.choices;
       child.choices.Assign(trigger, value);
       child.prob = node.prob * sig->dist->Pmf(params, value);
-      child.grounding = node.grounding.Clone();
+      child.grounding = node.choices.size() == 2 ? scratch.Clone()
+                                                 : node.grounding.Clone();
       Status status = grounder.Extend(child.choices, trigger,
                                       &child.grounding);
       EXPECT_TRUE(status.ok()) << status.ToString();

@@ -289,7 +289,41 @@ TEST(ChaseProfileCounts, TableLabelsRulesAndFlagsTimes) {
       FormatChaseProfileTable(profile, engine->SigmaRuleLabels());
   EXPECT_NE(table.find("chase profile"), std::string::npos);
   EXPECT_NE(table.find("non-deterministic"), std::string::npos);
+  EXPECT_NE(table.find("(branch "), std::string::npos);
+  EXPECT_NE(table.find("release "), std::string::npos);
   EXPECT_NE(table.find("r0:"), std::string::npos);
+}
+
+TEST(ChaseProfileCounts, BranchAndReleaseTotalsMergeAndStayZeroWhenOff) {
+  ChaseProfile a;
+  a.branch_time_ns = 3;
+  a.release_time_ns = 5;
+  ChaseProfile b;
+  b.branch_time_ns = 7;
+  b.release_time_ns = 11;
+  a.Merge(b);
+  EXPECT_EQ(a.branch_time_ns, 10u);
+  EXPECT_EQ(a.release_time_ns, 16u);
+
+  // Every child node branches and every node is released; branching is a
+  // part of grounding.
+  for (size_t threads : {1, 4}) {
+    ChaseProfile on = ProfileAt(threads);
+    EXPECT_GT(on.branch_time_ns, 0u) << threads << " threads";
+    EXPECT_LE(on.branch_time_ns, on.ground_time_ns) << threads << " threads";
+    EXPECT_GT(on.release_time_ns, 0u) << threads << " threads";
+  }
+
+  auto engine = GDatalog::Create(kNetworkProgram, kClique3Db);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ChaseOptions chase;
+  chase.num_threads = 4;
+  ChaseProfile off;
+  ASSERT_TRUE(engine->Infer(chase, &off).ok());
+  EXPECT_EQ(off.branch_time_ns, 0u);
+  EXPECT_EQ(off.release_time_ns, 0u);
+  EXPECT_EQ(off.ground_time_ns, 0u);
+  EXPECT_TRUE(off.empty());
 }
 
 // ---------------------------------------------------------------------------

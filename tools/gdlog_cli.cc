@@ -63,11 +63,15 @@
 //   --profile             exact mode: collect the per-rule chase profile
 //                         (calls, bindings, derivations, stratum, wall
 //                         time per Σ_Π rule; per-depth node/ground/solve
-//                         accounting) and print it after the report
-//                         (stderr with --json, so the JSON stream — which
-//                         stays byte-identical to a run without
-//                         --profile — is unaffected). Counts are exactly
-//                         reproducible for any --threads; times are not
+//                         accounting; branch and release totals) and print
+//                         it after the report (stderr with --json or
+//                         --shard-index, so the JSON stream — which stays
+//                         byte-identical to a run without --profile — is
+//                         unaffected). With --shards it profiles every
+//                         shard's exploration. Counts are exactly
+//                         reproducible for any --threads; times are not.
+//                         Not with --mc or --merge, which run no profiled
+//                         chase
 //   --stats               print optimization-pass and grounding statistics
 //                         for G(∅) — per-pass rewrites and wall time,
 //                         ground rules, complete bindings, index /
@@ -243,6 +247,10 @@ CliOptions ParseArgs(int argc, char** argv) {
   if (opts.mc_samples > 0 && (opts.shards > 0 || !opts.merge_files.empty())) {
     Usage(argv[0], "sharding applies to exact mode only (drop --mc)");
   }
+  if (opts.profile && (opts.mc_samples > 0 || !opts.merge_files.empty())) {
+    Usage(argv[0], "--profile applies to exact exploration only "
+                   "(drop --mc / --merge)");
+  }
   if (opts.normalgrid_max_cells >= 0 && !opts.extensions) {
     Usage(argv[0], "--normalgrid-max-cells requires --extensions");
   }
@@ -261,6 +269,17 @@ gdlog::ChaseOptions MakeChaseOptions(const CliOptions& opts) {
 
 int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
                 const CliOptions& opts);
+
+// --profile: prints the chase profile after the report — to stderr when
+// stdout carries JSON (a --json document or a --shard-index partial), so
+// that stream stays byte-identical to a run without --profile.
+void PrintProfile(const gdlog::GDatalog& engine,
+                  const gdlog::ChaseProfile& profile, bool to_stderr) {
+  std::fputs(
+      gdlog::FormatChaseProfileTable(profile, engine.SigmaRuleLabels())
+          .c_str(),
+      to_stderr ? stderr : stdout);
+}
 
 // The predicate name of a query atom in surface syntax ("infected(2, 1)"
 // → "infected"); empty when the text has no leading name.
@@ -373,15 +392,7 @@ int RunExact(const gdlog::GDatalog& engine, const CliOptions& opts) {
     return 1;
   }
   int code = ReportSpace(engine, *space, opts);
-  if (code == 0 && opts.profile) {
-    // To stderr under --json so the JSON document on stdout stays
-    // byte-identical to a run without --profile.
-    std::FILE* dst = opts.json ? stderr : stdout;
-    std::fputs(
-        gdlog::FormatChaseProfileTable(profile, engine.SigmaRuleLabels())
-            .c_str(),
-        dst);
-  }
+  if (code == 0 && opts.profile) PrintProfile(engine, profile, opts.json);
   if (code == 0 && opts.stats) {
     PrintOptStats(engine, opts);
     PrintDeltaStats(engine, opts);
@@ -483,7 +494,9 @@ int RunShardWorker(const gdlog::GDatalog& engine, const CliOptions& opts) {
                  plan.status().ToString().c_str());
     return 1;
   }
-  auto partial = engine.chase().ExploreShard(*plan, opts.shard_index, chase);
+  gdlog::ChaseProfile profile;
+  auto partial = engine.chase().ExploreShard(*plan, opts.shard_index, chase,
+                                             &profile);
   if (!partial.ok()) {
     std::fprintf(stderr, "shard %zu error: %s\n", opts.shard_index,
                  partial.status().ToString().c_str());
@@ -495,6 +508,7 @@ int RunShardWorker(const gdlog::GDatalog& engine, const CliOptions& opts) {
               gdlog::PartialSpaceToJson(*partial, meta,
                                         engine.program().interner())
                   .c_str());
+  if (opts.profile) PrintProfile(engine, profile, /*to_stderr=*/true);
   return 0;
 }
 
@@ -546,14 +560,18 @@ int MergeAndReport(const gdlog::GDatalog& engine, const CliOptions& opts,
 // shard in this process and merge (ShardedExplore), then report exactly
 // like an unsharded run.
 int RunSharded(const gdlog::GDatalog& engine, const CliOptions& opts) {
-  auto space = gdlog::ShardedExplore(engine.chase(), MakeChaseOptions(opts),
-                                     opts.shards, opts.shard_prefix_depth);
+  gdlog::ChaseProfile profile;
+  auto space =
+      gdlog::ShardedExplore(engine.chase(), MakeChaseOptions(opts),
+                            opts.shards, opts.shard_prefix_depth, &profile);
   if (!space.ok()) {
     std::fprintf(stderr, "sharded inference error: %s\n",
                  space.status().ToString().c_str());
     return 1;
   }
-  return ReportSpace(engine, *space, opts);
+  int code = ReportSpace(engine, *space, opts);
+  if (code == 0 && opts.profile) PrintProfile(engine, profile, opts.json);
+  return code;
 }
 
 // Merge mode (--merge FILE...): recombine partials written by workers run
@@ -709,7 +727,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Worker mode prints nothing but the partial-space JSON.
+  // Worker mode prints nothing on stdout but the partial-space JSON.
   if (opts.shard_index != kNoShardIndex) return RunShardWorker(*engine, opts);
 
   if (!opts.json) {
