@@ -208,21 +208,21 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
   bool equivalent = PipelineEquivalent(state->db_summary, bs.db_summary);
   state->delta_stats.summary_changed = !equivalent;
 
-  // Does the delta touch any rule body of Π? Checked against Π itself (via
-  // the IR's use index), which is conservative for every derived engine
-  // variant — a transformed body only ever mentions Π body predicates plus
-  // synthesized "__"-prefixed ones, which the name guard covers. The
-  // serving layer keys cache revalidation off this bit.
-  {
-    ProgramIr ir = ProgramIr::LiftPlain(state->program, interner.get());
-    for (const auto& [pred, range] : ranges.ranges) {
-      (void)range;
-      const std::string& name = interner->Name(pred);
-      if (ir.uses().count(pred) != 0 || name.rfind("__", 0) == 0) {
-        state->delta_stats.touches_rule_bodies = true;
-        break;
-      }
+  // Does the delta touch any rule body of Π — a positive or negated
+  // literal, constraints included? Checked against Π itself, which is
+  // conservative for every derived engine variant: a transformed body only
+  // ever mentions Π body predicates plus synthesized "__"-prefixed ones,
+  // which the name guard covers. The serving layer keys cache revalidation
+  // off this bit.
+  bool& touches = state->delta_stats.touches_rule_bodies;
+  for (const Rule& rule : state->program.rules()) {
+    for (const Literal& lit : rule.body) {
+      touches |= ranges.ranges.count(lit.atom.predicate) != 0;
     }
+  }
+  for (const auto& [pred, range] : ranges.ranges) {
+    (void)range;
+    touches |= interner->Name(pred).rfind("__", 0) == 0;
   }
 
   bool reuse_pipeline = !bs.opt_stats.enabled || equivalent;

@@ -14,8 +14,8 @@
 
 namespace gdlog {
 
-/// Counters for the compiled-join hot path, reported per Materialize /
-/// Ground (and surfaced by `gdlog_cli --stats`). "Hits" count candidate-set
+/// Counters for the compiled-join hot path, reported per grounding (and
+/// surfaced by `gdlog_cli --stats`). "Hits" count candidate-set
 /// fetches, i.e. one per (partial binding, atom) pair, not per row.
 struct MatchStats {
   uint64_t index_hits = 0;            ///< Single-column index fetches.
@@ -121,7 +121,7 @@ struct CompiledAtom {
   }
 };
 
-/// A rule translated once (at evaluator/grounder construction) into slot
+/// A rule translated once (at grounder construction) into slot
 /// form: the expensive classification — variable numbering, term kinds —
 /// is paid per rule, not per binding.
 struct CompiledRule {
@@ -145,8 +145,7 @@ struct CompiledRule {
   std::vector<CompiledAtom> emit_negative;
 
   /// Stable index for the per-rule profiler (obs/profile.h): the rule's
-  /// position in its source program (Σ_Π for the grounders, Π for the
-  /// Datalog evaluator). SIZE_MAX = not attributed.
+  /// position in Σ_Π. SIZE_MAX = not attributed.
   size_t profile_index = static_cast<size_t>(-1);
 };
 
@@ -294,22 +293,12 @@ class JoinExecutor {
     return RunLevels(plan, stats, cb);
   }
 
-  /// Semi-naive form: the pivot atom is matched only against `pivot_rows`.
-  /// With `old_counts` non-null, levels flagged restrict_old see only the
-  /// first old_counts[predicate] rows of their relation (absent predicates
-  /// count as 0 — an empty "old" store).
-  template <typename CB>
-  bool ExecuteWithPivot(const JoinPlan& plan,
-                        const std::vector<Tuple>& pivot_rows,
-                        MatchStats* stats, CB&& cb,
-                        const std::unordered_map<uint32_t, uint32_t>*
-                            old_counts = nullptr) {
-    return ExecuteWithPivotRange(plan, pivot_rows, 0, pivot_rows.size(),
-                                 stats, cb, old_counts);
-  }
-
-  /// Like ExecuteWithPivot over rows [begin, end) of `pivot_rows` — the
-  /// zero-copy form for deltas that are a suffix of a relation's rows.
+  /// Semi-naive form: the pivot atom is matched only against rows
+  /// [begin, end) of `pivot_rows` — a delta that is a suffix of a
+  /// relation's rows, without copying it. With `old_counts` non-null,
+  /// levels flagged restrict_old see only the first old_counts[predicate]
+  /// rows of their relation (absent predicates count as 0 — an empty "old"
+  /// store).
   template <typename CB>
   bool ExecuteWithPivotRange(const JoinPlan& plan,
                              const std::vector<Tuple>& pivot_rows,

@@ -9,11 +9,11 @@
 namespace gdlog {
 
 /// Accumulated work of one Σ_Π rule across every grounding fixpoint of a
-/// chase (or one Materialize run). The counts — calls, bindings,
-/// derivations — are exactly reproducible for every thread count: the chase
-/// node set and each node's exactly-once semi-naive fixpoint are
-/// schedule-independent. time_ns is wall time and NOT deterministic; it is
-/// excluded from every byte-identity surface.
+/// chase. The counts — calls, bindings, derivations — are exactly
+/// reproducible for every thread count: the chase node set and each node's
+/// exactly-once semi-naive fixpoint are schedule-independent. time_ns is
+/// wall time and NOT deterministic; it is excluded from every byte-identity
+/// surface.
 struct RuleProfile {
   uint64_t calls = 0;        ///< (rule, pivot) executor invocations
   uint64_t bindings = 0;     ///< join rows enumerated for this rule

@@ -1,7 +1,6 @@
 #include "opt/ir.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <utility>
 
@@ -173,43 +172,17 @@ ProgramIr ProgramIr::LiftSigma(const Program& pi,
   return ir;
 }
 
-ProgramIr ProgramIr::LiftPlain(const Program& pi, Interner* interner) {
-  ProgramIr ir;
-  ir.interner_ = interner;
-  DependencyGraph dg(pi);
-  const std::map<uint32_t, size_t>& strata = dg.Strata();
-  ir.rules_.reserve(pi.rules().size());
-  for (size_t i = 0; i < pi.rules().size(); ++i) {
-    RuleIr rule;
-    rule.rule = pi.rules()[i];
-    rule.origin = i;
-    if (rule.rule.is_constraint) {
-      rule.stratum = kConstraintStratum;
-    } else {
-      auto it = strata.find(rule.rule.head.predicate);
-      rule.stratum = it == strata.end() ? 0 : it->second;
-    }
-    ir.rules_.push_back(std::move(rule));
-  }
-  ir.RebuildIndexes();
-  return ir;
-}
-
 void ProgramIr::RebuildIndexes() {
-  defs_.clear();
-  uses_.clear();
   arities_.clear();
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const Rule& rule = rules_[i].rule;
+  for (RuleIr& rule_ir : rules_) {
+    const Rule& rule = rule_ir.rule;
     if (!rule.is_constraint) {
-      defs_[rule.head.predicate].push_back(i);
       arities_[rule.head.predicate] = rule.head.args.size();
     }
     for (const Literal& lit : rule.body) {
-      uses_[lit.atom.predicate].push_back(i);
       arities_[lit.atom.predicate] = lit.atom.args.size();
     }
-    rules_[i].adornment = AdornRule(rule, interner_);
+    rule_ir.adornment = AdornRule(rule, interner_);
   }
 }
 
@@ -254,17 +227,6 @@ void ProgramIr::ApplyTo(TranslatedProgram* out) const {
     exec_info.push_back(std::move(info));
   }
   out->ReplaceRules(std::move(rules), std::move(origin), std::move(exec_info));
-}
-
-std::vector<Rule> ProgramIr::TakePlainRules() && {
-  std::vector<Rule> out;
-  out.reserve(rules_.size());
-  for (RuleIr& rule : rules_) {
-    assert(!rule.aux_head && rule.emit_body.empty() &&
-           "plain-rule view requires a pipeline without subjoin sharing");
-    out.push_back(std::move(rule.rule));
-  }
-  return out;
 }
 
 }  // namespace gdlog

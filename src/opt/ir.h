@@ -99,8 +99,8 @@ void UpdateSummaryForDelta(DbSummary* summary, const FactStore& db,
 /// emit the original one).
 struct RuleIr {
   Rule rule;
-  /// Index of the originating Π-rule (for sigma IRs) or of the rule itself
-  /// (plain IRs). Synthesized rules inherit their first consumer's origin.
+  /// Index of the originating Π-rule. Synthesized rules inherit their
+  /// first consumer's origin.
   size_t origin = 0;
   /// Stratum of the originating rule's head predicate in dg(Π);
   /// kConstraintStratum for constraints.
@@ -117,9 +117,9 @@ struct RuleIr {
   std::string adornment;
 };
 
-/// A whole-program IR over Σ_Π (or a plain Datalog¬ program): the rule list
-/// plus the per-predicate def/use indexes and arities the passes navigate
-/// with. Passes mutate rules() and call RebuildIndexes() when done.
+/// A whole-program IR over Σ_Π: the rule list plus the per-predicate
+/// arities the passes navigate with. Passes mutate rules() and call
+/// RebuildIndexes() when done.
 class ProgramIr {
  public:
   static constexpr size_t kConstraintStratum = static_cast<size_t>(-1);
@@ -131,25 +131,20 @@ class ProgramIr {
                              const TranslatedProgram& translated,
                              Interner* interner);
 
-  /// Lifts a plain Datalog¬ program (the evaluator path).
-  static ProgramIr LiftPlain(const Program& pi, Interner* interner);
-
   std::vector<RuleIr>& rules() { return rules_; }
   const std::vector<RuleIr>& rules() const { return rules_; }
 
   Interner* interner() { return interner_; }
   const Interner* interner() const { return interner_; }
-  /// Non-null only for sigma IRs (Active/Result metadata for the passes).
-  const TranslatedProgram* translated() const { return translated_; }
+  /// The Σ_Π this IR was lifted from (Active/Result metadata for the
+  /// passes).
+  const TranslatedProgram& translated() const { return *translated_; }
 
-  /// Per-predicate rule indexes: defs (head predicate) and uses (body
-  /// predicate, positive or negative). Valid until rules() next mutates.
-  const std::map<uint32_t, std::vector<size_t>>& defs() const { return defs_; }
-  const std::map<uint32_t, std::vector<size_t>>& uses() const { return uses_; }
-  /// Arity of every predicate mentioned by rules().
+  /// Arity of every predicate mentioned by rules(). Valid until rules()
+  /// next mutates.
   const std::map<uint32_t, size_t>& arities() const { return arities_; }
 
-  /// Recomputes defs/uses/arities and every rule's adornment annotation.
+  /// Recomputes arities and every rule's adornment annotation.
   void RebuildIndexes();
 
   /// Deterministic human-readable listing (the --dump-ir format): one line
@@ -162,15 +157,12 @@ class ProgramIr {
   /// from.
   void ApplyTo(TranslatedProgram* out) const;
 
-  /// The plain-rule view for the evaluator path; requires no aux rules.
-  std::vector<Rule> TakePlainRules() &&;
-
  private:
+  ProgramIr() = default;
+
   std::vector<RuleIr> rules_;
   Interner* interner_ = nullptr;
   const TranslatedProgram* translated_ = nullptr;
-  std::map<uint32_t, std::vector<size_t>> defs_;
-  std::map<uint32_t, std::vector<size_t>> uses_;
   std::map<uint32_t, size_t> arities_;
 };
 

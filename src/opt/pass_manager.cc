@@ -40,8 +40,6 @@ OptStats RunPipeline(ProgramIr* ir, const DbSummary& db,
 
   PassContext ctx;
   ctx.db = &db;
-  ctx.max_domain = options.max_domain;
-  ctx.max_split = options.max_split;
 
   if (!options.demand_goals.empty()) {
     stats.demand_applied = true;
@@ -49,18 +47,12 @@ OptStats RunPipeline(ProgramIr* ir, const DbSummary& db,
       return DemandPass(ir, options.demand_goals, &stats.counters);
     });
   }
-  if (options.specialize) {
-    run_pass("specialize",
-             [&] { return SpecializationPass(ir, ctx, &stats.counters); });
-  }
-  if (options.eliminate_dead) {
-    run_pass("dead-rule",
-             [&] { return DeadRuleEliminationPass(ir, ctx, &stats.counters); });
-  }
-  if (options.share_subjoins) {
-    run_pass("subjoin-share",
-             [&] { return SubjoinSharingPass(ir, &stats.counters); });
-  }
+  run_pass("specialize",
+           [&] { return SpecializationPass(ir, ctx, &stats.counters); });
+  run_pass("dead-rule",
+           [&] { return DeadRuleEliminationPass(ir, ctx, &stats.counters); });
+  run_pass("subjoin-share",
+           [&] { return SubjoinSharingPass(ir, &stats.counters); });
   stats.rules_out = ir->rules().size();
   return stats;
 }

@@ -36,15 +36,10 @@ struct OptStats {
 };
 
 struct PipelineOptions {
-  bool specialize = true;
-  bool eliminate_dead = true;
-  bool share_subjoins = true;
   /// Goal predicate ids; non-empty enables the demand pass (callers gate
   /// this on stratification and on marginals-only observation).
   std::vector<uint32_t> demand_goals;
   bool record_dumps = false;
-  size_t max_domain = 4;
-  size_t max_split = 3;
 };
 
 /// True iff the GDLOG_NO_OPT environment variable disables the pipeline

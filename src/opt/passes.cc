@@ -96,7 +96,7 @@ bool PositiveBodyPresent(const Rule& rule, const std::set<uint32_t>& present) {
 DomainAnalysis AnalyzeDomains(const ProgramIr& ir, const DbSummary& db,
                               size_t max_domain) {
   DomainAnalysis out;
-  const TranslatedProgram* translated = ir.translated();
+  const TranslatedProgram& translated = ir.translated();
 
   // Presence: a predicate may have facts iff the database has rows for it,
   // a rule with an all-present positive body derives it, or it is the
@@ -116,12 +116,10 @@ DomainAnalysis AnalyzeDomains(const ProgramIr& ir, const DbSummary& db,
         changed = true;
       }
     }
-    if (translated != nullptr) {
-      for (const DeltaSignature& sig : translated->signatures()) {
-        if (out.present.count(sig.active_pred) != 0 &&
-            out.present.insert(sig.result_pred).second) {
-          changed = true;
-        }
+    for (const DeltaSignature& sig : translated.signatures()) {
+      if (out.present.count(sig.active_pred) != 0 &&
+          out.present.insert(sig.result_pred).second) {
+        changed = true;
       }
     }
   }
@@ -171,20 +169,18 @@ DomainAnalysis AnalyzeDomains(const ProgramIr& ir, const DbSummary& db,
         }
       }
     }
-    if (translated != nullptr) {
-      for (const DeltaSignature& sig : translated->signatures()) {
-        auto active = out.domains.find(sig.active_pred);
-        auto result = out.domains.find(sig.result_pred);
-        if (active == out.domains.end() || result == out.domains.end()) {
-          continue;
-        }
-        size_t n = active->second.size();
-        for (size_t c = 0; c < n && c < result->second.size(); ++c) {
-          changed |= result->second[c].Join(active->second[c], max_domain);
-        }
-        if (result->second.size() == n + 1) {
-          changed |= result->second[n].Join(ColumnDomain::Top(), max_domain);
-        }
+    for (const DeltaSignature& sig : translated.signatures()) {
+      auto active = out.domains.find(sig.active_pred);
+      auto result = out.domains.find(sig.result_pred);
+      if (active == out.domains.end() || result == out.domains.end()) {
+        continue;
+      }
+      size_t n = active->second.size();
+      for (size_t c = 0; c < n && c < result->second.size(); ++c) {
+        changed |= result->second[c].Join(active->second[c], max_domain);
+      }
+      if (result->second.size() == n + 1) {
+        changed |= result->second[n].Join(ColumnDomain::Top(), max_domain);
       }
     }
   }
@@ -328,7 +324,7 @@ size_t DeadRuleEliminationPass(ProgramIr* ir, const PassContext& ctx,
 size_t DemandPass(ProgramIr* ir, const std::vector<uint32_t>& goal_preds,
                   OptCounters* counters) {
   if (goal_preds.empty()) return 0;
-  const TranslatedProgram* translated = ir->translated();
+  const TranslatedProgram& translated = ir->translated();
   std::set<uint32_t> live(goal_preds.begin(), goal_preds.end());
   bool changed = true;
   while (changed) {
@@ -343,14 +339,12 @@ size_t DemandPass(ProgramIr* ir, const std::vector<uint32_t>& goal_preds,
         changed |= live.insert(lit.atom.predicate).second;
       }
     }
-    if (translated != nullptr) {
-      for (const DeltaSignature& sig : translated->signatures()) {
-        if (live.count(sig.active_pred) != 0) {
-          changed |= live.insert(sig.result_pred).second;
-        }
-        if (live.count(sig.result_pred) != 0) {
-          changed |= live.insert(sig.active_pred).second;
-        }
+    for (const DeltaSignature& sig : translated.signatures()) {
+      if (live.count(sig.active_pred) != 0) {
+        changed |= live.insert(sig.result_pred).second;
+      }
+      if (live.count(sig.result_pred) != 0) {
+        changed |= live.insert(sig.active_pred).second;
       }
     }
   }
@@ -378,7 +372,7 @@ size_t DemandPass(ProgramIr* ir, const std::vector<uint32_t>& goal_preds,
 }
 
 size_t SubjoinSharingPass(ProgramIr* ir, OptCounters* counters) {
-  const TranslatedProgram* translated = ir->translated();
+  const TranslatedProgram& translated = ir->translated();
   Interner* interner = ir->interner();
   if (interner == nullptr) return 0;
 
@@ -388,11 +382,9 @@ size_t SubjoinSharingPass(ProgramIr* ir, OptCounters* counters) {
   // literals.
   auto shape_of = [&](const Rule& rule, size_t* skip, size_t* run) {
     size_t i = 0;
-    if (translated != nullptr) {
-      while (i < rule.body.size() && !rule.body[i].negated &&
-             translated->IsResultPredicate(rule.body[i].atom.predicate)) {
-        ++i;
-      }
+    while (i < rule.body.size() && !rule.body[i].negated &&
+           translated.IsResultPredicate(rule.body[i].atom.predicate)) {
+      ++i;
     }
     *skip = i;
     size_t j = i;

@@ -1,242 +1,195 @@
-// The standalone Datalog¬ evaluator: stratified materialization, semi-naive
-// correctness against the probabilistic engine's single-outcome path,
-// constraints, queries, and stats.
+// Plain Datalog¬ (no Δ-terms) through the engine: a Δ-free program's
+// outcome space is one outcome of probability 1 with no choices, whose
+// stable models are sms(Π[D]) — for stratified Π exactly the perfect model,
+// read off the perfect grounder's grounding. Covers recursion, stratified
+// negation across several strata, constraints, an unstratified even loop,
+// agreement between the perfect read-off and the simple grounder's solver,
+// and the compiled-join counters of a grounding.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
-#include "ast/parser.h"
-#include "datalog/evaluator.h"
 #include "gdatalog/engine.h"
 
 namespace gdlog {
 namespace {
 
-Result<DatalogEvaluator> MakeEval(const std::string& text) {
-  auto prog = ParseProgram(text);
-  if (!prog.ok()) return prog.status();
-  return DatalogEvaluator::Create(std::move(prog).value());
+using Instance = std::set<std::string>;
+
+GDatalog MustCreate(const std::string& program, const std::string& db,
+                    GrounderKind grounder = GrounderKind::kAuto) {
+  GDatalog::Options options;
+  options.grounder = grounder;
+  auto engine = GDatalog::Create(program, db, std::move(options));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(engine).value();
 }
 
-FactStore Facts(const std::string& text, const Program& pi) {
-  auto store = ParseFacts(text, const_cast<Program&>(pi).interner());
-  EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return std::move(store).value();
+/// The stable models of a Δ-free program's single outcome, each stripped of
+/// Active/Result bookkeeping and rendered atom by atom.
+std::set<Instance> StableModelsOf(const GDatalog& engine) {
+  auto space = engine.Infer();
+  EXPECT_TRUE(space.ok()) << space.status().ToString();
+  if (!space.ok()) return {};
+  EXPECT_TRUE(space->complete);
+  EXPECT_EQ(space->outcomes.size(), 1u);
+  if (space->outcomes.size() != 1) return {};
+  const PossibleOutcome& outcome = space->outcomes[0];
+  EXPECT_TRUE(outcome.choices.empty());
+  EXPECT_EQ(outcome.prob, Prob::One());
+  std::set<Instance> models;
+  for (const StableModel& model : outcome.models) {
+    Instance rendered;
+    for (const GroundAtom& atom :
+         OutcomeSpace::StripAuxiliary(model, engine.translated())) {
+      rendered.insert(atom.ToString(engine.program().interner()));
+    }
+    models.insert(std::move(rendered));
+  }
+  return models;
+}
+
+/// The one model of a consistent stratified program: its perfect model.
+Instance PerfectModel(const GDatalog& engine) {
+  EXPECT_TRUE(engine.stratified());
+  std::set<Instance> models = StableModelsOf(engine);
+  EXPECT_EQ(models.size(), 1u);
+  return models.empty() ? Instance{} : *models.begin();
+}
+
+size_t CountPredicate(const Instance& model, const std::string& name) {
+  size_t n = 0;
+  for (const std::string& atom : model) {
+    if (atom.rfind(name + "(", 0) == 0 || atom == name) ++n;
+  }
+  return n;
 }
 
 TEST(Datalog, TransitiveClosure) {
-  auto eval = MakeEval(
+  GDatalog engine = MustCreate(
       "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).");
-  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
-  FactStore db = Facts("edge(1,2). edge(2,3). edge(3,4).", eval->program());
-  auto model = eval->Materialize(db);
-  ASSERT_TRUE(model.ok());
-  EXPECT_TRUE(model->consistent);
-  uint32_t path = eval->program().interner()->Lookup("path");
-  EXPECT_EQ(model->facts.Count(path), 6u);  // all ordered pairs i<j
+      "path(X, Z) :- path(X, Y), edge(Y, Z).",
+      "edge(1,2). edge(2,3). edge(3,4).");
+  EXPECT_EQ(PerfectModel(engine),
+            (Instance{"edge(1, 2)", "edge(2, 3)", "edge(3, 4)", "path(1, 2)",
+                      "path(1, 3)", "path(1, 4)", "path(2, 3)", "path(2, 4)",
+                      "path(3, 4)"}));
 }
 
 TEST(Datalog, StratifiedNegationComplement) {
-  auto eval = MakeEval(
+  GDatalog engine = MustCreate(
       "reach(X) :- start(X).\n"
       "reach(Y) :- reach(X), edge(X, Y).\n"
-      "unreached(X) :- node(X), not reach(X).");
-  ASSERT_TRUE(eval.ok());
-  FactStore db = Facts(
-      "start(1). node(1). node(2). node(3). node(4). edge(1,2). edge(2,3).",
-      eval->program());
-  auto model = eval->Materialize(db);
-  ASSERT_TRUE(model.ok());
-  uint32_t unreached = eval->program().interner()->Lookup("unreached");
-  ASSERT_EQ(model->facts.Count(unreached), 1u);
-  EXPECT_TRUE(model->facts.Contains(unreached, {Value::Int(4)}));
+      "unreached(X) :- node(X), not reach(X).",
+      "start(1). node(1). node(2). node(3). node(4). edge(1,2). edge(2,3).");
+  EXPECT_EQ(PerfectModel(engine),
+            (Instance{"start(1)", "node(1)", "node(2)", "node(3)", "node(4)",
+                      "edge(1, 2)", "edge(2, 3)", "reach(1)", "reach(2)",
+                      "reach(3)", "unreached(4)"}));
 }
 
-TEST(Datalog, RejectsDeltaPrograms) {
-  auto eval = MakeEval("c(flip<0.5>).");
-  ASSERT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(Datalog, RejectsNonStratified) {
-  auto eval = MakeEval("a :- not b. b :- not a.");
-  ASSERT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kNotStratified);
+TEST(Datalog, EvenLoopHasTwoStableModels) {
+  // Not stratified: the engine falls back to the simple grounder and the
+  // stable-model solver, which finds both answer sets of the even loop.
+  GDatalog engine = MustCreate("a :- not b. b :- not a.", "");
+  EXPECT_FALSE(engine.stratified());
+  EXPECT_EQ(StableModelsOf(engine), (std::set<Instance>{{"a"}, {"b"}}));
 }
 
 TEST(Datalog, ConstraintsDetectViolations) {
-  auto eval = MakeEval(
+  const char* program =
       "big(X) :- size(X, Y), threshold(T), above(Y, T).\n"
-      ":- big(X), forbidden(X).");
-  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
-  FactStore ok_db = Facts(
-      "size(a, 5). threshold(3). above(5, 3). forbidden(b).",
-      eval->program());
-  auto ok_model = eval->Materialize(ok_db);
-  ASSERT_TRUE(ok_model.ok());
-  EXPECT_TRUE(ok_model->consistent);
+      ":- big(X), forbidden(X).";
+  GDatalog ok = MustCreate(
+      program, "size(a, 5). threshold(3). above(5, 3). forbidden(b).");
+  EXPECT_EQ(PerfectModel(ok),
+            (Instance{"size(a, 5)", "threshold(3)", "above(5, 3)",
+                      "forbidden(b)", "big(a)"}));
 
-  FactStore bad_db = Facts(
-      "size(a, 5). threshold(3). above(5, 3). forbidden(a).",
-      eval->program());
-  auto bad_model = eval->Materialize(bad_db);
-  ASSERT_TRUE(bad_model.ok());
-  EXPECT_FALSE(bad_model->consistent);
-  EXPECT_FALSE(bad_model->violations.empty());
+  GDatalog bad = MustCreate(
+      program, "size(a, 5). threshold(3). above(5, 3). forbidden(a).");
+  EXPECT_TRUE(StableModelsOf(bad).empty());
 }
 
 TEST(Datalog, ConstraintWithNegation) {
-  auto eval = MakeEval(
+  const char* program =
       "covered(X) :- item(X), box(B), in(X, B).\n"
-      ":- item(X), not covered(X).");
-  ASSERT_TRUE(eval.ok());
-  FactStore complete =
-      Facts("item(1). box(b). in(1, b).", eval->program());
-  auto m1 = eval->Materialize(complete);
-  EXPECT_TRUE(m1->consistent);
-  FactStore incomplete = Facts("item(1). item(2). box(b). in(1, b).",
-                               eval->program());
-  auto m2 = eval->Materialize(incomplete);
-  EXPECT_FALSE(m2->consistent);
+      ":- item(X), not covered(X).";
+  GDatalog complete = MustCreate(program, "item(1). box(b). in(1, b).");
+  EXPECT_EQ(PerfectModel(complete),
+            (Instance{"item(1)", "box(b)", "in(1, b)", "covered(1)"}));
+  GDatalog incomplete =
+      MustCreate(program, "item(1). item(2). box(b). in(1, b).");
+  EXPECT_TRUE(StableModelsOf(incomplete).empty());
 }
 
 TEST(Datalog, StatsAreMeaningful) {
-  auto eval = MakeEval(
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).");
-  ASSERT_TRUE(eval.ok());
   std::string db_text;
   for (int i = 1; i < 20; ++i) {
     db_text += "edge(" + std::to_string(i) + "," + std::to_string(i + 1) + ").";
   }
-  FactStore db = Facts(db_text, eval->program());
-  DatalogEvaluator::Stats stats;
-  auto model = eval->Materialize(db, &stats);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(stats.rounds, 2u);          // chain forces many rounds
-  EXPECT_EQ(stats.derived_facts, 190u); // 20*19/2 paths
-  EXPECT_GE(stats.rule_applications, stats.derived_facts);
-  // Compiled-join counters: the recursive rule probes edge's index every
-  // round through plans reused from the cache.
-  EXPECT_GT(stats.match.bindings, 0u);
-  EXPECT_GT(stats.match.index_hits, 0u);
-  EXPECT_GT(stats.match.plan_cache_hits, 0u);
-  EXPECT_GT(stats.match.plans_compiled, 0u);
+  GDatalog engine = MustCreate(
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).",
+      db_text);
+  EXPECT_EQ(CountPredicate(PerfectModel(engine), "path"), 190u);  // 20*19/2
+
+  // Compiled-join counters of G(∅): the recursive rule probes edge's index
+  // every round through plans reused from the cache.
+  GroundRuleSet grounding;
+  MatchStats stats;
+  ASSERT_TRUE(engine.grounder().Ground(ChoiceSet(), &grounding, &stats).ok());
+  EXPECT_GT(stats.bindings, 0u);
+  EXPECT_GT(stats.index_hits, 0u);
+  EXPECT_GT(stats.plan_cache_hits, 0u);
+  EXPECT_GT(stats.plans_compiled, 0u);
 }
 
 TEST(Datalog, FactsOnlyProgramInBody) {
-  // A program whose rules live entirely in the database (facts in program
-  // text are also supported).
-  auto eval = MakeEval("p(1). q(X) :- p(X).");
-  ASSERT_TRUE(eval.ok());
-  FactStore db;  // empty
-  auto model = eval->Materialize(db);
-  ASSERT_TRUE(model.ok());
-  uint32_t q = eval->program().interner()->Lookup("q");
-  EXPECT_TRUE(model->facts.Contains(q, {Value::Int(1)}));
+  // Facts may live in the program text instead of the database.
+  GDatalog engine = MustCreate("p(1). q(X) :- p(X).", "");
+  EXPECT_EQ(PerfectModel(engine), (Instance{"p(1)", "q(1)"}));
 }
 
-TEST(Datalog, QueryPatterns) {
-  auto eval = MakeEval(
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).");
-  ASSERT_TRUE(eval.ok());
-  FactStore db = Facts("edge(1,2). edge(2,3). edge(3,3).", eval->program());
-  auto model = eval->Materialize(db);
-  ASSERT_TRUE(model.ok());
-
-  auto from1 = DatalogEvaluator::Query(model->facts, eval->program(),
-                                       "path(1, X)");
-  ASSERT_TRUE(from1.ok());
-  EXPECT_EQ(from1->size(), 2u);  // 1→2, 1→3
-
-  auto self = DatalogEvaluator::Query(model->facts, eval->program(),
-                                      "path(X, X)");
-  ASSERT_TRUE(self.ok());
-  ASSERT_EQ(self->size(), 1u);  // 3→3
-  EXPECT_EQ((*self)[0][0], Value::Int(3));
-
-  auto ground = DatalogEvaluator::Query(model->facts, eval->program(),
-                                        "path(1, 3)");
-  ASSERT_TRUE(ground.ok());
-  EXPECT_EQ(ground->size(), 1u);
-
-  auto miss = DatalogEvaluator::Query(model->facts, eval->program(),
-                                      "path(3, 1)");
-  ASSERT_TRUE(miss.ok());
-  EXPECT_TRUE(miss->empty());
-
-  EXPECT_FALSE(DatalogEvaluator::Query(model->facts, eval->program(),
-                                       "path(X, Y) :- edge(X, Y)")
-                   .ok());
-}
-
-TEST(Datalog, AgreesWithProbabilisticEngineOnPlainPrograms) {
-  // The same plain program evaluated through the probabilistic chase (one
-  // outcome, one stable model) must give the same instance over sch(Π).
+TEST(Datalog, PerfectReadOffAgreesWithSolverOnPlainPrograms) {
+  // The perfect grounder reads its one model off the grounding; the simple
+  // grounder hands G(∅) to the stable-model solver. On a stratified plain
+  // program both must give the perfect model.
   const char* program =
       "reach(X) :- start(X).\n"
       "reach(Y) :- reach(X), edge(X, Y).\n"
       "island(X) :- node(X), not reach(X).\n"
       "linked(X, Y) :- edge(X, Y).\n"
       "linked(X, Y) :- edge(Y, X).";
-  const char* db_text =
+  const char* db =
       "start(1). node(1). node(2). node(3). node(4). node(5). "
       "edge(1,2). edge(2,3). edge(4,5).";
-
-  auto eval_prog = ParseProgram(program);
-  ASSERT_TRUE(eval_prog.ok());
-  auto eval = DatalogEvaluator::Create(*eval_prog);
-  ASSERT_TRUE(eval.ok());
-  FactStore db = Facts(db_text, eval->program());
-  auto model = eval->Materialize(db);
-  ASSERT_TRUE(model.ok());
-
-  auto engine = GDatalog::Create(program, db_text);
-  ASSERT_TRUE(engine.ok());
-  auto space = engine->Infer();
-  ASSERT_TRUE(space.ok());
-  ASSERT_EQ(space->outcomes.size(), 1u);
-  ASSERT_EQ(space->outcomes[0].models.size(), 1u);
-  StableModel stable = OutcomeSpace::StripAuxiliary(
-      *space->outcomes[0].models.begin(), engine->translated());
-
-  std::vector<GroundAtom> materialized = model->facts.AllFacts();
-  std::sort(materialized.begin(), materialized.end());
-  std::sort(stable.begin(), stable.end());
-  // Interners differ; compare rendered strings.
-  auto render = [](const std::vector<GroundAtom>& atoms,
-                   const Interner* names) {
-    std::vector<std::string> out;
-    for (const GroundAtom& a : atoms) out.push_back(a.ToString(names));
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(render(materialized, eval->program().interner()),
-            render(stable, engine->program().interner()));
+  GDatalog perfect = MustCreate(program, db, GrounderKind::kPerfect);
+  GDatalog simple = MustCreate(program, db, GrounderKind::kSimple);
+  Instance model = PerfectModel(perfect);
+  EXPECT_EQ(StableModelsOf(simple), (std::set<Instance>{model}));
+  EXPECT_EQ(CountPredicate(model, "island"), 2u);  // 4 and 5
+  EXPECT_EQ(CountPredicate(model, "linked"), 6u);
 }
 
 TEST(Datalog, MultiStratumPipeline) {
   // Four strata: base → derived → negation → negation-of-negation.
-  auto eval = MakeEval(
+  const char* program =
       "holds(X) :- fact(X).\n"
       "missing(X) :- universe(X), not holds(X).\n"
       "complete :- universe(X), not missing_any.\n"
-      "missing_any :- missing(X).");
-  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
-  FactStore full =
-      Facts("universe(1). universe(2). fact(1). fact(2).", eval->program());
-  auto m1 = eval->Materialize(full);
-  ASSERT_TRUE(m1.ok());
-  uint32_t complete = eval->program().interner()->Lookup("complete");
-  EXPECT_EQ(m1->facts.Count(complete), 1u);
+      "missing_any :- missing(X).";
+  GDatalog full =
+      MustCreate(program, "universe(1). universe(2). fact(1). fact(2).");
+  EXPECT_EQ(CountPredicate(PerfectModel(full), "complete"), 1u);
 
-  FactStore partial =
-      Facts("universe(1). universe(2). fact(1).", eval->program());
-  auto m2 = eval->Materialize(partial);
-  ASSERT_TRUE(m2.ok());
-  EXPECT_EQ(m2->facts.Count(complete), 0u);
+  GDatalog partial = MustCreate(program, "universe(1). universe(2). fact(1).");
+  Instance model = PerfectModel(partial);
+  EXPECT_EQ(CountPredicate(model, "complete"), 0u);
+  EXPECT_EQ(model.count("missing(2)"), 1u);
+  EXPECT_EQ(model.count("missing_any"), 1u);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // The PR 7 incremental-serving path: fact-delta parsing and append-only
 // application (FactStore::ApplyDelta), incremental summary maintenance,
 // delta-vs-rebuild bit-identity of GDatalog::WithDatabaseDelta across both
-// grounders and thread counts, the evaluator's semi-naive resume, removal
-// rejection, and the serving layer's lineage chain with cache revalidation
-// versus eviction.
+// grounders and thread counts, the rule-body check that gates revalidation,
+// removal rejection, and the serving layer's lineage chain with cache
+// revalidation versus eviction.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "ast/parser.h"
-#include "datalog/evaluator.h"
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "ground/fact_store.h"
@@ -33,6 +31,13 @@ constexpr const char* kDimeQuarterProgram =
     "dimetail(X, flip<0.5>[X]) :- dime(X).\n"
     "somedimetail :- dimetail(X, 1).\n"
     "quartertail(X, flip<0.5>[X]) :- quarter(X), not somedimetail.\n";
+
+// `patched` occurs in a rule body only under `not`, and `banned` only in a
+// constraint body: a delta on either changes what the groundings derive.
+constexpr const char* kGuardProgram =
+    "infected(Y, flip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y).\n"
+    "exposed(X) :- router(X), not patched(X).\n"
+    ":- exposed(X), banned(X), infected(X, 1).\n";
 
 std::string Clique(int n) {
   std::string db;
@@ -278,6 +283,19 @@ TEST(DeltaEngine, NonBodyPredicateDeltaIsRevalidatable) {
   ASSERT_EQ(inc->delta_added_facts().size(), 1u);
 }
 
+TEST(DeltaEngine, NegatedOrConstraintOnlyDeltaTouchesRuleBodies) {
+  for (const char* delta : {"patched(2).\n", "banned(3).\n"}) {
+    for (GrounderKind kind : {GrounderKind::kSimple, GrounderKind::kPerfect}) {
+      auto base = MakeEngine(kGuardProgram, Clique(3), kind);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      auto inc = GDatalog::WithDatabaseDelta(*base, delta);
+      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+      EXPECT_TRUE(inc->delta_stats().touches_rule_bodies) << delta;
+    }
+    ExpectDeltaByteIdentity(kGuardProgram, Clique(3), delta);
+  }
+}
+
 TEST(DeltaEngine, RemovalRejectedAtEngineLevel) {
   auto base = MakeEngine(kNetworkProgram, Clique(3), GrounderKind::kSimple);
   ASSERT_TRUE(base.ok());
@@ -304,72 +322,6 @@ TEST(DeltaGrounder, PerfectExtendRefusesAnUnstalledGrounding) {
         << status.message();
     EXPECT_EQ(out.size(), 0u);
   }
-}
-
-// ---------------------------------------------------------------------------
-// DatalogEvaluator::MaterializeDelta
-// ---------------------------------------------------------------------------
-
-TEST(DeltaDatalog, ResumeMatchesFromScratch) {
-  auto prog = ParseProgram(
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).");
-  ASSERT_TRUE(prog.ok());
-  auto eval = DatalogEvaluator::Create(std::move(prog).value());
-  ASSERT_TRUE(eval.ok());
-  Interner* interner = const_cast<Program&>(eval->program()).interner();
-  auto db = ParseFacts("edge(1,2). edge(2,3).", interner);
-  ASSERT_TRUE(db.ok());
-  auto base = eval->Materialize(*db);
-  ASSERT_TRUE(base.ok());
-
-  FactStore updated = *db;  // COW copy
-  auto delta = ParseFactDelta("edge(3,4).\nedge(0,1).\n", interner);
-  ASSERT_TRUE(delta.ok());
-  DeltaRanges ranges;
-  ASSERT_TRUE(updated.ApplyDelta(*delta, &ranges).ok());
-
-  DatalogEvaluator::Stats stats;
-  auto inc = eval->MaterializeDelta(*base, updated, ranges, &stats);
-  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  auto scratch = eval->Materialize(updated);
-  ASSERT_TRUE(scratch.ok());
-
-  EXPECT_EQ(inc->consistent, scratch->consistent);
-  for (const char* name : {"edge", "path"}) {
-    uint32_t pred = interner->Lookup(name);
-    ASSERT_EQ(inc->facts.Count(pred), scratch->facts.Count(pred)) << name;
-    for (const Tuple& row : scratch->facts.Rows(pred)) {
-      EXPECT_TRUE(inc->facts.Contains(pred, row));
-    }
-  }
-  // The resume touched only what the delta derives: far fewer rule
-  // applications than the full closure.
-  EXPECT_GT(stats.rule_applications, 0u);
-}
-
-TEST(DeltaDatalog, NegationIsRejected) {
-  auto prog = ParseProgram(
-      "reach(Y) :- reach(X), edge(X, Y).\n"
-      "reach(X) :- start(X).\n"
-      "unreached(X) :- node(X), not reach(X).");
-  ASSERT_TRUE(prog.ok());
-  auto eval = DatalogEvaluator::Create(std::move(prog).value());
-  ASSERT_TRUE(eval.ok());
-  Interner* interner = const_cast<Program&>(eval->program()).interner();
-  auto db = ParseFacts("start(1). node(1). node(2). edge(1,2).", interner);
-  ASSERT_TRUE(db.ok());
-  auto base = eval->Materialize(*db);
-  ASSERT_TRUE(base.ok());
-
-  FactStore updated = *db;
-  auto delta = ParseFactDelta("edge(2,3).\n", interner);
-  ASSERT_TRUE(delta.ok());
-  DeltaRanges ranges;
-  ASSERT_TRUE(updated.ApplyDelta(*delta, &ranges).ok());
-  auto inc = eval->MaterializeDelta(*base, updated, ranges);
-  ASSERT_FALSE(inc.ok());
-  EXPECT_EQ(inc.status().code(), StatusCode::kUnsupported);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,6 +512,44 @@ TEST(DeltaService, BodyPredicateDeltaEvictsCache) {
   ASSERT_EQ(service.Handle(MakeRequest("POST", "/v1/query", query)).status,
             200);
   EXPECT_EQ(service.cache().stats().misses, 2u);  // had to re-chase
+}
+
+TEST(DeltaService, NegatedOrConstraintOnlyDeltaEvictsCache) {
+  InferenceService::Options options;
+  options.default_chase.num_threads = 1;
+  for (const char* delta : {"patched(2).\n", "banned(3).\n"}) {
+    InferenceService service(options);
+    std::string id = RegisterProgram(service, kGuardProgram, Clique(3));
+    std::string query = "{\"program_id\":\"" + id +
+                        "\",\"include_outcomes\":true,"
+                        "\"include_models\":true}";
+    HttpResponse before =
+        service.Handle(MakeRequest("POST", "/v1/query", query));
+    ASSERT_EQ(before.status, 200) << before.body;
+
+    HttpResponse patched = service.Handle(MakeRequest(
+        "PATCH", "/v1/programs/" + id + "/db", PatchBody(delta)));
+    ASSERT_EQ(patched.status, 200) << patched.body;
+    EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 0) << delta;
+    EXPECT_EQ(DeltaField(patched, "spaces_evicted"), 1) << delta;
+
+    // The re-chased document is a fresh engine's on the merged database,
+    // and differs from the pre-delta one: revalidating would have served a
+    // stale space.
+    HttpResponse after = service.Handle(MakeRequest("POST", "/v1/query", query));
+    ASSERT_EQ(after.status, 200);
+    EXPECT_EQ(service.cache().stats().misses, 2u);
+    InferenceService fresh_service(options);
+    std::string fresh_id =
+        RegisterProgram(fresh_service, kGuardProgram, Clique(3) + delta);
+    HttpResponse fresh = fresh_service.Handle(MakeRequest(
+        "POST", "/v1/query",
+        "{\"program_id\":\"" + fresh_id +
+            "\",\"include_outcomes\":true,\"include_models\":true}"));
+    ASSERT_EQ(fresh.status, 200);
+    EXPECT_EQ(after.body, fresh.body) << delta;
+    EXPECT_NE(before.body, after.body) << delta;
+  }
 }
 
 TEST(DeltaService, RemovalDeltaReturns501) {

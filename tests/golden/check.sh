@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity against committed outputs: gdlog_cli --json on E1 (network
-# clique-4) and E3 (dime/quarter) must reproduce the files in this
-# directory exactly, serially, with 4 chase threads, with 4 shards in one
-# process, and with 4 shards run one per process (--shard-index 0..3, each
-# partial written to a file) and recombined by --merge, which sends every
-# partial through the partial wire format.
+# clique-4), E3 (dime/quarter) and a plain Datalog¬ program must reproduce
+# the files in this directory exactly, serially, with 4 chase threads, with
+# 4 shards in one process, and with 4 shards run one per process
+# (--shard-index 0..3, each partial written to a file) and recombined by
+# --merge, which sends every partial through the partial wire format.
 # The goldens were generated by the engine that preceded the perfect
 # grounder's resume and leaf read-off, so this compares against an
 # earlier binary, not only between configurations of the current one.
@@ -14,6 +14,12 @@
 # e1_clique4.json byte for byte), and the quarantine program, whose
 # quarantined/free even loop is not stratified. e1_quarantine_clique4.json
 # was generated by the engine that preceded the incremental solver.
+#
+# reach_islands.gdl is plain Datalog¬ (no Δ-terms) with two negation strata
+# and a constraint: its chase tree is a single root, so one outcome of
+# probability 1 carries the perfect model and three of the four shards are
+# empty. reach_islands.json was generated by the engine that still carried
+# a separate stratified Datalog evaluator.
 #
 #   tests/golden/check.sh [path/to/gdlog_cli]   (default build/tools/gdlog_cli)
 set -euo pipefail
@@ -61,6 +67,11 @@ for config in "--threads 1" "--threads 4" "--shards 4" "--shard-index/--merge"; 
   if ! run --program dime_quarter.gdl --db dime_quarter.db --json \
       --outcomes --events | cmp - e3_dime_quarter.json; then
     echo "E3 dime/quarter differs from the golden ($config)" >&2
+    status=1
+  fi
+  if ! run --program reach_islands.gdl --db reach_islands.db --json \
+      --outcomes --events | cmp - reach_islands.json; then
+    echo "plain reach/islands differs from the golden ($config)" >&2
     status=1
   fi
 done

@@ -1,9 +1,10 @@
 // Property tests for the compiled join machinery (ground/join_plan.h):
 // randomized conjunctive queries and stratified programs must produce
 // bit-identical binding sets, models and groundings between compiled plans
-// and the legacy reference Matcher, plus unit coverage of composite
-// indices, frames, stats counters, and concurrent plan execution against a
-// frozen store (the TSan job exercises the once-guarded index builds).
+// (driven directly, or by the engine's grounders) and the legacy reference
+// Matcher, plus unit coverage of composite indices, frames, stats
+// counters, and concurrent plan execution against a frozen store (the TSan
+// job exercises the once-guarded index builds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "ast/parser.h"
-#include "datalog/evaluator.h"
 #include "gdatalog/engine.h"
 #include "ground/join_plan.h"
 #include "ground/matcher.h"
@@ -171,14 +171,15 @@ TEST_P(JoinPlanOracleTest, PivotMatchesLegacyPivot) {
 
       JoinPlan plan = CompileJoinPlan(body, inst.store, pivot);
       std::set<BindingKey> compiled;
-      exec.ExecuteWithPivot(plan, rows, &stats, [&](const BindingFrame& f) {
-        BindingKey key;
-        for (uint32_t v : vars) {
-          key.emplace_back(v, f.Get(body.slots.SlotOf(v)));
-        }
-        compiled.insert(std::move(key));
-        return true;
-      });
+      exec.ExecuteWithPivotRange(
+          plan, rows, 0, rows.size(), &stats, [&](const BindingFrame& f) {
+            BindingKey key;
+            for (uint32_t v : vars) {
+              key.emplace_back(v, f.Get(body.slots.SlotOf(v)));
+            }
+            compiled.insert(std::move(key));
+            return true;
+          });
       ASSERT_EQ(compiled, legacy)
           << "seed " << GetParam() << " round " << round << " pivot " << pivot;
     }
@@ -189,8 +190,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JoinPlanOracleTest,
                          ::testing::Range<uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------------
-// Randomized stratified programs: compiled evaluator vs. a reference
-// materializer driven by the legacy matcher.
+// Randomized stratified programs: the perfect model the engine reads off
+// its perfect grounder vs. a reference materializer driven by the legacy
+// matcher.
 // ---------------------------------------------------------------------------
 
 /// Naive fixpoint with the legacy Matcher: loop every rule over the whole
@@ -237,6 +239,33 @@ FactStore ReferenceMaterialize(const Program& pi, const FactStore& db) {
 std::vector<std::string> SortedFacts(const FactStore& store) {
   std::vector<std::string> out;
   for (const GroundAtom& atom : store.AllFacts()) out.push_back(atom.ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The perfect model of a plain stratified program as the engine computes
+/// it: G(∅) from the perfect grounder (stats accumulated into `stats`) and
+/// the single model of the chase's one outcome, read off without a solver.
+std::vector<std::string> EngineModel(const Program& pi, const FactStore& db,
+                                     MatchStats* stats) {
+  GDatalog::Options options;
+  options.grounder = GrounderKind::kPerfect;
+  auto engine = GDatalog::FromProgram(pi, db, std::move(options));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return {};
+  GroundRuleSet grounding;
+  EXPECT_TRUE(engine->grounder().Ground(ChoiceSet(), &grounding, stats).ok());
+  auto space = engine->Infer();
+  EXPECT_TRUE(space.ok()) << space.status().ToString();
+  if (!space.ok() || space->outcomes.size() != 1 ||
+      space->outcomes[0].models.size() != 1) {
+    ADD_FAILURE() << "expected one outcome with one model";
+    return {};
+  }
+  std::vector<std::string> out;
+  for (const GroundAtom& atom : *space->outcomes[0].models.begin()) {
+    out.push_back(atom.ToString());
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -312,14 +341,8 @@ TEST_P(JoinPlanOracleTest, RandomProgramsMatchReferenceMaterialization) {
       }
     }
 
-    auto eval = DatalogEvaluator::Create(pi);
-    ASSERT_TRUE(eval.ok()) << eval.status().ToString();
-    DatalogEvaluator::Stats stats;
-    auto model = eval->Materialize(db, &stats);
-    ASSERT_TRUE(model.ok());
-
     FactStore reference = ReferenceMaterialize(pi, db);
-    ASSERT_EQ(SortedFacts(model->facts), SortedFacts(reference))
+    ASSERT_EQ(EngineModel(pi, db, /*stats=*/nullptr), SortedFacts(reference))
         << "seed " << GetParam() << " round " << round << "\n"
         << pi.ToString();
   }
@@ -424,55 +447,47 @@ TEST(JoinPlanGrounding, SimpleGrounderMatchesLegacyReference) {
 // Stats counters
 // ---------------------------------------------------------------------------
 
-TEST(JoinPlanStats, MaterializeReportsIndexAndPlanCounters) {
-  auto prog = ParseProgram(
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).");
-  ASSERT_TRUE(prog.ok());
-  auto eval = DatalogEvaluator::Create(std::move(prog).value());
-  ASSERT_TRUE(eval.ok());
-  std::string db_text;
+TEST(JoinPlanStats, GroundReportsIndexAndPlanCounters) {
+  std::string db;
   for (int i = 1; i < 64; ++i) {
-    db_text += "edge(" + std::to_string(i) + "," + std::to_string(i + 1) + ").";
+    db += "edge(" + std::to_string(i) + "," + std::to_string(i + 1) + ").";
   }
-  auto db = ParseFacts(db_text, const_cast<Program&>(eval->program()).interner());
-  ASSERT_TRUE(db.ok());
-  DatalogEvaluator::Stats stats;
-  auto model = eval->Materialize(*db, &stats);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(stats.match.index_hits, 0u);       // path ⋈ edge probes
-  EXPECT_GT(stats.match.full_scans, 0u);       // naive-round scans
-  EXPECT_GT(stats.match.plan_cache_hits, 0u);  // plans reused across rounds
-  EXPECT_GT(stats.match.plans_compiled, 0u);
-  EXPECT_GT(stats.match.bindings, 0u);
+  auto engine = GDatalog::Create(
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).",
+      db);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  GroundRuleSet grounding;
+  MatchStats stats;
+  ASSERT_TRUE(engine->grounder().Ground(ChoiceSet(), &grounding, &stats).ok());
+  EXPECT_GT(stats.index_hits, 0u);       // path ⋈ edge probes
+  EXPECT_GT(stats.full_scans, 0u);       // unbound-atom scans
+  EXPECT_GT(stats.plan_cache_hits, 0u);  // plans reused across rounds
+  EXPECT_GT(stats.plans_compiled, 0u);
+  EXPECT_GT(stats.bindings, 0u);
 }
 
 TEST(JoinPlanStats, CompositeIndexUsedForMultiBoundAtoms) {
-  // unreachable(X,Y) :- node(X), node(Y), not path(X,Y) makes the legacy
-  // TC case; for a composite probe we need an atom with >= 2 bound
-  // columns: triangle(X,Y,Z) :- edge(X,Y), edge(Y,Z), edge(X,Z) — the
-  // third atom has both X and Z bound.
+  // For a composite probe we need an atom with >= 2 bound columns:
+  // triangle(X,Y,Z) :- edge(X,Y), edge(Y,Z), edge(X,Z) — the third atom
+  // has both X and Z bound.
   auto prog = ParseProgram(
       "triangle(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(X, Z).");
   ASSERT_TRUE(prog.ok());
-  auto eval = DatalogEvaluator::Create(std::move(prog).value());
-  ASSERT_TRUE(eval.ok());
   std::string db_text;
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     db_text += "edge(" + std::to_string(rng.NextBounded(40)) + "," +
                std::to_string(rng.NextBounded(40)) + ").";
   }
-  auto db = ParseFacts(db_text, const_cast<Program&>(eval->program()).interner());
+  auto db = ParseFacts(db_text, prog->interner());
   ASSERT_TRUE(db.ok());
-  DatalogEvaluator::Stats stats;
-  auto model = eval->Materialize(*db, &stats);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(stats.match.composite_index_hits, 0u);
+  MatchStats stats;
+  std::vector<std::string> model = EngineModel(*prog, *db, &stats);
+  EXPECT_GT(stats.composite_index_hits, 0u);
 
   // The composite access path must agree with brute force.
-  FactStore reference = ReferenceMaterialize(eval->program(), *db);
-  EXPECT_EQ(SortedFacts(model->facts), SortedFacts(reference));
+  EXPECT_EQ(model, SortedFacts(ReferenceMaterialize(*prog, *db)));
 }
 
 // ---------------------------------------------------------------------------

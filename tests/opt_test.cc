@@ -4,18 +4,15 @@
 // for the paper's E1/E3 programs, randomized pass-on/pass-off outcome-space
 // bit-identity (both grounders, exported JSON compared as strings), the
 // demand pass's goal-marginal preservation + strict pruning, WithDatabase
-// pipeline reuse, the registry's demand-engine cache and opt counters, the
-// evaluator's per-Materialize pipeline, and the GDLOG_NO_OPT escape hatch.
+// pipeline reuse, the registry's demand-engine cache and opt counters, and
+// the GDLOG_NO_OPT escape hatch.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "ast/parser.h"
-#include "datalog/evaluator.h"
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "gdatalog/translation.h"
@@ -538,57 +535,6 @@ TEST(OptRegistryTest, DemandEnginesAreCachedPerGoalSignature) {
   auto fresh_entry = registry.Find(info->id);
   ASSERT_NE(fresh_entry, nullptr);
   EXPECT_TRUE(fresh_entry->demand_engines.empty());
-}
-
-std::vector<Tuple> SortedQuery(const FactStore& store, const Program& pi,
-                               const std::string& pattern) {
-  auto rows = DatalogEvaluator::Query(store, pi, pattern);
-  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-  std::vector<Tuple> sorted = std::move(rows).value();
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
-}
-
-TEST(OptEvaluatorTest, MaterializeMatchesWithPipelineOnAndOff) {
-  Rng rng(0xc2b2ae3d27d4eb4full);
-  for (int iter = 0; iter < 10; ++iter) {
-    std::string db;
-    for (int i = 1; i <= 5; ++i) {
-      for (int j = 1; j <= 5; ++j) {
-        if (rng.NextBounded(3) == 0) {
-          db += "edge(" + std::to_string(i) + "," + std::to_string(j) + ").\n";
-        }
-      }
-    }
-    db += "edge(1,2).\n";  // never empty
-    auto prog = ParseProgram(
-        "path(X, Y) :- edge(X, Y).\n"
-        "path(X, Y) :- path(X, Z), edge(Z, Y).\n"
-        "unreached(X) :- edge(X, Y), not path(1, X).\n");
-    ASSERT_TRUE(prog.ok());
-    auto facts = ParseFacts(db, prog->interner());
-    ASSERT_TRUE(facts.ok());
-    auto evaluator = DatalogEvaluator::Create(std::move(prog).value());
-    ASSERT_TRUE(evaluator.ok()) << evaluator.status().ToString();
-
-    DatalogEvaluator::Stats opt_stats;
-    auto opt_model = evaluator->Materialize(*facts, &opt_stats);
-    ASSERT_TRUE(opt_model.ok()) << opt_model.status().ToString();
-    EXPECT_TRUE(opt_stats.opt.enabled);
-
-    evaluator->set_optimize(false);
-    DatalogEvaluator::Stats raw_stats;
-    auto raw_model = evaluator->Materialize(*facts, &raw_stats);
-    ASSERT_TRUE(raw_model.ok());
-    EXPECT_FALSE(raw_stats.opt.enabled);
-    evaluator->set_optimize(true);
-
-    for (const char* pattern : {"path(X, Y)", "unreached(X)"}) {
-      EXPECT_EQ(SortedQuery(opt_model->facts, evaluator->program(), pattern),
-                SortedQuery(raw_model->facts, evaluator->program(), pattern))
-          << pattern << " diverged on db:\n" << db;
-    }
-  }
 }
 
 TEST(OptEnvTest, GdlogNoOptDisablesEveryPipeline) {

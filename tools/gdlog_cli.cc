@@ -84,10 +84,12 @@
 //                         controlled by --outcomes / --events) and exit
 //   --dot                 print the dependency graph in DOT and exit
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -103,6 +105,7 @@
 namespace {
 
 constexpr size_t kNoShardIndex = static_cast<size_t>(-1);
+constexpr uint64_t kMaxCount = std::numeric_limits<uint64_t>::max();
 
 struct CliOptions {
   std::string program_path;
@@ -167,6 +170,20 @@ CliOptions ParseArgs(int argc, char** argv) {
     if (i + 1 >= argc) Usage(argv[0], "missing argument value");
     return argv[++i];
   };
+  // Numeric flags take a plain decimal count: no sign, no surrounding
+  // characters, no overflow past `max`. Anything else is a usage error, so
+  // "--max-outcomes 1O" or "--shard-index x" never runs as 1 or 0.
+  auto need_count = [&](int& i, uint64_t max = kMaxCount) -> uint64_t {
+    const char* flag = argv[i];
+    const char* text = need_value(i);
+    const char* end = text + std::strlen(text);
+    uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && value <= max) return value;
+    Usage(argv[0], (std::string(flag) + " expects an integer in [0, " +
+                    std::to_string(max) + "], got '" + text + "'")
+                       .c_str());
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--program")) {
@@ -194,23 +211,23 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--profile")) {
       opts.profile = true;
     } else if (!std::strcmp(arg, "--mc")) {
-      opts.mc_samples = std::strtoull(need_value(i), nullptr, 10);
+      opts.mc_samples = need_count(i);
     } else if (!std::strcmp(arg, "--seed")) {
-      opts.seed = std::strtoull(need_value(i), nullptr, 10);
+      opts.seed = need_count(i);
     } else if (!std::strcmp(arg, "--max-outcomes")) {
-      opts.max_outcomes = std::strtoull(need_value(i), nullptr, 10);
+      opts.max_outcomes = need_count(i);
     } else if (!std::strcmp(arg, "--max-depth")) {
-      opts.max_depth = std::strtoull(need_value(i), nullptr, 10);
+      opts.max_depth = need_count(i);
     } else if (!std::strcmp(arg, "--support-limit")) {
-      opts.support_limit = std::strtoull(need_value(i), nullptr, 10);
+      opts.support_limit = need_count(i);
     } else if (!std::strcmp(arg, "--threads")) {
-      opts.threads = std::strtoull(need_value(i), nullptr, 10);
+      opts.threads = need_count(i);
     } else if (!std::strcmp(arg, "--shards")) {
-      opts.shards = std::strtoull(need_value(i), nullptr, 10);
+      opts.shards = need_count(i);
     } else if (!std::strcmp(arg, "--shard-index")) {
-      opts.shard_index = std::strtoull(need_value(i), nullptr, 10);
+      opts.shard_index = need_count(i, kNoShardIndex - 1);
     } else if (!std::strcmp(arg, "--shard-prefix-depth")) {
-      opts.shard_prefix_depth = std::strtoull(need_value(i), nullptr, 10);
+      opts.shard_prefix_depth = need_count(i);
     } else if (!std::strcmp(arg, "--merge")) {
       opts.merge_files.push_back(need_value(i));
     } else if (!std::strcmp(arg, "--extensions")) {
@@ -222,7 +239,8 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--dump-ir")) {
       opts.dump_ir = true;
     } else if (!std::strcmp(arg, "--normalgrid-max-cells")) {
-      opts.normalgrid_max_cells = std::strtoll(need_value(i), nullptr, 10);
+      opts.normalgrid_max_cells = static_cast<long long>(
+          need_count(i, std::numeric_limits<long long>::max()));
     } else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       Usage(argv[0]);
     } else {
