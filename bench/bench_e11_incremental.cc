@@ -51,11 +51,6 @@ std::string DeltaServingDb() {
     db += "observed(" + std::to_string(a) + "," + std::to_string(a + 1) +
           ").\n";
   }
-  // Pre-seed meta so its column domain is already saturated (Top): later
-  // meta deltas keep the DB summary pipeline-equivalent.
-  for (int i = 1; i <= 8; ++i) {
-    db += "meta(" + std::to_string(i) + ").\n";
-  }
   return db;
 }
 

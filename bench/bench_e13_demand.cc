@@ -115,22 +115,6 @@ void BM_Demand_On(benchmark::State& state) {
 BENCHMARK(BM_Demand_On)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-/// The pipeline itself (all passes, no demand) on the E1 network program —
-/// how much construction-time cost the optimizer adds.
-void BM_Pipeline_Construction(benchmark::State& state) {
-  bool optimize = state.range(0) != 0;
-  for (auto _ : state) {
-    gdlog::GDatalog::Options options;
-    options.optimize = optimize;
-    auto engine =
-        gdlog::GDatalog::Create(kNetworkProgram, Clique(4), std::move(options));
-    if (!engine.ok()) std::abort();
-    benchmark::DoNotOptimize(engine->opt_stats().rules_out);
-  }
-}
-BENCHMARK(BM_Pipeline_Construction)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -3,6 +3,8 @@
 #include <utility>
 
 #include "ast/parser.h"
+#include "gdatalog/demand.h"
+#include "obs/histogram.h"
 
 namespace gdlog {
 
@@ -15,7 +17,6 @@ struct GDatalog::State {
   TranslatedProgram translated;
   bool stratified = false;
   GrounderKind effective_grounder = GrounderKind::kSimple;
-  DbSummary db_summary;
   OptStats opt_stats;
   DeltaStats delta_stats;
   /// Facts a WithDatabaseDelta construction appended (duplicates
@@ -75,28 +76,25 @@ Result<GDatalog> GDatalog::FromProgram(Program pi, FactStore db,
   DependencyGraph dg(state->program);
   state->stratified = dg.IsStratified();
 
-  state->db_summary = SummarizeDb(state->db);
-  if (options.optimize && !OptDisabledByEnv()) {
-    ProgramIr ir = ProgramIr::LiftSigma(state->program, state->translated,
-                                        state->program.interner());
-    PipelineOptions popts;
-    popts.record_dumps = options.record_ir_dumps;
-    if (state->stratified) {
-      // The demand pass changes the outcome space away from the goals, so
-      // it is only sound under stratification (splitting-set argument in
-      // ROADMAP) and only requested by callers observing goal marginals.
-      for (const std::string& goal : options.demand_goals) {
-        uint32_t id = state->program.interner()->Lookup(goal);
-        if (id != Interner::kNotFound) popts.demand_goals.push_back(id);
-      }
+  // Demand restriction changes the outcome space away from the goals, so
+  // it is only sound under stratification (splitting-set argument in
+  // ROADMAP) and only requested by callers observing goal marginals.
+  OptStats& os = state->opt_stats;
+  os.rules_in = state->translated.sigma().rules().size();
+  std::vector<uint32_t> goals;
+  if (state->stratified) {
+    for (const std::string& goal : options.demand_goals) {
+      uint32_t id = state->program.interner()->Lookup(goal);
+      if (id != Interner::kNotFound) goals.push_back(id);
     }
-    state->opt_stats = RunPipeline(&ir, state->db_summary, popts);
-    ir.ApplyTo(&state->translated);
-    // The passes preserve range-restriction and arity by construction;
-    // re-validating is cheap insurance against a pass bug silently
-    // producing an unsafe Σ_Π.
-    GDLOG_RETURN_IF_ERROR(state->translated.sigma().Validate());
   }
+  if (!goals.empty()) {
+    const uint64_t start_ns = MonotonicNanos();
+    RestrictToDemand(&state->translated, goals);
+    os.total_wall_ns = MonotonicNanos() - start_ns;
+    os.demand_applied = true;
+  }
+  os.rules_out = state->translated.sigma().rules().size();
 
   GrounderKind kind = options.grounder;
   if (kind == GrounderKind::kAuto) {
@@ -134,36 +132,9 @@ Result<GDatalog> GDatalog::WithDatabase(const GDatalog& base,
   state->registry = bs.registry;
   state->stratified = bs.stratified;
   state->effective_grounder = bs.effective_grounder;
-  state->db_summary = SummarizeDb(state->db);
-
-  // The pass pipeline consumes only the database summary — and of the
-  // summary only predicate presence and column domains, never exact row
-  // counts — so a pipeline-equivalent summary makes the optimized Σ_Π a
-  // pure function of inputs that did not change: adopt it. Note the base's
-  // demand transformation (if any) carries over: it depends only on the
-  // program and goals, never the db.
-  if (!bs.opt_stats.enabled ||
-      PipelineEquivalent(state->db_summary, bs.db_summary)) {
-    state->translated = bs.translated.CloneWith(interner);
-    state->opt_stats = bs.opt_stats;
-    state->opt_stats.pipeline_reused = bs.opt_stats.enabled;
-    state->opt_stats.dumps.clear();
-    return FinishEngine(std::move(state));
-  }
-
-  GDLOG_ASSIGN_OR_RETURN(
-      state->translated, TranslateToTgd(state->program, *state->registry));
-  if (!OptDisabledByEnv()) {
-    ProgramIr ir = ProgramIr::LiftSigma(state->program, state->translated,
-                                        state->program.interner());
-    PipelineOptions popts;
-    // Demand goals deliberately do not carry over: this path serves generic
-    // engines whose query set is unknown (the registry layers demand on top
-    // per query signature).
-    state->opt_stats = RunPipeline(&ir, state->db_summary, popts);
-    ir.ApplyTo(&state->translated);
-    GDLOG_RETURN_IF_ERROR(state->translated.sigma().Validate());
-  }
+  // Σ_Π is a function of Π and the demand goals, never of D: adopt it.
+  state->translated = bs.translated.CloneWith(interner);
+  state->opt_stats = bs.opt_stats;
   return FinishEngine(std::move(state));
 }
 
@@ -200,20 +171,11 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
     }
   }
 
-  // Incremental summary maintenance: equal to SummarizeDb on the
-  // post-delta database by construction (delta_test pins this), at cost
-  // proportional to the delta.
-  state->db_summary = bs.db_summary;
-  UpdateSummaryForDelta(&state->db_summary, state->db, ranges);
-  bool equivalent = PipelineEquivalent(state->db_summary, bs.db_summary);
-  state->delta_stats.summary_changed = !equivalent;
-
   // Does the delta touch any rule body of Π — a positive or negated
-  // literal, constraints included? Checked against Π itself, which is
-  // conservative for every derived engine variant: a transformed body only
-  // ever mentions Π body predicates plus synthesized "__"-prefixed ones,
-  // which the name guard covers. The serving layer keys cache revalidation
-  // off this bit.
+  // literal, constraints included? Checked against Π itself, which covers
+  // Σ_Π too: a translated body only ever mentions Π body predicates plus
+  // the translation's "__"-prefixed Active/Result ones, which the name
+  // guard covers. The serving layer keys cache revalidation off this bit.
   bool& touches = state->delta_stats.touches_rule_bodies;
   for (const Rule& rule : state->program.rules()) {
     for (const Literal& lit : rule.body) {
@@ -225,31 +187,13 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
     touches |= interner->Name(pred).rfind("__", 0) == 0;
   }
 
-  bool reuse_pipeline = !bs.opt_stats.enabled || equivalent;
-  if (reuse_pipeline) {
-    state->translated = bs.translated.CloneWith(interner);
-    state->opt_stats = bs.opt_stats;
-    state->opt_stats.pipeline_reused = bs.opt_stats.enabled;
-    state->opt_stats.dumps.clear();
-  } else {
-    GDLOG_ASSIGN_OR_RETURN(
-        state->translated, TranslateToTgd(state->program, *state->registry));
-    if (!OptDisabledByEnv()) {
-      ProgramIr ir = ProgramIr::LiftSigma(state->program, state->translated,
-                                          state->program.interner());
-      PipelineOptions popts;
-      state->opt_stats = RunPipeline(&ir, state->db_summary, popts);
-      ir.ApplyTo(&state->translated);
-      GDLOG_RETURN_IF_ERROR(state->translated.sigma().Validate());
-    }
-  }
-  state->delta_stats.pipeline_reused = state->opt_stats.pipeline_reused;
+  state->translated = bs.translated.CloneWith(interner);
+  state->opt_stats = bs.opt_stats;
 
   // Grounders share the base's database-prefix grounding (COW-extension)
   // instead of rebuilding it fact by fact. The simple grounder additionally
   // resumes the base's saturated root grounding from the delta ranges —
-  // sound only when the rule sets are identical, which pipeline reuse (or
-  // the pipeline being off) guarantees.
+  // sound because the rule sets are identical (the base's Σ_Π is adopted).
   if (state->effective_grounder == GrounderKind::kPerfect) {
     const auto& base_grounder =
         static_cast<const PerfectGrounder&>(*bs.grounder);
@@ -262,8 +206,7 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
         static_cast<const SimpleGrounder&>(*bs.grounder);
     state->grounder = std::make_unique<SimpleGrounder>(
         &state->translated, &state->db, base_grounder, ranges,
-        /*resume_root=*/reuse_pipeline, &state->delta_stats.root_resumed,
-        &state->delta_stats.rules_refired);
+        &state->delta_stats.root_resumed, &state->delta_stats.rules_refired);
   }
   state->chase = std::make_unique<ChaseEngine>(&state->translated, &state->db,
                                                state->grounder.get());
@@ -281,7 +224,6 @@ const DistributionRegistry& GDatalog::registry() const {
 const Grounder& GDatalog::grounder() const { return *state_->grounder; }
 bool GDatalog::stratified() const { return state_->stratified; }
 const OptStats& GDatalog::opt_stats() const { return state_->opt_stats; }
-const DbSummary& GDatalog::db_summary() const { return state_->db_summary; }
 const DeltaStats& GDatalog::delta_stats() const { return state_->delta_stats; }
 const std::vector<GroundAtom>& GDatalog::delta_added_facts() const {
   return state_->delta_added;

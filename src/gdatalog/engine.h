@@ -9,7 +9,6 @@
 
 #include "gdatalog/chase.h"
 #include "gdatalog/outcome.h"
-#include "opt/pass_manager.h"
 
 namespace gdlog {
 
@@ -21,6 +20,14 @@ enum class GrounderKind {
   kPerfect,  ///< GPerfect (Definition 5.1); fails if Π is not stratified.
 };
 
+/// What the demand restriction did at construction (GDatalog::opt_stats()).
+struct OptStats {
+  bool demand_applied = false;  ///< Goals resolved and RestrictToDemand ran.
+  uint64_t rules_in = 0;        ///< Σ_Π rules before the restriction.
+  uint64_t rules_out = 0;       ///< Σ_Π rules after it.
+  uint64_t total_wall_ns = 0;   ///< Wall time of the restriction.
+};
+
 /// Observability counters for a WithDatabaseDelta construction — surfaced
 /// on gdlog_cli --stats and the server's GET /v1/stats.
 struct DeltaStats {
@@ -28,10 +35,6 @@ struct DeltaStats {
   size_t rows_appended = 0;
   size_t duplicates_skipped = 0;
   size_t predicates_touched = 0;
-  /// The delta changed what the pass pipeline is allowed to observe
-  /// (predicate presence or a column domain), forcing a fresh pipeline run.
-  bool summary_changed = false;
-  bool pipeline_reused = false;
   /// The simple grounder resumed the base's saturated root grounding from
   /// the delta ranges instead of re-deriving the choice-free core.
   bool root_resumed = false;
@@ -39,8 +42,8 @@ struct DeltaStats {
   /// themselves.
   uint64_t rules_refired = 0;
   /// Some delta predicate occurs in a rule body of Π (or collides with a
-  /// synthesized "__" name) — reachability that forbids the serving
-  /// layer's cache revalidation.
+  /// translation-synthesized "__" name) — reachability that forbids the
+  /// serving layer's cache revalidation.
   bool touches_rule_bodies = false;
 };
 
@@ -54,18 +57,12 @@ class GDatalog {
     /// Distribution set Δ; defaults to DistributionRegistry::Builtins().
     /// Moved into the engine when provided.
     std::unique_ptr<DistributionRegistry> registry;
-    /// Run the src/opt pass pipeline (specialization, dead-rule
-    /// elimination, subjoin sharing) over Σ_Π at construction. The
-    /// GDLOG_NO_OPT environment variable overrides this to off.
-    bool optimize = true;
-    /// Goal predicate names; non-empty enables the magic-sets demand pass
-    /// (applied only when Π is stratified — see ROADMAP's correctness
-    /// argument — and only observing goal marginals stays sound; exact
-    /// outcome/model listings are coarsened). Unknown names resolve to no
-    /// goals and leave the demand pass off.
+    /// Goal predicate names; non-empty restricts Σ_Π to the goals'
+    /// demand (RestrictToDemand; applied only when Π is stratified — see
+    /// ROADMAP's correctness argument — and only observing goal marginals
+    /// stays sound; exact outcome/model listings are coarsened). Unknown
+    /// names resolve to no goals and leave the restriction off.
     std::vector<std::string> demand_goals;
-    /// Record before/after-pass IR dumps into opt_stats().dumps.
-    bool record_ir_dumps = false;
   };
 
   /// Builds an engine from program text and database text (facts in surface
@@ -85,11 +82,9 @@ class GDatalog {
                                       Options options);
 
   /// Builds an engine for `base`'s program with a different database. The
-  /// distribution registry is shared, and when the new database's summary
-  /// (predicate presence and column domains — all the pass pipeline is
-  /// allowed to observe) matches `base`'s, the already-optimized Σ_Π is
-  /// adopted instead of re-running the pipeline; opt_stats().pipeline_reused
-  /// reports which path was taken. The serving layer's PUT /db path.
+  /// distribution registry is shared and `base`'s Σ_Π (a function of Π and
+  /// the demand goals alone) is adopted, not re-translated. The serving
+  /// layer's PUT /db path.
   static Result<GDatalog> WithDatabase(const GDatalog& base,
                                        std::string_view database_text);
 
@@ -97,12 +92,11 @@ class GDatalog {
   /// by a delta (see ParseFactDelta for the syntax; removals are rejected
   /// with kUnsupported). Everything is proportional to the delta, not the
   /// database: the FactStore is COW-extended in place (indices included),
-  /// the summary is recomputed incrementally, the pipeline is adopted
-  /// whenever the delta leaves the summary pipeline-equivalent, the
-  /// grounder shares the base's database-prefix grounding, and — for the
-  /// simple grounder under an unchanged rule set — the saturated root
-  /// grounding is re-ground semi-naively from the delta ranges only.
-  /// delta_stats() on the result reports which of these paths were taken.
+  /// `base`'s Σ_Π is adopted, the grounder shares the base's
+  /// database-prefix grounding, and — for the simple grounder, once the
+  /// base has grounded its root — the saturated root grounding is
+  /// re-ground semi-naively from the delta ranges only. delta_stats() on
+  /// the result reports what was done.
   /// The serving layer's PATCH /db path.
   static Result<GDatalog> WithDatabaseDelta(const GDatalog& base,
                                             std::string_view delta_text);
@@ -121,12 +115,9 @@ class GDatalog {
   const Grounder& grounder() const;
   /// True iff Π has stratified negation.
   bool stratified() const;
-  /// Stats of the optimization pipeline run at construction (enabled ==
-  /// false when the pipeline was off).
+  /// What the demand restriction did at construction (carried over by
+  /// WithDatabase and WithDatabaseDelta).
   const OptStats& opt_stats() const;
-  /// The database summary the pipeline consumed (also the reuse key for
-  /// WithDatabase).
-  const DbSummary& db_summary() const;
   /// Delta counters (applied == false unless this engine came from
   /// WithDatabaseDelta).
   const DeltaStats& delta_stats() const;

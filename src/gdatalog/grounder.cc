@@ -58,17 +58,10 @@ std::vector<GroundRule> DeltaFactRules(const FactStore& db,
   return out;
 }
 
-/// Compiles sigma rule `i` with its optimizer execution annotations: aux
-/// heads (subjoin sharing's synthesized rules) and emit bodies (consumers
-/// emit their pre-rewrite body so G(Σ) is unchanged).
+/// Compiles sigma rule `i`, attributed to index i in the rule profile.
 CompiledRule CompileSigmaRule(const TranslatedProgram& translated, size_t i) {
   CompiledRule out = CompileRule(translated.sigma().rules()[i]);
   out.profile_index = i;
-  if (i < translated.exec_info().size()) {
-    const RuleExecInfo& info = translated.exec_info()[i];
-    out.aux_head = info.aux_head;
-    if (!info.emit_body.empty()) AttachEmitBody(&out, info.emit_body);
-  }
   return out;
 }
 
@@ -206,10 +199,6 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
   JoinExecutor exec;
   GroundAtom neg_scratch;
   std::vector<GroundRule> derived;
-  // Synthesized __join heads are matching state only: they enter the
-  // instance (so consumers and later rounds see them) but never become
-  // ground rules.
-  std::vector<GroundAtom> derived_aux;
   while (true) {
     bool any_delta = false;
     for (uint32_t pred : body_preds) {
@@ -225,7 +214,6 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
     // Collect first, apply after: applying mutates the instance, which
     // the executor's bound plans are reading.
     derived.clear();
-    derived_aux.clear();
     for (const CompiledRule* rule : rules) {
       for (size_t pivot = 0; pivot < rule->positive.size(); ++pivot) {
         uint32_t pred = rule->positive[pivot].predicate;
@@ -237,15 +225,11 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
             prof != nullptr && rule->profile_index != static_cast<size_t>(-1);
         const uint64_t start_ns = profiled ? MonotonicNanos() : 0;
         const uint64_t bindings_before = local.bindings;
-        const size_t derived_before = derived.size() + derived_aux.size();
+        const size_t derived_before = derived.size();
         const JoinPlan& plan = plans.Get(*rule, pivot, &local);
         exec.ExecuteWithPivotRange(
             plan, rows, begin, rows.size(), &local,
             [&](const BindingFrame& frame) {
-              if (rule->aux_head) {
-                derived_aux.push_back(rule->head.Instantiate(frame));
-                return true;
-              }
               if (check_negative &&
                   NegativeBodyHits(*rule, frame, *heads, &neg_scratch)) {
                 return true;
@@ -258,8 +242,7 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
           RuleProfile& rp = prof->Rule(rule->profile_index);
           ++rp.calls;
           rp.bindings += local.bindings - bindings_before;
-          rp.derivations += derived.size() + derived_aux.size() -
-                            derived_before;
+          rp.derivations += derived.size() - derived_before;
           rp.time_ns += MonotonicNanos() - start_ns;
           rp.stratum = prof->current_stratum;
         }
@@ -267,7 +250,6 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
     }
     snapshot_old();
     for (GroundRule& gr : derived) add_ground_rule(std::move(gr));
-    for (GroundAtom& atom : derived_aux) heads->Insert(atom);
   }
   if (stats != nullptr) stats->Add(local);
   return Status::OK();
@@ -297,8 +279,8 @@ SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
 
 SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
                                const FactStore* db, const SimpleGrounder& base,
-                               const DeltaRanges& ranges, bool resume_root,
-                               bool* root_resumed, uint64_t* rules_refired)
+                               const DeltaRanges& ranges, bool* root_resumed,
+                               uint64_t* rules_refired)
     : translated_(translated), db_(db) {
   CompileRules();
   // COW-extension of Π[D]: share the base's database prefix, stack the
@@ -309,7 +291,6 @@ SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
   db_tail_.insert(db_tail_.end(), delta_facts.begin(), delta_facts.end());
   if (root_resumed != nullptr) *root_resumed = false;
   if (rules_refired != nullptr) *rules_refired = 0;
-  if (!resume_root) return;
   std::shared_ptr<const GroundRuleSet> base_root;
   {
     std::lock_guard<std::mutex> lock(base.root_mu_);
@@ -431,10 +412,6 @@ Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Build(
   }
   grounder->constraint_body_preds_ =
       CollectBodyPreds(grounder->constraint_rules_);
-  for (const CompiledRule& rule : grounder->compiled_) {
-    if (rule.aux_head) grounder->aux_preds_.push_back(rule.head.predicate);
-  }
-  std::sort(grounder->aux_preds_.begin(), grounder->aux_preds_.end());
   return grounder;
 }
 
@@ -568,9 +545,9 @@ Result<StableModelSet> PerfectGrounder::ReadOffModels(
   // stratum and stays false, so G(Σ) ∪ Σ is positive in effect and its
   // one candidate model is its least model: every rule head (each rule's
   // body matched heads derived before it) plus the Result atom of every
-  // choice whose Active atom was derived — exactly what the cascade put
-  // into heads() beside the __join atoms. A ground constraint enters G(Σ)
-  // only with its body true in that model, so it leaves no model at all.
+  // choice whose Active atom was derived — exactly heads(), where the
+  // cascade put those Result atoms. A ground constraint enters G(Σ) only
+  // with its body true in that model, so it leaves no model at all.
   if (grounding.stall_stage() != GroundRuleSet::kNoStall) {
     return Status::InvalidArgument(
         "perfect grounder: read-off needs a grounding without pending "
@@ -586,9 +563,6 @@ Result<StableModelSet> PerfectGrounder::ReadOffModels(
   std::vector<const Tuple*> rows;
   // Predicate by predicate, rows sorted, is GroundAtom's canonical order.
   for (uint32_t pred : heads.Predicates()) {
-    if (std::binary_search(aux_preds_.begin(), aux_preds_.end(), pred)) {
-      continue;
-    }
     rows.clear();
     for (const Tuple& row : heads.Rows(pred)) rows.push_back(&row);
     std::sort(rows.begin(), rows.end(), [](const Tuple* a, const Tuple* b) {

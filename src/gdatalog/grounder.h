@@ -98,17 +98,15 @@ class SimpleGrounder : public Grounder {
   /// Delta-extension construction (GDatalog::WithDatabaseDelta): shares
   /// `base`'s database-prefix grounding instead of rebuilding it from |D|
   /// and carries the rows `db` gained in `ranges` as a tail of body-less
-  /// rules. With `resume_root`, and provided `base` has already saturated
-  /// its root grounding, the root is re-grounded semi-naively from the
-  /// delta ranges only (watermarks seeded at the base root's counts);
-  /// `resume_root` must only be set when `translated` holds the same rule
-  /// set as the base's — the engine ties it to pipeline reuse. Outputs:
+  /// rules. `translated` must hold the base's rule set (the engine adopts
+  /// the base's Σ_Π). Provided `base` has already saturated its root
+  /// grounding, the root is re-grounded semi-naively from the delta ranges
+  /// only (watermarks seeded at the base root's counts). Outputs:
   /// `root_resumed` reports whether the resume happened, `rules_refired`
   /// the number of ground rules the resume derived beyond the delta facts.
   SimpleGrounder(const TranslatedProgram* translated, const FactStore* db,
                  const SimpleGrounder& base, const DeltaRanges& ranges,
-                 bool resume_root, bool* root_resumed,
-                 uint64_t* rules_refired);
+                 bool* root_resumed, uint64_t* rules_refired);
 
   std::string_view name() const override { return "simple"; }
 
@@ -199,8 +197,8 @@ class PerfectGrounder : public Grounder {
   /// Negation in G(Σ) is only ever checked against completed lower strata.
   bool SettlesNegation() const override { return true; }
   /// No model if G(Σ) holds a ground constraint; else the one model:
-  /// heads() without the optimizer's __join atoms, i.e. every rule head
-  /// plus the Result atom of every choice whose Active atom was derived.
+  /// heads(), i.e. every rule head plus the Result atom of every choice
+  /// whose Active atom was derived.
   Result<StableModelSet> ReadOffModels(
       const GroundRuleSet& grounding) const override;
 
@@ -239,9 +237,6 @@ class PerfectGrounder : public Grounder {
   /// and for the constraint pass, each sorted.
   std::vector<std::vector<uint32_t>> stratum_body_preds_;
   std::vector<uint32_t> constraint_body_preds_;
-  /// Head predicates of the synthesized __join rules, sorted: matching
-  /// state in heads() that is no part of any model.
-  std::vector<uint32_t> aux_preds_;
   /// See SimpleGrounder::db_base_ / db_tail_.
   std::shared_ptr<const GroundRuleSet> db_base_;
   std::vector<GroundRule> db_tail_;

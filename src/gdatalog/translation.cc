@@ -17,13 +17,11 @@ const DeltaSignature* TranslatedProgram::SignatureByResult(
 }
 
 void TranslatedProgram::ReplaceRules(std::vector<Rule> rules,
-                                     std::vector<size_t> origin,
-                                     std::vector<RuleExecInfo> exec_info) {
+                                     std::vector<size_t> origin) {
   Program replacement(sigma_.shared_interner());
   for (Rule& rule : rules) replacement.AddRule(std::move(rule));
   sigma_ = std::move(replacement);
   origin_ = std::move(origin);
-  exec_info_ = std::move(exec_info);
 }
 
 TranslatedProgram TranslatedProgram::CloneWith(
@@ -31,7 +29,6 @@ TranslatedProgram TranslatedProgram::CloneWith(
   TranslatedProgram copy;
   copy.sigma_ = sigma_.CloneWith(std::move(interner));
   copy.origin_ = origin_;
-  copy.exec_info_ = exec_info_;
   copy.signatures_ = signatures_;
   copy.by_active_ = by_active_;
   copy.by_result_ = by_result_;

@@ -27,18 +27,6 @@ struct DeltaSignature {
   uint32_t result_pred = 0;    ///< Interned Result predicate name.
 };
 
-/// Per-rule execution annotations attached by the optimization pipeline
-/// (src/opt). Default-constructed info means "execute the rule as written".
-struct RuleExecInfo {
-  /// Head is a synthesized __join_N predicate: its instances are matching
-  /// state only — insert into heads(), never create a GroundRule.
-  bool aux_head = false;
-  /// When non-empty, ground-rule instances are emitted with this body
-  /// instead of the (rewritten) matching body, so subjoin sharing stays
-  /// invisible in G(Σ).
-  std::vector<Literal> emit_body;
-};
-
 /// The TGD¬ program Σ_Π of §3, split as the paper does:
 ///  * Σ∃ (the active-to-result TGDs) is not materialized as rules — ground
 ///    AtR TGDs are the chase's choice objects (see ChoiceSet);
@@ -50,7 +38,6 @@ struct RuleExecInfo {
 class TranslatedProgram {
  public:
   const Program& sigma() const { return sigma_; }
-  Program& mutable_sigma() { return sigma_; }
 
   /// Original-rule index for each rule of sigma() (parallel vector).
   const std::vector<size_t>& origin() const { return origin_; }
@@ -70,15 +57,9 @@ class TranslatedProgram {
     return by_result_.count(pred) != 0;
   }
 
-  /// Execution annotations parallel to sigma().rules(); empty when no
-  /// optimization pipeline ran (all rules execute as written).
-  const std::vector<RuleExecInfo>& exec_info() const { return exec_info_; }
-
-  /// Replaces Σ∄ with an optimized rule set. `origin` and `exec_info` must
-  /// be parallel to `rules`; the signature tables are untouched (passes
-  /// never add Active/Result predicates).
-  void ReplaceRules(std::vector<Rule> rules, std::vector<size_t> origin,
-                    std::vector<RuleExecInfo> exec_info);
+  /// Replaces Σ∄ with a subset of its rules (RestrictToDemand). `origin`
+  /// must be parallel to `rules`; the signature tables are untouched.
+  void ReplaceRules(std::vector<Rule> rules, std::vector<size_t> origin);
 
   /// Structural copy re-pointed at `interner`, which must preserve the ids
   /// of this program's interner (see Interner::Clone). Signature dist
@@ -91,7 +72,6 @@ class TranslatedProgram {
 
   Program sigma_;
   std::vector<size_t> origin_;
-  std::vector<RuleExecInfo> exec_info_;
   std::vector<DeltaSignature> signatures_;
   std::map<uint32_t, size_t> by_active_;
   std::map<uint32_t, size_t> by_result_;

@@ -93,31 +93,17 @@ CompiledRule CompileBody(const std::vector<const Atom*>& atoms) {
   return out;
 }
 
-void AttachEmitBody(CompiledRule* rule, const std::vector<Literal>& body) {
-  rule->has_emit = true;
-  rule->emit_positive.clear();
-  rule->emit_negative.clear();
-  for (const Literal& lit : body) {
-    (lit.negated ? rule->emit_negative : rule->emit_positive)
-        .push_back(CompileAtom(lit.atom, rule->slots));
-  }
-}
-
 GroundRule InstantiateRule(const CompiledRule& rule,
                            const BindingFrame& frame) {
   GroundRule gr;
   gr.is_constraint = rule.rule != nullptr && rule.rule->is_constraint;
   if (rule.has_head) gr.head = rule.head.Instantiate(frame);
-  const std::vector<CompiledAtom>& positive =
-      rule.has_emit ? rule.emit_positive : rule.positive;
-  const std::vector<CompiledAtom>& negative =
-      rule.has_emit ? rule.emit_negative : rule.negative;
-  gr.positive.reserve(positive.size());
-  for (const CompiledAtom& a : positive) {
+  gr.positive.reserve(rule.positive.size());
+  for (const CompiledAtom& a : rule.positive) {
     gr.positive.push_back(a.Instantiate(frame));
   }
-  gr.negative.reserve(negative.size());
-  for (const CompiledAtom& a : negative) {
+  gr.negative.reserve(rule.negative.size());
+  for (const CompiledAtom& a : rule.negative) {
     gr.negative.push_back(a.Instantiate(frame));
   }
   return gr;

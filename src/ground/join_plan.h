@@ -133,17 +133,6 @@ struct CompiledRule {
   bool has_head = false;               ///< False for constraints/bare bodies.
   CompiledAtom head;                   ///< Valid iff has_head (plain heads).
 
-  /// Set for synthesized __join rules (subjoin sharing): complete bindings
-  /// insert the instantiated head into the matching instance only — no
-  /// GroundRule is ever created from them.
-  bool aux_head = false;
-  /// Set when the optimizer rewrote the matchable body (subjoin sharing):
-  /// InstantiateRule emits emit_positive/emit_negative — the original body
-  /// compiled against the same slots — so G(Σ) is unchanged.
-  bool has_emit = false;
-  std::vector<CompiledAtom> emit_positive;
-  std::vector<CompiledAtom> emit_negative;
-
   /// Stable index for the per-rule profiler (obs/profile.h): the rule's
   /// position in Σ_Π. SIZE_MAX = not attributed.
   size_t profile_index = static_cast<size_t>(-1);
@@ -157,13 +146,6 @@ CompiledRule CompileRule(const Rule& rule);
 /// Compiles a bare conjunction of atoms (the query path and tests); the
 /// atoms must outlive the result.
 CompiledRule CompileBody(const std::vector<const Atom*>& atoms);
-
-/// Compiles `body` — the pre-rewrite body of a rule whose matchable body
-/// the optimizer replaced — into `rule`'s emit arrays, against the rule's
-/// existing slots. Every variable of `body` must have a slot in the
-/// rewritten rule (subjoin sharing guarantees it: the synthesized atom
-/// projects every shared-prefix variable).
-void AttachEmitBody(CompiledRule* rule, const std::vector<Literal>& body);
 
 /// h(σ) under a complete frame — the compiled form of instantiating a
 /// rule into a GroundRule (head, then positive and negative bodies in

@@ -125,13 +125,11 @@ Result<ProgramRegistry::Info> ProgramRegistry::ReplaceDatabase(
   }
   ProgramSpec spec = current->spec;
   spec.db_text = std::move(db_text);
-  // Only the database changed, so build through WithDatabase: the
-  // already-optimized Σ_Π is adopted whenever the new database's summary
-  // matches, skipping translation and the whole pass pipeline.
+  // Only the database changed, so build through WithDatabase, which
+  // adopts the current Σ_Π instead of translating Π again.
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine,
                          GDatalog::WithDatabase(current->engine, spec.db_text));
   opt_.db_replacements.Add();
-  if (engine.opt_stats().pipeline_reused) opt_.pipeline_reuses.Add();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);
   if (it == by_id_.end()) {
@@ -187,7 +185,6 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   delta_.deltas_applied.Add();
   delta_.rows_appended.Add(result.stats.rows_appended);
   delta_.rules_refired.Add(result.stats.rules_refired);
-  if (result.stats.pipeline_reused) delta_.pipeline_reuses.Add();
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);

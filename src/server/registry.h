@@ -155,7 +155,7 @@ class ProgramRegistry {
 
   size_t size() const;
 
-  /// The engine of `entry` re-optimized with the magic-sets demand pass for
+  /// The engine of `entry` rebuilt with Σ_Π restricted to the demand of
   /// `goals` (predicate names the caller will observe marginals of).
   /// Cached on the entry per goal signature — the first marginal query of
   /// a signature pays one engine build, repeats are a map lookup.
@@ -166,13 +166,10 @@ class ProgramRegistry {
   /// comma-joined predicate names.
   static std::string DemandSignature(std::vector<std::string> goals);
 
-  /// Pass-pipeline observability counters, aggregated across entries.
-  /// The live counters and, copied, their snapshot.
+  /// Database-replacement and demand-engine counters, aggregated across
+  /// entries. The live counters and, copied, their snapshot.
   struct OptCounters {
     RelaxedCounter db_replacements;
-    /// ReplaceDatabase calls that adopted the already-optimized Σ_Π
-    /// because the new database's summary matched.
-    RelaxedCounter pipeline_reuses;
     RelaxedCounter demand_engines_built;
     RelaxedCounter demand_cache_hits;
   };
@@ -183,9 +180,6 @@ class ProgramRegistry {
     RelaxedCounter deltas_applied;
     RelaxedCounter rows_appended;
     RelaxedCounter rules_refired;
-    /// Deltas whose DB summary stayed pipeline-equivalent, so the
-    /// optimized Σ_Π (and the simple grounder's root cache) was reused.
-    RelaxedCounter pipeline_reuses;
   };
   DeltaCounters delta_counters() const { return delta_; }
 
@@ -206,8 +200,8 @@ class ProgramRegistry {
 
 /// Builds an engine for a spec — the one translation of ProgramSpec into
 /// GDatalog::Options (distribution extensions included) shared by
-/// Register and ReplaceDatabase. Non-empty `demand_goals` enables the
-/// magic-sets demand pass for those predicates.
+/// Register and ReplaceDatabase. Non-empty `demand_goals` restricts Σ_Π
+/// to those predicates' demand.
 Result<GDatalog> BuildEngine(const ProgramSpec& spec,
                              std::vector<std::string> demand_goals = {});
 

@@ -306,8 +306,6 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       json.KV("predicates_touched",
               static_cast<long long>(stats.predicates_touched));
       json.KV("rules_refired", static_cast<long long>(stats.rules_refired));
-      json.KV("summary_changed", stats.summary_changed);
-      json.KV("pipeline_reused", stats.pipeline_reused);
       json.KV("root_resumed", stats.root_resumed);
       json.KV("touches_rule_bodies", applied->touches_rule_bodies);
       json.KV("spaces_revalidated", static_cast<long long>(revalidated));
@@ -351,8 +349,8 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
   if (!chase.ok()) return ErrorResponse(chase.status());
 
   // Marginal queries name their goals, which lets the magic-sets demand
-  // pass drop every Δ-choice outside the goals' (and the constraints')
-  // dependency cone before the chase runs. Only sound for stratified
+  // restriction drop every Δ-choice outside the goals' (and the
+  // constraints') dependency cone before the chase runs. Only sound for stratified
   // programs, and only for this path: the full-document path must stay
   // byte-identical to `gdlog_cli --json`, so it always uses the base
   // engine. Queried predicates all become goals, so their marginals (and
@@ -362,7 +360,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
   std::shared_ptr<const GDatalog> demand_holder;
   std::string demand_suffix;
   if (queries != nullptr && queries->is_array() &&
-      entry->engine.stratified() && entry->engine.opt_stats().enabled) {
+      entry->engine.stratified()) {
     std::vector<std::string> goals;
     for (const JsonValue& query : queries->array()) {
       if (!query.is_string()) break;
@@ -664,9 +662,6 @@ InferenceService::SeriesTable() {
       {"opt", "db_replacements", "gdlog_opt_db_replacements_total", kCounter,
        "PUT /db database replacements.",
        [](const S& s) -> uint64_t { return s.opt.db_replacements; }},
-      {"opt", "pipeline_reuses", "gdlog_opt_pipeline_reuses_total", kCounter,
-       "Optimization pipelines reused across revisions.",
-       [](const S& s) -> uint64_t { return s.opt.pipeline_reuses; }},
       {"opt", "demand_engines_built", "gdlog_opt_demand_engines_built_total",
        kCounter, "Demand-transformed engines built.",
        [](const S& s) -> uint64_t { return s.opt.demand_engines_built; }},
@@ -686,9 +681,6 @@ InferenceService::SeriesTable() {
       {"delta", "rules_refired", "gdlog_delta_rules_refired_total", kCounter,
        "Rules re-fired by incremental re-grounding.",
        [](const S& s) -> uint64_t { return s.delta.rules_refired; }},
-      {"delta", "pipeline_reuses", "gdlog_delta_pipeline_reuses_total",
-       kCounter, "Grounding pipelines reused across deltas.",
-       [](const S& s) -> uint64_t { return s.delta.pipeline_reuses; }},
       {"delta", "spaces_revalidated", "gdlog_delta_spaces_revalidated_total",
        kCounter, "Cached outcome spaces revalidated across a delta.",
        [](const S& s) -> uint64_t { return s.server.spaces_revalidated; }},

@@ -1,8 +1,9 @@
-// The PR 7 incremental-serving path: fact-delta parsing and append-only
-// application (FactStore::ApplyDelta), incremental summary maintenance,
-// delta-vs-rebuild bit-identity of GDatalog::WithDatabaseDelta across both
-// grounders and thread counts, the rule-body check that gates revalidation,
-// removal rejection, and the serving layer's lineage chain with cache
+// The incremental-serving path: fact-delta parsing and append-only
+// application (FactStore::ApplyDelta), delta-vs-rebuild bit-identity of
+// GDatalog::WithDatabaseDelta across both grounders and thread counts, the
+// simple grounder's root resume, the rule-body check that gates
+// revalidation, removal rejection, GDatalog::WithDatabase adopting the
+// base's Σ_Π, and the serving layer's lineage chain with cache
 // revalidation versus eviction.
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "ground/fact_store.h"
-#include "opt/ir.h"
 #include "server/cache.h"
 #include "server/http.h"
 #include "server/registry.h"
@@ -166,41 +166,6 @@ TEST(FactDelta, RemovalsAreRejectedAsUnsupported) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental DB-summary maintenance
-// ---------------------------------------------------------------------------
-
-void ExpectIncrementalSummaryMatches(const std::string& base_text,
-                                     const std::string& delta_text) {
-  Interner interner;
-  auto store = ParseFacts(base_text, &interner);
-  ASSERT_TRUE(store.ok());
-  DbSummary summary = SummarizeDb(*store);
-  auto delta = ParseFactDelta(delta_text, &interner);
-  ASSERT_TRUE(delta.ok());
-  DeltaRanges ranges;
-  ASSERT_TRUE(store->ApplyDelta(*delta, &ranges).ok());
-  UpdateSummaryForDelta(&summary, *store, ranges);
-  EXPECT_TRUE(summary == SummarizeDb(*store))
-      << "base: " << base_text << " delta: " << delta_text;
-}
-
-TEST(DeltaSummary, IncrementalUpdateEqualsFromScratch) {
-  // New rows inside existing domains.
-  ExpectIncrementalSummaryMatches("edge(1,2). edge(2,3).", "edge(2,1).\n");
-  // Domain saturation crossing (4 -> 5 distinct values).
-  ExpectIncrementalSummaryMatches(
-      "n(1). n(2). n(3). n(4).", "n(5).\nn(6).\n");
-  // A predicate the base never mentioned.
-  ExpectIncrementalSummaryMatches("edge(1,2).", "meta(7).\n");
-  // Duplicates only: the summary must be untouched.
-  ExpectIncrementalSummaryMatches("edge(1,2).", "edge(1,2).\n");
-  // Mixed batch across several predicates.
-  ExpectIncrementalSummaryMatches(
-      "edge(1,2). n(1). n(2).",
-      "edge(3,4).\nn(3).\nn(4).\nn(5).\nmeta(1).\n");
-}
-
-// ---------------------------------------------------------------------------
 // GDatalog::WithDatabaseDelta — bit-identity with a from-scratch rebuild
 // ---------------------------------------------------------------------------
 
@@ -243,34 +208,45 @@ TEST(DeltaEngine, RandomizedSplitsByteIdentity) {
   }
 }
 
-TEST(DeltaEngine, SummaryStableDeltaReusesPipeline) {
+TEST(DeltaEngine, BodyPredicateDeltaReportsCounts) {
   auto base = MakeEngine(kNetworkProgram, Clique(4), GrounderKind::kSimple);
   ASSERT_TRUE(base.ok());
-  // connected's columns already hold {1..4}; a self-loop adds rows without
-  // widening any domain, so the summary stays pipeline-equivalent.
   auto inc = GDatalog::WithDatabaseDelta(*base, "connected(1,1).\n");
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
   const DeltaStats& stats = inc->delta_stats();
   EXPECT_TRUE(stats.applied);
   EXPECT_EQ(stats.rows_appended, 1u);
-  EXPECT_FALSE(stats.summary_changed);
   EXPECT_TRUE(stats.touches_rule_bodies);  // connected is a body predicate
-  if (base->opt_stats().enabled) {
-    EXPECT_TRUE(stats.pipeline_reused);
-  }
 }
 
-TEST(DeltaEngine, SummaryChangingDeltaRerunsPipeline) {
-  auto base = MakeEngine(kNetworkProgram, Clique(4), GrounderKind::kSimple);
-  ASSERT_TRUE(base.ok());
-  // A fifth distinct constant saturates connected's column domains to Top:
-  // the pass pipeline could now specialize differently, so it must re-run.
-  auto inc = GDatalog::WithDatabaseDelta(*base, "connected(7,8).\n");
+TEST(DeltaEngine, NewConstantDeltaResumesRootAndMatchesRebuild) {
+  // connected's columns hold {1, 2, 3}; the delta brings the new constant
+  // 4. Σ_Π depends on Π alone, so the delta engine adopts the base's rules
+  // and the simple grounder resumes the base's saturated root.
+  const std::string delta = "connected(3,4).\n";
+  auto base = MakeEngine(kNetworkProgram, Clique(3), GrounderKind::kSimple);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_TRUE(base->Infer().ok());  // grounds the root the delta resumes
+  auto inc = GDatalog::WithDatabaseDelta(*base, delta);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  EXPECT_TRUE(inc->delta_stats().summary_changed);
-  if (base->opt_stats().enabled) {
-    EXPECT_FALSE(inc->delta_stats().pipeline_reused);
-  }
+  EXPECT_TRUE(inc->delta_stats().root_resumed);
+  EXPECT_EQ(inc->translated().sigma().ToString(),
+            base->translated().sigma().ToString());
+
+  auto full = MakeEngine(kNetworkProgram, Clique(3) + delta,
+                         GrounderKind::kSimple);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  auto want = full->Infer();
+  auto got = inc->Infer();
+  ASSERT_TRUE(want.ok() && got.ok());
+  // The CLI's --json export, and the export with every section.
+  EXPECT_EQ(OutcomeSpaceToJson(*want, full->translated(),
+                               full->program().interner(),
+                               JsonExportOptions{}),
+            OutcomeSpaceToJson(*got, inc->translated(),
+                               inc->program().interner(),
+                               JsonExportOptions{}));
+  EXPECT_EQ(SpaceJson(*full, *want), SpaceJson(*inc, *got));
 }
 
 TEST(DeltaEngine, NonBodyPredicateDeltaIsRevalidatable) {
@@ -322,6 +298,44 @@ TEST(DeltaGrounder, PerfectExtendRefusesAnUnstalledGrounding) {
         << status.message();
     EXPECT_EQ(out.size(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// GDatalog::WithDatabase — the PUT path adopts the base's Σ_Π
+// ---------------------------------------------------------------------------
+
+TEST(WithDatabase, NewColumnDomainsKeepBaseSigmaRules) {
+  // dime's column grows from {1, 2} to {1, 2, 3} and quarter's moves from
+  // {3} to {4}: Σ_Π must not follow the database, with or without demand
+  // goals, and the space must equal a from-scratch build's.
+  const std::string changed_db = "dime(1).\ndime(2).\ndime(3).\nquarter(4).\n";
+  for (bool demand : {false, true}) {
+    GDatalog::Options options;
+    if (demand) options.demand_goals = {"somedimetail"};
+    auto base = GDatalog::Create(kDimeQuarterProgram,
+                                 "dime(1).\ndime(2).\nquarter(3).\n",
+                                 std::move(options));
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_EQ(base->opt_stats().demand_applied, demand);
+    auto changed = GDatalog::WithDatabase(*base, changed_db);
+    ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+    EXPECT_EQ(changed->translated().sigma().ToString(),
+              base->translated().sigma().ToString())
+        << "demand=" << demand;
+    EXPECT_EQ(changed->translated().origin(), base->translated().origin());
+    EXPECT_EQ(changed->opt_stats().rules_out, base->opt_stats().rules_out);
+  }
+  auto base = MakeEngine(kDimeQuarterProgram, "dime(1).\nquarter(3).\n",
+                         GrounderKind::kAuto);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto changed = GDatalog::WithDatabase(*base, changed_db);
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  auto fresh = MakeEngine(kDimeQuarterProgram, changed_db, GrounderKind::kAuto);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto want = fresh->Infer();
+  auto got = changed->Infer();
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(SpaceJson(*fresh, *want), SpaceJson(*changed, *got));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,10 +423,8 @@ long long DeltaField(const HttpResponse& response, const char* field) {
 }
 
 TEST(DeltaService, UntouchedPredicateDeltaRevalidatesCache) {
-  // meta is pre-seeded past the domain cap so meta deltas stay
-  // pipeline-equivalent AND occur in no rule body -> revalidation path.
-  std::string db = Clique(3) +
-                   "meta(1).\nmeta(2).\nmeta(3).\nmeta(4).\nmeta(5).\n";
+  // meta occurs in no rule body -> revalidation path.
+  std::string db = Clique(3);
   InferenceService::Options options;
   options.default_chase.num_threads = 1;
   InferenceService service(options);

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <algorithm>
 #include <map>
 #include <regex>
@@ -26,14 +24,13 @@ constexpr const char* kNetworkProgram =
     "uninfected(X) :- router(X), not infected(X, 1).\n"
     ":- uninfected(X), uninfected(Y), connected(X, Y).\n";
 
-// meta is pre-seeded past the summary's domain cap and occurs in no rule
-// body, so a meta(...) delta takes the revalidating PATCH path.
+// meta occurs in no rule body, so a meta(...) delta takes the
+// revalidating PATCH path.
 constexpr const char* kClique3Db =
     "router(1). router(2). router(3).\n"
     "connected(1,2). connected(2,1). connected(1,3). connected(3,1).\n"
     "connected(2,3). connected(3,2).\n"
-    "infected(1, 1).\n"
-    "meta(1). meta(2). meta(3). meta(4). meta(5).\n";
+    "infected(1, 1).\n";
 
 HttpResponse Call(InferenceService& service, const std::string& method,
                   const std::string& target, const std::string& body = "") {
@@ -140,15 +137,7 @@ std::vector<std::string> ScalarMetricLines(const std::string& text) {
   return kept;
 }
 
-// delta.pipeline_reuses counts the optimization pipeline's reuse, so the
-// documents are pinned with the pipeline at its default (on) even when the
-// suite runs under GDLOG_NO_OPT=1.
-class StatsPin : public ::testing::Test {
- protected:
-  void SetUp() override { ::unsetenv("GDLOG_NO_OPT"); }
-};
-
-TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
+TEST(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
   InferenceService service(ServiceOptions());
   RunSequence(service);
 
@@ -166,11 +155,11 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
             "\"cache\":{\"hits\":1,\"misses\":1,\"coalesced\":0,"
             "\"evictions\":0,\"inserts\":2,\"revalidated\":1,\"entries\":1,"
             "\"bytes\":B,\"capacity_bytes\":268435456},"
-            "\"opt\":{\"db_replacements\":0,\"pipeline_reuses\":0,"
+            "\"opt\":{\"db_replacements\":0,"
             "\"demand_engines_built\":0,\"demand_cache_hits\":0,"
             "\"demand_queries\":0},"
             "\"delta\":{\"patches\":1,\"rows_appended\":1,"
-            "\"rules_refired\":0,\"pipeline_reuses\":1,"
+            "\"rules_refired\":0,"
             "\"spaces_revalidated\":1,\"spaces_evicted\":0},"
             "\"fleet\":{\"shard_requests\":2,\"shards_explored\":2,"
             "\"jobs\":1,\"jobs_failed\":1,\"dispatches\":0,\"retries\":0,"
@@ -197,8 +186,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "# HELP gdlog_cache_revalidated_total Cache entries carried across a "
       "database delta.",
       "# HELP gdlog_delta_patches_total PATCH /db deltas applied.",
-      "# HELP gdlog_delta_pipeline_reuses_total Grounding pipelines reused "
-      "across deltas.",
       "# HELP gdlog_delta_rows_appended_total Facts appended by deltas.",
       "# HELP gdlog_delta_rules_refired_total Rules re-fired by incremental "
       "re-grounding.",
@@ -241,8 +228,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "# HELP gdlog_opt_demand_cache_hits_total Demand-engine cache hits.",
       "# HELP gdlog_opt_demand_engines_built_total Demand-transformed "
       "engines built.",
-      "# HELP gdlog_opt_pipeline_reuses_total Optimization pipelines reused "
-      "across revisions.",
       "# HELP gdlog_queries_total POST /v1/query requests.",
       "# HELP gdlog_registry_programs Programs currently registered.",
       "# HELP gdlog_samples_total POST /v1/sample requests.",
@@ -255,7 +240,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "# TYPE gdlog_cache_misses_total counter",
       "# TYPE gdlog_cache_revalidated_total counter",
       "# TYPE gdlog_delta_patches_total counter",
-      "# TYPE gdlog_delta_pipeline_reuses_total counter",
       "# TYPE gdlog_delta_rows_appended_total counter",
       "# TYPE gdlog_delta_rules_refired_total counter",
       "# TYPE gdlog_delta_spaces_evicted_total counter",
@@ -280,7 +264,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "# TYPE gdlog_opt_db_replacements_total counter",
       "# TYPE gdlog_opt_demand_cache_hits_total counter",
       "# TYPE gdlog_opt_demand_engines_built_total counter",
-      "# TYPE gdlog_opt_pipeline_reuses_total counter",
       "# TYPE gdlog_queries_total counter",
       "# TYPE gdlog_registry_programs gauge",
       "# TYPE gdlog_samples_total counter",
@@ -293,7 +276,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "gdlog_cache_misses_total 1",
       "gdlog_cache_revalidated_total 1",
       "gdlog_delta_patches_total 1",
-      "gdlog_delta_pipeline_reuses_total 1",
       "gdlog_delta_rows_appended_total 1",
       "gdlog_delta_rules_refired_total 0",
       "gdlog_delta_spaces_evicted_total 0",
@@ -318,7 +300,6 @@ TEST_F(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "gdlog_opt_db_replacements_total 0",
       "gdlog_opt_demand_cache_hits_total 0",
       "gdlog_opt_demand_engines_built_total 0",
-      "gdlog_opt_pipeline_reuses_total 0",
       "gdlog_queries_total 2",
       "gdlog_registry_programs 1",
       "gdlog_samples_total 0",

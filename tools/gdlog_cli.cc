@@ -49,17 +49,6 @@
 //                         grid, in cells (default 4096, range [1, 2^20];
 //                         requires --extensions)
 //   --condition           condition marginals on consistency
-//   --opt / --no-opt      enable / disable the Σ_Π optimization pipeline
-//                         (specialization, dead-rule elimination, subjoin
-//                         sharing; default on, GDLOG_NO_OPT=1 also
-//                         disables). The outcome space — and the --json
-//                         bytes — are identical either way; only grounding
-//                         work changes. With --query in plain exact mode
-//                         (no --json/--outcomes/--events/--mc/--shards),
-//                         the magic-sets demand pass additionally restricts
-//                         exploration to the queried predicates' dependency
-//                         cone: marginals and P(consistent) are exact,
-//                         the outcome count may coarsen
 //   --profile             exact mode: collect the per-rule chase profile
 //                         (calls, bindings, derivations, stratum, wall
 //                         time per Σ_Π rule; per-depth node/ground/solve
@@ -72,19 +61,22 @@
 //                         reproducible for any --threads; times are not.
 //                         Not with --mc or --merge, which run no profiled
 //                         chase
-//   --stats               print optimization-pass and grounding statistics
-//                         for G(∅) — per-pass rewrites and wall time,
+//   --stats               print the demand restriction's rule counts and
+//                         wall time, and grounding statistics for G(∅) —
 //                         ground rules, complete bindings, index /
 //                         composite / scan candidate fetches, plan cache
 //                         behavior — after the report (stderr when combined
 //                         with --json, so the JSON stream stays parseable)
-//   --dump-ir             print the Σ_Π rule IR before and after each
-//                         optimization pass, then exit
 //   --json                exact mode: emit machine-readable JSON (sections
 //                         controlled by --outcomes / --events) and exit
 //   --dot                 print the dependency graph in DOT and exit
+//
+// With --query in plain exact mode (no --json, --outcomes, --events, --mc,
+// --shards or --merge) and a stratified program, Σ_Π is restricted to the
+// queried predicates' demand (magic sets: their dependency cone plus every
+// constraint's): marginals and P(consistent) are exact, the outcome count
+// may coarsen. Every other mode runs the whole Σ_Π.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +87,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "gdatalog/sampler.h"
@@ -105,7 +98,6 @@
 namespace {
 
 constexpr size_t kNoShardIndex = static_cast<size_t>(-1);
-constexpr uint64_t kMaxCount = std::numeric_limits<uint64_t>::max();
 
 struct CliOptions {
   std::string program_path;
@@ -121,8 +113,6 @@ struct CliOptions {
   bool stats = false;
   bool profile = false;
   bool extensions = false;
-  bool optimize = true;
-  bool dump_ir = false;
   size_t mc_samples = 0;  // 0 = exact
   uint64_t seed = 2023;
   size_t max_outcomes = 1u << 20;
@@ -147,7 +137,6 @@ struct CliOptions {
                "          [--threads N] [--shards N [--shard-index I]]\n"
                "          [--shard-prefix-depth K] [--merge FILE]...\n"
                "          [--extensions] [--normalgrid-max-cells K]\n"
-               "          [--opt | --no-opt] [--dump-ir]\n"
                "          [--profile] [--stats] [--json] [--dot]\n",
                argv0);
   std::exit(2);
@@ -166,36 +155,19 @@ std::string ReadFile(const std::string& path) {
 
 CliOptions ParseArgs(int argc, char** argv) {
   CliOptions opts;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) Usage(argv[0], "missing argument value");
-    return argv[++i];
-  };
-  // Numeric flags take a plain decimal count: no sign, no surrounding
-  // characters, no overflow past `max`. Anything else is a usage error, so
-  // "--max-outcomes 1O" or "--shard-index x" never runs as 1 or 0.
-  auto need_count = [&](int& i, uint64_t max = kMaxCount) -> uint64_t {
-    const char* flag = argv[i];
-    const char* text = need_value(i);
-    const char* end = text + std::strlen(text);
-    uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec == std::errc() && ptr == end && value <= max) return value;
-    Usage(argv[0], (std::string(flag) + " expects an integer in [0, " +
-                    std::to_string(max) + "], got '" + text + "'")
-                       .c_str());
-  };
+  const gdlog_tools::FlagReader flags(argc, argv, Usage);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--program")) {
-      opts.program_path = need_value(i);
+      opts.program_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--db")) {
-      opts.db_path = need_value(i);
+      opts.db_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--db-delta")) {
-      opts.db_delta_path = need_value(i);
+      opts.db_delta_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--grounder")) {
-      opts.grounder = need_value(i);
+      opts.grounder = flags.Value(i);
     } else if (!std::strcmp(arg, "--query")) {
-      opts.queries.push_back(need_value(i));
+      opts.queries.push_back(flags.Value(i));
     } else if (!std::strcmp(arg, "--events")) {
       opts.print_events = true;
     } else if (!std::strcmp(arg, "--outcomes")) {
@@ -211,36 +183,30 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--profile")) {
       opts.profile = true;
     } else if (!std::strcmp(arg, "--mc")) {
-      opts.mc_samples = need_count(i);
+      opts.mc_samples = flags.Count(i);
     } else if (!std::strcmp(arg, "--seed")) {
-      opts.seed = need_count(i);
+      opts.seed = flags.Count(i);
     } else if (!std::strcmp(arg, "--max-outcomes")) {
-      opts.max_outcomes = need_count(i);
+      opts.max_outcomes = flags.Count(i);
     } else if (!std::strcmp(arg, "--max-depth")) {
-      opts.max_depth = need_count(i);
+      opts.max_depth = flags.Count(i);
     } else if (!std::strcmp(arg, "--support-limit")) {
-      opts.support_limit = need_count(i);
+      opts.support_limit = flags.Count(i);
     } else if (!std::strcmp(arg, "--threads")) {
-      opts.threads = need_count(i);
+      opts.threads = flags.Count(i);
     } else if (!std::strcmp(arg, "--shards")) {
-      opts.shards = need_count(i);
+      opts.shards = flags.Count(i);
     } else if (!std::strcmp(arg, "--shard-index")) {
-      opts.shard_index = need_count(i, kNoShardIndex - 1);
+      opts.shard_index = flags.Count(i, kNoShardIndex - 1);
     } else if (!std::strcmp(arg, "--shard-prefix-depth")) {
-      opts.shard_prefix_depth = need_count(i);
+      opts.shard_prefix_depth = flags.Count(i);
     } else if (!std::strcmp(arg, "--merge")) {
-      opts.merge_files.push_back(need_value(i));
+      opts.merge_files.push_back(flags.Value(i));
     } else if (!std::strcmp(arg, "--extensions")) {
       opts.extensions = true;
-    } else if (!std::strcmp(arg, "--opt")) {
-      opts.optimize = true;
-    } else if (!std::strcmp(arg, "--no-opt")) {
-      opts.optimize = false;
-    } else if (!std::strcmp(arg, "--dump-ir")) {
-      opts.dump_ir = true;
     } else if (!std::strcmp(arg, "--normalgrid-max-cells")) {
       opts.normalgrid_max_cells = static_cast<long long>(
-          need_count(i, std::numeric_limits<long long>::max()));
+          flags.Count(i, std::numeric_limits<long long>::max()));
     } else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       Usage(argv[0]);
     } else {
@@ -312,38 +278,19 @@ std::string QueryPredicate(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-// --stats: what the pass pipeline did at engine construction.
-void PrintOptStats(const gdlog::GDatalog& engine, const CliOptions& opts) {
+// --stats: what the demand restriction did at engine construction.
+void PrintDemandStats(const gdlog::GDatalog& engine, const CliOptions& opts) {
   const gdlog::OptStats& os = engine.opt_stats();
   std::FILE* dst = opts.json ? stderr : stdout;
-  if (!os.enabled) {
-    std::fprintf(dst, "\noptimization: off\n");
+  if (!os.demand_applied) {
+    std::fprintf(dst, "\ndemand restriction: off (%llu rules)\n",
+                 static_cast<unsigned long long>(os.rules_out));
     return;
   }
-  std::fprintf(dst, "\noptimization (%llu -> %llu rules%s, %.3f ms):\n",
+  std::fprintf(dst, "\ndemand restriction: %llu -> %llu rules (%.3f ms)\n",
                static_cast<unsigned long long>(os.rules_in),
                static_cast<unsigned long long>(os.rules_out),
-               os.demand_applied ? ", demand applied" : "",
                static_cast<double>(os.total_wall_ns) / 1e6);
-  for (const gdlog::PassStat& pass : os.passes) {
-    std::fprintf(dst, "  pass %-14s: %llu rewrites, %.3f ms\n",
-                 pass.name.c_str(),
-                 static_cast<unsigned long long>(pass.rewrites),
-                 static_cast<double>(pass.wall_ns) / 1e6);
-  }
-  std::fprintf(dst,
-               "  rules eliminated       : %llu\n"
-               "  rules specialized      : %llu\n"
-               "  predicates specialized : %llu\n"
-               "  subjoins shared        : %llu\n"
-               "  demand-eliminated rules: %llu\n",
-               static_cast<unsigned long long>(os.counters.rules_eliminated),
-               static_cast<unsigned long long>(os.counters.rules_specialized),
-               static_cast<unsigned long long>(
-                   os.counters.predicates_specialized),
-               static_cast<unsigned long long>(os.counters.subjoins_shared),
-               static_cast<unsigned long long>(
-                   os.counters.demand_eliminated_rules));
 }
 
 // --stats: grounds once under the empty choice set with counters enabled
@@ -387,14 +334,10 @@ void PrintDeltaStats(const gdlog::GDatalog& engine, const CliOptions& opts) {
                "  rows appended      : %zu (+%zu duplicates skipped)\n"
                "  predicates touched : %zu\n"
                "  rules refired      : %llu\n"
-               "  summary changed    : %s\n"
-               "  pipeline reused    : %s\n"
                "  root resumed       : %s\n"
                "  touches rule bodies: %s\n",
                ds.rows_appended, ds.duplicates_skipped, ds.predicates_touched,
                static_cast<unsigned long long>(ds.rules_refired),
-               ds.summary_changed ? "yes" : "no",
-               ds.pipeline_reused ? "yes" : "no",
                ds.root_resumed ? "yes" : "no",
                ds.touches_rule_bodies ? "yes" : "no");
 }
@@ -412,7 +355,7 @@ int RunExact(const gdlog::GDatalog& engine, const CliOptions& opts) {
   int code = ReportSpace(engine, *space, opts);
   if (code == 0 && opts.profile) PrintProfile(engine, profile, opts.json);
   if (code == 0 && opts.stats) {
-    PrintOptStats(engine, opts);
+    PrintDemandStats(engine, opts);
     PrintDeltaStats(engine, opts);
     PrintGroundStats(engine, opts);
   }
@@ -690,17 +633,14 @@ int main(int argc, char** argv) {
   } else if (opts.grounder != "auto") {
     Usage(argv[0], "grounder must be auto, simple or perfect");
   }
-  engine_options.optimize = opts.optimize;
-  engine_options.record_ir_dumps = opts.dump_ir;
-  // Demand transformation: only on the plain exact --query path, where the
+  // Demand restriction: only on the plain exact --query path, where the
   // observables (marginals of the queried atoms, P(consistent)) are
   // provably preserved. Every mode that exposes the raw outcome space
   // (--json, --outcomes, --events, sharding/merge, sampling) keeps the
-  // full program so its bytes match a --no-opt run.
+  // whole Σ_Π.
   if (!opts.queries.empty() && !opts.json && !opts.print_events &&
       !opts.print_outcomes && opts.mc_samples == 0 && opts.shards == 0 &&
-      opts.shard_index == kNoShardIndex && opts.merge_files.empty() &&
-      opts.optimize) {
+      opts.shard_index == kNoShardIndex && opts.merge_files.empty()) {
     for (const std::string& query : opts.queries) {
       std::string name = QueryPredicate(query);
       if (!name.empty()) engine_options.demand_goals.push_back(name);
@@ -731,17 +671,6 @@ int main(int argc, char** argv) {
   if (opts.dot) {
     gdlog::DependencyGraph dg(engine->program());
     std::fputs(dg.ToDot(engine->program().interner()).c_str(), stdout);
-    return 0;
-  }
-
-  if (opts.dump_ir) {
-    if (!engine->opt_stats().enabled) {
-      std::printf("optimization: off\n");
-      return 0;
-    }
-    for (const auto& [label, text] : engine->opt_stats().dumps) {
-      std::printf("== %s ==\n%s", label.c_str(), text.c_str());
-    }
     return 0;
   }
 

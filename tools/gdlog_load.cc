@@ -40,6 +40,9 @@
 //                         latency (p50/p95/max) are printed alongside the
 //                         cache deltas
 //   --shards N            fleet mode: shard count (default: worker count)
+//
+// Numeric values are plain decimal counts (ports at most 65535); anything
+// else — a sign, trailing characters, overflow — exits 2.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -53,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "flags.h"
 #include "server/http.h"
 #include "util/json.h"
 
@@ -132,26 +136,23 @@ gdlog::Result<gdlog::JsonValue> FetchStats(const std::string& host,
 
 int main(int argc, char** argv) {
   LoadOptions opts;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) Usage(argv[0], "missing argument value");
-    return argv[++i];
-  };
+  const gdlog_tools::FlagReader flags(argc, argv, Usage);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--host")) {
-      opts.host = need_value(i);
+      opts.host = flags.Value(i);
     } else if (!std::strcmp(arg, "--port")) {
-      opts.port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+      opts.port = flags.Port(i);
     } else if (!std::strcmp(arg, "--program")) {
-      opts.program_path = need_value(i);
+      opts.program_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--db")) {
-      opts.db_path = need_value(i);
+      opts.db_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--grounder")) {
-      opts.grounder = need_value(i);
+      opts.grounder = flags.Value(i);
     } else if (!std::strcmp(arg, "--requests")) {
-      opts.requests = std::strtoull(need_value(i), nullptr, 10);
+      opts.requests = flags.Count(i);
     } else if (!std::strcmp(arg, "--concurrency")) {
-      opts.concurrency = std::strtoull(need_value(i), nullptr, 10);
+      opts.concurrency = flags.Count(i);
     } else if (!std::strcmp(arg, "--include-outcomes")) {
       opts.include_outcomes = true;
     } else if (!std::strcmp(arg, "--include-events")) {
@@ -159,13 +160,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--check")) {
       opts.check = true;
     } else if (!std::strcmp(arg, "--dump-response")) {
-      opts.dump_path = need_value(i);
+      opts.dump_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--delta")) {
-      opts.delta_path = need_value(i);
+      opts.delta_path = flags.Value(i);
     } else if (!std::strcmp(arg, "--fleet-workers")) {
-      opts.fleet_workers = need_value(i);
+      opts.fleet_workers = flags.Value(i);
     } else if (!std::strcmp(arg, "--shards")) {
-      opts.shards = std::strtoull(need_value(i), nullptr, 10);
+      opts.shards = flags.Count(i);
     } else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       Usage(argv[0]);
     } else {

@@ -28,6 +28,10 @@
 //                         0 disables it                   (default 64)
 //   --version             print the build version (git describe) and exit
 //
+// Numeric values are plain decimal counts (ports at most 65535); anything
+// else — a sign, trailing characters, overflow — exits 2 before any socket
+// is opened.
+//
 // Every request is access-logged to stderr as
 //   gdlogd: METHOD TARGET status=N trace=ID
 // where ID is the request's X-Gdlog-Trace id (caller-supplied or minted);
@@ -49,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "obs/trace.h"
 #include "obs/version.h"
 #include "server/http.h"
@@ -101,44 +106,33 @@ int main(int argc, char** argv) {
   gdlog::InferenceService::Options service_options;
   service_options.default_chase.num_threads = 1;
 
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) Usage(argv[0], "missing argument value");
-    return argv[++i];
-  };
+  const gdlog_tools::FlagReader flags(argc, argv, Usage);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--host")) {
-      http_options.host = need_value(i);
+      http_options.host = flags.Value(i);
     } else if (!std::strcmp(arg, "--port")) {
-      http_options.port = static_cast<int>(std::strtol(need_value(i),
-                                                       nullptr, 10));
+      http_options.port = flags.Port(i);
     } else if (!std::strcmp(arg, "--http-threads")) {
-      http_options.workers = std::strtoull(need_value(i), nullptr, 10);
+      http_options.workers = flags.Count(i);
     } else if (!std::strcmp(arg, "--chase-threads")) {
-      service_options.default_chase.num_threads =
-          std::strtoull(need_value(i), nullptr, 10);
+      service_options.default_chase.num_threads = flags.Count(i);
     } else if (!std::strcmp(arg, "--cache-mb")) {
-      service_options.cache_bytes =
-          std::strtoull(need_value(i), nullptr, 10) * 1024 * 1024;
+      service_options.cache_bytes = flags.MiB(i);
     } else if (!std::strcmp(arg, "--max-body-mb")) {
-      http_options.max_body_bytes =
-          std::strtoull(need_value(i), nullptr, 10) * 1024 * 1024;
+      http_options.max_body_bytes = flags.MiB(i);
     } else if (!std::strcmp(arg, "--idle-timeout-ms")) {
-      http_options.idle_timeout_ms =
-          static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+      http_options.idle_timeout_ms = flags.Int(i);
     } else if (!std::strcmp(arg, "--max-samples")) {
-      service_options.max_samples = std::strtoull(need_value(i), nullptr, 10);
+      service_options.max_samples = flags.Count(i);
     } else if (!std::strcmp(arg, "--fleet-workers")) {
-      service_options.fleet_workers = SplitWorkers(need_value(i));
+      service_options.fleet_workers = SplitWorkers(flags.Value(i));
     } else if (!std::strcmp(arg, "--fleet-deadline-ms")) {
-      service_options.fleet_deadline_ms =
-          static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+      service_options.fleet_deadline_ms = flags.Int(i);
     } else if (!std::strcmp(arg, "--fleet-steal-after-ms")) {
-      service_options.fleet_steal_after_ms =
-          static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+      service_options.fleet_steal_after_ms = flags.Int(i);
     } else if (!std::strcmp(arg, "--fleet-partial-cache-mb")) {
-      service_options.fleet_partial_cache_bytes =
-          std::strtoull(need_value(i), nullptr, 10) * 1024 * 1024;
+      service_options.fleet_partial_cache_bytes = flags.MiB(i);
     } else if (!std::strcmp(arg, "--version")) {
       // The same string /v1/healthz reports as "version".
       std::printf("gdlogd %s\n", gdlog::GdlogVersion());
