@@ -249,6 +249,43 @@ TEST(DeltaEngine, NewConstantDeltaResumesRootAndMatchesRebuild) {
   EXPECT_EQ(SpaceJson(*full, *want), SpaceJson(*inc, *got));
 }
 
+TEST(DeltaEngine, ChainedDeltasAfterInferMatchRebuild) {
+  // Three deltas in a row, each applied to an engine that has already run
+  // Infer() — so its root grounding exists when the next delta arrives —
+  // and every link of the chain must produce the space of a fresh engine
+  // on the merged database. The first delta brings the new constant 4.
+  const std::vector<std::string> deltas = {
+      "router(4).\nconnected(3,4).\n", "connected(4,1).\n",
+      "connected(2,4).\nmeta(7).\n"};
+  for (GrounderKind kind : {GrounderKind::kSimple, GrounderKind::kPerfect}) {
+    const char* name = kind == GrounderKind::kSimple ? "simple" : "perfect";
+    std::string merged = Clique(3);
+    auto base = MakeEngine(kNetworkProgram, merged, kind);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    std::vector<GDatalog> chain;
+    chain.push_back(std::move(*base));
+    for (size_t link = 0; link < deltas.size(); ++link) {
+      ASSERT_TRUE(chain.back().Infer().ok()) << name << " link " << link;
+      auto next = GDatalog::WithDatabaseDelta(chain.back(), deltas[link]);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      EXPECT_TRUE(next->delta_stats().applied);
+      chain.push_back(std::move(*next));
+      merged += deltas[link];
+      auto fresh = MakeEngine(kNetworkProgram, merged, kind);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        ChaseOptions chase;
+        chase.num_threads = threads;
+        auto want = fresh->Infer(chase);
+        auto got = chain.back().Infer(chase);
+        ASSERT_TRUE(want.ok() && got.ok());
+        EXPECT_EQ(SpaceJson(*fresh, *want), SpaceJson(chain.back(), *got))
+            << name << " link " << link << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(DeltaEngine, NonBodyPredicateDeltaIsRevalidatable) {
   auto base = MakeEngine(kNetworkProgram, Clique(3) + "meta(1).\n",
                          GrounderKind::kSimple);
