@@ -32,7 +32,7 @@ bool g_gate_failed = false;
 // facts that no rule body mentions — they make a PUT rebuild re-parse and
 // re-index the whole store, while a PATCH never touches their relation at
 // all. The 1% delta lands on `connected` — a real rule-body predicate, so
-// the update must re-ground semi-naively and evict cached spaces — but its
+// the next query must ground again and cached spaces are evicted — but its
 // facts connect non-router nodes with no infected partner, so they are
 // chase-inert and the outcome space stays small enough to cache. This is
 // the regime the delta path is built for: update cost proportional to the
@@ -221,10 +221,10 @@ BENCHMARK(BM_Sample_Incremental)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 /// PATCH /db with a fresh 1%-sized delta per iteration — the serving-layer
-/// incremental update (parse delta, append rows extending indices, resume
-/// semi-naive re-grounding, lineage bump). Fixed iteration count: every
-/// iteration appends real rows, so unbounded adaptive runs would grow the
-/// database (and the published spec) quadratically.
+/// incremental update (parse delta, append rows extending indices, extend
+/// the grounder's shared database prefix, lineage bump). Fixed iteration
+/// count: every iteration appends real rows, so unbounded adaptive runs
+/// would grow the database (and the published spec) quadratically.
 void BM_DeltaUpdate_Patch1Pct(benchmark::State& state) {
   gdlog::InferenceService::Options options;
   options.default_chase.num_threads = 1;
@@ -248,7 +248,7 @@ BENCHMARK(BM_DeltaUpdate_Patch1Pct)
     ->Unit(benchmark::kMillisecond);
 
 /// PUT /db with the full database text — the rebuild every delta update
-/// replaces: re-parse the whole store, re-summarize, re-ground.
+/// replaces: re-parse the whole store and rebuild the database prefix.
 void BM_DeltaUpdate_FullRebuild(benchmark::State& state) {
   gdlog::InferenceService::Options options;
   options.default_chase.num_threads = 1;

@@ -105,7 +105,8 @@ class ChaseEngine {
   /// ChaseOptions::num_threads, and returns the pre-merge partial (sorted
   /// canonically, so the serialized partial is identical for every thread
   /// count). Shard 0 additionally carries the plan-level accounting.
-  /// Recombine with MergePartialSpaces (shard.h).
+  /// Recombine with MergePartialSpaces (shard.h). `plan` must come from
+  /// PlanShards; one without its task-to-shard map is kInvalidArgument.
   Result<PartialSpace> ExploreShard(const ShardPlan& plan, size_t shard_index,
                                     const ChaseOptions& options,
                                     ChaseProfile* profile = nullptr) const;

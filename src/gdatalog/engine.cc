@@ -24,6 +24,23 @@ struct GDatalog::State {
   std::vector<GroundAtom> delta_added;
   std::unique_ptr<Grounder> grounder;
   std::unique_ptr<ChaseEngine> chase;
+
+  /// The state of an engine for this one's program and another database:
+  /// everything but the database, which the caller fills in. The interner
+  /// is cloned so the new engine can intern database-only symbols without
+  /// mutating this one (which may be serving concurrently); Σ_Π, a
+  /// function of Π and the demand goals alone, is adopted.
+  std::unique_ptr<State> Derive() const {
+    auto out = std::make_unique<State>();
+    std::shared_ptr<Interner> interner = program.interner()->Clone();
+    out->program = program.CloneWith(interner);
+    out->registry = registry;
+    out->translated = translated.CloneWith(std::move(interner));
+    out->stratified = stratified;
+    out->effective_grounder = effective_grounder;
+    out->opt_stats = opt_stats;
+    return out;
+  }
 };
 
 GDatalog::GDatalog(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -101,18 +118,20 @@ Result<GDatalog> GDatalog::FromProgram(Program pi, FactStore db,
     kind = state->stratified ? GrounderKind::kPerfect : GrounderKind::kSimple;
   }
   state->effective_grounder = kind;
-  return FinishEngine(std::move(state));
+  DatabasePrefix prefix = DatabasePrefix::Of(state->db);
+  return FinishEngine(std::move(state), std::move(prefix));
 }
 
-Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state) {
+Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state,
+                                        DatabasePrefix prefix) {
   if (state->effective_grounder == GrounderKind::kPerfect) {
     GDLOG_ASSIGN_OR_RETURN(
         state->grounder,
         PerfectGrounder::Create(state->program, &state->translated,
-                                &state->db));
+                                std::move(prefix)));
   } else {
-    state->grounder =
-        std::make_unique<SimpleGrounder>(&state->translated, &state->db);
+    state->grounder = std::make_unique<SimpleGrounder>(&state->translated,
+                                                       std::move(prefix));
   }
   state->chase = std::make_unique<ChaseEngine>(&state->translated, &state->db,
                                                state->grounder.get());
@@ -121,31 +140,21 @@ Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state) {
 
 Result<GDatalog> GDatalog::WithDatabase(const GDatalog& base,
                                         std::string_view database_text) {
-  const State& bs = *base.state_;
-  auto state = std::make_unique<State>();
-  // Clone the interner so the new engine can intern database-only symbols
-  // without mutating the base engine (which may be serving concurrently).
-  std::shared_ptr<Interner> interner = bs.program.interner()->Clone();
-  state->program = bs.program.CloneWith(interner);
-  GDLOG_ASSIGN_OR_RETURN(state->db, ParseFacts(database_text, interner.get()));
+  std::unique_ptr<State> state = base.state_->Derive();
+  GDLOG_ASSIGN_OR_RETURN(state->db,
+                         ParseFacts(database_text, state->program.interner()));
   state->db.Freeze();
-  state->registry = bs.registry;
-  state->stratified = bs.stratified;
-  state->effective_grounder = bs.effective_grounder;
-  // Σ_Π is a function of Π and the demand goals, never of D: adopt it.
-  state->translated = bs.translated.CloneWith(interner);
-  state->opt_stats = bs.opt_stats;
-  return FinishEngine(std::move(state));
+  DatabasePrefix prefix = DatabasePrefix::Of(state->db);
+  return FinishEngine(std::move(state), std::move(prefix));
 }
 
 Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
                                              std::string_view delta_text) {
   const State& bs = *base.state_;
-  auto state = std::make_unique<State>();
-  std::shared_ptr<Interner> interner = bs.program.interner()->Clone();
-  state->program = bs.program.CloneWith(interner);
+  std::unique_ptr<State> state = bs.Derive();
+  Interner* interner = state->program.interner();
   GDLOG_ASSIGN_OR_RETURN(FactDelta delta,
-                         ParseFactDelta(delta_text, interner.get()));
+                         ParseFactDelta(delta_text, interner));
 
   // COW-extend the base database: the copy shares row storage and adopts
   // the already-built indices, so applying the delta costs O(|delta|) plus
@@ -154,10 +163,6 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
   DeltaRanges ranges;
   GDLOG_RETURN_IF_ERROR(state->db.ApplyDelta(delta, &ranges));
   state->db.Freeze();
-
-  state->registry = bs.registry;
-  state->stratified = bs.stratified;
-  state->effective_grounder = bs.effective_grounder;
 
   state->delta_stats.applied = true;
   state->delta_stats.rows_appended = ranges.rows_appended;
@@ -187,30 +192,9 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
     touches |= interner->Name(pred).rfind("__", 0) == 0;
   }
 
-  state->translated = bs.translated.CloneWith(interner);
-  state->opt_stats = bs.opt_stats;
-
-  // Grounders share the base's database-prefix grounding (COW-extension)
-  // instead of rebuilding it fact by fact. The simple grounder additionally
-  // resumes the base's saturated root grounding from the delta ranges —
-  // sound because the rule sets are identical (the base's Σ_Π is adopted).
-  if (state->effective_grounder == GrounderKind::kPerfect) {
-    const auto& base_grounder =
-        static_cast<const PerfectGrounder&>(*bs.grounder);
-    GDLOG_ASSIGN_OR_RETURN(
-        state->grounder,
-        PerfectGrounder::CreateDelta(state->program, &state->translated,
-                                     &state->db, base_grounder, ranges));
-  } else {
-    const auto& base_grounder =
-        static_cast<const SimpleGrounder&>(*bs.grounder);
-    state->grounder = std::make_unique<SimpleGrounder>(
-        &state->translated, &state->db, base_grounder, ranges,
-        &state->delta_stats.root_resumed, &state->delta_stats.rules_refired);
-  }
-  state->chase = std::make_unique<ChaseEngine>(&state->translated, &state->db,
-                                               state->grounder.get());
-  return GDatalog(std::move(state));
+  // Π[D ∪ Δ]'s prefix is D's, shared, with Δ's new facts on its tail.
+  DatabasePrefix prefix = bs.grounder->prefix().Extended(state->delta_added);
+  return FinishEngine(std::move(state), std::move(prefix));
 }
 
 const Program& GDatalog::program() const { return state_->program; }

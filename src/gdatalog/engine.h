@@ -35,12 +35,6 @@ struct DeltaStats {
   size_t rows_appended = 0;
   size_t duplicates_skipped = 0;
   size_t predicates_touched = 0;
-  /// The simple grounder resumed the base's saturated root grounding from
-  /// the delta ranges instead of re-deriving the choice-free core.
-  bool root_resumed = false;
-  /// Ground rules derived by that resume, beyond the delta facts
-  /// themselves.
-  uint64_t rules_refired = 0;
   /// Some delta predicate occurs in a rule body of Π (or collides with a
   /// translation-synthesized "__" name) — reachability that forbids the
   /// serving layer's cache revalidation.
@@ -90,14 +84,13 @@ class GDatalog {
 
   /// Builds an engine for `base`'s program with `base`'s database extended
   /// by a delta (see ParseFactDelta for the syntax; removals are rejected
-  /// with kUnsupported). Everything is proportional to the delta, not the
-  /// database: the FactStore is COW-extended in place (indices included),
-  /// `base`'s Σ_Π is adopted, the grounder shares the base's
-  /// database-prefix grounding, and — for the simple grounder, once the
-  /// base has grounded its root — the saturated root grounding is
-  /// re-ground semi-naively from the delta ranges only. delta_stats() on
-  /// the result reports what was done.
-  /// The serving layer's PATCH /db path.
+  /// with kUnsupported). The FactStore is COW-extended in place (indices
+  /// included), `base`'s Σ_Π is adopted, and the grounder is built like
+  /// any other on the base grounder's database prefix with the delta's
+  /// new facts appended to its tail — no per-fact rebuild of D. Each
+  /// Ground() still grounds the rules from that prefix: nothing grounded
+  /// by `base` is resumed. delta_stats() on the result reports what was
+  /// appended. The serving layer's PATCH /db path.
   static Result<GDatalog> WithDatabaseDelta(const GDatalog& base,
                                             std::string_view delta_text);
 
@@ -165,7 +158,10 @@ class GDatalog {
  private:
   struct State;
   explicit GDatalog(std::unique_ptr<State> state);
-  static Result<GDatalog> FinishEngine(std::unique_ptr<State> state);
+  /// Builds the grounder on `prefix` and the chase over it: the one
+  /// construction step every factory ends in.
+  static Result<GDatalog> FinishEngine(std::unique_ptr<State> state,
+                                       DatabasePrefix prefix);
   std::unique_ptr<State> state_;
 };
 

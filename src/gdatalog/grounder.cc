@@ -25,39 +25,6 @@ std::vector<uint32_t> CollectBodyPreds(
   return preds;
 }
 
-/// The database prefix of Π[D] as a grounding: one body-less rule per
-/// fact, with the matching instance frozen (all column indices built) so
-/// clones inherit the indexes copy-on-write.
-std::shared_ptr<const GroundRuleSet> MakeDbBase(const FactStore& db) {
-  GroundRuleSet base;
-  for (uint32_t pred : db.Predicates()) {
-    for (const Tuple& row : db.Rows(pred)) {
-      GroundRule fact;
-      fact.head = GroundAtom{pred, row};
-      base.Add(std::move(fact));
-    }
-  }
-  base.mutable_heads()->Freeze();
-  return std::make_shared<const GroundRuleSet>(std::move(base));
-}
-
-/// The delta rows of `ranges` as body-less ground rules, in the same
-/// (predicate-sorted, row-ordered) convention as MakeDbBase.
-std::vector<GroundRule> DeltaFactRules(const FactStore& db,
-                                       const DeltaRanges& ranges) {
-  std::vector<GroundRule> out;
-  out.reserve(ranges.rows_appended);
-  for (const auto& [pred, range] : ranges.ranges) {
-    const std::vector<Tuple>& rows = db.Rows(pred);
-    for (uint32_t r = range.begin; r < range.end && r < rows.size(); ++r) {
-      GroundRule fact;
-      fact.head = GroundAtom{pred, rows[r]};
-      out.push_back(std::move(fact));
-    }
-  }
-  return out;
-}
-
 /// Compiles sigma rule `i`, attributed to index i in the rule profile.
 CompiledRule CompileSigmaRule(const TranslatedProgram& translated, size_t i) {
   CompiledRule out = CompileRule(translated.sigma().rules()[i]);
@@ -121,14 +88,44 @@ void CascadeOnEntry(const TranslatedProgram& translated,
 
 }  // namespace
 
+DatabasePrefix DatabasePrefix::Of(const FactStore& db) {
+  GroundRuleSet base;
+  for (uint32_t pred : db.Predicates()) {
+    for (const Tuple& row : db.Rows(pred)) {
+      GroundRule fact;
+      fact.head = GroundAtom{pred, row};
+      base.Add(std::move(fact));
+    }
+  }
+  base.mutable_heads()->Freeze();
+  return DatabasePrefix{std::make_shared<const GroundRuleSet>(std::move(base)),
+                        {}};
+}
+
+DatabasePrefix DatabasePrefix::Extended(
+    const std::vector<GroundAtom>& facts) const {
+  DatabasePrefix out{base, tail};
+  out.tail.reserve(tail.size() + facts.size());
+  for (const GroundAtom& atom : facts) {
+    GroundRule fact;
+    fact.head = atom;
+    out.tail.push_back(std::move(fact));
+  }
+  return out;
+}
+
+GroundRuleSet DatabasePrefix::Instantiate() const {
+  GroundRuleSet out = base->Clone();
+  for (const GroundRule& fact : tail) out.Add(fact);
+  return out;
+}
+
 Status RunGroundingFixpoint(const TranslatedProgram& translated,
                             const std::vector<const CompiledRule*>& rules,
                             const std::vector<uint32_t>& body_preds,
                             const ChoiceSet& choices, bool check_negative,
                             GroundRuleSet* out, EntryCascade entry,
-                            bool resume, MatchStats* stats,
-                            const std::unordered_map<uint32_t, uint32_t>*
-                                seed_watermarks) {
+                            bool resume, MatchStats* stats) {
   FactStore* heads = out->mutable_heads();
 
   // Semi-naive deltas as row ranges: the delta of predicate P for the
@@ -136,21 +133,14 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
   // append. Snapshot at the end of each round's matching phase, before
   // that round's derivations are applied. On a fresh run everything is
   // new (empty map = all-zero watermarks); on a resumed run everything
-  // present at entry is old — unless the caller seeded explicit watermarks,
-  // in which case rows above them (e.g. a just-applied database delta) are
-  // the new facts this run starts from.
+  // present at entry is old.
   std::unordered_map<uint32_t, uint32_t> old_counts;
   auto snapshot_old = [&] {
     for (uint32_t pred : body_preds) {
       old_counts[pred] = static_cast<uint32_t>(heads->Count(pred));
     }
   };
-  if (seed_watermarks != nullptr) {
-    old_counts = *seed_watermarks;
-    resume = true;
-  } else if (resume) {
-    snapshot_old();
-  }
+  if (resume) snapshot_old();
 
   // Every head insertion cascades its Active atom's chosen Result atom, so
   // on return each chosen Active atom of the instance has its Result atom
@@ -259,7 +249,9 @@ Status RunGroundingFixpoint(const TranslatedProgram& translated,
 // SimpleGrounder
 // ---------------------------------------------------------------------------
 
-void SimpleGrounder::CompileRules() {
+SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
+                               DatabasePrefix prefix)
+    : Grounder(std::move(prefix)), translated_(translated) {
   const std::vector<Rule>& rules = translated_->sigma().rules();
   compiled_.reserve(rules.size());
   for (size_t i = 0; i < rules.size(); ++i) {
@@ -270,66 +262,11 @@ void SimpleGrounder::CompileRules() {
   body_preds_ = CollectBodyPreds(all_rules_);
 }
 
-SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
-                               const FactStore* db)
-    : translated_(translated), db_(db) {
-  CompileRules();
-  db_base_ = MakeDbBase(*db_);
-}
-
-SimpleGrounder::SimpleGrounder(const TranslatedProgram* translated,
-                               const FactStore* db, const SimpleGrounder& base,
-                               const DeltaRanges& ranges, bool* root_resumed,
-                               uint64_t* rules_refired)
-    : translated_(translated), db_(db) {
-  CompileRules();
-  // COW-extension of Π[D]: share the base's database prefix, stack the
-  // delta rows as a tail — no per-fact rebuild proportional to |D|.
-  db_base_ = base.db_base_;
-  db_tail_ = base.db_tail_;
-  std::vector<GroundRule> delta_facts = DeltaFactRules(*db_, ranges);
-  db_tail_.insert(db_tail_.end(), delta_facts.begin(), delta_facts.end());
-  if (root_resumed != nullptr) *root_resumed = false;
-  if (rules_refired != nullptr) *rules_refired = 0;
-  std::shared_ptr<const GroundRuleSet> base_root;
-  {
-    std::lock_guard<std::mutex> lock(base.root_mu_);
-    base_root = base.root_;
-  }
-  // Base never grounded anything yet: nothing to resume, the root will be
-  // built lazily from scratch on first use.
-  if (base_root == nullptr) return;
-  // Semi-naive re-grounding from the delta ranges only: watermark every
-  // body predicate at the saturated base root's counts, add the delta
-  // facts above the watermarks, resume the fixpoint. Simple^∞ is monotone
-  // in the database, so the resumed fixpoint equals the from-scratch one.
-  GroundRuleSet root = base_root->Clone();
-  std::unordered_map<uint32_t, uint32_t> watermarks;
-  for (uint32_t pred : body_preds_) {
-    watermarks[pred] = static_cast<uint32_t>(root.heads().Count(pred));
-  }
-  for (const GroundRule& fact : delta_facts) root.Add(fact);
-  size_t before = root.size();
-  ChoiceSet no_choices;
-  Status status = RunGroundingFixpoint(
-      *translated_, all_rules_, body_preds_, no_choices,
-      /*check_negative=*/false, &root, EntryCascade{}, /*resume=*/true,
-      /*stats=*/nullptr, &watermarks);
-  if (!status.ok()) return;  // Fall back to the lazy from-scratch root.
-  if (rules_refired != nullptr) {
-    *rules_refired = static_cast<uint64_t>(root.size() - before);
-  }
-  if (root_resumed != nullptr) *root_resumed = true;
-  root.mutable_heads()->Freeze();
-  root_ = std::make_shared<const GroundRuleSet>(std::move(root));
-}
-
 Result<std::shared_ptr<const GroundRuleSet>> SimpleGrounder::RootGrounding(
     MatchStats* stats) const {
   std::lock_guard<std::mutex> lock(root_mu_);
   if (root_ != nullptr) return root_;
-  GroundRuleSet root = db_base_->Clone();
-  for (const GroundRule& fact : db_tail_) root.Add(fact);
+  GroundRuleSet root = prefix().Instantiate();
   ChoiceSet no_choices;
   GDLOG_RETURN_IF_ERROR(RunGroundingFixpoint(
       *translated_, all_rules_, body_preds_, no_choices,
@@ -372,16 +309,16 @@ Status SimpleGrounder::Extend(const ChoiceSet& choices,
 // PerfectGrounder
 // ---------------------------------------------------------------------------
 
-Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Build(
+Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Create(
     const Program& pi, const TranslatedProgram* translated,
-    const FactStore* db) {
+    DatabasePrefix prefix) {
   DependencyGraph dg(pi);
   if (!dg.IsStratified()) {
     return Status::NotStratified(
         "perfect grounder requires stratified negation");
   }
-  auto grounder =
-      std::unique_ptr<PerfectGrounder>(new PerfectGrounder(translated, db));
+  auto grounder = std::unique_ptr<PerfectGrounder>(
+      new PerfectGrounder(translated, std::move(prefix)));
   grounder->stratum_rules_.assign(dg.Components().size(), {});
   const auto& strata = dg.Strata();
   const std::vector<Rule>& sigma_rules = translated->sigma().rules();
@@ -412,29 +349,6 @@ Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Build(
   }
   grounder->constraint_body_preds_ =
       CollectBodyPreds(grounder->constraint_rules_);
-  return grounder;
-}
-
-Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::Create(
-    const Program& pi, const TranslatedProgram* translated,
-    const FactStore* db) {
-  GDLOG_ASSIGN_OR_RETURN(std::unique_ptr<PerfectGrounder> grounder,
-                         Build(pi, translated, db));
-  grounder->db_base_ = MakeDbBase(*db);
-  return grounder;
-}
-
-Result<std::unique_ptr<PerfectGrounder>> PerfectGrounder::CreateDelta(
-    const Program& pi, const TranslatedProgram* translated,
-    const FactStore* db, const PerfectGrounder& base,
-    const DeltaRanges& ranges) {
-  GDLOG_ASSIGN_OR_RETURN(std::unique_ptr<PerfectGrounder> grounder,
-                         Build(pi, translated, db));
-  grounder->db_base_ = base.db_base_;
-  grounder->db_tail_ = base.db_tail_;
-  std::vector<GroundRule> delta_facts = DeltaFactRules(*db, ranges);
-  grounder->db_tail_.insert(grounder->db_tail_.end(), delta_facts.begin(),
-                            delta_facts.end());
   return grounder;
 }
 
@@ -501,8 +415,7 @@ Status PerfectGrounder::GroundFrom(size_t first, const ChoiceSet& choices,
 
 Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
                                MatchStats* stats) const {
-  *out = db_base_->Clone();
-  for (const GroundRule& fact : db_tail_) out->Add(fact);
+  *out = prefix().Instantiate();
   // The one entry scan of this call: D's own Active atoms and, for a chase
   // node that arrives with a whole choice set (a shard task), every
   // choice among them. Each stratum grounds from scratch, so these Result

@@ -5,7 +5,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gdatalog/choice.h"
@@ -32,14 +32,40 @@ struct EntryCascade {
   static EntryCascade Of(const GroundAtom& atom) { return {false, &atom}; }
 };
 
+/// Π[D]'s database prefix: every fact of D as a body-less ground rule, the
+/// part every G(Σ) starts from. `base` has its matching instance
+/// frozen (every column index built) and is shared read-only by every
+/// grounding and by the engines later database deltas derive; `tail` holds
+/// the facts those deltas appended, in order. The tail stays flat: a chain
+/// of deltas adds no rule segment per delta, so AddAndGet keeps probing
+/// only `base`'s segment and a grounding's own.
+struct DatabasePrefix {
+  std::shared_ptr<const GroundRuleSet> base;
+  std::vector<GroundRule> tail;
+
+  /// The prefix of `db`, one rule per fact, predicate by predicate in row
+  /// order.
+  static DatabasePrefix Of(const FactStore& db);
+  /// This prefix with `facts` appended to the tail; `base` stays shared.
+  DatabasePrefix Extended(const std::vector<GroundAtom>& facts) const;
+  /// A fresh grounding holding just the prefix: a clone of `base` (which
+  /// shares its rules and indices) with the tail added.
+  GroundRuleSet Instantiate() const;
+};
+
 /// A grounder G of Π[D] (Definition 3.3): a monotone map from functionally
 /// consistent sets Σ of ground AtR TGDs (ChoiceSet) to subsets of
 /// ground(Σ∄_Π[D]) such that, whenever AtR_Σ is compatible with G(Σ), the
 /// stable models of G(Σ) ∪ Σ are exactly those of Σ_Π[D] consistent with
-/// the choices in Σ.
+/// the choices in Σ. It depends on Π[D] only through Σ_Π and the database
+/// prefix it holds, so the grounder of Π[D ∪ Δ] is the same grounder
+/// built on the prefix extended by Δ.
 class Grounder {
  public:
   virtual ~Grounder() = default;
+
+  /// The database prefix every Ground() starts from.
+  const DatabasePrefix& prefix() const { return prefix_; }
 
   virtual std::string_view name() const = 0;
 
@@ -82,6 +108,12 @@ class Grounder {
     return Status::Unsupported(std::string(name()) +
                                " grounder does not read off models");
   }
+
+ protected:
+  explicit Grounder(DatabasePrefix prefix) : prefix_(std::move(prefix)) {}
+
+ private:
+  DatabasePrefix prefix_;
 };
 
 /// The simple grounder GSimple_Π[D] (Definition 3.4): the least fixpoint of
@@ -90,23 +122,10 @@ class Grounder {
 /// and carried into the ground rules.
 class SimpleGrounder : public Grounder {
  public:
-  /// `translated` and `db` must outlive the grounder. Compiles every Σ∄
-  /// rule to slot form once, here, so chase nodes share the compiled
-  /// bodies read-only.
-  SimpleGrounder(const TranslatedProgram* translated, const FactStore* db);
-
-  /// Delta-extension construction (GDatalog::WithDatabaseDelta): shares
-  /// `base`'s database-prefix grounding instead of rebuilding it from |D|
-  /// and carries the rows `db` gained in `ranges` as a tail of body-less
-  /// rules. `translated` must hold the base's rule set (the engine adopts
-  /// the base's Σ_Π). Provided `base` has already saturated its root
-  /// grounding, the root is re-grounded semi-naively from the delta ranges
-  /// only (watermarks seeded at the base root's counts). Outputs:
-  /// `root_resumed` reports whether the resume happened, `rules_refired`
-  /// the number of ground rules the resume derived beyond the delta facts.
-  SimpleGrounder(const TranslatedProgram* translated, const FactStore* db,
-                 const SimpleGrounder& base, const DeltaRanges& ranges,
-                 bool* root_resumed, uint64_t* rules_refired);
+  /// `translated` must outlive the grounder. Compiles every Σ∄ rule to
+  /// slot form once, here, so chase nodes share the compiled bodies
+  /// read-only.
+  SimpleGrounder(const TranslatedProgram* translated, DatabasePrefix prefix);
 
   std::string_view name() const override { return "simple"; }
 
@@ -117,9 +136,6 @@ class SimpleGrounder : public Grounder {
                 GroundRuleSet* out) const override;
 
  private:
-  /// Compiles the Σ∄ rules into compiled_/all_rules_/body_preds_ (shared
-  /// by both constructors).
-  void CompileRules();
   /// The saturated root grounding G(∅), built on first use (thread-safely)
   /// and shared by every Ground(): Simple^∞ is monotone, so G(Σ) is the
   /// fixpoint resumed from G(∅) with Σ's Result atoms as the only new
@@ -129,19 +145,11 @@ class SimpleGrounder : public Grounder {
       MatchStats* stats) const;
 
   const TranslatedProgram* translated_;
-  const FactStore* db_;
   /// Σ∄ rules compiled to slot form, parallel to sigma().rules().
   std::vector<CompiledRule> compiled_;
   std::vector<const CompiledRule*> all_rules_;
   /// Positive-body predicates of all_rules_, sorted.
   std::vector<uint32_t> body_preds_;
-  /// Π[D]'s database prefix as a grounding (one body-less rule per fact)
-  /// with a frozen, fully indexed matching instance — shared (not cloned)
-  /// with delta-extension grounders derived from this one.
-  std::shared_ptr<const GroundRuleSet> db_base_;
-  /// Facts appended after db_base_ was built (delta-extension engines);
-  /// the root grounding stacks them on top of the cloned prefix.
-  std::vector<GroundRule> db_tail_;
   mutable std::mutex root_mu_;
   mutable std::shared_ptr<const GroundRuleSet> root_;  ///< Guarded by root_mu_.
 };
@@ -167,21 +175,11 @@ class SimpleGrounder : public Grounder {
 class PerfectGrounder : public Grounder {
  public:
   /// `pi` is the original (desugared, plain-constraint-free) program the
-  /// strata are computed from. Fails when Π is not stratified.
+  /// strata are computed from; `translated` must outlive the grounder.
+  /// Fails when Π is not stratified.
   static Result<std::unique_ptr<PerfectGrounder>> Create(
       const Program& pi, const TranslatedProgram* translated,
-      const FactStore* db);
-
-  /// Delta-extension construction: shares `base`'s database-prefix
-  /// grounding and appends the delta rows as a tail. Unlike the simple
-  /// grounder the root is not resumed from the base's: under negation,
-  /// added facts can retract derivations (DRed territory), so every
-  /// Ground() still runs the per-stratum fixpoints from the (shared)
-  /// prefix. Chase nodes below the root Extend as usual.
-  static Result<std::unique_ptr<PerfectGrounder>> CreateDelta(
-      const Program& pi, const TranslatedProgram* translated,
-      const FactStore* db, const PerfectGrounder& base,
-      const DeltaRanges& ranges);
+      DatabasePrefix prefix);
 
   std::string_view name() const override { return "perfect"; }
 
@@ -205,8 +203,8 @@ class PerfectGrounder : public Grounder {
   size_t stratum_count() const { return stratum_rules_.size(); }
 
  private:
-  PerfectGrounder(const TranslatedProgram* translated, const FactStore* db)
-      : translated_(translated), db_(db) {}
+  PerfectGrounder(const TranslatedProgram* translated, DatabasePrefix prefix)
+      : Grounder(std::move(prefix)), translated_(translated) {}
 
   /// Grounds strata `first`.. and then the constraints, each from scratch,
   /// into `out` (whose lower strata are complete). Stops at the first
@@ -219,14 +217,7 @@ class PerfectGrounder : public Grounder {
   Status RunStratum(size_t si, const ChoiceSet& choices, EntryCascade entry,
                     bool resume, GroundRuleSet* out, MatchStats* stats) const;
 
-  /// Everything Create/CreateDelta share: strata, rule compilation, body
-  /// predicate sets — all but the database prefix.
-  static Result<std::unique_ptr<PerfectGrounder>> Build(
-      const Program& pi, const TranslatedProgram* translated,
-      const FactStore* db);
-
   const TranslatedProgram* translated_;
-  const FactStore* db_;
   /// Σ∄ rules compiled to slot form, parallel to sigma().rules().
   std::vector<CompiledRule> compiled_;
   /// Rules of Σ∄ grouped by the stratum of the originating Π-rule's head.
@@ -237,9 +228,6 @@ class PerfectGrounder : public Grounder {
   /// and for the constraint pass, each sorted.
   std::vector<std::vector<uint32_t>> stratum_body_preds_;
   std::vector<uint32_t> constraint_body_preds_;
-  /// See SimpleGrounder::db_base_ / db_tail_.
-  std::shared_ptr<const GroundRuleSet> db_base_;
-  std::vector<GroundRule> db_tail_;
 };
 
 /// The triggers of Definition 4.1: Active atoms occurring in heads(G(Σ))
@@ -261,20 +249,12 @@ std::vector<GroundAtom> FindTriggers(const TranslatedProgram& translated,
 /// `body_preds` must list the positive-body predicates of `rules`, sorted
 /// and unique (the grounders precompute it once; it drives the delta
 /// watermarks).
-/// With `seed_watermarks` non-null (implies resume semantics), the entry
-/// watermarks are taken from the map instead of snapshotted: rows of
-/// predicate P at index ≥ (*seed_watermarks)[P] are treated as new, and
-/// predicates missing from the map count as all-new. This is the
-/// delta-driven re-grounding path — the caller seeds the watermarks at the
-/// pre-delta counts and lets the semi-naive loop fire only what the delta
-/// rows can newly match.
-Status RunGroundingFixpoint(
-    const TranslatedProgram& translated,
-    const std::vector<const CompiledRule*>& rules,
-    const std::vector<uint32_t>& body_preds, const ChoiceSet& choices,
-    bool check_negative, GroundRuleSet* out, EntryCascade entry,
-    bool resume = false, MatchStats* stats = nullptr,
-    const std::unordered_map<uint32_t, uint32_t>* seed_watermarks = nullptr);
+Status RunGroundingFixpoint(const TranslatedProgram& translated,
+                            const std::vector<const CompiledRule*>& rules,
+                            const std::vector<uint32_t>& body_preds,
+                            const ChoiceSet& choices, bool check_negative,
+                            GroundRuleSet* out, EntryCascade entry,
+                            bool resume = false, MatchStats* stats = nullptr);
 
 }  // namespace gdlog
 

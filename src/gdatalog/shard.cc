@@ -160,6 +160,10 @@ Result<PartialSpace> ChaseEngine::ExploreShard(
   if (shard_index >= plan.num_shards) {
     return Status::InvalidArgument("shard index out of range");
   }
+  if (plan.shard_of.size() != plan.tasks.size()) {
+    return Status::InvalidArgument(
+        "shard plan has no task-to-shard map (plans come from PlanShards)");
+  }
 
   ExploreState state;
   state.options = &options;
@@ -170,16 +174,9 @@ Result<PartialSpace> ChaseEngine::ExploreShard(
   state.partials.resize(workers);
   if (options.profile && profile != nullptr) state.profiles.resize(workers);
 
-  // Hand-assembled plans (deserialized, or pre-assignment ones) may lack
-  // the explicit map; they mean PR 3's round-robin.
-  const std::vector<uint32_t>& shard_of =
-      plan.shard_of.size() == plan.tasks.size()
-          ? plan.shard_of
-          : AssignTasksToShards(plan.tasks, plan.num_shards,
-                                ShardAssignment::kRoundRobin);
   std::vector<WorkItem> roots;
   for (size_t i = 0; i < plan.tasks.size(); ++i) {
-    if (shard_of[i] != shard_index) continue;
+    if (plan.shard_of[i] != shard_index) continue;
     WorkItem root;
     root.choices = plan.tasks[i].choices;
     root.path_prob = plan.tasks[i].path_prob;

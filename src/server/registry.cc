@@ -154,8 +154,8 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   if (current == nullptr) {
     return Status::NotFound("unknown program id: " + id);
   }
-  // The expensive part — delta-proportional re-grounding — runs unlocked
-  // against the snapshot we just read.
+  // The engine construction runs unlocked against the snapshot we just
+  // read.
   GDLOG_ASSIGN_OR_RETURN(
       GDatalog engine,
       GDatalog::WithDatabaseDelta(current->engine, delta_text));
@@ -184,7 +184,6 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
 
   delta_.deltas_applied.Add();
   delta_.rows_appended.Add(result.stats.rows_appended);
-  delta_.rules_refired.Add(result.stats.rules_refired);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);
@@ -253,6 +252,9 @@ Result<std::shared_ptr<const GDatalog>> ProgramRegistry::DemandEngine(
       opt_.demand_cache_hits.Add();
       return it->second;
     }
+    if (entry.demand_engines.size() >= kMaxDemandEngines) {
+      return std::shared_ptr<const GDatalog>();
+    }
   }
   // Build unlocked (it is a full engine construction); racing queries for
   // the same signature may build twice, the insert below keeps the first.
@@ -265,9 +267,14 @@ Result<std::shared_ptr<const GDatalog>> ProgramRegistry::DemandEngine(
   opt_.demand_engines_built.Add();
   auto built = std::make_shared<const GDatalog>(std::move(engine));
   std::lock_guard<std::mutex> lock(entry.demand_mu);
-  auto [it, inserted] = entry.demand_engines.emplace(signature, built);
-  (void)inserted;
-  return it->second;
+  auto it = entry.demand_engines.find(signature);
+  if (it != entry.demand_engines.end()) return it->second;
+  // Racing builds of other signatures may have filled the cap meanwhile.
+  if (entry.demand_engines.size() >= kMaxDemandEngines) {
+    return std::shared_ptr<const GDatalog>();
+  }
+  entry.demand_engines.emplace(signature, built);
+  return built;
 }
 
 }  // namespace gdlog

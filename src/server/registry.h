@@ -134,13 +134,14 @@ class ProgramRegistry {
   };
 
   /// Applies a fact delta to `id`'s database via
-  /// GDatalog::WithDatabaseDelta — cost proportional to the delta, not the
-  /// database — and publishes the result under revision + 1 with the delta
-  /// appended to the lineage chain. Unlike ReplaceDatabase (last writer
-  /// wins), a delta is *relative* to the revision it was computed against:
-  /// if another update published concurrently, returns kAlreadyExists so
-  /// the caller can re-read and retry rather than silently dropping the
-  /// other update. `on_publish`, when set, runs inside the critical section
+  /// GDatalog::WithDatabaseDelta — a COW-extended database and the base
+  /// grounder's shared prefix, not a rebuild from the spec — and publishes
+  /// the result under revision + 1 with the delta appended to the lineage
+  /// chain. Unlike ReplaceDatabase (last writer wins), a delta is
+  /// *relative* to the revision it was computed against: if another update
+  /// published concurrently, returns kAlreadyExists so the caller can
+  /// re-read and retry rather than silently dropping the other update.
+  /// `on_publish`, when set, runs inside the critical section
   /// that publishes the new revision — before any Find() can return it —
   /// so the caller can prepare for the new lineage (the serving layer
   /// publishes its cache markers there). It must be cheap and must not
@@ -155,10 +156,17 @@ class ProgramRegistry {
 
   size_t size() const;
 
+  /// Demand engines kept per entry. Each is a full engine with its own
+  /// cache entries, so distinct goal signatures must not grow them without
+  /// bound; past the cap the base engine answers, with the same marginals.
+  static constexpr size_t kMaxDemandEngines = 8;
+
   /// The engine of `entry` rebuilt with Σ_Π restricted to the demand of
   /// `goals` (predicate names the caller will observe marginals of).
   /// Cached on the entry per goal signature — the first marginal query of
-  /// a signature pays one engine build, repeats are a map lookup.
+  /// a signature pays one engine build, repeats are a map lookup. Returns
+  /// nullptr, building nothing, once the entry holds kMaxDemandEngines
+  /// engines of other signatures.
   Result<std::shared_ptr<const GDatalog>> DemandEngine(
       const Entry& entry, const std::vector<std::string>& goals);
 
@@ -179,7 +187,6 @@ class ProgramRegistry {
   struct DeltaCounters {
     RelaxedCounter deltas_applied;
     RelaxedCounter rows_appended;
-    RelaxedCounter rules_refired;
   };
   DeltaCounters delta_counters() const { return delta_; }
 

@@ -305,8 +305,6 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
               static_cast<long long>(stats.duplicates_skipped));
       json.KV("predicates_touched",
               static_cast<long long>(stats.predicates_touched));
-      json.KV("rules_refired", static_cast<long long>(stats.rules_refired));
-      json.KV("root_resumed", stats.root_resumed);
       json.KV("touches_rule_bodies", applied->touches_rule_bodies);
       json.KV("spaces_revalidated", static_cast<long long>(revalidated));
       json.KV("spaces_evicted", static_cast<long long>(evicted));
@@ -354,24 +352,34 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
   // programs, and only for this path: the full-document path must stay
   // byte-identical to `gdlog_cli --json`, so it always uses the base
   // engine. Queried predicates all become goals, so their marginals (and
-  // prob_consistent — constraint cones are always kept) are exact.
+  // prob_consistent — constraint cones are always kept) are exact. A name
+  // the program never interned occurs in no outcome (its marginal is 0)
+  // and demands nothing, so only the names that resolve make up the goal
+  // signature; with none, the query runs on the base engine.
   const JsonValue* queries = body->Find("queries");
   const GDatalog* engine = &entry->engine;
   std::shared_ptr<const GDatalog> demand_holder;
   std::string demand_suffix;
   if (queries != nullptr && queries->is_array() &&
       entry->engine.stratified()) {
+    const Interner& names = *entry->engine.program().interner();
     std::vector<std::string> goals;
+    size_t named = 0;
     for (const JsonValue& query : queries->array()) {
       if (!query.is_string()) break;
       std::string name = QueryPredicateName(query.string_value());
-      if (!name.empty()) goals.push_back(std::move(name));
+      if (name.empty()) break;
+      ++named;
+      if (names.Lookup(name) != Interner::kNotFound) {
+        goals.push_back(std::move(name));
+      }
     }
-    if (goals.size() == queries->array().size()) {
+    if (named == queries->array().size() && !goals.empty()) {
       auto demand = registry_.DemandEngine(*entry, goals);
-      // Failure to build a demand engine is never a query failure: fall
-      // back to the base engine (same answers, just less pruning).
-      if (demand.ok()) {
+      // Failure to build a demand engine is never a query failure, and past
+      // the per-entry cap none is built: either way the base engine answers
+      // (same marginals, just less pruning).
+      if (demand.ok() && *demand != nullptr) {
         demand_holder = std::move(*demand);
         engine = demand_holder.get();
         demand_suffix =
@@ -678,9 +686,6 @@ InferenceService::SeriesTable() {
       {"delta", "rows_appended", "gdlog_delta_rows_appended_total", kCounter,
        "Facts appended by deltas.",
        [](const S& s) -> uint64_t { return s.delta.rows_appended; }},
-      {"delta", "rules_refired", "gdlog_delta_rules_refired_total", kCounter,
-       "Rules re-fired by incremental re-grounding.",
-       [](const S& s) -> uint64_t { return s.delta.rules_refired; }},
       {"delta", "spaces_revalidated", "gdlog_delta_spaces_revalidated_total",
        kCounter, "Cached outcome spaces revalidated across a delta.",
        [](const S& s) -> uint64_t { return s.server.spaces_revalidated; }},

@@ -1,10 +1,10 @@
 // The incremental-serving path: fact-delta parsing and append-only
 // application (FactStore::ApplyDelta), delta-vs-rebuild bit-identity of
-// GDatalog::WithDatabaseDelta across both grounders and thread counts, the
-// simple grounder's root resume, the rule-body check that gates
-// revalidation, removal rejection, GDatalog::WithDatabase adopting the
-// base's Σ_Π, and the serving layer's lineage chain with cache
-// revalidation versus eviction.
+// GDatalog::WithDatabaseDelta across both grounders and thread counts —
+// chains of deltas included, each sharing the first engine's database
+// prefix — the rule-body check that gates revalidation, removal
+// rejection, GDatalog::WithDatabase adopting the base's Σ_Π, and the
+// serving layer's lineage chain with cache revalidation versus eviction.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -171,8 +171,8 @@ TEST(FactDelta, RemovalsAreRejectedAsUnsupported) {
 
 TEST(DeltaEngine, NetworkCliqueByteIdentity) {
   // E1: the clique-4 infection space; the delta carries rule-body
-  // predicates (connected, infected), so the semi-naive resume has real
-  // work to do.
+  // predicates (connected, infected), so the tail of the database prefix
+  // feeds real derivations.
   std::string full_db = Clique(4);
   std::string base_db =
       full_db.substr(0, full_db.find("connected(4,2)."));
@@ -219,17 +219,15 @@ TEST(DeltaEngine, BodyPredicateDeltaReportsCounts) {
   EXPECT_TRUE(stats.touches_rule_bodies);  // connected is a body predicate
 }
 
-TEST(DeltaEngine, NewConstantDeltaResumesRootAndMatchesRebuild) {
+TEST(DeltaEngine, NewConstantDeltaMatchesRebuild) {
   // connected's columns hold {1, 2, 3}; the delta brings the new constant
-  // 4. Σ_Π depends on Π alone, so the delta engine adopts the base's rules
-  // and the simple grounder resumes the base's saturated root.
+  // 4. Σ_Π depends on Π alone, so the delta engine adopts the base's rules.
   const std::string delta = "connected(3,4).\n";
   auto base = MakeEngine(kNetworkProgram, Clique(3), GrounderKind::kSimple);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
-  ASSERT_TRUE(base->Infer().ok());  // grounds the root the delta resumes
+  ASSERT_TRUE(base->Infer().ok());  // the base has grounded its root
   auto inc = GDatalog::WithDatabaseDelta(*base, delta);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  EXPECT_TRUE(inc->delta_stats().root_resumed);
   EXPECT_EQ(inc->translated().sigma().ToString(),
             base->translated().sigma().ToString());
 
@@ -269,6 +267,13 @@ TEST(DeltaEngine, ChainedDeltasAfterInferMatchRebuild) {
       auto next = GDatalog::WithDatabaseDelta(chain.back(), deltas[link]);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       EXPECT_TRUE(next->delta_stats().applied);
+      // The grounder's prefix is the first engine's, shared, with every
+      // fact the chain appended on one flat tail.
+      const DatabasePrefix& prefix = next->grounder().prefix();
+      EXPECT_EQ(prefix.base, chain.front().grounder().prefix().base);
+      EXPECT_EQ(prefix.tail.size(),
+                chain.back().grounder().prefix().tail.size() +
+                    next->delta_stats().rows_appended);
       chain.push_back(std::move(*next));
       merged += deltas[link];
       auto fresh = MakeEngine(kNetworkProgram, merged, kind);

@@ -438,6 +438,72 @@ TEST(InferenceService, MarginalQueriesMatchOutcomeSpaceBounds) {
   EXPECT_EQ(unknown.Find("upper")->Find("rational")->string_value(), "0");
 }
 
+std::string MarginalQuery(const std::string& id, const std::string& atom) {
+  return R"({"program_id":")" + id + R"(","queries":[")" + atom + R"("]})";
+}
+
+std::string LowerBound(const HttpResponse& response) {
+  auto doc = JsonValue::Parse(response.body);
+  if (!doc.ok()) return "";
+  const JsonValue* marginals = doc->Find("marginals");
+  if (marginals == nullptr || marginals->array().empty()) return "";
+  return marginals->array()[0].Find("lower")->Find("rational")->string_value();
+}
+
+TEST(InferenceService, UnresolvedQueryNamesBuildNoDemandEngine) {
+  // Names the program never interned demand nothing: each such marginal
+  // query runs on the base engine, all four share its cache entry, and no
+  // demand engine is built.
+  std::string db;
+  for (int i = 1; i <= 4; ++i) {
+    db += "router(" + std::to_string(i) + ").\n";
+    for (int j = 1; j <= 4; ++j) {
+      if (i != j) {
+        db += "connected(" + std::to_string(i) + "," + std::to_string(j) +
+              ").\n";
+      }
+    }
+  }
+  db += "infected(1, 1).\n";
+  InferenceService service(ServiceOptions());
+  std::string id = MustRegister(service, kNetworkProgram, db.c_str());
+  for (int i = 1; i <= 4; ++i) {
+    std::string atom = "zz" + std::to_string(i) + "(1)";
+    HttpResponse response =
+        service.Handle(MakeRequest("POST", "/v1/query", MarginalQuery(id, atom)));
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(LowerBound(response), "0") << atom;
+  }
+  EXPECT_EQ(service.registry().opt_counters().demand_engines_built, 0u);
+  auto stats = service.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 3u);
+}
+
+TEST(InferenceService, DemandEnginesPerProgramAreCapped) {
+  // One goal signature per query, two past the cap: the first
+  // kMaxDemandEngines signatures get demand engines, the rest run on the
+  // base engine under one cache entry, with the same marginals.
+  const size_t n = ProgramRegistry::kMaxDemandEngines + 2;
+  std::string program = "coin(flip<0.5>).\n";
+  for (size_t i = 0; i < n; ++i) {
+    program += "p" + std::to_string(i) + " :- coin(1).\n";
+  }
+  InferenceService service(ServiceOptions());
+  std::string id = MustRegister(service, program.c_str());
+  for (size_t i = 0; i < n; ++i) {
+    HttpResponse response = service.Handle(MakeRequest(
+        "POST", "/v1/query", MarginalQuery(id, "p" + std::to_string(i))));
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(LowerBound(response), "1/2") << "p" << i;
+  }
+  EXPECT_EQ(service.registry().opt_counters().demand_engines_built,
+            ProgramRegistry::kMaxDemandEngines);
+  auto stats = service.cache().stats();
+  EXPECT_EQ(stats.misses, ProgramRegistry::kMaxDemandEngines + 1);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(InferenceService, SampleEndpointEstimatesAndNeverCaches) {
   InferenceService service(ServiceOptions());
   std::string id = MustRegister(service, kCoinProgram);

@@ -181,6 +181,19 @@ TEST(ShardPlanTest, ShardIndexOutOfRangeIsRejected) {
   EXPECT_FALSE(partial.ok());
 }
 
+TEST(ShardPlanTest, PlanWithoutShardMapIsRejected) {
+  auto engine = GDatalog::Create(kDimeQuarterProgram, kDimeQuarterDb);
+  ASSERT_TRUE(engine.ok());
+  ChaseOptions options;
+  auto plan = engine->chase().PlanShards(options, 2);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->tasks.empty());
+  plan->shard_of.clear();
+  auto partial = engine->chase().ExploreShard(*plan, 0, options);
+  ASSERT_FALSE(partial.ok());
+  EXPECT_EQ(partial.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Countably infinite supports: the truncation tail mass must be counted
 // exactly once globally and summed in canonical order, whichever shard (or
 // the planner itself) truncated the node.

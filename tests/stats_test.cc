@@ -159,7 +159,6 @@ TEST(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
             "\"demand_engines_built\":0,\"demand_cache_hits\":0,"
             "\"demand_queries\":0},"
             "\"delta\":{\"patches\":1,\"rows_appended\":1,"
-            "\"rules_refired\":0,"
             "\"spaces_revalidated\":1,\"spaces_evicted\":0},"
             "\"fleet\":{\"shard_requests\":2,\"shards_explored\":2,"
             "\"jobs\":1,\"jobs_failed\":1,\"dispatches\":0,\"retries\":0,"
@@ -187,8 +186,6 @@ TEST(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "database delta.",
       "# HELP gdlog_delta_patches_total PATCH /db deltas applied.",
       "# HELP gdlog_delta_rows_appended_total Facts appended by deltas.",
-      "# HELP gdlog_delta_rules_refired_total Rules re-fired by incremental "
-      "re-grounding.",
       "# HELP gdlog_delta_spaces_evicted_total Cached outcome spaces "
       "evicted by a delta.",
       "# HELP gdlog_delta_spaces_revalidated_total Cached outcome spaces "
@@ -241,7 +238,6 @@ TEST(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "# TYPE gdlog_cache_revalidated_total counter",
       "# TYPE gdlog_delta_patches_total counter",
       "# TYPE gdlog_delta_rows_appended_total counter",
-      "# TYPE gdlog_delta_rules_refired_total counter",
       "# TYPE gdlog_delta_spaces_evicted_total counter",
       "# TYPE gdlog_delta_spaces_revalidated_total counter",
       "# TYPE gdlog_demand_queries_total counter",
@@ -277,7 +273,6 @@ TEST(StatsPin, StatsAndMetricsBytesAfterFixedSequence) {
       "gdlog_cache_revalidated_total 1",
       "gdlog_delta_patches_total 1",
       "gdlog_delta_rows_appended_total 1",
-      "gdlog_delta_rules_refired_total 0",
       "gdlog_delta_spaces_evicted_total 0",
       "gdlog_delta_spaces_revalidated_total 1",
       "gdlog_demand_queries_total 0",

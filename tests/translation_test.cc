@@ -162,7 +162,7 @@ TEST_F(GrounderTest, SimpleGrounderOnEmptyChoices) {
   // Example 3.6: GSimple(∅) contains the two Active rules for (1,2), (1,3)
   // and the ground uninfected/constraint rules for all routers.
   Setup(kNetworkProgram, kNetworkDb);
-  SimpleGrounder grounder(&translated_, &db_);
+  SimpleGrounder grounder(&translated_, DatabasePrefix::Of(db_));
   GroundRuleSet out;
   ASSERT_TRUE(grounder.Ground(ChoiceSet(), &out).ok());
 
@@ -187,7 +187,7 @@ TEST_F(GrounderTest, SimpleGrounderExtendsWithChoices) {
   // Example 3.6 continued: choices {(1,2)→0, (1,3)→0} close the chase —
   // no new triggers, and the grounding includes the Infected(i, 0) rules.
   Setup(kNetworkProgram, kNetworkDb);
-  SimpleGrounder grounder(&translated_, &db_);
+  SimpleGrounder grounder(&translated_, DatabasePrefix::Of(db_));
   ChoiceSet choices;
   choices.Assign(
       MakeActive(0, {Value::Double(0.1), Value::Int(1), Value::Int(2)}),
@@ -207,7 +207,7 @@ TEST_F(GrounderTest, SimpleGrounderExtendsWithChoices) {
 TEST_F(GrounderTest, SimpleGrounderCascadesOnPositiveChoice) {
   // Choosing 1 for (1,2) infects router 2 and spawns actives (2,1), (2,3).
   Setup(kNetworkProgram, kNetworkDb);
-  SimpleGrounder grounder(&translated_, &db_);
+  SimpleGrounder grounder(&translated_, DatabasePrefix::Of(db_));
   ChoiceSet choices;
   choices.Assign(
       MakeActive(0, {Value::Double(0.1), Value::Int(1), Value::Int(2)}),
@@ -223,7 +223,7 @@ TEST_F(GrounderTest, GroundingIsMonotoneInChoices) {
   // Definition 3.3 requires grounders to be monotone: more choices ⇒ a
   // superset grounding.
   Setup(kNetworkProgram, kNetworkDb);
-  SimpleGrounder grounder(&translated_, &db_);
+  SimpleGrounder grounder(&translated_, DatabasePrefix::Of(db_));
   ChoiceSet small;
   small.Assign(
       MakeActive(0, {Value::Double(0.1), Value::Int(1), Value::Int(2)}),
@@ -256,7 +256,8 @@ constexpr const char* kDimeQuarterDb = "dime(1). dime(2). quarter(3).";
 
 TEST_F(GrounderTest, PerfectGrounderRequiresStratification) {
   Setup("a :- not b. b :- not a.", "");
-  auto grounder = PerfectGrounder::Create(program_, &translated_, &db_);
+  auto grounder = PerfectGrounder::Create(program_, &translated_,
+                                          DatabasePrefix::Of(db_));
   ASSERT_FALSE(grounder.ok());
   EXPECT_EQ(grounder.status().code(), StatusCode::kNotStratified);
 }
@@ -266,7 +267,8 @@ TEST_F(GrounderTest, PerfectGrounderStallsUntilChoicesArrive) {
   // (later stratum) must wait for the dime flips (Definition 5.1's
   // compatibility condition).
   Setup(kDimeQuarter, kDimeQuarterDb);
-  auto grounder = PerfectGrounder::Create(program_, &translated_, &db_);
+  auto grounder = PerfectGrounder::Create(program_, &translated_,
+                                          DatabasePrefix::Of(db_));
   ASSERT_TRUE(grounder.ok()) << grounder.status().ToString();
 
   GroundRuleSet out;
@@ -286,7 +288,8 @@ TEST_F(GrounderTest, PerfectGrounderAppendixETailCase) {
   // derived and the quarter rule is *not* grounded (its negative body
   // hits heads).
   Setup(kDimeQuarter, kDimeQuarterDb);
-  auto grounder = PerfectGrounder::Create(program_, &translated_, &db_);
+  auto grounder = PerfectGrounder::Create(program_, &translated_,
+                                          DatabasePrefix::Of(db_));
   ASSERT_TRUE(grounder.ok());
 
   // Both signatures share (flip, 1 param, 1 event) — one Active predicate.
@@ -314,7 +317,8 @@ TEST_F(GrounderTest, PerfectGrounderAppendixEHeadsCase) {
   // Appendix E, second case: both dimes heads ⇒ the quarter's Active atom
   // appears and becomes the next trigger.
   Setup(kDimeQuarter, kDimeQuarterDb);
-  auto grounder = PerfectGrounder::Create(program_, &translated_, &db_);
+  auto grounder = PerfectGrounder::Create(program_, &translated_,
+                                          DatabasePrefix::Of(db_));
   ASSERT_TRUE(grounder.ok());
   ChoiceSet choices;
   choices.Assign(MakeActive(0, {Value::Double(0.5), Value::Int(1)}),
@@ -334,9 +338,10 @@ TEST_F(GrounderTest, PerfectGroundingSmallerThanSimple) {
   // §5: the perfect grounder derives no superfluous quarter rules when a
   // dime shows tail; the simple grounder does.
   Setup(kDimeQuarter, kDimeQuarterDb);
-  auto perfect = PerfectGrounder::Create(program_, &translated_, &db_);
+  auto perfect = PerfectGrounder::Create(program_, &translated_,
+                                         DatabasePrefix::Of(db_));
   ASSERT_TRUE(perfect.ok());
-  SimpleGrounder simple(&translated_, &db_);
+  SimpleGrounder simple(&translated_, DatabasePrefix::Of(db_));
 
   ChoiceSet choices;
   choices.Assign(MakeActive(0, {Value::Double(0.5), Value::Int(1)}),

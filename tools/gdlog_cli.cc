@@ -7,9 +7,13 @@
 //   --program FILE        program in gdlog surface syntax (required)
 //   --db FILE             database of facts ("" = empty database)
 //   --db-delta FILE       fact delta applied on top of --db through the
-//                         incremental engine path (GDatalog::
-//                         WithDatabaseDelta): facts are appended and
-//                         re-grounded in cost proportional to the delta,
+//                         serving layer's PATCH path (GDatalog::
+//                         WithDatabaseDelta): the delta's facts are
+//                         appended to a copy-on-write copy of the
+//                         database, and the grounder shares the --db
+//                         engine's database prefix with those facts as
+//                         its tail; the chase then grounds from that
+//                         prefix as it would for the merged database,
 //                         and the reported space is identical to running
 //                         with the merged database. Lines starting with
 //                         '-' request removal, which is rejected (the
@@ -333,12 +337,8 @@ void PrintDeltaStats(const gdlog::GDatalog& engine, const CliOptions& opts) {
                "\ndelta update:\n"
                "  rows appended      : %zu (+%zu duplicates skipped)\n"
                "  predicates touched : %zu\n"
-               "  rules refired      : %llu\n"
-               "  root resumed       : %s\n"
                "  touches rule bodies: %s\n",
                ds.rows_appended, ds.duplicates_skipped, ds.predicates_touched,
-               static_cast<unsigned long long>(ds.rules_refired),
-               ds.root_resumed ? "yes" : "no",
                ds.touches_rule_bodies ? "yes" : "no");
 }
 
@@ -655,9 +655,8 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.db_delta_path.empty()) {
-    // Exercise the incremental path: append the delta to the already-built
-    // engine instead of parsing a merged database — same reported space,
-    // delta-proportional update cost.
+    // Exercise the PATCH path: append the delta to the already-built
+    // engine instead of parsing a merged database — same reported space.
     std::string delta_text = ReadFile(opts.db_delta_path);
     auto updated = gdlog::GDatalog::WithDatabaseDelta(*engine, delta_text);
     if (!updated.ok()) {

@@ -24,11 +24,10 @@
 //   --delta FILE          after the query storm, PATCH the file's facts
 //                         onto the program's database and issue one more
 //                         /query. Prints the server's delta report
-//                         (rows appended, rules refired, spaces
-//                         revalidated/evicted); with --check, when the
-//                         server revalidated at least one cached space,
-//                         asserts the post-delta query hit the cache
-//                         (zero additional chases)
+//                         (rows appended, spaces revalidated/evicted);
+//                         with --check, when the server revalidated at
+//                         least one cached space, asserts the post-delta
+//                         query hit the cache (zero additional chases)
 //   --fleet-workers LIST  fleet mode: POST /v1/jobs with this
 //                         comma-separated "host:port" worker list instead
 //                         of /v1/query. Jobs share /query's cache
@@ -399,10 +398,10 @@ int main(int argc, char** argv) {
     };
     long long revalidated = delta_counter("spaces_revalidated");
     std::printf(
-        "delta: rows_appended=%lld rules_refired=%lld "
-        "spaces_revalidated=%lld spaces_evicted=%lld\n",
-        delta_counter("rows_appended"), delta_counter("rules_refired"),
-        revalidated, delta_counter("spaces_evicted"));
+        "delta: rows_appended=%lld spaces_revalidated=%lld "
+        "spaces_evicted=%lld\n",
+        delta_counter("rows_appended"), revalidated,
+        delta_counter("spaces_evicted"));
 
     auto after_query = client->Request("POST", query_target, query_body);
     if (!after_query.ok() || after_query->status != 200) {

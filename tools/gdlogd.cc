@@ -38,7 +38,7 @@
 // a coordinator forwards its id to workers, so grepping one id across the
 // fleet's logs reconstructs a whole distributed job.
 //
-// Endpoints (all under /v1/, with deprecated unversioned aliases): POST
+// Endpoints (all under /v1/; an unversioned path is a 404): POST
 // /v1/programs, GET|DELETE /v1/programs/<id>, PUT|PATCH
 // /v1/programs/<id>/db, POST /v1/query, POST /v1/sample, POST /v1/shards,
 // POST /v1/jobs, GET /v1/healthz, GET /v1/stats (see src/server/service.h
