@@ -1,8 +1,10 @@
 #include "gdatalog/export.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -98,127 +100,425 @@ Status FieldError(const std::string& what) {
   return Status::InvalidArgument("partial space: " + what);
 }
 
-Result<size_t> ReadSize(const JsonValue& obj, std::string_view key) {
-  const JsonValue* field = obj.Find(key);
-  if (field == nullptr || !field->is_number()) {
-    return FieldError("missing numeric field '" + std::string(key) + "'");
-  }
-  GDLOG_ASSIGN_OR_RETURN(long long value, field->NumberAsInt());
-  if (value < 0) return FieldError("negative '" + std::string(key) + "'");
-  return static_cast<size_t>(value);
-}
+/// A member value read before the member that says how to take it: a
+/// constant's "v" may precede its "t". A container is skipped and only its
+/// kind kept, which every use rejects.
+struct Scalar {
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  bool flag = false;
+  /// A number's source text, or a string's payload.
+  std::string_view text;
+};
 
-/// Parses a full hex-float (or decimal) double; rejects trailing garbage.
-Result<double> ParseDouble(const std::string& text) {
-  if (text.empty()) return FieldError("empty floating-point literal");
-  char* end = nullptr;
-  double d = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    return FieldError("malformed floating-point literal '" + text + "'");
-  }
-  return d;
-}
+/// Reads the PartialSpaceToJson grammar straight off a JsonReader into a
+/// PartialSpace, with no JSON tree in between. Members may come in any
+/// order; each is taken at its first occurrence, as JsonValue::Find would,
+/// and repeats and unknown members are skipped (their syntax still
+/// checked). Names resolve against `interner` by lookup only.
+///
+/// Schema errors go through the reader's sticky status (Fail), so the first
+/// error of either kind is the one reported, and every read after it is an
+/// empty no-op: the functions below just return a default value once the
+/// reader has failed.
+class PartialReader {
+ public:
+  PartialReader(std::string_view text, const Interner& interner)
+      : reader_(text, LenientStrings()), interner_(interner) {}
 
-Result<Prob> ReadProb(const JsonValue& value) {
-  if (!value.is_object()) return FieldError("malformed probability");
-  if (const JsonValue* hex = value.Find("x"); hex != nullptr) {
-    if (!hex->is_string()) return FieldError("malformed inexact mass");
-    GDLOG_ASSIGN_OR_RETURN(double d, ParseDouble(hex->string_value()));
-    // A corrupt partial must not smuggle in an out-of-range "probability"
-    // that silently skews the merged masses.
-    if (!(d >= 0.0) || !(d <= 1.0)) {
-      return FieldError("mass outside [0, 1]: " + hex->string_value());
+  Result<PartialSpace> Read(ShardPartialMeta* meta) {
+    enum Field {
+      kFormat, kNumShards, kShardIndex, kPrefixDepth, kAssignment,
+      kMaxOutcomes, kMaxDepth, kSupportLimit, kSeed, kMinPathProb,
+      kBudgetHit, kDepthTruncated, kPruned, kOutcomes, kTruncations,
+    };
+    const std::initializer_list<std::string_view> names = {
+        "format", "num_shards", "shard_index", "prefix_depth", "assignment",
+        "max_outcomes", "max_depth", "support_limit", "trigger_shuffle_seed",
+        "min_path_prob", "budget_hit", "depth_truncated_paths",
+        "pruned_paths", "outcomes", "truncations"};
+    PartialSpace partial;
+    uint32_t seen = ReadFields("document", names, [&](size_t field) {
+      switch (field) {
+        case kFormat:
+          if (ReadScalar(JsonValue::Kind::kString, "format").text !=
+              kPartialFormat) {
+            Fail(std::string("expected format '") + kPartialFormat + "'");
+          }
+          return;
+        case kNumShards:
+          return ReadSize("num_shards", &meta->num_shards);
+        case kShardIndex:
+          return ReadSize("shard_index", &meta->shard_index);
+        case kPrefixDepth:
+          return ReadSize("prefix_depth", &meta->prefix_depth);
+        case kAssignment: {
+          auto parsed = ParseShardAssignment(
+              ReadScalar(JsonValue::Kind::kString, "assignment").text);
+          if (parsed.ok()) {
+            meta->assignment = *parsed;
+          } else {
+            Fail("malformed 'assignment'");
+          }
+          return;
+        }
+        case kMaxOutcomes:
+          return ReadSize("max_outcomes", &meta->max_outcomes);
+        case kMaxDepth:
+          return ReadSize("max_depth", &meta->max_depth);
+        case kSupportLimit:
+          return ReadSize("support_limit", &meta->support_limit);
+        case kSeed:
+          return ReadSeed(&meta->trigger_shuffle_seed);
+        case kMinPathProb:
+          meta->min_path_prob = ParseDouble(
+              ReadScalar(JsonValue::Kind::kString, "min_path_prob").text);
+          return;
+        case kBudgetHit:
+          partial.budget_hit =
+              ReadScalar(JsonValue::Kind::kBool, "budget_hit").flag;
+          return;
+        case kDepthTruncated:
+          return ReadSize("depth_truncated_paths",
+                          &partial.depth_truncated_paths);
+        case kPruned:
+          return ReadSize("pruned_paths", &partial.pruned_paths);
+        case kOutcomes:
+          return ReadArray("missing 'outcomes'", [&] {
+            partial.outcomes.push_back(ReadOutcome());
+          });
+        case kTruncations:
+          return ReadArray("missing 'truncations'",
+                           [&] { ReadTruncation(&partial); });
+      }
+    });
+    reader_.Finish();
+    for (size_t field = 0; field < names.size(); ++field) {
+      if ((seen & (1u << field)) == 0) {
+        Fail("missing '" + std::string(names.begin()[field]) + "'");
+      }
     }
-    return Prob(Rational::Approx(d));
-  }
-  const JsonValue* num = value.Find("n");
-  const JsonValue* den = value.Find("d");
-  if (num == nullptr || den == nullptr || !num->is_number() ||
-      !den->is_number()) {
-    return FieldError("malformed rational mass");
-  }
-  GDLOG_ASSIGN_OR_RETURN(long long n, num->NumberAsInt());
-  GDLOG_ASSIGN_OR_RETURN(long long d, den->NumberAsInt());
-  if (d <= 0) return FieldError("non-positive denominator");
-  if (n < 0 || n > d) return FieldError("rational mass outside [0, 1]");
-  return Prob(Rational(n, d));
-}
-
-Result<Value> ReadValue(const JsonValue& value, const Interner& interner) {
-  const JsonValue* tag = value.is_object() ? value.Find("t") : nullptr;
-  const JsonValue* payload = value.is_object() ? value.Find("v") : nullptr;
-  if (tag == nullptr || payload == nullptr || !tag->is_string()) {
-    return FieldError("malformed constant");
-  }
-  const std::string& t = tag->string_value();
-  if (t == "b") {
-    if (!payload->is_bool()) return FieldError("malformed bool constant");
-    return Value::Bool(payload->bool_value());
-  }
-  if (t == "i") {
-    if (!payload->is_number()) return FieldError("malformed int constant");
-    GDLOG_ASSIGN_OR_RETURN(long long i, payload->NumberAsInt());
-    return Value::Int(i);
-  }
-  if (t == "d") {
-    if (!payload->is_string()) return FieldError("malformed double constant");
-    GDLOG_ASSIGN_OR_RETURN(double d, ParseDouble(payload->string_value()));
-    return Value::Double(d);
-  }
-  if (t == "s") {
-    if (!payload->is_string()) return FieldError("malformed symbol constant");
-    uint32_t id = interner.Lookup(payload->string_value());
-    if (id == Interner::kNotFound) {
-      return FieldError("unknown symbol '" + payload->string_value() +
-                        "' (partial produced by a different program?)");
+    // Mergers size per-shard bookkeeping by num_shards; an absurd value
+    // from a corrupt file must fail here, not as an allocation crash
+    // downstream.
+    if (meta->num_shards < 1 || meta->num_shards > kMaxShards ||
+        meta->shard_index >= meta->num_shards) {
+      Fail("shard coordinates out of range");
     }
-    return Value::Symbol(id);
+    if (!reader_.ok()) return reader_.status();
+    return partial;
   }
-  return FieldError("unknown constant tag '" + t + "'");
-}
 
-Result<GroundAtom> ReadAtom(const JsonValue& value,
-                            const Interner& interner) {
-  const JsonValue* pred = value.is_object() ? value.Find("p") : nullptr;
-  const JsonValue* args = value.is_object() ? value.Find("a") : nullptr;
-  if (pred == nullptr || args == nullptr || !pred->is_string() ||
-      !args->is_array()) {
-    return FieldError("malformed atom");
+ private:
+  // Partials come from a JsonWriter in a sibling worker process, which
+  // copies symbol-name bytes verbatim — and the surface lexer admits
+  // arbitrary bytes in string constants — so strings here must read back
+  // exactly as written rather than pass the untrusted-wire UTF-8 checks.
+  static JsonParseOptions LenientStrings() {
+    JsonParseOptions options;
+    options.strict_strings = false;
+    return options;
   }
-  GroundAtom atom;
-  atom.predicate = interner.Lookup(pred->string_value());
-  if (atom.predicate == Interner::kNotFound) {
-    return FieldError("unknown predicate '" + pred->string_value() +
-                      "' (partial produced by a different program?)");
-  }
-  atom.args.reserve(args->array().size());
-  for (const JsonValue& arg : args->array()) {
-    GDLOG_ASSIGN_OR_RETURN(Value v, ReadValue(arg, interner));
-    atom.args.push_back(v);
-  }
-  return atom;
-}
 
-Result<ChoiceSet> ReadChoices(const JsonValue& value,
-                              const Interner& interner) {
-  if (!value.is_array()) return FieldError("malformed choice set");
-  ChoiceSet choices;
-  for (const JsonValue& entry : value.array()) {
-    const JsonValue* active = entry.is_object() ? entry.Find("active")
-                                                : nullptr;
-    const JsonValue* outcome = entry.is_object() ? entry.Find("outcome")
-                                                 : nullptr;
-    if (active == nullptr || outcome == nullptr) {
-      return FieldError("malformed choice entry");
+  void Fail(const std::string& what) { reader_.Fail(FieldError(what)); }
+
+  /// Walks the object at the cursor: calls `on_field(i)` to consume the
+  /// value of the first member named `names[i]`, skips every other member,
+  /// and returns the set of fields seen (bit i for names[i]). `what` names
+  /// the object in the error when the value is not one.
+  template <typename OnField>
+  uint32_t ReadFields(const char* what,
+                      std::initializer_list<std::string_view> names,
+                      OnField&& on_field) {
+    uint32_t seen = 0;
+    if (reader_.Peek() != JsonValue::Kind::kObject) {
+      Fail(std::string("malformed ") + what);
+      return seen;
     }
-    GDLOG_ASSIGN_OR_RETURN(GroundAtom atom, ReadAtom(*active, interner));
-    GDLOG_ASSIGN_OR_RETURN(Value v, ReadValue(*outcome, interner));
-    if (!choices.Assign(atom, v)) {
-      return FieldError("functionally inconsistent serialized choice set");
+    std::string key_scratch;
+    for (bool more = reader_.BeginObject(); more;
+         more = reader_.NextMember()) {
+      std::string_view key = reader_.ReadKey(&key_scratch);
+      size_t field = static_cast<size_t>(
+          std::find(names.begin(), names.end(), key) - names.begin());
+      uint32_t bit = field < names.size() ? 1u << field : 0;
+      if (bit != 0 && (seen & bit) == 0) {
+        seen |= bit;
+        on_field(field);
+      } else {
+        reader_.Skip();
+      }
+    }
+    return seen;
+  }
+
+  /// Calls `on_element()` to consume each element of the array at the
+  /// cursor; `error` is the message when the value is not an array.
+  template <typename OnElement>
+  void ReadArray(const char* error, OnElement&& on_element) {
+    if (reader_.Peek() != JsonValue::Kind::kArray) return Fail(error);
+    for (bool more = reader_.BeginArray(); more;
+         more = reader_.NextElement()) {
+      on_element();
     }
   }
-  return choices;
-}
+
+  /// Any scalar; a string with escapes is decoded into `*scratch`.
+  Scalar ReadScalar(std::string* scratch) {
+    Scalar scalar;
+    scalar.kind = reader_.Peek();
+    if (scalar.kind == JsonValue::Kind::kString) {
+      scalar.text = reader_.ReadString(scratch);
+    } else if (scalar.kind == JsonValue::Kind::kNumber) {
+      scalar.text = reader_.ReadNumber();
+    } else if (scalar.kind == JsonValue::Kind::kBool) {
+      scalar.flag = reader_.ReadBool();
+    } else {
+      reader_.Skip();
+    }
+    return scalar;
+  }
+
+  /// A scalar of kind `kind`, used before the next read; anything else
+  /// fails as a missing `key`.
+  Scalar ReadScalar(JsonValue::Kind kind, const char* key) {
+    Scalar scalar = ReadScalar(&scratch_);
+    if (scalar.kind != kind) Fail(std::string("missing '") + key + "'");
+    return scalar;
+  }
+
+  long long ToInt(std::string_view text) {
+    Result<long long> value = JsonNumberToInt(text);
+    if (value.ok()) return *value;
+    reader_.Fail(value.status());
+    return 0;
+  }
+
+  /// Parses a full hex-float (or decimal) double; rejects trailing garbage.
+  double ParseDouble(std::string_view text) {
+    if (text.empty()) {
+      Fail("empty floating-point literal");
+      return 0;
+    }
+    const std::string terminated(text);
+    char* end = nullptr;
+    double d = std::strtod(terminated.c_str(), &end);
+    if (end != terminated.c_str() + terminated.size()) {
+      Fail("malformed floating-point literal '" + terminated + "'");
+    }
+    return d;
+  }
+
+  void ReadSize(const char* key, size_t* out) {
+    long long value = ToInt(ReadScalar(JsonValue::Kind::kNumber, key).text);
+    if (value < 0) return Fail(std::string("negative '") + key + "'");
+    *out = static_cast<size_t>(value);
+  }
+
+  /// The shuffle seed travels as a decimal string: a full uint64, which a
+  /// JSON number read back through int64 could not represent.
+  void ReadSeed(uint64_t* out) {
+    const std::string text(
+        ReadScalar(JsonValue::Kind::kString, "trigger_shuffle_seed").text);
+    errno = 0;
+    char* end = nullptr;
+    *out = std::strtoull(text.c_str(), &end, 10);
+    if (errno == ERANGE || text.empty() ||
+        end != text.c_str() + text.size()) {
+      Fail("malformed 'trigger_shuffle_seed'");
+    }
+  }
+
+  Prob ReadProb() {
+    enum { kHex, kNum, kDen };
+    Scalar scalars[3];
+    std::string hex_scratch;
+    uint32_t seen =
+        ReadFields("probability", {"x", "n", "d"}, [&](size_t field) {
+          scalars[field] =
+              ReadScalar(field == kHex ? &hex_scratch : &scratch_);
+        });
+    if ((seen & (1u << kHex)) != 0) {
+      const Scalar& hex = scalars[kHex];
+      if (hex.kind != JsonValue::Kind::kString) {
+        Fail("malformed inexact mass");
+        return Prob();
+      }
+      double d = ParseDouble(hex.text);
+      // A corrupt partial must not smuggle in an out-of-range
+      // "probability" that silently skews the merged masses.
+      if (!(d >= 0.0) || !(d <= 1.0)) {
+        Fail("mass outside [0, 1]: " + std::string(hex.text));
+        return Prob();
+      }
+      return Prob(Rational::Approx(d));
+    }
+    // An absent member keeps kind kNull, so this also rejects a missing one.
+    if (scalars[kNum].kind != JsonValue::Kind::kNumber ||
+        scalars[kDen].kind != JsonValue::Kind::kNumber) {
+      Fail("malformed rational mass");
+      return Prob();
+    }
+    long long n = ToInt(scalars[kNum].text);
+    long long d = ToInt(scalars[kDen].text);
+    if (!reader_.ok()) return Prob();
+    if (d <= 0) {
+      Fail("non-positive denominator");
+      return Prob();
+    }
+    if (n < 0 || n > d) {
+      Fail("rational mass outside [0, 1]");
+      return Prob();
+    }
+    return Prob(Rational(n, d));
+  }
+
+  Value ReadValue() {
+    enum { kTag, kPayload };
+    Scalar tag, payload;
+    std::string tag_scratch, payload_scratch;
+    ReadFields("constant", {"t", "v"}, [&](size_t field) {
+      if (field == kTag) {
+        tag = ReadScalar(&tag_scratch);
+      } else {
+        payload = ReadScalar(&payload_scratch);
+      }
+    });
+    if (tag.kind != JsonValue::Kind::kString) {
+      Fail("malformed constant");
+      return Value();
+    }
+    const std::string_view t = tag.text;
+    if (t == "b") {
+      if (payload.kind == JsonValue::Kind::kBool) {
+        return Value::Bool(payload.flag);
+      }
+      Fail("malformed bool constant");
+    } else if (t == "i") {
+      if (payload.kind == JsonValue::Kind::kNumber) {
+        return Value::Int(ToInt(payload.text));
+      }
+      Fail("malformed int constant");
+    } else if (t == "d") {
+      if (payload.kind == JsonValue::Kind::kString) {
+        return Value::Double(ParseDouble(payload.text));
+      }
+      Fail("malformed double constant");
+    } else if (t == "s") {
+      if (payload.kind == JsonValue::Kind::kString) {
+        uint32_t id = interner_.Lookup(payload.text);
+        if (id != Interner::kNotFound) return Value::Symbol(id);
+        Fail("unknown symbol '" + std::string(payload.text) +
+             "' (partial produced by a different program?)");
+      } else {
+        Fail("malformed symbol constant");
+      }
+    } else {
+      Fail("unknown constant tag '" + std::string(t) + "'");
+    }
+    return Value();
+  }
+
+  GroundAtom ReadAtom() {
+    enum { kPred, kArgs };
+    GroundAtom atom;
+    uint32_t seen = ReadFields("atom", {"p", "a"}, [&](size_t field) {
+      if (field == kArgs) {
+        // Collected in a reused buffer so the atom allocates its
+        // arguments once, at their exact count.
+        args_.clear();
+        ReadArray("malformed atom", [&] { args_.push_back(ReadValue()); });
+        atom.args.assign(args_.begin(), args_.end());
+        return;
+      }
+      Scalar name = ReadScalar(&scratch_);
+      if (name.kind != JsonValue::Kind::kString) return Fail("malformed atom");
+      // A model lists its atoms grouped by predicate, so the last name
+      // resolved is usually the next one.
+      if (name.text != last_predicate_) {
+        last_predicate_.assign(name.text);
+        last_predicate_id_ = interner_.Lookup(name.text);
+      }
+      atom.predicate = last_predicate_id_;
+      if (atom.predicate == Interner::kNotFound) {
+        Fail("unknown predicate '" + std::string(name.text) +
+             "' (partial produced by a different program?)");
+      }
+    });
+    if (seen != 0b11) Fail("malformed atom");
+    return atom;
+  }
+
+  ChoiceSet ReadChoices() {
+    ChoiceSet choices;
+    ReadArray("malformed choice set", [&] {
+      enum { kActive, kOutcome };
+      GroundAtom active;
+      Value outcome;
+      uint32_t seen = ReadFields("choice entry", {"active", "outcome"},
+                                 [&](size_t field) {
+                                   if (field == kActive) {
+                                     active = ReadAtom();
+                                   } else {
+                                     outcome = ReadValue();
+                                   }
+                                 });
+      if (seen != 0b11) return Fail("malformed choice entry");
+      if (!choices.Assign(active, outcome)) {
+        Fail("functionally inconsistent serialized choice set");
+      }
+    });
+    return choices;
+  }
+
+  PossibleOutcome ReadOutcome() {
+    enum { kProb, kChoices, kModels };
+    PossibleOutcome outcome;
+    uint32_t seen = ReadFields(
+        "outcome", {"prob", "choices", "models"}, [&](size_t field) {
+          if (field == kProb) {
+            outcome.prob = ReadProb();
+          } else if (field == kChoices) {
+            outcome.choices = ReadChoices();
+          } else {
+            ReadArray("malformed outcome",
+                      [&] { ReadModel(&outcome.models); });
+          }
+        });
+    if (seen != 0b111) Fail("malformed outcome");
+    return outcome;
+  }
+
+  void ReadModel(StableModelSet* models) {
+    StableModel model;
+    ReadArray("malformed model", [&] { model.push_back(ReadAtom()); });
+    // The writer emits a model set in order, so its end is the hint.
+    models->insert(models->end(), std::move(model));
+  }
+
+  void ReadTruncation(PartialSpace* partial) {
+    enum { kChoices, kMass };
+    ChoiceSet choices;
+    Prob mass;
+    uint32_t seen =
+        ReadFields("truncation", {"choices", "mass"}, [&](size_t field) {
+          if (field == kChoices) {
+            choices = ReadChoices();
+          } else {
+            mass = ReadProb();
+          }
+        });
+    if (seen != 0b11) return Fail("malformed truncation");
+    partial->truncations.emplace_back(std::move(choices), mass);
+  }
+
+  JsonReader reader_;
+  const Interner& interner_;
+  /// Decodes escaped strings that are used before the next read.
+  std::string scratch_;
+  std::vector<Value> args_;
+  std::string last_predicate_;
+  uint32_t last_predicate_id_ = Interner::kNotFound;
+};
 
 }  // namespace
 
@@ -358,121 +658,7 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
 Result<PartialSpace> PartialSpaceFromJson(std::string_view json_text,
                                           const Interner& interner,
                                           ShardPartialMeta* meta) {
-  // Partials come from a JsonWriter in a sibling worker process, which
-  // copies symbol-name bytes verbatim — and the surface lexer admits
-  // arbitrary bytes in string constants — so strings here must read back
-  // exactly as written rather than pass the untrusted-wire UTF-8 checks.
-  JsonParseOptions parse_options;
-  parse_options.strict_strings = false;
-  GDLOG_ASSIGN_OR_RETURN(JsonValue doc,
-                         JsonValue::Parse(json_text, parse_options));
-  if (!doc.is_object()) return FieldError("document is not an object");
-  const JsonValue* format = doc.Find("format");
-  if (format == nullptr || !format->is_string() ||
-      format->string_value() != kPartialFormat) {
-    return FieldError(std::string("expected format '") + kPartialFormat +
-                      "'");
-  }
-  GDLOG_ASSIGN_OR_RETURN(meta->num_shards, ReadSize(doc, "num_shards"));
-  GDLOG_ASSIGN_OR_RETURN(meta->shard_index, ReadSize(doc, "shard_index"));
-  GDLOG_ASSIGN_OR_RETURN(meta->prefix_depth, ReadSize(doc, "prefix_depth"));
-  // Mergers size per-shard bookkeeping by num_shards; an absurd value from
-  // a corrupt file must fail here, not as an allocation crash downstream.
-  if (meta->num_shards < 1 || meta->num_shards > kMaxShards ||
-      meta->shard_index >= meta->num_shards) {
-    return FieldError("shard coordinates out of range");
-  }
-  const JsonValue* assignment = doc.Find("assignment");
-  if (assignment == nullptr || !assignment->is_string()) {
-    return FieldError("missing 'assignment'");
-  }
-  {
-    auto parsed = ParseShardAssignment(assignment->string_value());
-    if (!parsed.ok()) return FieldError("malformed 'assignment'");
-    meta->assignment = *parsed;
-  }
-  GDLOG_ASSIGN_OR_RETURN(meta->max_outcomes, ReadSize(doc, "max_outcomes"));
-  GDLOG_ASSIGN_OR_RETURN(meta->max_depth, ReadSize(doc, "max_depth"));
-  GDLOG_ASSIGN_OR_RETURN(meta->support_limit, ReadSize(doc, "support_limit"));
-  const JsonValue* seed = doc.Find("trigger_shuffle_seed");
-  if (seed == nullptr || !seed->is_string()) {
-    return FieldError("missing 'trigger_shuffle_seed'");
-  }
-  {
-    const std::string& text = seed->string_value();
-    errno = 0;
-    char* end = nullptr;
-    meta->trigger_shuffle_seed = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || text.empty() ||
-        end != text.c_str() + text.size()) {
-      return FieldError("malformed 'trigger_shuffle_seed'");
-    }
-  }
-  const JsonValue* min_prob = doc.Find("min_path_prob");
-  if (min_prob == nullptr || !min_prob->is_string()) {
-    return FieldError("missing 'min_path_prob'");
-  }
-  GDLOG_ASSIGN_OR_RETURN(meta->min_path_prob,
-                         ParseDouble(min_prob->string_value()));
-
-  PartialSpace partial;
-  const JsonValue* budget = doc.Find("budget_hit");
-  if (budget == nullptr || !budget->is_bool()) {
-    return FieldError("missing 'budget_hit'");
-  }
-  partial.budget_hit = budget->bool_value();
-  GDLOG_ASSIGN_OR_RETURN(partial.depth_truncated_paths,
-                         ReadSize(doc, "depth_truncated_paths"));
-  GDLOG_ASSIGN_OR_RETURN(partial.pruned_paths, ReadSize(doc, "pruned_paths"));
-
-  const JsonValue* outcomes = doc.Find("outcomes");
-  if (outcomes == nullptr || !outcomes->is_array()) {
-    return FieldError("missing 'outcomes'");
-  }
-  partial.outcomes.reserve(outcomes->array().size());
-  for (const JsonValue& entry : outcomes->array()) {
-    if (!entry.is_object()) return FieldError("malformed outcome");
-    const JsonValue* prob = entry.Find("prob");
-    const JsonValue* choices = entry.Find("choices");
-    const JsonValue* models = entry.Find("models");
-    if (prob == nullptr || choices == nullptr || models == nullptr ||
-        !models->is_array()) {
-      return FieldError("malformed outcome");
-    }
-    PossibleOutcome outcome;
-    GDLOG_ASSIGN_OR_RETURN(outcome.prob, ReadProb(*prob));
-    GDLOG_ASSIGN_OR_RETURN(outcome.choices, ReadChoices(*choices, interner));
-    for (const JsonValue& model_entry : models->array()) {
-      if (!model_entry.is_array()) return FieldError("malformed model");
-      StableModel model;
-      model.reserve(model_entry.array().size());
-      for (const JsonValue& atom_entry : model_entry.array()) {
-        GDLOG_ASSIGN_OR_RETURN(GroundAtom atom,
-                               ReadAtom(atom_entry, interner));
-        model.push_back(std::move(atom));
-      }
-      outcome.models.insert(std::move(model));
-    }
-    partial.outcomes.push_back(std::move(outcome));
-  }
-
-  const JsonValue* truncations = doc.Find("truncations");
-  if (truncations == nullptr || !truncations->is_array()) {
-    return FieldError("missing 'truncations'");
-  }
-  partial.truncations.reserve(truncations->array().size());
-  for (const JsonValue& entry : truncations->array()) {
-    if (!entry.is_object()) return FieldError("malformed truncation");
-    const JsonValue* choices = entry.Find("choices");
-    const JsonValue* mass = entry.Find("mass");
-    if (choices == nullptr || mass == nullptr) {
-      return FieldError("malformed truncation");
-    }
-    GDLOG_ASSIGN_OR_RETURN(ChoiceSet cs, ReadChoices(*choices, interner));
-    GDLOG_ASSIGN_OR_RETURN(Prob tail, ReadProb(*mass));
-    partial.truncations.emplace_back(std::move(cs), tail);
-  }
-  return partial;
+  return PartialReader(json_text, interner).Read(meta);
 }
 
 }  // namespace gdlog

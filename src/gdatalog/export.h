@@ -68,10 +68,18 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
                                const ShardPartialMeta& meta,
                                const Interner* interner);
 
-/// Parses a document produced by PartialSpaceToJson. Names are resolved
-/// against `interner` by lookup only: the caller must have loaded the same
-/// program (and hence interned the same predicates/symbols) that produced
-/// the partial; unknown names are an error, not an extension point.
+/// Parses a document produced by PartialSpaceToJson, in one pass over the
+/// bytes (no JSON tree is built). It accepts the members of every object in
+/// any order and ignores unknown members (whose JSON syntax is still
+/// checked); of duplicate keys the first counts. Trailing content after the
+/// document, a missing or ill-typed required member, a non-integer or
+/// out-of-int64 number in an integer field and nesting past
+/// JsonReader::kMaxDepth are errors. Strings are read back byte for byte
+/// (JsonParseOptions::strict_strings off), as the writer copies them.
+/// Names are resolved against `interner` by lookup only: the caller must
+/// have loaded the same program (and hence interned the same
+/// predicates/symbols) that produced the partial; unknown names are an
+/// error, not an extension point.
 Result<PartialSpace> PartialSpaceFromJson(std::string_view json,
                                           const Interner& interner,
                                           ShardPartialMeta* meta);

@@ -56,7 +56,7 @@ Result<GDatalog> BuildEngine(const ProgramSpec& spec,
                           std::move(options));
 }
 
-uint64_t ProgramRegistry::SpecHash(const ProgramSpec& spec) const {
+uint64_t ProgramRegistry::SpecHash(const ProgramSpec& spec) {
   std::hash<std::string> h;
   size_t x = Mix64(h(spec.program_text));
   x = HashCombine(x, h(spec.db_text));
@@ -64,6 +64,29 @@ uint64_t ProgramRegistry::SpecHash(const ProgramSpec& spec) const {
   x = HashCombine(x, spec.extensions ? 1u : 0u);
   x = HashCombine(x, static_cast<size_t>(spec.normalgrid_max_cells));
   return x;
+}
+
+std::shared_ptr<const ProgramRegistry::Entry> ProgramRegistry::FindSpecLocked(
+    uint64_t hash, const ProgramSpec& spec) const {
+  auto [begin, end] = by_hash_.equal_range(hash);
+  for (auto it = begin; it != end; ++it) {
+    auto entry = by_id_.find(it->second);
+    if (entry != by_id_.end() && entry->second->spec == spec) {
+      return entry->second;
+    }
+  }
+  return nullptr;
+}
+
+void ProgramRegistry::EraseHashSlotLocked(const std::string& id,
+                                          uint64_t hash) {
+  auto [begin, end] = by_hash_.equal_range(hash);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second == id) {
+      by_hash_.erase(it);
+      return;
+    }
+  }
 }
 
 ProgramRegistry::Info ProgramRegistry::InfoFor(const Entry& entry,
@@ -81,12 +104,8 @@ Result<ProgramRegistry::Info> ProgramRegistry::Register(ProgramSpec spec) {
   uint64_t hash = SpecHash(spec);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = by_hash_.find(hash);
-    if (it != by_hash_.end()) {
-      auto existing = by_id_.find(it->second);
-      if (existing != by_id_.end() && existing->second->spec == spec) {
-        return InfoFor(*existing->second, /*created=*/false);
-      }
+    if (auto existing = FindSpecLocked(hash, spec)) {
+      return InfoFor(*existing, /*created=*/false);
     }
   }
   // Engine construction (parse/validate/translate/ground setup) is the
@@ -94,19 +113,15 @@ Result<ProgramRegistry::Info> ProgramRegistry::Register(ProgramSpec spec) {
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine, BuildEngine(spec));
   std::lock_guard<std::mutex> lock(mu_);
   // Re-check: another thread may have registered the same spec meanwhile.
-  auto it = by_hash_.find(hash);
-  if (it != by_hash_.end()) {
-    auto existing = by_id_.find(it->second);
-    if (existing != by_id_.end() && existing->second->spec == spec) {
-      return InfoFor(*existing->second, /*created=*/false);
-    }
+  if (auto existing = FindSpecLocked(hash, spec)) {
+    return InfoFor(*existing, /*created=*/false);
   }
   std::string id = "p" + std::to_string(next_id_++);
   auto entry = std::make_shared<const Entry>(id, /*revision=*/0,
-                                             std::move(spec),
+                                             std::move(spec), hash,
                                              std::move(engine));
   by_id_.emplace(id, entry);
-  by_hash_[hash] = id;
+  by_hash_.emplace(hash, id);
   return InfoFor(*entry, /*created=*/true);
 }
 
@@ -129,6 +144,7 @@ Result<ProgramRegistry::Info> ProgramRegistry::ReplaceDatabase(
   // adopts the current Σ_Π instead of translating Π again.
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine,
                          GDatalog::WithDatabase(current->engine, spec.db_text));
+  const uint64_t hash = SpecHash(spec);
   opt_.db_replacements.Add();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_id_.find(id);
@@ -139,10 +155,10 @@ Result<ProgramRegistry::Info> ProgramRegistry::ReplaceDatabase(
   // The revision we publish must supersede whatever is current *now* (a
   // concurrent replace may have won the race since Find()).
   uint64_t revision = it->second->revision + 1;
-  by_hash_.erase(SpecHash(it->second->spec));
+  EraseHashSlotLocked(id, it->second->spec_hash);
+  by_hash_.emplace(hash, id);
   auto entry = std::make_shared<const Entry>(id, revision, std::move(spec),
-                                             std::move(engine));
-  by_hash_[SpecHash(entry->spec)] = id;
+                                             hash, std::move(engine));
   it->second = entry;
   return InfoFor(*entry, /*created=*/false);
 }
@@ -178,6 +194,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
     spec.db_text += '\n';
   }
   spec.db_text += delta_text;
+  const uint64_t hash = SpecHash(spec);
 
   std::vector<LineageLink> lineage = current->lineage;
   lineage.push_back(LineageLink{current->revision, result.delta_digest});
@@ -200,11 +217,11 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
         std::to_string(current->revision) + "); re-read and retry");
   }
   uint64_t revision = current->revision + 1;
-  by_hash_.erase(SpecHash(it->second->spec));
+  EraseHashSlotLocked(id, current->spec_hash);
+  by_hash_.emplace(hash, id);
   auto entry = std::make_shared<const Entry>(
-      id, revision, std::move(spec), std::move(engine), std::move(lineage),
-      result.new_lineage_digest);
-  by_hash_[SpecHash(entry->spec)] = id;
+      id, revision, std::move(spec), hash, std::move(engine),
+      std::move(lineage), result.new_lineage_digest);
   it->second = entry;
   result.info = InfoFor(*entry, /*created=*/false);
   result.entry = entry;
@@ -218,10 +235,7 @@ Status ProgramRegistry::Remove(const std::string& id) {
   if (it == by_id_.end()) {
     return Status::NotFound("unknown program id: " + id);
   }
-  auto hash_it = by_hash_.find(SpecHash(it->second->spec));
-  if (hash_it != by_hash_.end() && hash_it->second == id) {
-    by_hash_.erase(hash_it);
-  }
+  EraseHashSlotLocked(id, it->second->spec_hash);
   by_id_.erase(it);
   return Status::OK();
 }

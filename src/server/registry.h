@@ -67,16 +67,21 @@ class ProgramRegistry {
     /// (InferenceCache::KeyPrefix) so a delta-produced revision names its
     /// exact derivation history.
     std::string lineage_digest;
+    /// SpecHash(spec): this entry's key in the idempotent-registration
+    /// index, kept so an update need not rehash the old spec's db_text.
+    uint64_t spec_hash = 0;
 
     Entry(std::string id_in, uint64_t revision_in, ProgramSpec spec_in,
-          GDatalog engine_in, std::vector<LineageLink> lineage_in = {},
+          uint64_t spec_hash_in, GDatalog engine_in,
+          std::vector<LineageLink> lineage_in = {},
           std::string lineage_digest_in = {})
         : id(std::move(id_in)),
           revision(revision_in),
           spec(std::move(spec_in)),
           engine(std::move(engine_in)),
           lineage(std::move(lineage_in)),
-          lineage_digest(std::move(lineage_digest_in)) {}
+          lineage_digest(std::move(lineage_digest_in)),
+          spec_hash(spec_hash_in) {}
 
     /// Demand-transformed sibling engines for marginal queries, keyed by
     /// goal-signature (see DemandSignature), built lazily by
@@ -193,13 +198,24 @@ class ProgramRegistry {
   static Info InfoFor(const Entry& entry, bool created);
 
  private:
-  uint64_t SpecHash(const ProgramSpec& spec) const;
+  /// Hashes the whole spec, db_text included: callers compute it before
+  /// taking mu_.
+  static uint64_t SpecHash(const ProgramSpec& spec);
+  /// The live entry whose spec equals `spec`, or nullptr. Requires mu_.
+  std::shared_ptr<const Entry> FindSpecLocked(uint64_t hash,
+                                              const ProgramSpec& spec) const;
+  /// Erases `id`'s own slot under `hash`, never another id's. Requires
+  /// mu_.
+  void EraseHashSlotLocked(const std::string& id, uint64_t hash);
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const Entry>> by_id_;
-  /// Current-content index for idempotent registration: spec hash → id
-  /// (collisions resolved by comparing the stored spec).
-  std::unordered_map<uint64_t, std::string> by_hash_;
+  /// Current-content index for idempotent registration: one (spec hash,
+  /// id) slot per live entry. A multimap, because a PUT or PATCH can give
+  /// two ids the same spec, and each must keep its own slot: whichever
+  /// moves away later, a re-POST of that spec still finds the other
+  /// (hash collisions are resolved by comparing the stored spec).
+  std::unordered_multimap<uint64_t, std::string> by_hash_;
   uint64_t next_id_ = 1;
   OptCounters opt_;
   DeltaCounters delta_;

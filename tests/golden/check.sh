@@ -4,7 +4,10 @@
 # the files in this directory exactly, serially, with 4 chase threads, with
 # 4 shards in one process, and with 4 shards run one per process
 # (--shard-index 0..3, each partial written to a file) and recombined by
-# --merge, which sends every partial through the partial wire format.
+# --merge, which sends every partial through the partial wire format. A
+# fifth configuration re-renders each partial file with Python's json
+# module (keys sorted, one member per line) before --merge, so the partial
+# reader is shown not to depend on member order or whitespace.
 # The goldens were generated by the engine that preceded the perfect
 # grounder's resume and leaf read-off, so this compares against an
 # earlier binary, not only between configurations of the current one.
@@ -30,13 +33,21 @@ cd "$here"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+rekey='import json, sys
+json.dump(json.load(sys.stdin), sys.stdout, sort_keys=True, indent=1)'
+
 # Runs gdlog_cli with the given arguments under configuration $config.
 run() {
-  if [ "$config" = "--shard-index/--merge" ]; then
+  if [ "${config%/--merge}" != "$config" ]; then
     local merge=()
     for i in 0 1 2 3; do
       "$cli" "$@" --shards 4 --shard-index "$i" > "$tmp/partial$i.json" \
         || return 1
+      if [ "$config" = "--shard-index/rekey/--merge" ]; then
+        python3 -c "$rekey" < "$tmp/partial$i.json" > "$tmp/rekeyed$i.json" \
+          || return 1
+        mv "$tmp/rekeyed$i.json" "$tmp/partial$i.json"
+      fi
       merge+=(--merge "$tmp/partial$i.json")
     done
     "$cli" "$@" "${merge[@]}"
@@ -47,7 +58,8 @@ run() {
 }
 
 status=0
-for config in "--threads 1" "--threads 4" "--shards 4" "--shard-index/--merge"; do
+for config in "--threads 1" "--threads 4" "--shards 4" "--shard-index/--merge" \
+    "--shard-index/rekey/--merge"; do
   if ! run --program network.gdl --db clique4.db --json --events \
       | cmp - e1_clique4.json; then
     echo "E1 clique-4 differs from the golden ($config)" >&2

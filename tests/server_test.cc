@@ -109,6 +109,62 @@ TEST(ProgramRegistry, ReplaceDatabaseBumpsRevisionAndKeepsId) {
             StatusCode::kNotFound);
 }
 
+// Two ids can come to hold the same spec through a PATCH or PUT. Each keeps
+// its own slot in the idempotent-registration index, so whichever of them
+// later moves away, a re-POST of the shared spec still finds the other
+// instead of minting a third id.
+TEST(ProgramRegistry, RePostFindsASpecTwoIdsShared) {
+  const std::string db = kClique3Db;
+  const std::string delta = "router(4).\n";
+  auto spec_with = [](const std::string& db_text) {
+    ProgramSpec spec;
+    spec.program_text = kNetworkProgram;
+    spec.db_text = db_text;
+    return spec;
+  };
+
+  // A, with D, is patched to D+δ, the spec B was registered with; then B
+  // moves on (a PUT), which must not erase A's slot.
+  {
+    ProgramRegistry registry;
+    auto b = registry.Register(spec_with(db + delta));
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    auto a = registry.Register(spec_with(db));
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_NE(a->id, b->id);
+    ASSERT_TRUE(registry.ApplyDatabaseDelta(a->id, delta).ok());
+    ASSERT_EQ(registry.Find(a->id)->spec.db_text, db + delta);
+    ASSERT_TRUE(registry.ReplaceDatabase(b->id, db + "router(5).\n").ok());
+    auto again = registry.Register(spec_with(db + delta));
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(again->created);
+    EXPECT_EQ(again->id, a->id);
+    EXPECT_EQ(registry.size(), 2u);
+  }
+
+  // The same, but A (which took the slot last) moves on with a PATCH: B
+  // still holds the spec and must be found.
+  {
+    ProgramRegistry registry;
+    auto b = registry.Register(spec_with(db + delta));
+    ASSERT_TRUE(b.ok());
+    auto a = registry.Register(spec_with(db));
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(registry.ReplaceDatabase(a->id, db + delta).ok());
+    ASSERT_TRUE(registry.ApplyDatabaseDelta(a->id, "router(5).\n").ok());
+    auto again = registry.Register(spec_with(db + delta));
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(again->created);
+    EXPECT_EQ(again->id, b->id);
+    // Removing B leaves no slot behind that could name it.
+    ASSERT_TRUE(registry.Remove(b->id).ok());
+    auto fresh = registry.Register(spec_with(db + delta));
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_TRUE(fresh->created);
+    EXPECT_EQ(registry.size(), 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // InferenceCache
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "gdatalog/shard.h"
+#include "util/json.h"
 
 namespace gdlog {
 namespace {
@@ -423,6 +425,378 @@ TEST(ShardSerializationTest, RejectsForeignAndMalformedPartials) {
           R"("outcome":{"t":"i","v":1}}],"models":[]}],"truncations":[]})",
           interner, &meta)
           .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Partial reader conformance: PartialSpaceFromJson reads the partial grammar
+// straight off the JSON reader, so it must accept every document the JSON
+// DOM reading did (any member order, unknown members, duplicate keys with
+// the first taken) and reject everything it rejected.
+// ---------------------------------------------------------------------------
+
+/// A one-shard partial over kDimeQuarterProgram holding every construct of
+/// the grammar: an exact and an inexact mass, a choice set, a model and a
+/// truncation.
+constexpr const char* kMinimalPartial =
+    R"({"format":"gdlog.partial.v1","num_shards":1,"shard_index":0,)"
+    R"("prefix_depth":0,"assignment":"weighted","max_outcomes":0,)"
+    R"("max_depth":4096,"support_limit":64,"trigger_shuffle_seed":"7",)"
+    R"("min_path_prob":"0x0p+0","budget_hit":true,)"
+    R"("depth_truncated_paths":0,"pruned_paths":0,)"
+    R"("outcomes":[{"prob":{"n":1,"d":2},)"
+    R"("choices":[{"active":{"p":"dime","a":[{"t":"i","v":1}]},)"
+    R"("outcome":{"t":"i","v":1}}],)"
+    R"("models":[[{"p":"dime","a":[{"t":"i","v":1}]},)"
+    R"({"p":"quarter","a":[{"t":"b","v":true},{"t":"d","v":"0x1p-1"}]}]]}],)"
+    R"("truncations":[{"choices":[],"mass":{"x":"0x1p-2"}}]})";
+
+/// How RewritePartial re-renders a parsed document.
+struct Rewrite {
+  /// Members of every object in reverse order.
+  bool reverse = false;
+  /// An unknown member, itself holding nested objects and arrays, first in
+  /// every object.
+  bool unknown = false;
+  /// Every member followed by a second one of the same key whose value is
+  /// malformed for every field (so it fails unless the first is taken).
+  bool duplicate = false;
+  /// A key dropped from every object.
+  std::string drop;
+};
+
+void EmitRewritten(const JsonValue& value, const Rewrite& how,
+                   JsonWriter* out) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kObject: {
+      out->BeginObject();
+      if (how.unknown) {
+        out->Key("zz_unknown").BeginObject().Key("nested").BeginArray();
+        out->Int(1).BeginObject().KV("p", "no_such_predicate").EndObject();
+        out->EndArray().EndObject();
+      }
+      std::vector<std::pair<std::string, JsonValue>> members =
+          value.members();
+      if (how.reverse) std::reverse(members.begin(), members.end());
+      for (const auto& [key, member] : members) {
+        if (key == how.drop) continue;
+        out->Key(key);
+        EmitRewritten(member, how, out);
+        if (how.duplicate) out->Key(key).BeginArray().Null().EndArray();
+      }
+      out->EndObject();
+      return;
+    }
+    case JsonValue::Kind::kArray:
+      out->BeginArray();
+      for (const JsonValue& element : value.array()) {
+        EmitRewritten(element, how, out);
+      }
+      out->EndArray();
+      return;
+    case JsonValue::Kind::kString:
+      out->String(value.string_value());
+      return;
+    case JsonValue::Kind::kNumber:
+      // Every number in a partial is an integer.
+      out->Int(*value.NumberAsInt());
+      return;
+    case JsonValue::Kind::kBool:
+      out->Bool(value.bool_value());
+      return;
+    case JsonValue::Kind::kNull:
+      out->Null();
+      return;
+  }
+}
+
+std::string RewritePartial(const std::string& json, const Rewrite& how) {
+  JsonParseOptions lenient;
+  lenient.strict_strings = false;
+  auto doc = JsonValue::Parse(json, lenient);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  if (!doc.ok()) return "";
+  JsonWriter out;
+  EmitRewritten(*doc, how, &out);
+  return out.str();
+}
+
+/// Parses `json` and re-serializes it, or returns the parse error.
+Result<std::string> ReserializePartial(std::string_view json,
+                                       const Interner& interner) {
+  ShardPartialMeta meta;
+  GDLOG_ASSIGN_OR_RETURN(PartialSpace partial,
+                         PartialSpaceFromJson(json, interner, &meta));
+  return PartialSpaceToJson(partial, meta, &interner);
+}
+
+/// The clique-3 network partial of shard `shard` out of `num_shards`.
+std::string NetworkPartial(const GDatalog& engine, size_t num_shards,
+                           size_t shard) {
+  ChaseOptions options;
+  options.num_threads = 1;
+  auto plan = engine.chase().PlanShards(options, num_shards);
+  EXPECT_TRUE(plan.ok());
+  if (!plan.ok()) return "";
+  auto partial = engine.chase().ExploreShard(*plan, shard, options);
+  EXPECT_TRUE(partial.ok());
+  if (!partial.ok()) return "";
+  return PartialSpaceToJson(*partial,
+                            MakeShardPartialMeta(*plan, shard, options),
+                            engine.program().interner());
+}
+
+class PartialReaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto engine = GDatalog::Create(kDimeQuarterProgram, kDimeQuarterDb);
+    ASSERT_TRUE(engine.ok());
+    engine_.emplace(std::move(*engine));
+    auto network = GDatalog::Create(kNetworkProgram, Clique(3));
+    ASSERT_TRUE(network.ok());
+    network_.emplace(std::move(*network));
+  }
+
+  const Interner& interner() const { return *engine_->program().interner(); }
+  const Interner& network_interner() const {
+    return *network_->program().interner();
+  }
+
+  /// Every rewrite of both a real clique-3 partial and kMinimalPartial must
+  /// parse back to the original bytes.
+  void ExpectRewriteRoundTrips(const Rewrite& how) {
+    const std::string network = NetworkPartial(*network_, 1, 0);
+    auto back = ReserializePartial(RewritePartial(network, how),
+                                   network_interner());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, network);
+    back = ReserializePartial(RewritePartial(kMinimalPartial, how),
+                              interner());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, kMinimalPartial);
+  }
+
+  std::optional<GDatalog> engine_;
+  std::optional<GDatalog> network_;
+};
+
+TEST_F(PartialReaderTest, MinimalPartialRoundTrips) {
+  auto back = ReserializePartial(kMinimalPartial, interner());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, kMinimalPartial);
+}
+
+TEST_F(PartialReaderTest, AcceptsMembersInAnyOrder) {
+  Rewrite how;
+  how.reverse = true;
+  ExpectRewriteRoundTrips(how);
+}
+
+TEST_F(PartialReaderTest, SkipsUnknownMembersIncludingNestedOnes) {
+  Rewrite how;
+  how.unknown = true;
+  ExpectRewriteRoundTrips(how);
+}
+
+TEST_F(PartialReaderTest, TakesTheFirstOfDuplicateKeys) {
+  Rewrite how;
+  how.duplicate = true;
+  ExpectRewriteRoundTrips(how);
+  how.reverse = true;
+  how.unknown = true;
+  ExpectRewriteRoundTrips(how);
+
+  // As JsonValue::Find does: a later, well-formed value is ignored too.
+  std::string doc = kMinimalPartial;
+  doc.insert(doc.size() - 1, R"(,"shard_index":3,"num_shards":9)");
+  ShardPartialMeta meta;
+  auto partial = PartialSpaceFromJson(doc, interner(), &meta);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(meta.num_shards, 1u);
+  EXPECT_EQ(meta.shard_index, 0u);
+}
+
+TEST_F(PartialReaderTest, RejectsEachMissingRequiredField) {
+  for (const char* key :
+       {"format", "num_shards", "shard_index", "prefix_depth", "assignment",
+        "max_outcomes", "max_depth", "support_limit", "trigger_shuffle_seed",
+        "min_path_prob", "budget_hit", "depth_truncated_paths",
+        "pruned_paths", "outcomes", "truncations", "prob", "n", "d", "x",
+        "choices", "active", "outcome", "p", "a", "t", "v", "models",
+        "mass"}) {
+    Rewrite how;
+    how.drop = key;
+    std::string doc = RewritePartial(kMinimalPartial, how);
+    ASSERT_NE(doc, kMinimalPartial) << key;
+    ShardPartialMeta meta;
+    EXPECT_FALSE(PartialSpaceFromJson(doc, interner(), &meta).ok())
+        << "accepted a partial without '" << key << "'";
+  }
+}
+
+TEST_F(PartialReaderTest, RejectsNonIntegerAndOutOfRangeIntegers) {
+  const std::string good = kMinimalPartial;
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string doc = good;
+    size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? doc : doc.replace(at, from.size(), to);
+  };
+  ShardPartialMeta meta;
+  for (const char* depth : {"4096.0", "4.096e3", "4096e0", "-1",
+                            "9223372036854775808", "1e400"}) {
+    EXPECT_FALSE(PartialSpaceFromJson(
+                     with("\"max_depth\":4096",
+                          std::string("\"max_depth\":") + depth),
+                     interner(), &meta)
+                     .ok())
+        << depth;
+  }
+  EXPECT_TRUE(PartialSpaceFromJson(
+                  with("\"max_depth\":4096",
+                       "\"max_depth\":9223372036854775807"),
+                  interner(), &meta)
+                  .ok());
+  // Integer constants and rational masses are integer fields too.
+  const std::string outcome = R"("outcome":{"t":"i","v":1})";
+  EXPECT_FALSE(PartialSpaceFromJson(
+                   with(outcome, R"("outcome":{"t":"i","v":1.5})"),
+                   interner(), &meta)
+                   .ok());
+  EXPECT_FALSE(
+      PartialSpaceFromJson(
+          with(outcome,
+               R"("outcome":{"t":"i","v":-9223372036854775809})"),
+          interner(), &meta)
+          .ok());
+  EXPECT_FALSE(PartialSpaceFromJson(with(R"({"n":1,"d":2})",
+                                         R"({"n":1,"d":2e0})"),
+                                    interner(), &meta)
+                   .ok());
+}
+
+TEST_F(PartialReaderTest, RejectsTrailingContent) {
+  ShardPartialMeta meta;
+  const std::string good = kMinimalPartial;
+  EXPECT_TRUE(PartialSpaceFromJson(good + " \n\t", interner(), &meta).ok());
+  for (const char* trailing : {"x", "{}", ",", " 1", "\n[]"}) {
+    EXPECT_FALSE(
+        PartialSpaceFromJson(good + trailing, interner(), &meta).ok())
+        << trailing;
+  }
+}
+
+TEST_F(PartialReaderTest, RejectsDeeplyNestedUnknownMembers) {
+  const std::string good = kMinimalPartial;
+  auto nested = [&](size_t depth) {
+    std::string doc = good;
+    doc.insert(doc.size() - 1, ",\"zz\":" + std::string(depth, '[') +
+                                   std::string(depth, ']'));
+    return doc;
+  };
+  ShardPartialMeta meta;
+  // The document object is one level, so 96 levels of arrays reach the
+  // limit and one more passes it.
+  EXPECT_TRUE(PartialSpaceFromJson(nested(96), interner(), &meta).ok());
+  EXPECT_FALSE(PartialSpaceFromJson(nested(97), interner(), &meta).ok());
+  // Far past the limit: rejected without recursing a million frames deep.
+  EXPECT_FALSE(
+      PartialSpaceFromJson(nested(1000000), interner(), &meta).ok());
+}
+
+// Symbol names holding a quote, a backslash, multi-byte UTF-8 and a raw
+// byte that is not UTF-8 at all: the writer copies the bytes verbatim
+// (escaping only '"' and '\'), the lenient reader must read them back
+// exactly, and \u escapes of the same characters — including a surrogate
+// pair — must decode to the same bytes.
+TEST(PartialReaderEscapes, SymbolNamesRoundTripThroughEscapes) {
+  const std::string program =
+      "name(\"a\\\"b\"). name(\"c\\\\d\"). name(\"caf\xC3\xA9\").\n"
+      "name(\"\xE9\"). name(\"\xF0\x9F\x98\x80\").\n"
+      "tag(X, flip<0.5>[X]) :- name(X).\n";
+  auto engine = GDatalog::Create(program, "");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Interner& interner = *engine->program().interner();
+  const std::string json = NetworkPartial(*engine, 1, 0);
+  ASSERT_NE(json.find("a\\\"b"), std::string::npos);
+  ASSERT_NE(json.find("c\\\\d"), std::string::npos);
+  ASSERT_NE(json.find("\"\xE9\""), std::string::npos);
+
+  auto back = ReserializePartial(json, interner);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, json);
+
+  std::string escaped = json;
+  auto replace_all = [&](const std::string& from, const std::string& to) {
+    size_t count = 0;
+    for (size_t at = escaped.find(from); at != std::string::npos;
+         at = escaped.find(from, at + to.size())) {
+      escaped.replace(at, from.size(), to);
+      ++count;
+    }
+    EXPECT_GT(count, 0u) << from;
+  };
+  replace_all("a\\\"b", "\\u0061\\u0022b");
+  replace_all("c\\\\d", "\\u0063\\u005Cd");
+  replace_all("caf\xC3\xA9", "caf\\u00e9");
+  replace_all("\xF0\x9F\x98\x80", "\\ud83d\\ude00");
+  back = ReserializePartial(escaped, interner);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, json);
+}
+
+// Bounded mutation testing of the partial reader: every strict prefix of a
+// clique-3 partial is an error, and seeded single-byte mutations of it
+// either parse or fail cleanly, never crash (the sanitizer jobs run this
+// too). A mutation that parses must re-serialize.
+TEST(PartialReaderMutation, PrefixesFailAndMutationsNeverCrash) {
+  auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
+  ASSERT_TRUE(engine.ok());
+  const Interner& interner = *engine->program().interner();
+  // The smallest shard of a 6-way plan with more than one outcome: every
+  // construct but a truncation, in a few kilobytes, so the quadratic
+  // prefix sweep stays well under a second even under sanitizers.
+  std::string json;
+  for (size_t shard = 0; shard < 6; ++shard) {
+    std::string candidate = NetworkPartial(*engine, 6, shard);
+    ShardPartialMeta meta;
+    auto partial = PartialSpaceFromJson(candidate, interner, &meta);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    if (partial->outcomes.size() > 1 &&
+        (json.empty() || candidate.size() < json.size())) {
+      json = candidate;
+    }
+  }
+  ASSERT_FALSE(json.empty());
+  ASSERT_LT(json.size(), 20000u);
+
+  ShardPartialMeta meta;
+  for (size_t length = 0; length < json.size(); ++length) {
+    ASSERT_FALSE(PartialSpaceFromJson(std::string_view(json).substr(0, length),
+                                      interner, &meta)
+                     .ok())
+        << "prefix of length " << length << " parsed";
+  }
+
+  std::mt19937 rng(0x9a27);
+  // Bytes the grammar gives meaning to, so mutations reach deep paths,
+  // plus arbitrary ones.
+  const std::string structural = "{}[]\":,\\-0123456789.eEtfnu ";
+  size_t parsed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string mutated = json;
+    size_t at = rng() % mutated.size();
+    mutated[at] = round % 2 == 0
+                      ? structural[rng() % structural.size()]
+                      : static_cast<char>(rng() % 256);
+    auto partial = PartialSpaceFromJson(mutated, interner, &meta);
+    if (partial.ok()) {
+      ++parsed;
+      PartialSpaceToJson(*partial, meta, &interner);
+    }
+  }
+  // Most mutations break the document; some (a digit for a digit) do not.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, 3000u);
 }
 
 }  // namespace
