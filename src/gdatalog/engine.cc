@@ -41,6 +41,31 @@ struct GDatalog::State {
     out->opt_stats = opt_stats;
     return out;
   }
+
+  /// Restricts Σ_Π to the demand of the goal predicates that resolve, and
+  /// records what it did in opt_stats. Demand restriction changes the
+  /// outcome space away from the goals, so it is only sound under
+  /// stratification (splitting-set argument in ROADMAP) and only requested
+  /// by callers observing goal marginals.
+  void RestrictToGoals(const std::vector<std::string>& names) {
+    OptStats& os = opt_stats;
+    os = OptStats{};
+    os.rules_in = translated.sigma().rules().size();
+    std::vector<uint32_t> goals;
+    if (stratified) {
+      for (const std::string& goal : names) {
+        uint32_t id = program.interner()->Lookup(goal);
+        if (id != Interner::kNotFound) goals.push_back(id);
+      }
+    }
+    if (!goals.empty()) {
+      const uint64_t start_ns = MonotonicNanos();
+      RestrictToDemand(&translated, goals);
+      os.total_wall_ns = MonotonicNanos() - start_ns;
+      os.demand_applied = true;
+    }
+    os.rules_out = translated.sigma().rules().size();
+  }
 };
 
 GDatalog::GDatalog(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -93,25 +118,7 @@ Result<GDatalog> GDatalog::FromProgram(Program pi, FactStore db,
   DependencyGraph dg(state->program);
   state->stratified = dg.IsStratified();
 
-  // Demand restriction changes the outcome space away from the goals, so
-  // it is only sound under stratification (splitting-set argument in
-  // ROADMAP) and only requested by callers observing goal marginals.
-  OptStats& os = state->opt_stats;
-  os.rules_in = state->translated.sigma().rules().size();
-  std::vector<uint32_t> goals;
-  if (state->stratified) {
-    for (const std::string& goal : options.demand_goals) {
-      uint32_t id = state->program.interner()->Lookup(goal);
-      if (id != Interner::kNotFound) goals.push_back(id);
-    }
-  }
-  if (!goals.empty()) {
-    const uint64_t start_ns = MonotonicNanos();
-    RestrictToDemand(&state->translated, goals);
-    os.total_wall_ns = MonotonicNanos() - start_ns;
-    os.demand_applied = true;
-  }
-  os.rules_out = state->translated.sigma().rules().size();
+  state->RestrictToGoals(options.demand_goals);
 
   GrounderKind kind = options.grounder;
   if (kind == GrounderKind::kAuto) {
@@ -146,6 +153,15 @@ Result<GDatalog> GDatalog::WithDatabase(const GDatalog& base,
   state->db.Freeze();
   DatabasePrefix prefix = DatabasePrefix::Of(state->db);
   return FinishEngine(std::move(state), std::move(prefix));
+}
+
+Result<GDatalog> GDatalog::WithDemand(const GDatalog& base,
+                                      const std::vector<std::string>& goals) {
+  const State& bs = *base.state_;
+  std::unique_ptr<State> state = bs.Derive();
+  state->db = bs.db;  // COW: shares the rows and the built indices
+  state->RestrictToGoals(goals);
+  return FinishEngine(std::move(state), bs.grounder->prefix());
 }
 
 Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,

@@ -82,6 +82,15 @@ class GDatalog {
   static Result<GDatalog> WithDatabase(const GDatalog& base,
                                        std::string_view database_text);
 
+  /// Builds an engine for `base`'s program and database with Σ_Π
+  /// restricted to the demand of `goals` (as Options::demand_goals; `base`
+  /// itself must be unrestricted). The database, its grounding prefix and
+  /// the name table's ids are `base`'s, so an atom or fact read off either
+  /// engine names the same thing on the other, and nothing is re-parsed.
+  /// The serving layer's per-signature marginal engines.
+  static Result<GDatalog> WithDemand(const GDatalog& base,
+                                     const std::vector<std::string>& goals);
+
   /// Builds an engine for `base`'s program with `base`'s database extended
   /// by a delta (see ParseFactDelta for the syntax; removals are rejected
   /// with kUnsupported). The FactStore is COW-extended in place (indices

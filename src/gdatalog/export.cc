@@ -559,15 +559,19 @@ std::string OutcomeSpaceToJson(const AnswerIndex& index,
       }
       json.EndArray();
       if (options.include_models) {
+        // Each model as the index reads it (with any facts added since the
+        // chase merged in), modulo the Active/Result bookkeeping atoms.
         json.Key("models").BeginArray();
-        for (const StableModel& model : outcome.models) {
+        index.ForEachModel(outcome.models, [&](const StableModel& model) {
           json.BeginArray();
-          for (const GroundAtom& atom :
-               OutcomeSpace::StripAuxiliary(model, translated)) {
-            json.String(atom.ToString(interner));
-          }
+          index.ForEachAtom(model, [&](const GroundAtom& atom) {
+            if (!translated.IsActivePredicate(atom.predicate) &&
+                !translated.IsResultPredicate(atom.predicate)) {
+              json.String(atom.ToString(interner));
+            }
+          });
           json.EndArray();
-        }
+        });
         json.EndArray();
       }
       json.EndObject();

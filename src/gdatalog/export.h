@@ -41,8 +41,9 @@ struct JsonExportOptions {
 ///   "events": [{"mass": {...}, "num_models": 0, "num_outcomes": 1}]
 /// }
 ///
-/// Masses and event rows come from `index` (see AnswerIndex), so a cached
-/// index renders without re-summing anything.
+/// Masses, event rows and models come from `index` (see AnswerIndex), so a
+/// cached index renders without re-summing anything, and a revalidated one
+/// renders each model with the facts added since its chase.
 std::string OutcomeSpaceToJson(const AnswerIndex& index,
                                const TranslatedProgram& translated,
                                const Interner* interner,

@@ -102,21 +102,52 @@ DatabasePrefix DatabasePrefix::Of(const FactStore& db) {
                         {}};
 }
 
+namespace {
+
+/// Calls visit(fact) for each fact on `tail`, oldest first.
+template <typename Visit>
+void ForEachTailFact(const DatabasePrefix::TailChunk* tail, Visit&& visit) {
+  std::vector<const DatabasePrefix::TailChunk*> chunks;
+  for (auto c = tail; c != nullptr; c = c->older.get()) chunks.push_back(c);
+  for (auto c = chunks.rbegin(); c != chunks.rend(); ++c) {
+    for (const GroundRule& fact : (*c)->facts) visit(fact);
+  }
+}
+
+}  // namespace
+
 DatabasePrefix DatabasePrefix::Extended(
     const std::vector<GroundAtom>& facts) const {
-  DatabasePrefix out{base, tail};
-  out.tail.reserve(tail.size() + facts.size());
+  if (facts.empty()) return *this;
+  if (tail_size() + facts.size() <= base->size()) {
+    auto chunk = std::make_shared<TailChunk>();
+    chunk->facts.reserve(facts.size());
+    for (const GroundAtom& atom : facts) {
+      GroundRule& fact = chunk->facts.emplace_back();
+      fact.head = atom;
+    }
+    chunk->older = tail;
+    chunk->total = tail_size() + facts.size();
+    return DatabasePrefix{base, std::move(chunk)};
+  }
+  // Fold: base, tail and facts, in that order, become the new frozen base.
+  GroundRuleSet folded;
+  for (const GroundRule* fact : base->rules()) folded.Add(*fact);
+  ForEachTailFact(tail.get(),
+                  [&](const GroundRule& fact) { folded.Add(fact); });
   for (const GroundAtom& atom : facts) {
     GroundRule fact;
     fact.head = atom;
-    out.tail.push_back(std::move(fact));
+    folded.Add(std::move(fact));
   }
-  return out;
+  folded.mutable_heads()->Freeze();
+  return DatabasePrefix{
+      std::make_shared<const GroundRuleSet>(std::move(folded)), nullptr};
 }
 
 GroundRuleSet DatabasePrefix::Instantiate() const {
   GroundRuleSet out = base->Clone();
-  for (const GroundRule& fact : tail) out.Add(fact);
+  ForEachTailFact(tail.get(), [&](const GroundRule& fact) { out.Add(fact); });
   return out;
 }
 

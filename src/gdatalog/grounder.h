@@ -36,21 +36,34 @@ struct EntryCascade {
 /// part every G(Σ) starts from. `base` has its matching instance
 /// frozen (every column index built) and is shared read-only by every
 /// grounding and by the engines later database deltas derive; `tail` holds
-/// the facts those deltas appended, in order. The tail stays flat: a chain
-/// of deltas adds no rule segment per delta, so AddAndGet keeps probing
-/// only `base`'s segment and a grounding's own.
+/// the facts those deltas appended since `base` was built, as an immutable
+/// chain of per-delta chunks that extensions share rather than copy. Once
+/// the tail would outgrow `base`, Extended folds it into a new `base` (one
+/// segment, so AddAndGet still probes one shared segment). The base at
+/// least doubles per fold, so extending costs amortised O(|facts|) and
+/// Instantiate's re-added tail never exceeds the base it clones.
 struct DatabasePrefix {
+  /// One delta's facts on the tail, linked to the chunk before it.
+  struct TailChunk {
+    std::vector<GroundRule> facts;
+    std::shared_ptr<const TailChunk> older;
+    size_t total = 0;  ///< Facts in this chunk and every older one.
+  };
+
   std::shared_ptr<const GroundRuleSet> base;
-  std::vector<GroundRule> tail;
+  std::shared_ptr<const TailChunk> tail;  ///< Newest chunk; null if empty.
 
   /// The prefix of `db`, one rule per fact, predicate by predicate in row
   /// order.
   static DatabasePrefix Of(const FactStore& db);
-  /// This prefix with `facts` appended to the tail; `base` stays shared.
+  /// This prefix with `facts` appended to the tail, or folded into a new
+  /// base with the tail when the tail would outgrow the base.
   DatabasePrefix Extended(const std::vector<GroundAtom>& facts) const;
   /// A fresh grounding holding just the prefix: a clone of `base` (which
-  /// shares its rules and indices) with the tail added.
+  /// shares its rules and indices) with the tail added, oldest fact first.
   GroundRuleSet Instantiate() const;
+  /// Facts on the tail.
+  size_t tail_size() const { return tail != nullptr ? tail->total : 0; }
 };
 
 /// A grounder G of Π[D] (Definition 3.3): a monotone map from functionally

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 
 namespace gdlog {
 
@@ -46,25 +47,6 @@ OutcomeSpace::Bounds OutcomeSpace::Marginal(const GroundAtom& atom) const {
     if (in_some) bounds.upper = bounds.upper + outcome.prob;
   }
   return bounds;
-}
-
-std::optional<OutcomeSpace::Bounds> OutcomeSpace::MarginalGivenConsistent(
-    const GroundAtom& atom, const Prob& consistent) const {
-  if (!(consistent.value() > 0.0)) return std::nullopt;
-  Bounds joint = Marginal(atom);
-  Bounds conditioned;
-  // Exact division when both sides are exact rationals.
-  const Rational& denom = consistent.rational();
-  auto divide = [&](const Prob& numer) {
-    if (numer.exact() && denom.exact() && denom.numerator() != 0) {
-      return Prob(numer.rational() *
-                  Rational(denom.denominator(), denom.numerator()));
-    }
-    return Prob(Rational::FromDecimal(numer.value() / consistent.value()));
-  };
-  conditioned.lower = divide(joint.lower);
-  conditioned.upper = divide(joint.upper);
-  return conditioned;
 }
 
 StableModel OutcomeSpace::StripAuxiliary(const StableModel& model,
@@ -140,8 +122,145 @@ OutcomeSpace OutcomeSpace::WithAddedFacts(
   return out;
 }
 
+struct AnswerIndex::ChasedEvents {
+  std::once_flag once;
+  std::vector<EventRow> rows;
+  /// Each row's model set in the chased space.
+  std::vector<const StableModelSet*> sets;
+  /// Each outcome's row.
+  std::vector<uint32_t> outcome_row;
+
+  /// Where rows i-1 and i first differ, when each holds one model x < y:
+  /// the smallest atom of x Δ y. Unless that atom is added, it stays the
+  /// smallest of (x ∪ A) Δ (y ∪ A) and the order stays x ∪ A < y ∪ A,
+  /// except when x is a proper prefix of y (the atom is y's) and some
+  /// added atom sorts after it: then x ∪ A runs on past it and sorts last.
+  struct Split {
+    const GroundAtom* atom = nullptr;  ///< null: not two one-model rows
+    bool prefix = false;               ///< x is a proper prefix of y
+  };
+  /// The splits, built once per chased space on first use and shared by
+  /// every index revalidated from it.
+  const std::vector<Split>& Splits() const {
+    std::call_once(splits_once, [this] {
+      splits.resize(rows.size());
+      for (size_t i = 1; i < rows.size(); ++i) {
+        if (sets[i - 1]->size() != 1 || sets[i]->size() != 1) continue;
+        const StableModel& x = *sets[i - 1]->begin();
+        const StableModel& y = *sets[i]->begin();
+        auto [xi, yi] = std::mismatch(x.begin(), x.end(), y.begin(), y.end());
+        if (yi == y.end()) continue;  // not x < y: left to the full compare
+        splits[i] = xi == x.end() ? Split{&*yi, true} : Split{&*xi, false};
+      }
+    });
+    return splits;
+  }
+  mutable std::once_flag splits_once;
+  mutable std::vector<Split> splits;
+
+  /// Mirrors Events(): outcomes are grouped by pointer to their model set,
+  /// so no set is copied; the first outcome of a set seeds its mass and
+  /// later ones add to it in outcome order.
+  void Build(const OutcomeSpace& space) {
+    struct DerefLess {
+      bool operator()(const StableModelSet* a,
+                      const StableModelSet* b) const {
+        return *a < *b;
+      }
+    };
+    std::map<const StableModelSet*, uint32_t, DerefLess> group_of;
+    std::vector<EventRow> groups;
+    std::vector<uint32_t> outcome_group;
+    outcome_group.reserve(space.outcomes.size());
+    for (const PossibleOutcome& outcome : space.outcomes) {
+      auto [it, inserted] = group_of.try_emplace(
+          &outcome.models, static_cast<uint32_t>(groups.size()));
+      if (inserted) {
+        EventRow& row = groups.emplace_back();
+        row.mass = outcome.prob;
+        row.num_models = outcome.models.size();
+      } else {
+        EventRow& row = groups[it->second];
+        row.mass = row.mass + outcome.prob;
+      }
+      ++groups[it->second].num_outcomes;
+      outcome_group.push_back(it->second);
+    }
+    std::vector<uint32_t> rank(groups.size());
+    rows.reserve(groups.size());
+    sets.reserve(groups.size());
+    for (const auto& [models, group] : group_of) {
+      rank[group] = static_cast<uint32_t>(rows.size());
+      rows.push_back(groups[group]);
+      sets.push_back(models);
+    }
+    outcome_row.reserve(outcome_group.size());
+    for (uint32_t group : outcome_group) outcome_row.push_back(rank[group]);
+  }
+};
+
+namespace {
+
+int CompareAtoms(const GroundAtom& x, const GroundAtom& y) {
+  if (x < y) return -1;
+  return y < x ? 1 : 0;
+}
+
+/// Three-way StableModel comparison of x ∪ added against y ∪ added.
+int CompareMerged(const StableModel& x, const StableModel& y,
+                  const std::vector<GroundAtom>& added) {
+  MergedAtoms a(x, added);
+  MergedAtoms b(y, added);
+  for (;;) {
+    if (a.done()) return b.done() ? 0 : -1;
+    if (b.done()) return 1;
+    const int c = CompareAtoms(a.front(), b.front());
+    if (c != 0) return c;
+    a.pop();
+    b.pop();
+  }
+}
+
+/// The models of `models` in the order of {M ∪ added : M ∈ models}: set
+/// order, re-sorted only when the added facts reorder it.
+std::vector<const StableModel*> MergedOrder(
+    const StableModelSet& models, const std::vector<GroundAtom>& added) {
+  std::vector<const StableModel*> ordered;
+  ordered.reserve(models.size());
+  for (const StableModel& model : models) ordered.push_back(&model);
+  auto less = [&added](const StableModel* x, const StableModel* y) {
+    return CompareMerged(*x, *y, added) < 0;
+  };
+  if (!std::is_sorted(ordered.begin(), ordered.end(), less)) {
+    std::stable_sort(ordered.begin(), ordered.end(), less);
+  }
+  return ordered;
+}
+
+/// The constraint-conditioning both MarginalGivenConsistent share: `joint`
+/// divided by `consistent` (exactly when both are exact rationals), or
+/// nullopt when P(consistent) = 0.
+std::optional<OutcomeSpace::Bounds> Condition(
+    const OutcomeSpace::Bounds& joint, const Prob& consistent) {
+  if (!(consistent.value() > 0.0)) return std::nullopt;
+  const Rational& denom = consistent.rational();
+  auto divide = [&](const Prob& numer) {
+    if (numer.exact() && denom.exact() && denom.numerator() != 0) {
+      return Prob(numer.rational() *
+                  Rational(denom.denominator(), denom.numerator()));
+    }
+    return Prob(Rational::FromDecimal(numer.value() / consistent.value()));
+  };
+  OutcomeSpace::Bounds conditioned;
+  conditioned.lower = divide(joint.lower);
+  conditioned.upper = divide(joint.upper);
+  return conditioned;
+}
+
+}  // namespace
+
 AnswerIndex::AnswerIndex(std::shared_ptr<const OutcomeSpace> space)
-    : space_(std::move(space)) {
+    : space_(std::move(space)), chased_(std::make_shared<ChasedEvents>()) {
   // One pass, each mass summed in outcome order: the same additions, in the
   // same order, as ProbConsistent() and ProbInconsistent().
   for (const PossibleOutcome& outcome : space_->outcomes) {
@@ -156,47 +275,154 @@ AnswerIndex::AnswerIndex(const OutcomeSpace& space)
     : AnswerIndex(std::shared_ptr<const OutcomeSpace>(
           std::shared_ptr<const OutcomeSpace>(), &space)) {}
 
-AnswerIndex::AnswerIndex(std::shared_ptr<const OutcomeSpace> space,
-                         const Prob& prob_consistent,
-                         const Prob& prob_inconsistent)
-    : space_(std::move(space)),
-      prob_consistent_(prob_consistent),
-      prob_inconsistent_(prob_inconsistent) {}
+AnswerIndex::AnswerIndex(const AnswerIndex& source,
+                         std::shared_ptr<const std::vector<GroundAtom>> added)
+    : space_(source.space_),
+      added_(std::move(added)),
+      prob_consistent_(source.prob_consistent_),
+      prob_inconsistent_(source.prob_inconsistent_),
+      chased_(source.chased_) {}
+
+const std::vector<GroundAtom>& AnswerIndex::added_facts() const {
+  static const std::vector<GroundAtom> kNone;
+  return added_ != nullptr ? *added_ : kNone;
+}
+
+const AnswerIndex::ChasedEvents& AnswerIndex::chased_events() const {
+  std::call_once(chased_->once, [this] { chased_->Build(*space_); });
+  return *chased_;
+}
 
 const std::vector<AnswerIndex::EventRow>& AnswerIndex::events() const {
   std::call_once(events_once_, [this] {
-    struct DerefLess {
-      bool operator()(const StableModelSet* a,
-                      const StableModelSet* b) const {
-        return *a < *b;
-      }
-    };
-    // Mirrors Events(): the first outcome of a set seeds its mass, later
-    // ones add to it in outcome order.
-    std::map<const StableModelSet*, EventRow, DerefLess> groups;
-    for (const PossibleOutcome& outcome : space_->outcomes) {
-      auto [it, inserted] = groups.try_emplace(&outcome.models);
-      EventRow& row = it->second;
-      if (inserted) {
-        row.mass = outcome.prob;
-        row.num_models = outcome.models.size();
+    const ChasedEvents& chased = chased_events();
+    if (added_ == nullptr) {
+      events_ = &chased.rows;
+    } else {
+      BuildOverlayEvents(chased);
+    }
+  });
+  return *events_;
+}
+
+void AnswerIndex::BuildOverlayEvents(const ChasedEvents& chased) const {
+  const std::vector<GroundAtom>& added = *added_;
+  const size_t n = chased.rows.size();
+  // std::set's lexicographic order over the merged models of two rows.
+  auto compare = [&](uint32_t x, uint32_t y) {
+    const StableModelSet& xs = *chased.sets[x];
+    const StableModelSet& ys = *chased.sets[y];
+    if (xs.size() == 1 && ys.size() == 1) {
+      return CompareMerged(*xs.begin(), *ys.begin(), added);
+    }
+    const std::vector<const StableModel*> xm = MergedOrder(xs, added);
+    const std::vector<const StableModel*> ym = MergedOrder(ys, added);
+    for (size_t i = 0; i < xm.size() && i < ym.size(); ++i) {
+      const int c = CompareMerged(*xm[i], *ym[i], added);
+      if (c != 0) return c;
+    }
+    return xm.size() < ym.size() ? -1 : (xm.size() > ym.size() ? 1 : 0);
+  };
+  // Adjacent rows keep their order unless an added atom reaches the spot
+  // where they first differ; only such pairs need the merged compare.
+  const std::vector<ChasedEvents::Split>& splits = chased.Splits();
+  auto in_order = [&](uint32_t i) {
+    const ChasedEvents::Split& split = splits[i];
+    if (split.atom != nullptr &&
+        !std::binary_search(added.begin(), added.end(), *split.atom)) {
+      return !split.prefix || added.back() < *split.atom;
+    }
+    return compare(i - 1, i) < 0;
+  };
+  bool sorted = true;
+  for (uint32_t i = 1; i < n && sorted; ++i) sorted = in_order(i);
+  if (sorted) {
+    events_ = &chased.rows;
+    return;
+  }
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return compare(x, y) < 0;
+  });
+  // The event each chased row falls in: rows whose model sets the added
+  // facts made equal share one.
+  std::vector<uint32_t> event_of(n);
+  uint32_t events = 0;
+  bool collapsed = false;
+  for (size_t k = 0; k < n; ++k) {
+    if (k > 0 && compare(order[k - 1], order[k]) == 0) {
+      collapsed = true;
+    } else {
+      ++events;
+    }
+    event_of[order[k]] = events - 1;
+  }
+  if (!collapsed) {
+    own_events_.reserve(n);
+    for (uint32_t row : order) own_events_.push_back(chased.rows[row]);
+  } else {
+    // Re-sum every event from the outcomes, in outcome order, as Events()
+    // sums the materialized space: adding the two rows' masses would round
+    // inexact probabilities differently. Within one model set no two
+    // models collapse (the added predicates' atoms are fixed by the
+    // model's other atoms through the same ground rules), so |sms| stays.
+    own_events_.assign(events, EventRow{});
+    const std::vector<PossibleOutcome>& outcomes = space_->outcomes;
+    for (size_t o = 0; o < outcomes.size(); ++o) {
+      EventRow& row = own_events_[event_of[chased.outcome_row[o]]];
+      if (row.num_outcomes == 0) {
+        row.mass = outcomes[o].prob;
+        row.num_models = outcomes[o].models.size();
       } else {
-        row.mass = row.mass + outcome.prob;
+        row.mass = row.mass + outcomes[o].prob;
       }
       ++row.num_outcomes;
     }
-    events_.reserve(groups.size());
-    for (const auto& [models, row] : groups) events_.push_back(row);
-  });
-  return events_;
+  }
+  events_ = &own_events_;
+}
+
+std::vector<const StableModel*> AnswerIndex::OrderedModels(
+    const StableModelSet& models) const {
+  return MergedOrder(models, added_facts());
+}
+
+OutcomeSpace::Bounds AnswerIndex::Marginal(const GroundAtom& atom) const {
+  const std::vector<GroundAtom>& added = added_facts();
+  if (std::binary_search(added.begin(), added.end(), atom)) {
+    // In every model of every consistent outcome: both of Marginal's sums
+    // add exactly the outcomes P(consistent) adds, in the same order.
+    return OutcomeSpace::Bounds{prob_consistent_, prob_consistent_};
+  }
+  return space_->Marginal(atom);
+}
+
+std::optional<OutcomeSpace::Bounds> AnswerIndex::MarginalGivenConsistent(
+    const GroundAtom& atom) const {
+  return Condition(Marginal(atom), prob_consistent_);
+}
+
+std::optional<OutcomeSpace::Bounds> OutcomeSpace::MarginalGivenConsistent(
+    const GroundAtom& atom, const Prob& consistent) const {
+  return Condition(Marginal(atom), consistent);
 }
 
 std::shared_ptr<const AnswerIndex> AnswerIndex::WithAddedFacts(
     const std::vector<GroundAtom>& facts) const {
-  auto patched =
-      std::make_shared<const OutcomeSpace>(space_->WithAddedFacts(facts));
-  return std::shared_ptr<const AnswerIndex>(new AnswerIndex(
-      std::move(patched), prob_consistent_, prob_inconsistent_));
+  if (facts.empty()) {
+    return std::shared_ptr<const AnswerIndex>(new AnswerIndex(*this, added_));
+  }
+  std::vector<GroundAtom> sorted = facts;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const std::vector<GroundAtom>& added = added_facts();
+  auto merged = std::make_shared<std::vector<GroundAtom>>();
+  merged->reserve(added.size() + sorted.size());
+  std::set_union(added.begin(), added.end(), sorted.begin(), sorted.end(),
+                 std::back_inserter(*merged));
+  return std::shared_ptr<const AnswerIndex>(
+      new AnswerIndex(*this, std::move(merged)));
 }
 
 }  // namespace gdlog

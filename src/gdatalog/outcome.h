@@ -97,13 +97,60 @@ class OutcomeSpace {
   /// model of every outcome gains exactly them, while choices,
   /// probabilities, masses, consistency and outcome order are untouched
   /// (splitting-set argument in ROADMAP "Incremental serving
-  /// architecture"). The serving layer's cache-revalidation patch.
+  /// architecture"). It copies every model; the serving layer revalidates
+  /// through AnswerIndex::WithAddedFacts instead, and this materialized
+  /// space is the reference that overlay is tested against.
   OutcomeSpace WithAddedFacts(const std::vector<GroundAtom>& facts) const;
+};
+
+/// The atoms of model ∪ added (both sorted), ascending, each once: a
+/// cursor, so two merged models can be compared in step without copying.
+class MergedAtoms {
+ public:
+  MergedAtoms(const StableModel& model, const std::vector<GroundAtom>& added)
+      : a_(model.data()),
+        a_end_(a_ + model.size()),
+        b_(added.data()),
+        b_end_(b_ + added.size()) {}
+
+  bool done() const { return a_ == a_end_ && b_ == b_end_; }
+
+  const GroundAtom& front() const {
+    if (b_ == b_end_) return *a_;
+    if (a_ == a_end_) return *b_;
+    return *b_ < *a_ ? *b_ : *a_;
+  }
+
+  void pop() {
+    if (b_ == b_end_) {
+      ++a_;
+    } else if (a_ == a_end_) {
+      ++b_;
+    } else {
+      const bool a_first = !(*b_ < *a_);
+      if (!(*a_ < *b_)) ++b_;  // equal atoms advance both
+      if (a_first) ++a_;
+    }
+  }
+
+ private:
+  const GroundAtom* a_;
+  const GroundAtom* a_end_;
+  const GroundAtom* b_;
+  const GroundAtom* b_end_;
 };
 
 /// Definition 3.8's answers over one immutable OutcomeSpace, derived once
 /// instead of on every read — what the serving layer caches beside each
 /// space, and what OutcomeSpaceToJson renders from.
+///
+/// An index may also carry facts added to the database after the chase
+/// whose predicates occur in no rule body of Π (cache revalidation): every
+/// model M of the chased space then reads as M ∪ added_facts(), and every
+/// answer of the index is the answer OutcomeSpace::WithAddedFacts would
+/// give, without a model being copied. Readers must therefore go through
+/// the index (Marginal, ForEachModel, ForEachAtom, events), not through
+/// space(), whose models lack the added facts.
 ///
 /// P(consistent) and P(inconsistent) are computed by the constructor in
 /// one pass. The event rows are built by the first events() call (once,
@@ -125,33 +172,85 @@ class AnswerIndex {
   /// Indexes a space the caller keeps alive for the index's lifetime.
   explicit AnswerIndex(const OutcomeSpace& space);
 
+  /// The chased space. Its models lack added_facts().
   const OutcomeSpace& space() const { return *space_; }
+  /// The facts added since the chase, sorted and duplicate-free; empty for
+  /// the index of a chase.
+  const std::vector<GroundAtom>& added_facts() const;
   const Prob& prob_consistent() const { return prob_consistent_; }
   const Prob& prob_inconsistent() const { return prob_inconsistent_; }
 
-  /// The rows of Events(), in its std::map<StableModelSet> order, with each
-  /// event's outcome count. Outcomes are grouped by pointer to their model
-  /// set, so no model set is copied.
+  /// The rows of Events() over the models as this index reads them, in its
+  /// std::map<StableModelSet> order, with each event's outcome count.
   const std::vector<EventRow>& events() const;
 
-  /// The index of space().WithAddedFacts(facts), for cache revalidation.
-  /// Adding the same facts to every model changes no probability and no
-  /// model set's emptiness, so the scalars carry over as they are. The
-  /// event rows do not: the added facts can reorder model sets (with
-  /// [a] < [a,c], adding d gives [a,c,d] < [a,d]) or merge two of them,
-  /// so the new index rebuilds its rows on first use.
+  /// OutcomeSpace::Marginal over the models as this index reads them. An
+  /// added atom is in every model, so its bounds are P(consistent) on both
+  /// sides, summed in the same order as Marginal would sum them.
+  OutcomeSpace::Bounds Marginal(const GroundAtom& atom) const;
+  /// OutcomeSpace::MarginalGivenConsistent with this index's
+  /// P(consistent); nullopt when it is 0.
+  std::optional<OutcomeSpace::Bounds> MarginalGivenConsistent(
+      const GroundAtom& atom) const;
+
+  /// Calls visit(model) for each model of `models` (an outcome's set in
+  /// space()), in the order of the set the index reads — the added facts
+  /// can reorder models ([a] < [a,c], but with d added [a,c,d] < [a,d]).
+  /// The models passed are space()'s; read their atoms with ForEachAtom.
+  template <typename Visit>
+  void ForEachModel(const StableModelSet& models, Visit&& visit) const {
+    if (added_ == nullptr) {
+      for (const StableModel& model : models) visit(model);
+      return;
+    }
+    for (const StableModel* model : OrderedModels(models)) visit(*model);
+  }
+
+  /// Calls visit(atom) for each atom of model ∪ added_facts(), ascending,
+  /// each once. Copies nothing.
+  template <typename Visit>
+  void ForEachAtom(const StableModel& model, Visit&& visit) const {
+    for (MergedAtoms m(model, added_facts()); !m.done(); m.pop()) {
+      visit(m.front());
+    }
+  }
+
+  /// The index of this space with `facts` also added, for cache
+  /// revalidation. It shares the chased space and the chased index's event
+  /// rows, merges `facts` into the added list in O(|added| + |facts|), and
+  /// keeps P(consistent) and P(inconsistent): adding the same facts to
+  /// every model changes no probability and no model set's emptiness. Its
+  /// event rows are the chased rows, re-sorted when the added facts reorder
+  /// the model sets, and re-summed from the outcomes when they make two
+  /// model sets equal.
   std::shared_ptr<const AnswerIndex> WithAddedFacts(
       const std::vector<GroundAtom>& facts) const;
 
  private:
-  AnswerIndex(std::shared_ptr<const OutcomeSpace> space,
-              const Prob& prob_consistent, const Prob& prob_inconsistent);
+  /// The chased space's event rows, built once and shared by every index
+  /// revalidated from the chased one.
+  struct ChasedEvents;
+
+  AnswerIndex(const AnswerIndex& source,
+              std::shared_ptr<const std::vector<GroundAtom>> added);
+
+  const ChasedEvents& chased_events() const;
+  /// `models` in the order of the set {M ∪ added_facts() : M ∈ models}.
+  std::vector<const StableModel*> OrderedModels(
+      const StableModelSet& models) const;
+  /// Derives this index's rows from the chased rows (added facts only).
+  void BuildOverlayEvents(const ChasedEvents& chased) const;
 
   std::shared_ptr<const OutcomeSpace> space_;
+  /// nullptr when nothing was added.
+  std::shared_ptr<const std::vector<GroundAtom>> added_;
   Prob prob_consistent_;
   Prob prob_inconsistent_;
+  std::shared_ptr<ChasedEvents> chased_;
   mutable std::once_flag events_once_;
-  mutable std::vector<EventRow> events_;
+  /// The rows events() returns: the chased rows or own_events_.
+  mutable const std::vector<EventRow>* events_ = nullptr;
+  mutable std::vector<EventRow> own_events_;
 };
 
 }  // namespace gdlog

@@ -52,10 +52,12 @@ size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
   auto atom_bytes = [](const GroundAtom& atom) {
     return sizeof(GroundAtom) + atom.args.capacity() * sizeof(Value);
   };
-  // The index: its scalars plus one event row per outcome, an upper bound
-  // on the rows it may build later.
+  // The index: its scalars plus, per outcome, an event row (an upper bound
+  // on the rows it may build later), the row's model-set pointer and split
+  // (three words) and the outcome's row number.
   size_t bytes = sizeof(OutcomeSpace) + sizeof(AnswerIndex) +
-                 space.outcomes.size() * sizeof(AnswerIndex::EventRow);
+                 space.outcomes.size() * (sizeof(AnswerIndex::EventRow) +
+                                          3 * sizeof(void*) + sizeof(uint32_t));
   for (const PossibleOutcome& outcome : space.outcomes) {
     bytes += sizeof(PossibleOutcome);
     for (const auto& [active, value] : outcome.choices.entries()) {
@@ -69,26 +71,44 @@ size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
   return bytes;
 }
 
+size_t InferenceCache::ApproxAddedBytes(const AnswerIndex& index) {
+  size_t bytes = 0;
+  // size(), not capacity(): a revalidated list holds copies of the source
+  // list's atoms, so its estimate never falls below the source's.
+  for (const GroundAtom& atom : index.added_facts()) {
+    bytes += sizeof(GroundAtom) + atom.args.size() * sizeof(Value);
+  }
+  return bytes;
+}
+
 Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
-    const std::string& key, const ComputeFn& compute) {
+    const std::string& key, const ComputeFn& compute,
+    const CurrentFn& current) {
   std::shared_ptr<Inflight> flight;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.index;
-    }
-    auto in = inflight_.find(key);
-    if (in != inflight_.end()) {
-      // Someone else is already chasing (or patching) this key: wait for
-      // their result instead of burning a second chase on identical work.
-      ++stats_.coalesced;
-      std::shared_ptr<Inflight> theirs = in->second;
-      cv_.wait(lock, [&] { return theirs->done; });
-      if (!theirs->status.ok()) return theirs->status;
-      return theirs->index;
+    for (bool asked = !current;; asked = true) {
+      auto it = entries_.find(key);
+      if (it != entries_.end()) {
+        ++stats_.hits;
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        return it->second.index;
+      }
+      auto in = inflight_.find(key);
+      if (in != inflight_.end()) {
+        // Someone else is already chasing (or patching) this key: wait for
+        // their result instead of burning a second chase on identical work.
+        ++stats_.coalesced;
+        std::shared_ptr<Inflight> theirs = in->second;
+        cv_.wait(lock, [&] { return theirs->done; });
+        if (!theirs->status.ok()) return theirs->status;
+        return theirs->index;
+      }
+      if (asked) break;
+      // `current` may take the registry lock, which orders before mu_.
+      lock.unlock();
+      if (!current()) return IndexPtr();
+      lock.lock();
     }
     ++stats_.misses;
     flight = std::make_shared<Inflight>();
@@ -159,7 +179,8 @@ InferenceCache::Revalidation InferenceCache::BeginRevalidate(
     std::string_view new_prefix) {
   Revalidation revalidation;
   std::lock_guard<std::mutex> lock(mu_);
-  auto publish = [&](std::string_view old_key, IndexPtr index) {
+  auto publish = [&](std::string_view old_key, IndexPtr index,
+                     size_t bytes) {
     std::string new_key(new_prefix);
     new_key += old_key.substr(old_prefix.size());
     // Skipped when a fresh lookup of the new lineage got there first.
@@ -169,7 +190,7 @@ InferenceCache::Revalidation InferenceCache::BeginRevalidate(
     auto flight = std::make_shared<Inflight>();
     inflight_.emplace(new_key, flight);
     revalidation.moves_.push_back(
-        {std::move(new_key), std::move(index), std::move(flight)});
+        {std::move(new_key), std::move(index), bytes, std::move(flight)});
   };
   auto starts_with = [](std::string_view key, std::string_view prefix) {
     return key.substr(0, prefix.size()) == prefix;
@@ -181,7 +202,7 @@ InferenceCache::Revalidation InferenceCache::BeginRevalidate(
       continue;
     }
     if (starts_with(it->first, old_prefix)) {
-      publish(it->first, it->second.index);
+      publish(it->first, it->second.index, it->second.bytes);
     } else {
       ++stats_.evictions;
       ++revalidation.dropped_;
@@ -197,7 +218,10 @@ size_t InferenceCache::FinishRevalidate(Revalidation revalidation,
                                         size_t* evicted) {
   for (Revalidation::Move& move : revalidation.moves_) {
     IndexPtr patched = patch(*move.index);
-    size_t bytes = ApproxBytes(patched->space());
+    // The patched index shares the space: its charge is the source entry's
+    // plus what its added-fact list grew by, with no walk of the models.
+    const size_t bytes = move.bytes + ApproxAddedBytes(*patched) -
+                         ApproxAddedBytes(*move.index);
     std::lock_guard<std::mutex> lock(mu_);
     move.flight->index = patched;
     InsertLocked(move.key, std::move(patched), bytes);

@@ -40,11 +40,14 @@ namespace gdlog {
 /// patches all run outside the cache lock; a revalidation publishes an
 /// in-flight marker for each new key as the new lineage becomes visible,
 /// so lookups of the new lineage coalesce onto the patch instead of
-/// starting a chase.
+/// starting a chase. A revalidation patch costs O(|added facts|): the
+/// patched index shares the chased space and overlays the facts
+/// (AnswerIndex::WithAddedFacts), so no model is copied, walked or freed.
 ///
 /// Lock order: BeginRevalidate() runs inside ProgramRegistry's publish
 /// hook, so the registry lock is taken before the cache lock. Cache code
-/// never calls into the registry, which keeps that order acyclic.
+/// calls into the registry only through LookupOrCompute's `current`, which
+/// it runs without the cache lock, so that order stays acyclic.
 class InferenceCache {
   struct Inflight;
 
@@ -63,6 +66,7 @@ class InferenceCache {
   };
 
   using ComputeFn = std::function<Result<OutcomeSpace>()>;
+  using CurrentFn = std::function<bool()>;
   using IndexPtr = std::shared_ptr<const AnswerIndex>;
 
   explicit InferenceCache(size_t capacity_bytes) {
@@ -74,8 +78,16 @@ class InferenceCache {
   /// the same key share one compute; a failed compute is returned to every
   /// waiter and never cached. A space larger than the whole capacity is
   /// returned uncached.
+  ///
+  /// `current`, when set, is asked (outside the cache lock) before a miss
+  /// starts a compute: does `key` still name the live lineage? When it does
+  /// not — a PATCH superseded the caller's snapshot and re-keyed its entry
+  /// — nothing is computed or counted and the result is nullptr, so the
+  /// caller re-reads its snapshot instead of chasing a lineage nothing will
+  /// read again.
   Result<IndexPtr> LookupOrCompute(const std::string& key,
-                                   const ComputeFn& compute);
+                                   const ComputeFn& compute,
+                                   const CurrentFn& current = {});
 
   /// Drops every entry whose key starts with `prefix` (fingerprints embed
   /// the program id first, so this is "forget program X"). Returns the
@@ -119,6 +131,7 @@ class InferenceCache {
     struct Move {
       std::string key;                   ///< The new-lineage key.
       IndexPtr index;                    ///< The entry to patch.
+      size_t bytes = 0;                  ///< The entry's charge.
       std::shared_ptr<Inflight> flight;  ///< The new key's marker.
     };
     std::vector<Move> moves_;
@@ -149,7 +162,9 @@ class InferenceCache {
 
   /// Phase two, outside the lock: passes each re-keyed index through
   /// `patch` (which returns the patched index, never nullptr), caches it
-  /// under its new key and completes that key's marker. Returns the number
+  /// under its new key and completes that key's marker. The patched index
+  /// is charged the source entry's bytes plus the growth of its added-fact
+  /// list (ApproxAddedBytes), so no model is walked. Returns the number
   /// revalidated; `evicted`, when non-null, receives the number dropped.
   size_t FinishRevalidate(Revalidation revalidation, const PatchFn& patch,
                           size_t* evicted = nullptr);
@@ -159,6 +174,8 @@ class InferenceCache {
   /// upper bound of one per outcome — the unit of the LRU bound. Fixed at
   /// insert, so building the rows later never changes an entry's charge.
   static size_t ApproxBytes(const OutcomeSpace& space);
+  /// Approximate heap footprint of an index's added-fact list.
+  static size_t ApproxAddedBytes(const AnswerIndex& index);
 
  private:
   struct EntryData {

@@ -36,11 +36,9 @@ std::string ChainDigest(const std::string& previous, uint64_t base_revision,
 
 }  // namespace
 
-Result<GDatalog> BuildEngine(const ProgramSpec& spec,
-                             std::vector<std::string> demand_goals) {
+Result<GDatalog> BuildEngine(const ProgramSpec& spec) {
   GDatalog::Options options;
   options.grounder = spec.grounder;
-  options.demand_goals = std::move(demand_goals);
   if (spec.extensions) {
     auto registry = std::make_unique<DistributionRegistry>(
         DistributionRegistry::Builtins());
@@ -199,6 +197,25 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   std::vector<LineageLink> lineage = current->lineage;
   lineage.push_back(LineageLink{current->revision, result.delta_digest});
 
+  // Σ_Π of a demand engine depends only on (Π, goals), so each one built on
+  // the old entry takes the same delta and seeds the new entry: the next
+  // marginal query of its signature does not rebuild it from db_text. One
+  // that fails to extend is left out and built again on demand.
+  std::unordered_map<std::string, std::shared_ptr<const GDatalog>> demand;
+  {
+    std::lock_guard<std::mutex> lock(current->demand_mu);
+    demand = current->demand_engines;
+  }
+  for (auto it = demand.begin(); it != demand.end();) {
+    auto extended = GDatalog::WithDatabaseDelta(*it->second, delta_text);
+    if (extended.ok()) {
+      it->second = std::make_shared<const GDatalog>(std::move(*extended));
+      ++it;
+    } else {
+      it = demand.erase(it);
+    }
+  }
+
   delta_.deltas_applied.Add();
   delta_.rows_appended.Add(result.stats.rows_appended);
 
@@ -222,6 +239,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   auto entry = std::make_shared<const Entry>(
       id, revision, std::move(spec), hash, std::move(engine),
       std::move(lineage), result.new_lineage_digest);
+  entry->demand_engines = std::move(demand);  // unpublished: no lock needed
   it->second = entry;
   result.info = InfoFor(*entry, /*created=*/false);
   result.entry = entry;
@@ -270,14 +288,16 @@ Result<std::shared_ptr<const GDatalog>> ProgramRegistry::DemandEngine(
       return std::shared_ptr<const GDatalog>();
     }
   }
-  // Build unlocked (it is a full engine construction); racing queries for
-  // the same signature may build twice, the insert below keeps the first.
+  // Build unlocked; racing queries for the same signature may build twice,
+  // the insert below keeps the first. Derived from the entry's engine, the
+  // demand engine shares its database and name ids, so the facts a later
+  // PATCH adds mean the same in both engines' cached spaces.
   std::vector<std::string> sorted_goals(goals);
   std::sort(sorted_goals.begin(), sorted_goals.end());
   sorted_goals.erase(std::unique(sorted_goals.begin(), sorted_goals.end()),
                      sorted_goals.end());
   GDLOG_ASSIGN_OR_RETURN(GDatalog engine,
-                         BuildEngine(entry.spec, std::move(sorted_goals)));
+                         GDatalog::WithDemand(entry.engine, sorted_goals));
   opt_.demand_engines_built.Add();
   auto built = std::make_shared<const GDatalog>(std::move(engine));
   std::lock_guard<std::mutex> lock(entry.demand_mu);

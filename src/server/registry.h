@@ -87,7 +87,9 @@ class ProgramRegistry {
     /// goal-signature (see DemandSignature), built lazily by
     /// DemandEngine(). Mutable because entries are published as
     /// shared_ptr<const Entry>; a ReplaceDatabase publishes a fresh Entry,
-    /// so stale demand engines can never serve a newer database.
+    /// so stale demand engines can never serve a newer database, and an
+    /// ApplyDatabaseDelta seeds the new Entry with the old one's engines,
+    /// each extended by the same delta.
     mutable std::mutex demand_mu;
     mutable std::unordered_map<std::string, std::shared_ptr<const GDatalog>>
         demand_engines;
@@ -142,8 +144,10 @@ class ProgramRegistry {
   /// GDatalog::WithDatabaseDelta — a COW-extended database and the base
   /// grounder's shared prefix, not a rebuild from the spec — and publishes
   /// the result under revision + 1 with the delta appended to the lineage
-  /// chain. Unlike ReplaceDatabase (last writer wins), a delta is
-  /// *relative* to the revision it was computed against: if another update
+  /// chain. The demand engines already built on the old entry are extended
+  /// the same way and carried to the new one. Unlike ReplaceDatabase (last
+  /// writer wins), a delta is *relative* to the revision it was computed
+  /// against: if another update
   /// published concurrently, returns kAlreadyExists so the caller can
   /// re-read and retry rather than silently dropping the other update.
   /// `on_publish`, when set, runs inside the critical section
@@ -166,10 +170,11 @@ class ProgramRegistry {
   /// bound; past the cap the base engine answers, with the same marginals.
   static constexpr size_t kMaxDemandEngines = 8;
 
-  /// The engine of `entry` rebuilt with Σ_Π restricted to the demand of
-  /// `goals` (predicate names the caller will observe marginals of).
-  /// Cached on the entry per goal signature — the first marginal query of
-  /// a signature pays one engine build, repeats are a map lookup. Returns
+  /// The engine of `entry` with Σ_Π restricted to the demand of `goals`
+  /// (predicate names the caller will observe marginals of), derived by
+  /// GDatalog::WithDemand. Cached on the entry per goal signature — the
+  /// first marginal query of a signature pays one engine build, repeats
+  /// are a map lookup. Returns
   /// nullptr, building nothing, once the entry holds kMaxDemandEngines
   /// engines of other signatures.
   Result<std::shared_ptr<const GDatalog>> DemandEngine(
@@ -222,11 +227,8 @@ class ProgramRegistry {
 };
 
 /// Builds an engine for a spec — the one translation of ProgramSpec into
-/// GDatalog::Options (distribution extensions included) shared by
-/// Register and ReplaceDatabase. Non-empty `demand_goals` restricts Σ_Π
-/// to those predicates' demand.
-Result<GDatalog> BuildEngine(const ProgramSpec& spec,
-                             std::vector<std::string> demand_goals = {});
+/// GDatalog::Options (distribution extensions included).
+Result<GDatalog> BuildEngine(const ProgramSpec& spec);
 
 }  // namespace gdlog
 

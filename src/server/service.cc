@@ -357,24 +357,47 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
   // and demands nothing, so only the names that resolve make up the goal
   // signature; with none, the query runs on the base engine.
   const JsonValue* queries = body->Find("queries");
-  const GDatalog* engine = &entry->engine;
-  std::shared_ptr<const GDatalog> demand_holder;
-  std::string demand_suffix;
-  if (queries != nullptr && queries->is_array() &&
-      entry->engine.stratified()) {
-    const Interner& names = *entry->engine.program().interner();
-    std::vector<std::string> goals;
-    size_t named = 0;
+  std::vector<std::string> names;
+  bool all_named = queries != nullptr && queries->is_array();
+  if (all_named) {
     for (const JsonValue& query : queries->array()) {
-      if (!query.is_string()) break;
-      std::string name = QueryPredicateName(query.string_value());
-      if (name.empty()) break;
-      ++named;
-      if (names.Lookup(name) != Interner::kNotFound) {
-        goals.push_back(std::move(name));
+      std::string name =
+          query.is_string() ? QueryPredicateName(query.string_value()) : "";
+      if (name.empty()) {
+        all_named = false;
+        break;
+      }
+      names.push_back(std::move(name));
+    }
+  }
+
+  // A PATCH can supersede `entry` between Find() and the cache lookup and
+  // re-key its cached spaces to the new lineage. Chasing the old lineage
+  // then would build a space nothing reads again, so a miss first checks
+  // that `entry` is still live and, if not, re-reads it and retries; the
+  // new lineage's key is cached or has a revalidation marker to wait on.
+  // After kSnapshotRetries the lookup chases whatever snapshot it holds.
+  // A removed program keeps its snapshot (the query answers as before).
+  constexpr int kSnapshotRetries = 4;
+  const GDatalog* engine = nullptr;
+  std::shared_ptr<const GDatalog> demand_holder;
+  Result<InferenceCache::IndexPtr> space = InferenceCache::IndexPtr();
+  uint64_t compute_ns = 0;
+  uint64_t lookup_ns = 0;
+  for (int attempt = 0;; ++attempt) {
+    engine = &entry->engine;
+    demand_holder.reset();
+    std::string demand_suffix;
+    std::vector<std::string> goals;
+    if (all_named && entry->engine.stratified()) {
+      const Interner& interned = *entry->engine.program().interner();
+      for (const std::string& name : names) {
+        if (interned.Lookup(name) != Interner::kNotFound) {
+          goals.push_back(name);
+        }
       }
     }
-    if (named == queries->array().size() && !goals.empty()) {
+    if (!goals.empty()) {
       auto demand = registry_.DemandEngine(*entry, goals);
       // Failure to build a demand engine is never a query failure, and past
       // the per-entry cap none is built: either way the base engine answers
@@ -382,38 +405,48 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
       if (demand.ok() && *demand != nullptr) {
         demand_holder = std::move(*demand);
         engine = demand_holder.get();
-        demand_suffix =
-            "|demand:" + ProgramRegistry::DemandSignature(std::move(goals));
-        counters_.demand_queries.Add();
+        demand_suffix = "|demand:" + ProgramRegistry::DemandSignature(goals);
       }
     }
+    std::string key =
+        InferenceCache::Fingerprint(entry->id, entry->revision,
+                                    entry->lineage_digest, *chase) +
+        demand_suffix;
+    InferenceCache::CurrentFn current;
+    if (attempt < kSnapshotRetries) {
+      current = [&] {
+        auto live = registry_.Find(entry->id);
+        return live == nullptr || live == entry;
+      };
+    }
+    // The chase histogram sees only cache-miss computes; the lookup
+    // histogram sees LookupOrCompute's own overhead (total minus compute),
+    // so a hot cache shows up as microsecond lookups, not zero-cost chases.
+    const uint64_t lookup_start_ns = MonotonicNanos();
+    space = cache_.LookupOrCompute(
+        key,
+        [&]() -> Result<OutcomeSpace> {
+          const uint64_t chase_start_ns = MonotonicNanos();
+          if (chase->profile) {
+            ChaseProfile profile;
+            Result<OutcomeSpace> result = engine->Infer(*chase, &profile);
+            if (result.ok()) {
+              RecordRuleProfiles(entry->id, engine->SigmaRuleLabels(),
+                                 profile);
+            }
+            compute_ns = MonotonicNanos() - chase_start_ns;
+            return result;
+          }
+          Result<OutcomeSpace> result = engine->Infer(*chase);
+          compute_ns = MonotonicNanos() - chase_start_ns;
+          return result;
+        },
+        current);
+    lookup_ns += MonotonicNanos() - lookup_start_ns;
+    if (!space.ok() || *space != nullptr) break;
+    if (auto live = registry_.Find(entry->id)) entry = std::move(live);
   }
-
-  std::string key =
-      InferenceCache::Fingerprint(entry->id, entry->revision,
-                                  entry->lineage_digest, *chase) +
-      demand_suffix;
-  // The chase histogram sees only cache-miss computes; the lookup
-  // histogram sees LookupOrCompute's own overhead (total minus compute),
-  // so a hot cache shows up as microsecond lookups, not zero-cost chases.
-  uint64_t compute_ns = 0;
-  const uint64_t lookup_start_ns = MonotonicNanos();
-  auto space = cache_.LookupOrCompute(key, [&]() -> Result<OutcomeSpace> {
-    const uint64_t chase_start_ns = MonotonicNanos();
-    if (chase->profile) {
-      ChaseProfile profile;
-      Result<OutcomeSpace> result = engine->Infer(*chase, &profile);
-      if (result.ok()) {
-        RecordRuleProfiles(entry->id, engine->SigmaRuleLabels(), profile);
-      }
-      compute_ns = MonotonicNanos() - chase_start_ns;
-      return result;
-    }
-    Result<OutcomeSpace> result = engine->Infer(*chase);
-    compute_ns = MonotonicNanos() - chase_start_ns;
-    return result;
-  });
-  const uint64_t lookup_ns = MonotonicNanos() - lookup_start_ns;
+  if (demand_holder != nullptr) counters_.demand_queries.Add();
   cache_lookup_hist_.RecordNanos(
       lookup_ns >= compute_ns ? lookup_ns - compute_ns : 0);
   if (compute_ns != 0) chase_hist_.RecordNanos(compute_ns);
@@ -481,8 +514,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
           bounds = OutcomeSpace::Bounds{};
         }
       } else {
-        bounds = answers.space().MarginalGivenConsistent(
-            *atom, answers.prob_consistent());
+        bounds = answers.MarginalGivenConsistent(*atom);
       }
       if (!bounds) {
         json.KV("undefined", true);
@@ -494,7 +526,7 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
       }
     } else {
       OutcomeSpace::Bounds bounds;
-      if (!unknown_name) bounds = answers.space().Marginal(*atom);
+      if (!unknown_name) bounds = answers.Marginal(*atom);
       json.Key("lower");
       WriteProbJson(json, bounds.lower);
       json.Key("upper");

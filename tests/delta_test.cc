@@ -1,12 +1,20 @@
 // The incremental-serving path: fact-delta parsing and append-only
 // application (FactStore::ApplyDelta), delta-vs-rebuild bit-identity of
 // GDatalog::WithDatabaseDelta across both grounders and thread counts —
-// chains of deltas included, each sharing the first engine's database
-// prefix — the rule-body check that gates revalidation, removal
-// rejection, GDatalog::WithDatabase adopting the base's Σ_Π, and the
-// serving layer's lineage chain with cache revalidation versus eviction.
+// chains of deltas included, each extending the first engine's database
+// prefix (a 64-delta chain folds it) — the rule-body check that gates
+// revalidation, the revalidation overlay (AnswerIndex::WithAddedFacts)
+// against the materialized space and a fresh engine, removal rejection,
+// GDatalog::WithDatabase adopting the base's Σ_Π, and the serving layer's
+// lineage chain with cache revalidation versus eviction and the demand
+// engines a PATCH carries.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -98,6 +106,14 @@ void ExpectDeltaByteIdentity(const std::string& program,
     }
   }
 }
+
+constexpr const char* kQuarantineProgram =
+    "infected(Y, flip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y), "
+    "not quarantined(X).\n"
+    "quarantined(X) :- infected(X, 1), not free(X).\n"
+    "free(X) :- infected(X, 1), not quarantined(X).\n"
+    "uninfected(X) :- router(X), not infected(X, 1).\n"
+    ":- uninfected(X), uninfected(Y), connected(X, Y).\n";
 
 // ---------------------------------------------------------------------------
 // ParseFactDelta / FactStore::ApplyDelta
@@ -268,11 +284,12 @@ TEST(DeltaEngine, ChainedDeltasAfterInferMatchRebuild) {
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       EXPECT_TRUE(next->delta_stats().applied);
       // The grounder's prefix is the first engine's, shared, with every
-      // fact the chain appended on one flat tail.
+      // fact the chain appended on its tail (these deltas are too small to
+      // outgrow the base and fold it).
       const DatabasePrefix& prefix = next->grounder().prefix();
       EXPECT_EQ(prefix.base, chain.front().grounder().prefix().base);
-      EXPECT_EQ(prefix.tail.size(),
-                chain.back().grounder().prefix().tail.size() +
+      EXPECT_EQ(prefix.tail_size(),
+                chain.back().grounder().prefix().tail_size() +
                     next->delta_stats().rows_appended);
       chain.push_back(std::move(*next));
       merged += deltas[link];
@@ -286,6 +303,219 @@ TEST(DeltaEngine, ChainedDeltasAfterInferMatchRebuild) {
         ASSERT_TRUE(want.ok() && got.ok());
         EXPECT_EQ(SpaceJson(*fresh, *want), SpaceJson(chain.back(), *got))
             << name << " link " << link << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(DeltaEngine, SixtyFourDeltaChainMatchesRebuild) {
+  // A long lineage: 64 one- or two-fact deltas, so the prefix's tail
+  // outgrows the clique-3 base and is folded into a new base several
+  // times. Every eighth link, and the last, must chase to a fresh engine's
+  // space on the merged database.
+  for (GrounderKind kind : {GrounderKind::kSimple, GrounderKind::kPerfect}) {
+    const char* name = kind == GrounderKind::kSimple ? "simple" : "perfect";
+    std::string merged = Clique(3);
+    auto base = MakeEngine(kNetworkProgram, merged, kind);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    std::vector<GDatalog> chain;
+    chain.push_back(std::move(*base));
+    size_t folds = 0;
+    for (int link = 1; link <= 64; ++link) {
+      std::string delta = "audit(" + std::to_string(link) + ").\n";
+      if (link % 3 == 0) delta += "meta(" + std::to_string(link) + ").\n";
+      if (link % 16 == 0) {
+        delta += "connected(" + std::to_string(link) + ",1).\n";
+      }
+      if (link % 5 == 0) {
+        ASSERT_TRUE(chain.back().Infer().ok());
+      }
+      auto next = GDatalog::WithDatabaseDelta(chain.back(), delta);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      const DatabasePrefix& before = chain.back().grounder().prefix();
+      const DatabasePrefix& after = next->grounder().prefix();
+      if (after.base != before.base) {
+        // A fold: the old base, tail and delta are the new base.
+        ++folds;
+        EXPECT_EQ(after.tail_size(), 0u);
+        EXPECT_EQ(after.base->size(), before.base->size() +
+                                          before.tail_size() +
+                                          next->delta_stats().rows_appended);
+      } else {
+        EXPECT_EQ(after.tail_size(), before.tail_size() +
+                                         next->delta_stats().rows_appended);
+      }
+      EXPECT_LE(after.tail_size(), after.base->size());
+      chain.push_back(std::move(*next));
+      merged += delta;
+      if (link % 8 != 0) continue;
+      auto fresh = MakeEngine(kNetworkProgram, merged, kind);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      auto want = fresh->Infer();
+      auto got = chain.back().Infer();
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_EQ(SpaceJson(*fresh, *want), SpaceJson(chain.back(), *got))
+          << name << " link " << link;
+    }
+    EXPECT_GE(folds, 3u) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The revalidation overlay (AnswerIndex::WithAddedFacts) along seeded delta
+// chains, against the materialized OutcomeSpace::WithAddedFacts and against
+// a fresh engine on the merged database.
+// ---------------------------------------------------------------------------
+
+std::string BoundsBits(const std::optional<OutcomeSpace::Bounds>& bounds) {
+  if (!bounds) return "undefined";
+  auto bits = [](const Prob& p) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%a", p.value());
+    return std::string(buf) + (p.exact() ? "=" + p.ToString() : "~");
+  };
+  return "[" + bits(bounds->lower) + ", " + bits(bounds->upper) + "]";
+}
+
+/// Every answer a query can read off `index` (rendered by `engine`):
+/// the outcomes+models and events bodies, then the plain and conditioned
+/// marginals of each of `atoms` (surface syntax, resolved by `engine`).
+std::string IndexAnswers(const AnswerIndex& index, const GDatalog& engine,
+                         const std::vector<std::string>& atoms) {
+  JsonExportOptions models;
+  models.include_outcomes = true;
+  models.include_models = true;
+  JsonExportOptions events;
+  events.include_events = true;
+  std::string out =
+      OutcomeSpaceToJson(index, engine.translated(),
+                         engine.program().interner(), models) +
+      "\n" +
+      OutcomeSpaceToJson(index, engine.translated(),
+                         engine.program().interner(), events) +
+      "\n";
+  for (const std::string& text : atoms) {
+    auto atom = engine.LookupGroundAtom(text);
+    out += text + " ";
+    if (!atom.ok()) {
+      out += "unknown\n";
+      continue;
+    }
+    out += BoundsBits(index.Marginal(*atom)) + " " +
+           BoundsBits(index.MarginalGivenConsistent(*atom)) + "\n";
+  }
+  return out;
+}
+
+struct OverlayCase {
+  const char* name;
+  std::string program;
+  std::string db;
+  std::vector<std::string> pool;  ///< Facts the deltas draw from.
+  std::string first_delta;        ///< Leads every chain when non-empty.
+  std::string absent;             ///< An atom no model holds.
+};
+
+std::vector<OverlayCase> OverlayCases() {
+  std::string items;
+  for (int i = 1; i <= 5; ++i) items += "item(" + std::to_string(i) + ").\n";
+  return {
+      {"E1 clique-3", kNetworkProgram, Clique(3),
+       {"audit(1, 7).\n", "audit(2, 3).\n", "meta(5).\n", "meta(1).\n"},
+       "",
+       "infected(9, 1)"},
+      // Several models per outcome (the quarantined/free even loop).
+      {"quarantine clique-3", kQuarantineProgram, Clique(3),
+       {"audit(1, 7).\n", "meta(2).\n", "meta(3).\n", "audit(4, 4).\n"},
+       "",
+       "quarantined(9)"},
+      // lucky is a rule head no body reads: adding it reorders the events.
+      {"lucky", "lucky :- coin(1).\ncoin(flip<0.3>).\n", "",
+       {"lucky.\n", "seen(1).\n", "seen(2).\n"},
+       "lucky.\n",
+       "coin(7)"},
+      // Inexact masses; hit is a head no body reads.
+      {"inexact coins",
+       "coin(X, flip<0.123456789012345>[X]) :- item(X).\n"
+       ":- coin(1, 1).\nhit(X) :- coin(X, 1).\n",
+       items,
+       {"hit(2).\n", "hit(3).\n", "tag(1).\n", "tag(9).\n"},
+       "",
+       "hit(9)"},
+  };
+}
+
+TEST(RevalidationOverlay, SeededChainsMatchMaterializedAndFreshSpaces) {
+  for (const OverlayCase& c : OverlayCases()) {
+    for (uint32_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      std::mt19937 rng(seed * 7919 + c.pool.size());
+      auto base = GDatalog::Create(c.program, c.db);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      auto chased = base->Infer();
+      ASSERT_TRUE(chased.ok());
+      auto shared = std::make_shared<const OutcomeSpace>(std::move(*chased));
+      auto root = std::make_shared<const AnswerIndex>(shared);
+      root->events();  // the chased rows exist before the first overlay
+      std::shared_ptr<const AnswerIndex> overlay = root;
+      OutcomeSpace materialized = *shared;
+      std::vector<GDatalog> engines;
+      engines.push_back(std::move(*base));
+      std::string merged = c.db;
+      const size_t links = 1 + seed % 4;
+      for (size_t link = 0; link < links; ++link) {
+        std::string delta = link == 0 ? c.first_delta : "";
+        const size_t facts = 1 + rng() % 2;
+        for (size_t f = 0; f < facts; ++f) {
+          delta += c.pool[rng() % c.pool.size()];
+        }
+        auto next = GDatalog::WithDatabaseDelta(engines.back(), delta);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        ASSERT_FALSE(next->delta_stats().touches_rule_bodies) << delta;
+        const std::vector<GroundAtom>& added = next->delta_added_facts();
+        overlay = overlay->WithAddedFacts(added);
+        materialized = materialized.WithAddedFacts(added);
+        engines.push_back(std::move(*next));
+        merged += delta;
+        EXPECT_EQ(&overlay->space(), shared.get()) << "no model is copied";
+
+        // Every model atom, every added atom and one absent atom.
+        const GDatalog& engine = engines.back();
+        const Interner* names = engine.program().interner();
+        std::set<std::string> atoms = {c.absent};
+        for (const PossibleOutcome& outcome : materialized.outcomes) {
+          for (const StableModel& model : outcome.models) {
+            for (const GroundAtom& atom :
+                 OutcomeSpace::StripAuxiliary(model, engine.translated())) {
+              atoms.insert(atom.ToString(names));
+            }
+          }
+        }
+        for (const GroundAtom& atom : overlay->added_facts()) {
+          atoms.insert(atom.ToString(names));
+        }
+        const std::vector<std::string> queries(atoms.begin(), atoms.end());
+
+        const std::string got = IndexAnswers(*overlay, engine, queries);
+        EXPECT_EQ(got, IndexAnswers(AnswerIndex(materialized), engine,
+                                    queries))
+            << "link " << link;
+        auto fresh = GDatalog::Create(c.program, merged);
+        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+        auto fresh_space = fresh->Infer();
+        ASSERT_TRUE(fresh_space.ok());
+        EXPECT_EQ(got, IndexAnswers(AnswerIndex(*fresh_space), *fresh,
+                                    queries))
+            << "link " << link;
+      }
+      if (std::string(c.name) == "E1 clique-3") {
+        // Facts of predicates interned after every model atom reorder no
+        // event: the overlay reads the chased rows in place.
+        EXPECT_EQ(overlay->events().data(), root->events().data());
+      }
+      if (std::string(c.name) == "lucky") {
+        EXPECT_NE(overlay->events().data(), root->events().data())
+            << "adding lucky reorders the rows";
       }
     }
   }
@@ -543,6 +773,53 @@ TEST(DeltaService, RevalidatedEventRowsAreRebuiltNotCopied) {
   };
   EXPECT_NE(events(before.body), events(after.body))
       << "the delta must reorder the rows for this case to bite";
+}
+
+TEST(DeltaService, DemandEnginesSurviveAPatch) {
+  // A marginal query builds a demand engine; a revalidating PATCH extends
+  // it into the new entry, so the next marginal query of the same goals
+  // reuses it (a demand cache hit, no build) and reads the revalidated
+  // space, with a fresh registry's answer on the merged database.
+  InferenceService::Options options;
+  options.default_chase.num_threads = 1;
+  InferenceService service(options);
+  std::string id = RegisterProgram(service, kNetworkProgram, Clique(3));
+  auto marginal = [](const std::string& program_id) {
+    return "{\"program_id\":\"" + program_id +
+           "\",\"queries\":[\"infected(2, 1)\",\"uninfected(3)\"]}";
+  };
+  ASSERT_EQ(service.Handle(MakeRequest("POST", "/v1/query", marginal(id)))
+                .status,
+            200);
+  const auto before = service.registry().opt_counters();
+  EXPECT_EQ(before.demand_engines_built, 1u);
+
+  HttpResponse patched = service.Handle(MakeRequest(
+      "PATCH", "/v1/programs/" + id + "/db", PatchBody("meta(7).\n")));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  EXPECT_EQ(DeltaField(patched, "spaces_revalidated"), 1);
+  auto entry = service.registry().Find(id);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->demand_engines.size(), 1u) << "carried to the new entry";
+
+  HttpResponse after =
+      service.Handle(MakeRequest("POST", "/v1/query", marginal(id)));
+  ASSERT_EQ(after.status, 200) << after.body;
+  const auto counters = service.registry().opt_counters();
+  EXPECT_EQ(counters.demand_engines_built, 1u);
+  EXPECT_EQ(counters.demand_cache_hits, before.demand_cache_hits + 1);
+  EXPECT_EQ(service.cache().stats().misses, 1u) << "served revalidated";
+
+  InferenceService fresh_service(options);
+  std::string fresh_id =
+      RegisterProgram(fresh_service, kNetworkProgram, Clique(3) + "meta(7).\n");
+  HttpResponse fresh = fresh_service.Handle(
+      MakeRequest("POST", "/v1/query", marginal(fresh_id)));
+  ASSERT_EQ(fresh.status, 200);
+  auto answers = [](const std::string& body) {
+    return body.substr(body.find("\"complete\""));
+  };
+  EXPECT_EQ(answers(after.body), answers(fresh.body));
 }
 
 TEST(DeltaService, BodyPredicateDeltaEvictsCache) {

@@ -1,10 +1,12 @@
 // JsonWriter and outcome-space export tests, including the AnswerIndex
-// the export renders from.
+// the export renders from and its added-fact overlay.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -535,6 +537,145 @@ TEST(AnswerIndex, ConcurrentFirstEventsReadsBuildTheRowsOnce) {
     EXPECT_EQ(bodies[t], reference) << "thread " << t;
     EXPECT_EQ(rows[t], rows[0]) << "one row vector, built once";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The added-fact overlay (AnswerIndex::WithAddedFacts) against the space it
+// stands for, materialized by OutcomeSpace::WithAddedFacts.
+// ---------------------------------------------------------------------------
+
+std::string BoundsBits(const std::optional<OutcomeSpace::Bounds>& bounds) {
+  if (!bounds) return "undefined";
+  auto bits = [](const Prob& p) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%a", p.value());
+    return std::string(buf) + (p.exact() ? "=" + p.ToString() : "~");
+  };
+  return "[" + bits(bounds->lower) + ", " + bits(bounds->upper) + "]";
+}
+
+/// Every answer of `overlay` equals the one the index of the materialized
+/// space gives: both export bodies, and the plain and conditioned marginals
+/// of `atoms`.
+void ExpectOverlayMatches(const AnswerIndex& overlay,
+                          const OutcomeSpace& materialized,
+                          const GDatalog& engine,
+                          const std::vector<GroundAtom>& atoms) {
+  AnswerIndex reference(materialized);
+  JsonExportOptions models;
+  models.include_outcomes = true;
+  models.include_models = true;
+  JsonExportOptions events;
+  events.include_events = true;
+  for (const JsonExportOptions& options : {models, events}) {
+    EXPECT_EQ(OutcomeSpaceToJson(overlay, engine.translated(),
+                                 engine.program().interner(), options),
+              OutcomeSpaceToJson(reference, engine.translated(),
+                                 engine.program().interner(), options));
+  }
+  for (const GroundAtom& atom : atoms) {
+    SCOPED_TRACE(atom.ToString(engine.program().interner()));
+    EXPECT_EQ(BoundsBits(overlay.Marginal(atom)),
+              BoundsBits(reference.Marginal(atom)));
+    EXPECT_EQ(BoundsBits(overlay.MarginalGivenConsistent(atom)),
+              BoundsBits(reference.MarginalGivenConsistent(atom)));
+  }
+}
+
+TEST(AnswerIndexOverlay, ReorderedAndCollapsedModelSets) {
+  // Only the interner and Σ_Π matter here: the space below is built by
+  // hand over the predicates a < b < c < d.
+  auto engine = GDatalog::Create("a. b. c. d.", "");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto atom = [&](const char* text) {
+    auto parsed = engine->LookupGroundAtom(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    return parsed.ok() ? *parsed : GroundAtom{};
+  };
+  const GroundAtom a = atom("a"), b = atom("b"), c = atom("c"), d = atom("d");
+  OutcomeSpace space;
+  auto add = [&](double prob, StableModelSet models) {
+    PossibleOutcome& outcome = space.outcomes.emplace_back();
+    outcome.prob = Prob::FromDouble(prob);
+    outcome.models = std::move(models);
+    space.finite_mass = space.finite_mass + outcome.prob;
+  };
+  // Inexact masses, so the summation order shows in the bits. With d
+  // added, [a] < [a, c] flips within the first outcome ([a, c, d] <
+  // [a, d]), and {[b]} and {[b, d]} become one event.
+  add(0.123456789012345, {{a}, {a, c}});
+  add(0.234567890123456, {{b}});
+  add(0.111111111111111, {});
+  add(0.345678901234567, {{b, d}});
+  add(0.185185185185185, {{c}});
+  auto shared = std::make_shared<const OutcomeSpace>(space);
+  AnswerIndex chased(shared);
+  ASSERT_EQ(chased.events().size(), 5u);
+
+  auto overlay = chased.WithAddedFacts({d});
+  OutcomeSpace materialized = space.WithAddedFacts({d});
+  ExpectOverlayMatches(*overlay, materialized, *engine, {a, b, c, d});
+  EXPECT_EQ(overlay->events().size(), 4u) << "the two b events merge";
+  EXPECT_EQ(&overlay->space(), shared.get()) << "the space is shared";
+  EXPECT_EQ(chased.events().size(), 5u) << "the chased rows are untouched";
+
+  // Without the collapse, the reordered rows are the chased rows re-sorted.
+  OutcomeSpace apart = space;
+  apart.outcomes[3].models = {{b, c}};
+  AnswerIndex chased_apart(apart);
+  auto sorted = chased_apart.WithAddedFacts({d});
+  ExpectOverlayMatches(*sorted, apart.WithAddedFacts({d}), *engine,
+                       {a, b, c, d});
+  EXPECT_EQ(sorted->events().size(), 5u);
+}
+
+TEST(AnswerIndexOverlay, PrefixRowsFlipOnlyWhenAnAddedAtomFollows) {
+  // [b] < [b, d]: adding c keeps the order ([b, c] < [b, c, d]) and the
+  // chased rows are read in place; adding e flips it ([b, d, e] < [b, e]).
+  auto engine = GDatalog::Create("a. b. c. d. e.", "");
+  ASSERT_TRUE(engine.ok());
+  auto atom = [&](const char* text) { return *engine->LookupGroundAtom(text); };
+  const GroundAtom b = atom("b"), c = atom("c"), d = atom("d"), e = atom("e");
+  OutcomeSpace space;
+  for (const StableModel& model : {StableModel{b}, StableModel{b, d}}) {
+    PossibleOutcome& outcome = space.outcomes.emplace_back();
+    outcome.prob = Prob::FromDouble(model.size() == 1 ? 0.3 : 0.7);
+    outcome.models = {model};
+  }
+  space.finite_mass = Prob::One();
+  AnswerIndex chased(space);
+  const std::vector<GroundAtom> atoms = {b, c, d, e};
+  auto before = chased.WithAddedFacts({c});
+  ExpectOverlayMatches(*before, space.WithAddedFacts({c}), *engine, atoms);
+  EXPECT_EQ(before->events().data(), chased.events().data());
+  auto after = chased.WithAddedFacts({e});
+  ExpectOverlayMatches(*after, space.WithAddedFacts({e}), *engine, atoms);
+  EXPECT_NE(after->events().data(), chased.events().data());
+}
+
+TEST(AnswerIndexOverlay, ChainsMergeIntoOneSortedList) {
+  auto engine = GDatalog::Create("a. b. c. d.", "");
+  ASSERT_TRUE(engine.ok());
+  auto atom = [&](const char* text) { return *engine->LookupGroundAtom(text); };
+  OutcomeSpace space;
+  PossibleOutcome& outcome = space.outcomes.emplace_back();
+  outcome.prob = Prob::One();
+  outcome.models = {{atom("a")}};
+  space.finite_mass = Prob::One();
+  AnswerIndex chased(space);
+  auto first = chased.WithAddedFacts({atom("d"), atom("b")});
+  auto second = first->WithAddedFacts({atom("c"), atom("b")});
+  auto none = second->WithAddedFacts({});
+  const std::vector<GroundAtom> want = {atom("b"), atom("c"), atom("d")};
+  EXPECT_EQ(second->added_facts(), want);
+  EXPECT_EQ(&none->added_facts(), &second->added_facts()) << "shared";
+  EXPECT_TRUE(chased.added_facts().empty());
+  // With nothing reordered, every overlay reads the chased rows in place.
+  EXPECT_EQ(second->events().data(), chased.events().data());
+  ExpectOverlayMatches(*second,
+                       space.WithAddedFacts({atom("d"), atom("b")})
+                           .WithAddedFacts({atom("c"), atom("b")}),
+                       *engine, {atom("a"), atom("b"), atom("c"), atom("d")});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // request limits, concurrent clients, graceful shutdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -347,6 +348,58 @@ TEST(InferenceCache, RevalidationPatchesOutsideTheLock) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
+TEST(InferenceCache, SupersededSnapshotComputesNothing) {
+  InferenceCache cache(1 << 20);
+  auto never = []() -> Result<OutcomeSpace> {
+    ADD_FAILURE() << "a superseded snapshot must not chase";
+    return Status::Internal("unexpected compute");
+  };
+  auto compute = []() -> Result<OutcomeSpace> {
+    return SpaceWithOutcomes(1);
+  };
+  // A miss whose snapshot is no longer current returns nullptr, computes
+  // nothing and counts nothing.
+  auto stale = cache.LookupOrCompute("k", never, [] { return false; });
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(*stale, nullptr);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  // A current one computes as before, and a hit never asks.
+  auto live = cache.LookupOrCompute("k", compute, [] { return true; });
+  ASSERT_TRUE(live.ok());
+  ASSERT_NE(*live, nullptr);
+  auto hit = cache.LookupOrCompute("k", never, [] {
+    ADD_FAILURE() << "a hit needs no snapshot check";
+    return false;
+  });
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, *live);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(InferenceCache, RevalidationChargesTheSourcePlusTheAddedFacts) {
+  InferenceCache cache(1 << 20);
+  auto compute = []() -> Result<OutcomeSpace> {
+    return SpaceWithOutcomes(3);
+  };
+  ASSERT_TRUE(cache.LookupOrCompute("p1|rev=0|lin=|k", compute).ok());
+  const size_t chased = cache.stats().bytes;
+  EXPECT_EQ(chased, InferenceCache::ApproxBytes(SpaceWithOutcomes(3)));
+  const std::vector<GroundAtom> facts = {GroundAtom{7, {Value::Int(1)}},
+                                         GroundAtom{7, {Value::Int(2)}}};
+  auto patch = [&](const AnswerIndex& index) {
+    return index.WithAddedFacts(facts);
+  };
+  InferenceCache::Revalidation revalidation =
+      cache.BeginRevalidate("p1|", "p1|rev=0|lin=|", "p1|rev=1|lin=x|");
+  EXPECT_EQ(cache.FinishRevalidate(std::move(revalidation), patch), 1u);
+  auto index = cache.LookupOrCompute("p1|rev=1|lin=x|k", compute);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(cache.stats().bytes,
+            chased + InferenceCache::ApproxAddedBytes(**index));
+  EXPECT_GT(cache.stats().bytes, chased);
+}
+
 TEST(InferenceCache, FingerprintSeparatesSemanticOptions) {
   ChaseOptions base;
   std::string key = InferenceCache::Fingerprint("p1", 0, base);
@@ -558,6 +611,114 @@ TEST(InferenceService, DemandEnginesPerProgramAreCapped) {
   auto stats = service.cache().stats();
   EXPECT_EQ(stats.misses, ProgramRegistry::kMaxDemandEngines + 1);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(InferenceService, PatchStormWithConcurrentQueries) {
+  // One writer applies a chain of revalidating PATCHes while three readers
+  // query the program: every body must be a fresh engine's on the database
+  // of a revision the query could have seen, and no query may fail.
+  constexpr int kPatches = 12;
+  std::vector<std::string> deltas;
+  for (int i = 0; i < kPatches; ++i) {
+    deltas.push_back(i % 2 == 0 ? "meta(" + std::to_string(i) + ").\n"
+                                : "audit(" + std::to_string(i) + ", " +
+                                      std::to_string(7 * i) + ").\n");
+  }
+  const std::string full_query_tail =
+      R"(","include_outcomes":true,"include_models":true})";
+  const std::string events_query_tail = R"(","include_events":true})";
+  const std::string marginal_query_tail =
+      R"x(","queries":["infected(2, 1)","meta(2)","uninfected(3)"]})x";
+  // Bodies that name no revision (full, events) and the marginal answers
+  // after the "complete" field, per revision, from fresh services.
+  std::vector<std::string> want_full, want_events, want_marginals;
+  std::string db = kClique3Db;
+  for (int r = 0; r <= kPatches; ++r) {
+    if (r > 0) db += deltas[r - 1];
+    InferenceService fresh(ServiceOptions());
+    std::string fid = MustRegister(fresh, kNetworkProgram, db.c_str());
+    auto ask = [&](const std::string& tail) {
+      HttpResponse response = fresh.Handle(MakeRequest(
+          "POST", "/v1/query", R"({"program_id":")" + fid + tail));
+      EXPECT_EQ(response.status, 200) << response.body;
+      return response.body;
+    };
+    want_full.push_back(ask(full_query_tail));
+    want_events.push_back(ask(events_query_tail));
+    std::string marginals = ask(marginal_query_tail);
+    want_marginals.push_back(marginals.substr(marginals.find("\"complete\"")));
+  }
+
+  InferenceService service(ServiceOptions());
+  const std::string id = MustRegister(service, kNetworkProgram, kClique3Db);
+  std::atomic<int> published{0};
+  std::atomic<bool> writing{true};
+  std::atomic<int> failures{0};
+  std::atomic<int> answered{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kPatches; ++i) {
+      // Let the readers get ahead (and fill the cache) between PATCHes,
+      // however slow the build makes them.
+      for (int wait = 0; answered.load() < 3 * i + 3 && wait < 10000; ++wait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      JsonWriter body;
+      body.BeginObject().KV("delta", deltas[i]).EndObject();
+      HttpResponse response = service.Handle(
+          MakeRequest("PATCH", "/v1/programs/" + id + "/db", body.str()));
+      EXPECT_EQ(response.status, 200) << response.body;
+      published.store(i + 1);
+    }
+    writing.store(false);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int n = 0; writing.load() || n < 6; ++n) {
+        const int kind = (n + t) % 3;
+        const std::string& tail = kind == 0   ? full_query_tail
+                                  : kind == 1 ? events_query_tail
+                                              : marginal_query_tail;
+        const int low = published.load();
+        HttpResponse response = service.Handle(MakeRequest(
+            "POST", "/v1/query", R"({"program_id":")" + id + tail));
+        const int high = std::min(published.load() + 1, kPatches);
+        ++answered;
+        if (response.status != 200) {
+          ++failures;
+          ADD_FAILURE() << response.body;
+          continue;
+        }
+        bool matched = false;
+        if (kind == 2) {
+          auto doc = JsonValue::Parse(response.body);
+          long long r = -1;
+          if (doc.ok() && doc->Find("revision") != nullptr) {
+            auto value = doc->Find("revision")->NumberAsInt();
+            if (value.ok()) r = *value;
+          }
+          matched = r >= low && r <= high &&
+                    response.body.substr(response.body.find("\"complete\"")) ==
+                        want_marginals[r];
+        } else {
+          const auto& want = kind == 0 ? want_full : want_events;
+          for (int r = low; r <= high && !matched; ++r) {
+            matched = response.body == want[r];
+          }
+        }
+        if (!matched) {
+          ++failures;
+          ADD_FAILURE() << "kind " << kind << " revisions [" << low << ", "
+                        << high << "]: " << response.body.substr(0, 300);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(answered.load(), 18);
+  EXPECT_GT(service.cache().stats().revalidated, 0u);
 }
 
 TEST(InferenceService, SampleEndpointEstimatesAndNeverCaches) {

@@ -422,8 +422,7 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
       return 1;
     }
     if (opts.condition) {
-      auto bounds =
-          space.MarginalGivenConsistent(*atom, answers.prob_consistent());
+      auto bounds = answers.MarginalGivenConsistent(*atom);
       if (!bounds) {
         std::printf("P(%s | consistent) undefined (P(consistent) = 0)\n",
                     query.c_str());
@@ -433,7 +432,7 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
                     bounds->upper.ToString().c_str());
       }
     } else {
-      gdlog::OutcomeSpace::Bounds bounds = space.Marginal(*atom);
+      gdlog::OutcomeSpace::Bounds bounds = answers.Marginal(*atom);
       std::printf("P(%s) in [%s, %s]\n", query.c_str(),
                   bounds.lower.ToString().c_str(),
                   bounds.upper.ToString().c_str());
