@@ -88,11 +88,9 @@ Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (bool asked = !current;; asked = true) {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
+      if (const IndexPtr* index = lru_.Find(key)) {
         ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        return it->second.index;
+        return *index;
       }
       auto in = inflight_.find(key);
       if (in != inflight_.end()) {
@@ -141,30 +139,9 @@ Result<InferenceCache::IndexPtr> InferenceCache::LookupOrCompute(
 
 void InferenceCache::InsertLocked(const std::string& key, IndexPtr index,
                                   size_t bytes) {
-  // A space over the whole capacity would evict everything for nothing.
-  if (bytes > stats_.capacity_bytes) return;
-  lru_.push_front(key);
-  EntryData data;
-  data.index = std::move(index);
-  data.bytes = bytes;
-  data.lru_it = lru_.begin();
-  entries_[key] = std::move(data);
-  stats_.entries = entries_.size();
-  stats_.bytes += bytes;
+  if (bytes > lru_.capacity()) return;  // ByteLru would not store it
+  stats_.evictions += lru_.Insert(key, std::move(index), bytes);
   ++stats_.inserts;
-  while (stats_.bytes > stats_.capacity_bytes && lru_.size() > 1) {
-    auto victim = entries_.find(lru_.back());
-    ++stats_.evictions;
-    EraseLocked(victim);
-  }
-}
-
-void InferenceCache::EraseLocked(
-    std::unordered_map<std::string, EntryData>::iterator it) {
-  stats_.bytes -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
-  stats_.entries = entries_.size();
 }
 
 void InferenceCache::CompleteLocked(const std::string& key,
@@ -179,37 +156,22 @@ InferenceCache::Revalidation InferenceCache::BeginRevalidate(
     std::string_view new_prefix) {
   Revalidation revalidation;
   std::lock_guard<std::mutex> lock(mu_);
-  auto publish = [&](std::string_view old_key, IndexPtr index,
-                     size_t bytes) {
-    std::string new_key(new_prefix);
-    new_key += old_key.substr(old_prefix.size());
-    // Skipped when a fresh lookup of the new lineage got there first.
-    if (entries_.count(new_key) != 0 || inflight_.count(new_key) != 0) {
+  lru_.ErasePrefix(program_prefix, [&](const std::string& key,
+                                       IndexPtr& index, size_t bytes) {
+    if (key.compare(0, old_prefix.size(), old_prefix) != 0) {
+      ++stats_.evictions;
+      ++revalidation.dropped_;
       return;
     }
+    std::string new_key(new_prefix);
+    new_key += std::string_view(key).substr(old_prefix.size());
+    // Skipped when a fresh lookup of the new lineage got there first.
+    if (lru_.Contains(new_key) || inflight_.count(new_key) != 0) return;
     auto flight = std::make_shared<Inflight>();
     inflight_.emplace(new_key, flight);
     revalidation.moves_.push_back(
         {std::move(new_key), std::move(index), bytes, std::move(flight)});
-  };
-  auto starts_with = [](std::string_view key, std::string_view prefix) {
-    return key.substr(0, prefix.size()) == prefix;
-  };
-
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!starts_with(it->first, program_prefix)) {
-      ++it;
-      continue;
-    }
-    if (starts_with(it->first, old_prefix)) {
-      publish(it->first, it->second.index, it->second.bytes);
-    } else {
-      ++stats_.evictions;
-      ++revalidation.dropped_;
-    }
-    auto victim = it++;
-    EraseLocked(victim);
-  }
+  });
   return revalidation;
 }
 
@@ -234,31 +196,23 @@ size_t InferenceCache::FinishRevalidate(Revalidation revalidation,
 
 size_t InferenceCache::ErasePrefix(std::string_view prefix) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (std::string_view(it->first).substr(0, prefix.size()) == prefix) {
-      auto victim = it++;
-      EraseLocked(victim);
-      ++stats_.evictions;
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
+  const size_t dropped = lru_.ErasePrefix(prefix);
+  stats_.evictions += dropped;
   return dropped;
 }
 
 void InferenceCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
+  lru_.ErasePrefix("");
 }
 
 InferenceCache::Stats InferenceCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats = stats_;
+  stats.entries = lru_.size();
+  stats.bytes = lru_.bytes();
+  stats.capacity_bytes = lru_.capacity();
+  return stats;
 }
 
 }  // namespace gdlog

@@ -4,18 +4,105 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gdatalog/chase.h"
 #include "gdatalog/outcome.h"
 
 namespace gdlog {
+
+/// A string-keyed LRU bounded by the bytes its caller charges each value:
+/// the one eviction policy behind gdlogd's outcome-space cache and the
+/// fleet worker's partial-line cache. It has no lock; each owner locks
+/// around its calls.
+template <typename Value>
+class ByteLru {
+ public:
+  using Visit =
+      std::function<void(const std::string& key, Value& value, size_t bytes)>;
+
+  explicit ByteLru(size_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  /// The value under `key`, now the most recent; nullptr when absent.
+  const Value* Find(std::string_view key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->value;
+  }
+
+  bool Contains(std::string_view key) const { return index_.count(key) != 0; }
+
+  /// Stores `value` under `key`, replacing and re-charging any value there,
+  /// then drops least-recent entries until the charges fit. Returns how
+  /// many it dropped. A value charged more than the whole capacity would
+  /// evict everything for nothing, so it is not stored.
+  size_t Insert(const std::string& key, Value value, size_t bytes) {
+    if (bytes > capacity_) return 0;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      bytes_ -= it->second->bytes;
+      it->second->value = std::move(value);
+      it->second->bytes = bytes;
+      order_.splice(order_.begin(), order_, it->second);
+    } else {
+      order_.push_front(Node{key, std::move(value), bytes});
+      index_.emplace(order_.front().key, order_.begin());
+    }
+    bytes_ += bytes;
+    size_t dropped = 0;
+    for (; bytes_ > capacity_; ++dropped) Erase(std::prev(order_.end()));
+    return dropped;
+  }
+
+  /// Drops every entry whose key starts with `prefix`, showing each to
+  /// `visit` (when set) first. Returns the number dropped.
+  size_t ErasePrefix(std::string_view prefix, const Visit& visit = {}) {
+    size_t dropped = 0;
+    for (auto it = order_.begin(); it != order_.end();) {
+      if (std::string_view(it->key).substr(0, prefix.size()) != prefix) {
+        ++it;
+        continue;
+      }
+      if (visit) visit(it->key, it->value, it->bytes);
+      Erase(it++);
+      ++dropped;
+    }
+    return dropped;
+  }
+
+  size_t size() const { return index_.size(); }
+  size_t bytes() const { return bytes_; }
+  size_t capacity() const { return capacity_; }
+
+ private:
+  struct Node {
+    std::string key;
+    Value value;
+    size_t bytes = 0;
+  };
+  using Iterator = typename std::list<Node>::iterator;
+
+  void Erase(Iterator it) {
+    bytes_ -= it->bytes;
+    index_.erase(it->key);
+    order_.erase(it);
+  }
+
+  std::list<Node> order_;  ///< front = most recent
+  /// Keyed by views of the nodes' keys, which a list never moves.
+  std::unordered_map<std::string_view, Iterator> index_;
+  size_t bytes_ = 0;
+  size_t capacity_;
+};
 
 /// Maps a canonical fingerprint of (program id, DB revision, the
 /// semantics-affecting ChaseOptions) to a shared immutable AnswerIndex: the
@@ -33,7 +120,7 @@ namespace gdlog {
 /// valid truncation; the cache serves whichever was computed first, which
 /// is no weaker than what a fresh run promises.
 ///
-/// Concurrency: LRU-bounded by an approximate memory footprint, with
+/// Concurrency: a ByteLru bounded by an approximate memory footprint, with
 /// single-flight deduplication — N concurrent lookups of the same key run
 /// one chase, and the other N-1 block until it lands (counted as
 /// `coalesced`). Chases, index scalars, footprints and revalidation
@@ -69,9 +156,7 @@ class InferenceCache {
   using CurrentFn = std::function<bool()>;
   using IndexPtr = std::shared_ptr<const AnswerIndex>;
 
-  explicit InferenceCache(size_t capacity_bytes) {
-    stats_.capacity_bytes = capacity_bytes;
-  }
+  explicit InferenceCache(size_t capacity_bytes) : lru_(capacity_bytes) {}
 
   /// Returns the cached index for `key`, or runs `compute` (outside the
   /// cache lock), indexes its result and caches it. Concurrent callers with
@@ -178,32 +263,25 @@ class InferenceCache {
   static size_t ApproxAddedBytes(const AnswerIndex& index);
 
  private:
-  struct EntryData {
-    IndexPtr index;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
-  };
-
   struct Inflight {
     bool done = false;
     Status status;
     IndexPtr index;
   };
 
-  /// Inserts under mu_ and evicts from the LRU tail until within bounds.
-  /// `bytes` is ApproxBytes of the index's space, computed before locking.
+  /// Inserts under mu_, counting the insert and the evictions.
+  /// `bytes` is the entry's charge, computed before locking.
   void InsertLocked(const std::string& key, IndexPtr index, size_t bytes);
-  void EraseLocked(std::unordered_map<std::string, EntryData>::iterator it);
   /// Publishes `flight`'s outcome to its waiters and retires its key.
   void CompleteLocked(const std::string& key,
                       const std::shared_ptr<Inflight>& flight);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< signaled when an inflight completes
-  std::unordered_map<std::string, EntryData> entries_;
-  std::list<std::string> lru_;  ///< front = most recent
+  ByteLru<IndexPtr> lru_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-  /// The counters and sizes, all kept current under mu_; stats() copies it.
+  /// The counters, kept current under mu_; stats() copies them and reads
+  /// the sizes off lru_.
   Stats stats_;
 };
 

@@ -125,55 +125,6 @@ Result<std::pair<std::string, int>> ParseHostPort(
 }
 
 // ---------------------------------------------------------------------------
-// PartialCache
-// ---------------------------------------------------------------------------
-
-std::optional<std::string> FleetService::PartialCache::Lookup(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->line;
-}
-
-void FleetService::PartialCache::Insert(const std::string& key,
-                                        const std::string& line) {
-  size_t entry_bytes = key.size() + line.size();
-  if (capacity_ == 0 || entry_bytes > capacity_) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Deterministic chase: a re-insert carries identical bytes; just
-    // refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (bytes_ + entry_bytes > capacity_ && !lru_.empty()) {
-    Entry& victim = lru_.back();
-    bytes_ -= victim.key.size() + victim.line.size();
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
-  lru_.push_front(Entry{key, line});
-  index_[key] = lru_.begin();
-  bytes_ += entry_bytes;
-}
-
-void FleetService::PartialCache::ErasePrefix(std::string_view prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.compare(0, prefix.size(), prefix) == 0) {
-      bytes_ -= it->key.size() + it->line.size();
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Worker half: POST /v1/shards
 // ---------------------------------------------------------------------------
 
@@ -277,11 +228,15 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
       std::to_string(state->plan.prefix_depth) + "," +
       ShardAssignmentName(state->plan.assignment);
 
-  auto produce = [this, state](size_t index) -> Result<std::string> {
+  using Line = std::shared_ptr<const std::string>;
+  auto produce = [this, state](size_t index) -> Result<Line> {
     std::string key = state->key_prefix + "|shard=" + std::to_string(index);
-    if (auto cached = partial_cache_.Lookup(key)) {
-      counters_.partial_cache_hits.Add();
-      return std::move(*cached);
+    {
+      std::lock_guard<std::mutex> lock(partial_mu_);
+      if (const Line* cached = partial_cache_.Find(key)) {
+        counters_.partial_cache_hits.Add();
+        return *cached;
+      }
     }
     counters_.partial_cache_misses.Add();
     auto partial = state->entry->engine.chase().ExploreShard(
@@ -290,11 +245,15 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
     counters_.shards_explored.Add();
     ShardPartialMeta meta =
         MakeShardPartialMeta(state->plan, index, state->chase);
-    std::string line =
-        PartialSpaceToJson(*partial, meta,
-                           state->entry->engine.program().interner()) +
-        "\n";
-    partial_cache_.Insert(key, line);
+    std::string text = PartialSpaceToJson(
+        *partial, meta, state->entry->engine.program().interner());
+    text += '\n';
+    // The writer's growth slack can reach the line's own size; drop it so
+    // the cache holds about what it charges.
+    text.shrink_to_fit();
+    auto line = std::make_shared<const std::string>(std::move(text));
+    std::lock_guard<std::mutex> lock(partial_mu_);
+    partial_cache_.Insert(key, line, key.size() + line->size());
     return line;
   };
 
@@ -309,14 +268,14 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
   response.content_type = "application/x-ndjson";
   response.stream = [state, produce, first_line = std::move(*first)](
                         const HttpResponse::ChunkSink& emit) -> Status {
-    GDLOG_RETURN_IF_ERROR(emit(first_line));
+    GDLOG_RETURN_IF_ERROR(emit(*first_line));
     for (size_t i = 1; i < state->indices.size(); ++i) {
       auto line = produce(state->indices[i]);
       // A mid-stream failure aborts the chunked stream before the
       // terminal chunk: the coordinator sees a truncated, retryable
       // exchange — never a complete-looking short response.
       if (!line.ok()) return line.status();
-      GDLOG_RETURN_IF_ERROR(emit(*line));
+      GDLOG_RETURN_IF_ERROR(emit(**line));
     }
     return Status::OK();
   };

@@ -2,12 +2,11 @@
 #define GDLOG_SERVER_FLEET_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -176,35 +175,11 @@ class FleetService {
   /// `prefix` (the program id + '|') — called on db replacement, delta,
   /// and unregister, mirroring the inference cache's invalidation.
   void InvalidatePartials(std::string_view prefix) {
+    std::lock_guard<std::mutex> lock(partial_mu_);
     partial_cache_.ErasePrefix(prefix);
   }
 
  private:
-  /// Worker-side cache of serialized partial NDJSON lines, keyed by the
-  /// inference fingerprint + resolved plan coordinates + shard index.
-  /// Byte-bounded LRU; a hit streams the stored line without re-running
-  /// the chase.
-  class PartialCache {
-   public:
-    explicit PartialCache(size_t capacity_bytes)
-        : capacity_(capacity_bytes) {}
-
-    std::optional<std::string> Lookup(const std::string& key);
-    void Insert(const std::string& key, const std::string& line);
-    void ErasePrefix(std::string_view prefix);
-
-   private:
-    struct Entry {
-      std::string key;
-      std::string line;
-    };
-    std::mutex mu_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    size_t bytes_ = 0;
-    size_t capacity_ = 0;
-  };
-
   /// The dispatch loop behind /v1/jobs: plans, runs one dispatch thread
   /// per worker over a shared work pool (seeded groups, failure
   /// re-dispatch, mid-job steals), folds every delivered partial line
@@ -239,7 +214,12 @@ class FleetService {
   /// emission.
   std::map<std::string, WorkerStats> worker_stats_;
 
-  PartialCache partial_cache_;
+  /// Worker-side cache of serialized partial NDJSON lines, keyed by the
+  /// inference fingerprint + resolved plan coordinates + shard index and
+  /// charged key plus line bytes; a hit streams the stored line without
+  /// re-running the chase or copying it.
+  std::mutex partial_mu_;
+  ByteLru<std::shared_ptr<const std::string>> partial_cache_;
 };
 
 /// Splits "host:port" (the worker-list wire format). The port must be a

@@ -17,7 +17,7 @@ std::string HexDigest(uint64_t x) {
   return std::string(buf);
 }
 
-/// Content digest of a delta text — what a LineageLink records.
+/// Content digest of a delta text — one link of the lineage chain.
 std::string DeltaDigest(const std::string& delta_text) {
   return HexDigest(Mix64(std::hash<std::string>{}(delta_text)));
 }
@@ -194,9 +194,6 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   spec.db_text += delta_text;
   const uint64_t hash = SpecHash(spec);
 
-  std::vector<LineageLink> lineage = current->lineage;
-  lineage.push_back(LineageLink{current->revision, result.delta_digest});
-
   // Σ_Π of a demand engine depends only on (Π, goals), so each one built on
   // the old entry takes the same delta and seeds the new entry: the next
   // marginal query of its signature does not rebuild it from db_text. One
@@ -238,7 +235,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   by_hash_.emplace(hash, id);
   auto entry = std::make_shared<const Entry>(
       id, revision, std::move(spec), hash, std::move(engine),
-      std::move(lineage), result.new_lineage_digest);
+      result.new_lineage_digest);
   entry->demand_engines = std::move(demand);  // unpublished: no lock needed
   it->second = entry;
   result.info = InfoFor(*entry, /*created=*/false);

@@ -42,13 +42,6 @@ struct ProgramSpec {
 /// through const, concurrency-safe entry points) and handed out as
 /// shared_ptr<const Entry>: a Remove() or ReplaceDatabase() never
 /// invalidates an engine a concurrent query is still chasing.
-/// One applied delta in an entry's lineage chain: which revision it
-/// extended and a digest of the delta text.
-struct LineageLink {
-  uint64_t base_revision = 0;
-  std::string delta_digest;
-};
-
 class ProgramRegistry {
  public:
   struct Entry {
@@ -59,11 +52,9 @@ class ProgramRegistry {
     uint64_t revision = 0;
     ProgramSpec spec;
     GDatalog engine;
-    /// Delta lineage since the last full registration/replacement, oldest
-    /// first (empty right after Register/ReplaceDatabase — a full
-    /// replacement starts a fresh lineage).
-    std::vector<LineageLink> lineage;
-    /// Rolling digest over the lineage chain; cache fingerprints embed it
+    /// Rolling digest over the deltas applied since the last full
+    /// registration/replacement (empty right after Register or
+    /// ReplaceDatabase); cache fingerprints embed it
     /// (InferenceCache::KeyPrefix) so a delta-produced revision names its
     /// exact derivation history.
     std::string lineage_digest;
@@ -73,13 +64,11 @@ class ProgramRegistry {
 
     Entry(std::string id_in, uint64_t revision_in, ProgramSpec spec_in,
           uint64_t spec_hash_in, GDatalog engine_in,
-          std::vector<LineageLink> lineage_in = {},
           std::string lineage_digest_in = {})
         : id(std::move(id_in)),
           revision(revision_in),
           spec(std::move(spec_in)),
           engine(std::move(engine_in)),
-          lineage(std::move(lineage_in)),
           lineage_digest(std::move(lineage_digest_in)),
           spec_hash(spec_hash_in) {}
 
@@ -143,8 +132,8 @@ class ProgramRegistry {
   /// Applies a fact delta to `id`'s database via
   /// GDatalog::WithDatabaseDelta — a COW-extended database and the base
   /// grounder's shared prefix, not a rebuild from the spec — and publishes
-  /// the result under revision + 1 with the delta appended to the lineage
-  /// chain. The demand engines already built on the old entry are extended
+  /// the result under revision + 1 with the delta folded into the lineage
+  /// digest. The demand engines already built on the old entry are extended
   /// the same way and carried to the new one. Unlike ReplaceDatabase (last
   /// writer wins), a delta is *relative* to the revision it was computed
   /// against: if another update

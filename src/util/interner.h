@@ -2,11 +2,11 @@
 #define GDLOG_UTIL_INTERNER_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace gdlog {
 
@@ -36,16 +36,13 @@ class Interner {
   /// so shared name tables are never duplicated by accident). The server
   /// uses this to give a database-swapped engine its own mutable name table
   /// whose existing ids agree with the original's.
-  std::shared_ptr<Interner> Clone() const {
-    auto copy = std::make_shared<Interner>();
-    copy->index_ = index_;
-    copy->strings_ = strings_;
-    return copy;
-  }
+  std::shared_ptr<Interner> Clone() const;
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> strings_;
+  /// Each name is stored once, here; a deque never moves its elements, so
+  /// the index can key by views into it and look up without allocating.
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, uint32_t> index_;
 };
 
 }  // namespace gdlog

@@ -635,11 +635,10 @@ TEST(DeltaRegistry, LineageChainsAndFullReplaceResets) {
   EXPECT_EQ(second->info.revision, 2u);
   EXPECT_EQ(second->old_lineage_digest, first->new_lineage_digest);
   EXPECT_NE(second->new_lineage_digest, first->new_lineage_digest);
+  EXPECT_EQ(second->base_revision, 1u);
   auto chained = registry.Find(info->id);
   ASSERT_NE(chained, nullptr);
-  EXPECT_EQ(chained->lineage.size(), 2u);
-  EXPECT_EQ(chained->lineage[0].base_revision, 0u);
-  EXPECT_EQ(chained->lineage[1].base_revision, 1u);
+  EXPECT_EQ(chained->lineage_digest, second->new_lineage_digest);
 
   // A full replacement starts a fresh lineage.
   auto replaced = registry.ReplaceDatabase(info->id, Clique(3));
@@ -647,12 +646,17 @@ TEST(DeltaRegistry, LineageChainsAndFullReplaceResets) {
   auto entry = registry.Find(info->id);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->revision, 3u);
-  EXPECT_TRUE(entry->lineage.empty());
   EXPECT_TRUE(entry->lineage_digest.empty());
+  // The next delta chains from the empty digest; the same delta text on
+  // another base revision names another history.
+  auto restarted = registry.ApplyDatabaseDelta(info->id, "meta(2).\n");
+  ASSERT_TRUE(restarted.ok());
+  EXPECT_TRUE(restarted->old_lineage_digest.empty());
+  EXPECT_NE(restarted->new_lineage_digest, first->new_lineage_digest);
 
   auto counters = registry.delta_counters();
-  EXPECT_EQ(counters.deltas_applied, 2u);
-  EXPECT_EQ(counters.rows_appended, 2u);
+  EXPECT_EQ(counters.deltas_applied, 3u);
+  EXPECT_EQ(counters.rows_appended, 3u);
 }
 
 HttpRequest MakeRequest(std::string method, std::string target,

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -282,6 +283,69 @@ TEST(FleetShards, ExploresRequestedIndicesAsNdjson) {
   EXPECT_EQ(repeat.body, response.body);
   EXPECT_EQ(service.fleet().counters().shards_explored, 2u);
   EXPECT_EQ(service.fleet().counters().partial_cache_hits, 2u);
+}
+
+TEST(FleetShards, PartialCacheHoldsItsBoundAndMissesAfterUpdates) {
+  auto shard = [](InferenceService& service, const std::string& id,
+                  int index) {
+    HttpResponse response = service.Handle(MakeRequest(
+        "POST", "/v1/shards",
+        "{\"program_id\":\"" + id + "\",\"shards\":2,\"shard_indices\":[" +
+            std::to_string(index) + "]}"));
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_TRUE(response.Drain().ok());
+    return response.body;
+  };
+  std::string lines[2];
+  {
+    InferenceService probe(ServiceOptions());
+    std::string id = RegisterNetwork(probe);
+    lines[0] = shard(probe, id, 0);
+    lines[1] = shard(probe, id, 1);
+  }
+  // Room for either line plus its key (well under kKeyBytes), never for
+  // both.
+  constexpr size_t kKeyBytes = 256;
+  ASSERT_GT(std::min(lines[0].size(), lines[1].size()), kKeyBytes);
+  InferenceService::Options options = ServiceOptions();
+  options.fleet_partial_cache_bytes =
+      std::max(lines[0].size(), lines[1].size()) + kKeyBytes;
+  InferenceService service(options);
+  std::string id = RegisterNetwork(service);
+  size_t hits = 0;
+  size_t misses = 0;
+  auto expect = [&](int index, bool hit) {
+    EXPECT_EQ(shard(service, id, index), lines[index]);
+    (hit ? hits : misses)++;
+    FleetService::Counters counters = service.fleet().counters();
+    EXPECT_EQ(counters.partial_cache_hits, hits) << "shard " << index;
+    EXPECT_EQ(counters.partial_cache_misses, misses) << "shard " << index;
+  };
+  expect(0, false);
+  expect(0, true);
+  expect(1, false);  // evicts shard 0's line to hold the bound
+  expect(1, true);
+  expect(0, false);
+  expect(0, true);
+
+  // Every update of the program makes the repeat a miss.
+  HttpResponse patched = service.Handle(MakeRequest(
+      "PATCH", "/v1/programs/" + id + "/db", "{\"delta\":\"meta(1).\"}"));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  expect(0, false);
+  expect(0, true);
+  JsonWriter db;
+  db.BeginObject().KV("db", kClique3Db).EndObject();
+  HttpResponse replaced = service.Handle(
+      MakeRequest("PUT", "/v1/programs/" + id + "/db", db.str()));
+  ASSERT_EQ(replaced.status, 200) << replaced.body;
+  expect(0, false);
+  expect(0, true);
+  HttpResponse deleted =
+      service.Handle(MakeRequest("DELETE", "/v1/programs/" + id));
+  ASSERT_EQ(deleted.status, 200) << deleted.body;
+  id = RegisterNetwork(service);
+  expect(0, false);
 }
 
 TEST(FleetShards, RejectsBadRequests) {

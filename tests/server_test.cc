@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gdatalog/export.h"
@@ -164,6 +166,83 @@ TEST(ProgramRegistry, RePostFindsASpecTwoIdsShared) {
     EXPECT_TRUE(fresh->created);
     EXPECT_EQ(registry.size(), 2u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// ByteLru
+// ---------------------------------------------------------------------------
+
+TEST(ByteLru, FindMarksTheEntryMostRecent) {
+  ByteLru<int> lru(30);
+  EXPECT_EQ(lru.Insert("a", 1, 10), 0u);
+  EXPECT_EQ(lru.Insert("b", 2, 10), 0u);
+  EXPECT_EQ(lru.Insert("c", 3, 10), 0u);
+  ASSERT_NE(lru.Find("a"), nullptr);
+  EXPECT_EQ(*lru.Find("a"), 1);
+  EXPECT_EQ(lru.Find("z"), nullptr);
+  // "b" is now the least recent, so it is the one a fourth entry drops.
+  EXPECT_EQ(lru.Insert("d", 4, 10), 1u);
+  EXPECT_FALSE(lru.Contains("b"));
+  EXPECT_TRUE(lru.Contains("a"));
+  EXPECT_TRUE(lru.Contains("c"));
+  EXPECT_TRUE(lru.Contains("d"));
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.bytes(), 30u);
+}
+
+TEST(ByteLru, ReinsertReplacesAndRecharges) {
+  ByteLru<int> lru(30);
+  lru.Insert("a", 1, 10);
+  lru.Insert("b", 2, 10);
+  // Re-inserting "a" replaces its value and its charge, and makes it the
+  // most recent: growing it to 25 bytes drops "b", not "a".
+  EXPECT_EQ(lru.Insert("a", 7, 25), 1u);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), 25u);
+  ASSERT_NE(lru.Find("a"), nullptr);
+  EXPECT_EQ(*lru.Find("a"), 7);
+  // Shrinking it gives the bytes back.
+  EXPECT_EQ(lru.Insert("a", 8, 5), 0u);
+  EXPECT_EQ(lru.bytes(), 5u);
+}
+
+TEST(ByteLru, OversizedValueIsNotStored) {
+  ByteLru<int> lru(30);
+  lru.Insert("a", 1, 10);
+  EXPECT_EQ(lru.Insert("big", 2, 31), 0u);
+  EXPECT_FALSE(lru.Contains("big"));
+  EXPECT_TRUE(lru.Contains("a"));
+  EXPECT_EQ(lru.bytes(), 10u);
+  // A zero capacity stores nothing that is charged at all.
+  ByteLru<int> off(0);
+  EXPECT_EQ(off.Insert("a", 1, 1), 0u);
+  EXPECT_EQ(off.size(), 0u);
+}
+
+TEST(ByteLru, ErasePrefixCountsAndVisitsWhatItDrops) {
+  ByteLru<int> lru(100);
+  lru.Insert("p1|x", 1, 10);
+  lru.Insert("p2|x", 2, 20);
+  lru.Insert("p1|y", 3, 30);
+  std::vector<std::pair<std::string, int>> seen;
+  size_t seen_bytes = 0;
+  EXPECT_EQ(lru.ErasePrefix("p1|",
+                            [&](const std::string& key, int& value,
+                                size_t bytes) {
+                              seen.emplace_back(key, value);
+                              seen_bytes += bytes;
+                            }),
+            2u);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, int>>{{"p1|x", 1},
+                                                            {"p1|y", 3}}));
+  EXPECT_EQ(seen_bytes, 40u);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), 20u);
+  EXPECT_TRUE(lru.Contains("p2|x"));
+  EXPECT_EQ(lru.ErasePrefix("p3|"), 0u);
+  EXPECT_EQ(lru.ErasePrefix(""), 1u);
+  EXPECT_EQ(lru.bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/interner.h"
@@ -163,6 +166,41 @@ TEST(Interner, IdsAreDense) {
   for (uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(interner.Intern("s" + std::to_string(i)), i);
   }
+}
+
+TEST(Interner, LongNamesLookUpThroughAnyView) {
+  // Past the 15-byte inline buffer, and enough names to span several
+  // storage blocks.
+  Interner interner;
+  for (uint32_t i = 0; i < 100; ++i) {
+    interner.Intern("__active_discrete_" + std::to_string(i) + "_0");
+  }
+  const std::string probe = "__active_discrete_24_0 trailing";
+  const std::string_view name(probe.data(), 22);
+  EXPECT_EQ(interner.Lookup(name), 24u);
+  EXPECT_EQ(interner.Intern(name), 24u);
+  EXPECT_EQ(interner.Name(24), name);
+  EXPECT_EQ(interner.size(), 100u);
+}
+
+TEST(Interner, CloneKeepsIdsAndOutlivesTheOriginal) {
+  auto original = std::make_unique<Interner>();
+  std::vector<std::string> names;
+  for (uint32_t i = 0; i < 100; ++i) {
+    names.push_back(i % 2 == 0 ? "p" + std::to_string(i)
+                               : "__active_discrete_" + std::to_string(i));
+    ASSERT_EQ(original->Intern(names.back()), i);
+  }
+  std::shared_ptr<Interner> clone = original->Clone();
+  original.reset();
+  ASSERT_EQ(clone->size(), names.size());
+  for (uint32_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(clone->Lookup(names[i]), i);
+    EXPECT_EQ(clone->Name(i), names[i]);
+  }
+  // The clone grows on its own.
+  EXPECT_EQ(clone->Intern("__a_name_only_the_clone_has"), 100u);
+  EXPECT_EQ(clone->Lookup("__a_name_only_the_clone_has"), 100u);
 }
 
 // ---------------------------------------------------------------------------

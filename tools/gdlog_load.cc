@@ -34,10 +34,11 @@
 //                         fingerprint, so --check's "one chase for N
 //                         identical requests" assertion holds unchanged;
 //                         fleet counter deltas (dispatches, retries,
-//                         steals, streamed/duplicate partials, partial-
-//                         cache hits/misses) and per-worker dispatch
-//                         latency (p50/p95/max) are printed alongside the
-//                         cache deltas
+//                         steals, streamed/duplicate partials, and the
+//                         partial-cache hits/misses summed over the
+//                         listed workers' own /v1/stats) and per-worker
+//                         dispatch latency (p50/p95/max) are printed
+//                         alongside the cache deltas
 //   --shards N            fleet mode: shard count (default: worker count)
 //
 // Numeric values are plain decimal counts (ports at most 65535); anything
@@ -53,9 +54,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flags.h"
+#include "server/fleet.h"
 #include "server/http.h"
 #include "util/json.h"
 
@@ -119,9 +122,10 @@ long long CacheCounter(const gdlog::JsonValue& stats, const char* field) {
 }
 
 gdlog::Result<gdlog::JsonValue> FetchStats(const std::string& host,
-                                           int port) {
+                                           int port,
+                                           int timeout_ms = 10'000) {
   GDLOG_ASSIGN_OR_RETURN(gdlog::HttpClient client,
-                         gdlog::HttpClient::Connect(host, port));
+                         gdlog::HttpClient::Connect(host, port, timeout_ms));
   GDLOG_ASSIGN_OR_RETURN(gdlog::HttpResponse response,
                          client.Request("GET", "/v1/stats"));
   if (response.status != 200) {
@@ -129,6 +133,21 @@ gdlog::Result<gdlog::JsonValue> FetchStats(const std::string& host,
                                    std::to_string(response.status));
   }
   return gdlog::JsonValue::Parse(response.body);
+}
+
+/// The /v1/stats of every "host:port" in `workers`, in order: an empty
+/// value for a worker that does not answer within a second (killed or
+/// stopped), whose counters then read -1.
+std::vector<gdlog::JsonValue> FetchWorkerStats(
+    const std::vector<std::string>& workers) {
+  std::vector<gdlog::JsonValue> all(workers.size());
+  for (size_t i = 0; i < workers.size(); ++i) {
+    auto address = gdlog::ParseHostPort(workers[i]);
+    if (!address.ok()) continue;
+    auto stats = FetchStats(address->first, address->second, 1'000);
+    if (stats.ok()) all[i] = std::move(*stats);
+  }
+  return all;
 }
 
 }  // namespace
@@ -179,6 +198,12 @@ int main(int argc, char** argv) {
   }
   opts.concurrency = std::min(opts.concurrency, opts.requests);
 
+  std::vector<std::string> workers;
+  for (std::stringstream list(opts.fleet_workers); list.good();) {
+    std::string address;
+    std::getline(list, address, ',');
+    if (!address.empty()) workers.push_back(std::move(address));
+  }
   // Counters before the run: the server may be warm already; --check
   // asserts on deltas.
   auto stats_before = FetchStats(opts.host, opts.port);
@@ -187,6 +212,10 @@ int main(int argc, char** argv) {
                  stats_before.status().ToString().c_str());
     return 1;
   }
+  // The partial cache lives on the workers that serve /v1/shards, so its
+  // counters are read there, not off the coordinator.
+  const std::vector<gdlog::JsonValue> workers_before =
+      FetchWorkerStats(workers);
 
   // Register (idempotent: an already-registered identical spec returns
   // the same id).
@@ -227,16 +256,7 @@ int main(int argc, char** argv) {
   if (opts.include_events) query.KV("include_events", true);
   if (fleet) {
     query.Key("workers").BeginArray();
-    std::string worker;
-    for (const char* p = opts.fleet_workers.c_str();; ++p) {
-      if (*p == ',' || *p == '\0') {
-        if (!worker.empty()) query.String(worker);
-        worker.clear();
-        if (*p == '\0') break;
-      } else {
-        worker.push_back(*p);
-      }
-    }
+    for (const std::string& address : workers) query.String(address);
     query.EndArray();
     if (opts.shards > 0) {
       query.KV("shards", static_cast<long long>(opts.shards));
@@ -322,9 +342,21 @@ int main(int argc, char** argv) {
   std::printf("cache deltas: misses=%lld hits=%lld coalesced=%lld\n",
               d_misses, d_hits, d_coalesced);
   if (fleet) {
+    const std::vector<gdlog::JsonValue> workers_after =
+        FetchWorkerStats(workers);
     auto fleet_delta = [&](const char* field) {
       return StatsCounter(*stats_after, "fleet", field) -
              StatsCounter(*stats_before, "fleet", field);
+    };
+    // Summed over the workers that answered both times.
+    auto workers_delta = [&](const char* field) {
+      long long sum = 0;
+      for (size_t i = 0; i < workers.size(); ++i) {
+        long long before = StatsCounter(workers_before[i], "fleet", field);
+        long long after = StatsCounter(workers_after[i], "fleet", field);
+        if (before >= 0 && after >= 0) sum += after - before;
+      }
+      return sum;
     };
     std::printf(
         "fleet deltas: jobs=%lld dispatches=%lld retries=%lld "
@@ -335,8 +367,8 @@ int main(int argc, char** argv) {
         fleet_delta("retries"), fleet_delta("worker_failures"),
         fleet_delta("partials_merged"), fleet_delta("steals"),
         fleet_delta("partials_streamed"), fleet_delta("duplicate_partials"),
-        fleet_delta("partial_cache_hits"),
-        fleet_delta("partial_cache_misses"));
+        workers_delta("partial_cache_hits"),
+        workers_delta("partial_cache_misses"));
     // Per-worker dispatch latency as the coordinator measured it — the
     // outside view of which worker is the straggler.
     const gdlog::JsonValue* fleet_obj = stats_after->Find("fleet");
