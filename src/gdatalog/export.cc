@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <iterator>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -31,9 +33,11 @@ namespace {
 // the reporting export above, every field must round-trip exactly: rationals
 // as numerator/denominator, inexact masses and double constants as hex-float
 // strings (%a renders the significand bits verbatim; strtod restores them).
+// Each distinct ground atom is written once, in an atom table; models,
+// the base they share and choice entries name atoms by table index.
 // ---------------------------------------------------------------------------
 
-constexpr const char* kPartialFormat = "gdlog.partial.v1";
+constexpr const char* kPartialFormat = "gdlog.partial.v2";
 
 std::string HexDouble(double d) {
   char buf[40];
@@ -82,13 +86,118 @@ void WriteAtom(JsonWriter& json, const GroundAtom& atom,
   json.EndObject();
 }
 
+/// The atoms of one partial as the v2 encoding names them: every distinct
+/// atom the partial mentions, indexed in ascending atom order, and the base,
+/// the atoms in every model of the partial.
+///
+/// A StableModel is sorted, so one forward walk over the table finds a
+/// model's atoms; models mostly repeat atoms already in the table, which
+/// only grows for the few that do not. Nothing is hashed.
+class PartialAtoms {
+ public:
+  explicit PartialAtoms(const PartialSpace& partial) {
+    size_t num_models = 0;
+    for (const PossibleOutcome& outcome : partial.outcomes) {
+      for (const auto& entry : outcome.choices.entries()) Add(entry.first);
+      for (const StableModel& model : outcome.models) {
+        AddModel(model);
+        ++num_models;
+      }
+    }
+    for (const auto& truncation : partial.truncations) {
+      for (const auto& entry : truncation.first.entries()) Add(entry.first);
+    }
+    std::vector<size_t> models_holding(atoms_.size());
+    for (const PossibleOutcome& outcome : partial.outcomes) {
+      for (const StableModel& model : outcome.models) {
+        uint32_t at = 0;
+        for (const GroundAtom& atom : model) {
+          at = Find(atom, at);
+          model_atoms_.push_back(at);
+          ++models_holding[at];
+        }
+      }
+    }
+    in_base_.resize(atoms_.size());
+    for (uint32_t index = 0; index < atoms_.size(); ++index) {
+      in_base_[index] = num_models > 0 && models_holding[index] == num_models;
+      if (in_base_[index]) base_.push_back(index);
+    }
+  }
+
+  /// The table, in index order.
+  const std::vector<const GroundAtom*>& atoms() const { return atoms_; }
+  const std::vector<uint32_t>& base() const { return base_; }
+
+  uint32_t Index(const GroundAtom& atom) const {
+    return static_cast<uint32_t>(LowerBound(atom) - atoms_.begin());
+  }
+
+  /// Writes the non-base indices of each model in turn, in the order the
+  /// constructor visited them: outcome by outcome, model by model.
+  void WriteModels(JsonWriter& json, const StableModelSet& models) {
+    json.BeginArray();
+    for (const StableModel& model : models) {
+      json.BeginArray();
+      for (size_t i = 0; i < model.size(); ++i) {
+        const uint32_t index = model_atoms_[next_model_atom_++];
+        if (!in_base_[index]) json.Int(index);
+      }
+      json.EndArray();
+    }
+    json.EndArray();
+  }
+
+ private:
+  std::vector<const GroundAtom*>::const_iterator LowerBound(
+      const GroundAtom& atom) const {
+    return std::lower_bound(
+        atoms_.begin(), atoms_.end(), &atom,
+        [](const GroundAtom* a, const GroundAtom* b) { return *a < *b; });
+  }
+
+  void Add(const GroundAtom& atom) {
+    auto it = LowerBound(atom);
+    if (it == atoms_.end() || !(**it == atom)) atoms_.insert(it, &atom);
+  }
+
+  void AddModel(const StableModel& model) {
+    uint32_t at = 0;
+    for (const GroundAtom& atom : model) {
+      while (at < atoms_.size() && !(*atoms_[at] == atom)) ++at;
+      if (at == atoms_.size()) {
+        for (const GroundAtom& each : model) Add(each);
+        return;
+      }
+      ++at;
+    }
+  }
+
+  /// The index of a table atom, scanning forward from `from`: a sorted
+  /// model's atoms come in table order. AddModel put every model atom in
+  /// the table, so only an unsorted model needs the second scan.
+  uint32_t Find(const GroundAtom& atom, uint32_t from) const {
+    for (uint32_t index = from; index < atoms_.size(); ++index) {
+      if (*atoms_[index] == atom) return index;
+    }
+    return from == 0 ? 0 : Find(atom, 0);
+  }
+
+  std::vector<const GroundAtom*> atoms_;
+  /// By table index.
+  std::vector<bool> in_base_;
+  std::vector<uint32_t> base_;
+  /// Every model atom's table index, in visiting order.
+  std::vector<uint32_t> model_atoms_;
+  size_t next_model_atom_ = 0;
+};
+
 void WriteChoices(JsonWriter& json, const ChoiceSet& choices,
-                  const Interner* interner) {
+                  const PartialAtoms& table, const Interner* interner) {
   json.BeginArray();
   for (const auto& [active, outcome] : choices.entries()) {
     json.BeginObject();
-    json.Key("active");
-    WriteAtom(json, active, interner);
+    json.KV("active", static_cast<long long>(table.Index(active)));
     json.Key("outcome");
     WriteValue(json, outcome, interner);
     json.EndObject();
@@ -129,22 +238,26 @@ class PartialReader {
     enum Field {
       kFormat, kNumShards, kShardIndex, kPrefixDepth, kAssignment,
       kMaxOutcomes, kMaxDepth, kSupportLimit, kSeed, kMinPathProb,
-      kBudgetHit, kDepthTruncated, kPruned, kOutcomes, kTruncations,
+      kBudgetHit, kDepthTruncated, kPruned, kAtoms, kBase, kOutcomes,
+      kTruncations,
     };
     const std::initializer_list<std::string_view> names = {
         "format", "num_shards", "shard_index", "prefix_depth", "assignment",
         "max_outcomes", "max_depth", "support_limit", "trigger_shuffle_seed",
         "min_path_prob", "budget_hit", "depth_truncated_paths",
-        "pruned_paths", "outcomes", "truncations"};
+        "pruned_paths", "atoms", "base", "outcomes", "truncations"};
     PartialSpace partial;
     uint32_t seen = ReadFields("document", names, [&](size_t field) {
       switch (field) {
-        case kFormat:
-          if (ReadScalar(JsonValue::Kind::kString, "format").text !=
-              kPartialFormat) {
-            Fail(std::string("expected format '") + kPartialFormat + "'");
+        case kFormat: {
+          std::string_view format =
+              ReadScalar(JsonValue::Kind::kString, "format").text;
+          if (format != kPartialFormat) {
+            Fail(std::string("expected format '") + kPartialFormat +
+                 "', got '" + std::string(format) + "'");
           }
           return;
+        }
         case kNumShards:
           return ReadSize("num_shards", &meta->num_shards);
         case kShardIndex:
@@ -182,13 +295,16 @@ class PartialReader {
                           &partial.depth_truncated_paths);
         case kPruned:
           return ReadSize("pruned_paths", &partial.pruned_paths);
+        case kAtoms:
+          return ReadArray("missing 'atoms'",
+                           [&] { table_.push_back(ReadAtom()); });
+        case kBase:
+          return ReadArray("missing 'base'",
+                           [&] { base_.push_back(ReadIndex()); });
         case kOutcomes:
-          return ReadArray("missing 'outcomes'", [&] {
-            partial.outcomes.push_back(ReadOutcome());
-          });
+          return ReadArray("missing 'outcomes'", [&] { ReadOutcome(); });
         case kTruncations:
-          return ReadArray("missing 'truncations'",
-                           [&] { ReadTruncation(&partial); });
+          return ReadArray("missing 'truncations'", [&] { ReadTruncation(); });
       }
     });
     reader_.Finish();
@@ -204,11 +320,19 @@ class PartialReader {
         meta->shard_index >= meta->num_shards) {
       Fail("shard coordinates out of range");
     }
+    // Indices resolve only now: the table may come after its uses.
+    if (reader_.ok()) Resolve(&partial);
     if (!reader_.ok()) return reader_.status();
     return partial;
   }
 
  private:
+  /// Positions [begin, end) of one of the flat vectors at the end.
+  struct Run {
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
   // Partials come from a JsonWriter in a sibling worker process, which
   // copies symbol-name bytes verbatim — and the surface lexer admits
   // arbitrary bytes in string constants — so strings here must read back
@@ -432,7 +556,7 @@ class PartialReader {
       }
       Scalar name = ReadScalar(&scratch_);
       if (name.kind != JsonValue::Kind::kString) return Fail("malformed atom");
-      // A model lists its atoms grouped by predicate, so the last name
+      // The table lists its atoms grouped by predicate, so the last name
       // resolved is usually the next one.
       if (name.text != last_predicate_) {
         last_predicate_.assign(name.text);
@@ -448,31 +572,47 @@ class PartialReader {
     return atom;
   }
 
-  ChoiceSet ReadChoices() {
-    ChoiceSet choices;
+  /// An atom table index; whether it is in range is known only once the
+  /// table has been read.
+  uint32_t ReadIndex() {
+    Scalar index = ReadScalar(&scratch_);
+    if (index.kind != JsonValue::Kind::kNumber) {
+      Fail("malformed atom index");
+      return 0;
+    }
+    long long value = ToInt(index.text);
+    if (value < 0 || value > static_cast<long long>(UINT32_MAX)) {
+      Fail("atom index " + std::string(index.text) + " out of range");
+      return 0;
+    }
+    return static_cast<uint32_t>(value);
+  }
+
+  /// Reads a choice set into choice_entries_ and returns its run there.
+  Run ReadChoices() {
+    Run choices{choice_entries_.size(), 0};
     ReadArray("malformed choice set", [&] {
       enum { kActive, kOutcome };
-      GroundAtom active;
+      uint32_t active = 0;
       Value outcome;
       uint32_t seen = ReadFields("choice entry", {"active", "outcome"},
                                  [&](size_t field) {
                                    if (field == kActive) {
-                                     active = ReadAtom();
+                                     active = ReadIndex();
                                    } else {
                                      outcome = ReadValue();
                                    }
                                  });
       if (seen != 0b11) return Fail("malformed choice entry");
-      if (!choices.Assign(active, outcome)) {
-        Fail("functionally inconsistent serialized choice set");
-      }
+      choice_entries_.emplace_back(active, outcome);
     });
+    choices.end = choice_entries_.size();
     return choices;
   }
 
-  PossibleOutcome ReadOutcome() {
+  void ReadOutcome() {
     enum { kProb, kChoices, kModels };
-    PossibleOutcome outcome;
+    PendingOutcome outcome;
     uint32_t seen = ReadFields(
         "outcome", {"prob", "choices", "models"}, [&](size_t field) {
           if (field == kProb) {
@@ -480,39 +620,200 @@ class PartialReader {
           } else if (field == kChoices) {
             outcome.choices = ReadChoices();
           } else {
-            ReadArray("malformed outcome",
-                      [&] { ReadModel(&outcome.models); });
+            outcome.models.begin = models_.size();
+            ReadArray("malformed outcome", [&] {
+              Run model{model_indices_.size(), 0};
+              ReadArray("malformed model", [&] {
+                model_indices_.push_back(ReadIndex());
+              });
+              model.end = model_indices_.size();
+              models_.push_back(model);
+            });
+            outcome.models.end = models_.size();
           }
         });
     if (seen != 0b111) Fail("malformed outcome");
-    return outcome;
+    outcomes_.push_back(std::move(outcome));
   }
 
-  void ReadModel(StableModelSet* models) {
-    StableModel model;
-    ReadArray("malformed model", [&] { model.push_back(ReadAtom()); });
-    // The writer emits a model set in order, so its end is the hint.
-    models->insert(models->end(), std::move(model));
-  }
-
-  void ReadTruncation(PartialSpace* partial) {
+  void ReadTruncation() {
     enum { kChoices, kMass };
-    ChoiceSet choices;
-    Prob mass;
+    PendingTruncation truncation;
     uint32_t seen =
         ReadFields("truncation", {"choices", "mass"}, [&](size_t field) {
           if (field == kChoices) {
-            choices = ReadChoices();
+            truncation.choices = ReadChoices();
           } else {
-            mass = ReadProb();
+            truncation.mass = ReadProb();
           }
         });
     if (seen != 0b11) return Fail("malformed truncation");
-    partial->truncations.emplace_back(std::move(choices), mass);
+    truncations_.push_back(std::move(truncation));
   }
+
+  // --- Resolution: from table indices to this process's atoms. ----------
+
+  /// Sorts the table under local ids: atoms_[rank_[i]] is table entry i.
+  /// The sender sorted it under its own ids, which order the atoms as the
+  /// local ones do unless the two processes interned names in a different
+  /// order (a database delta interns its new names after the program's on
+  /// the coordinator, before them on a worker that parsed D whole).
+  bool RankTable() {
+    const size_t size = table_.size();
+    std::vector<uint32_t> order(size);
+    std::iota(order.begin(), order.end(), 0u);
+    in_order_ = std::is_sorted(table_.begin(), table_.end());
+    if (!in_order_) {
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return table_[a] < table_[b];
+      });
+    }
+    for (size_t i = 1; i < size; ++i) {
+      if (table_[order[i - 1]] == table_[order[i]]) {
+        Fail("atom table repeats " +
+             table_[order[i]].ToString(&interner_));
+        return false;
+      }
+    }
+    rank_.resize(size);
+    atoms_.reserve(size);
+    for (uint32_t position = 0; position < size; ++position) {
+      rank_[order[position]] = position;
+      atoms_.push_back(std::move(table_[order[position]]));
+    }
+    return true;
+  }
+
+  bool CheckIndex(uint32_t index, const char* where) {
+    if (index < atoms_.size()) return true;
+    Fail("atom index " + std::to_string(index) + " in " + where +
+         " out of range (the table has " + std::to_string(atoms_.size()) +
+         " atoms)");
+    return false;
+  }
+
+  /// Validates the base: strictly ascending indices, and none without a
+  /// model to be the base of.
+  bool CheckBase() {
+    in_base_.assign(atoms_.size(), false);
+    for (size_t i = 0; i < base_.size(); ++i) {
+      if (!CheckIndex(base_[i], "'base'")) return false;
+      if (i > 0 && base_[i - 1] >= base_[i]) {
+        Fail("'base' indices are not strictly ascending");
+        return false;
+      }
+      in_base_[base_[i]] = true;
+    }
+    if (!base_.empty() && models_.empty()) {
+      Fail("'base' lists atoms but the partial has no model");
+      return false;
+    }
+    return true;
+  }
+
+  /// A model is the base plus its own list: strictly ascending indices,
+  /// none of them in the base.
+  bool Materialise(Run run, StableModel* model) {
+    const uint32_t* list = model_indices_.data() + run.begin;
+    const size_t size = run.end - run.begin;
+    for (size_t i = 0; i < size; ++i) {
+      if (!CheckIndex(list[i], "a model")) return false;
+      if (i > 0 && list[i - 1] >= list[i]) {
+        Fail("model indices are not strictly ascending");
+        return false;
+      }
+      if (in_base_[list[i]]) {
+        Fail("a model lists base atom " + std::to_string(list[i]));
+        return false;
+      }
+    }
+    merged_.clear();
+    std::merge(base_.begin(), base_.end(), list, list + size,
+               std::back_inserter(merged_));
+    for (uint32_t& index : merged_) index = rank_[index];
+    if (!in_order_) std::sort(merged_.begin(), merged_.end());
+    model->reserve(merged_.size());
+    for (uint32_t position : merged_) model->push_back(atoms_[position]);
+    return true;
+  }
+
+  bool ResolveChoices(Run run, const char* where, ChoiceSet* choices) {
+    for (size_t i = run.begin; i < run.end; ++i) {
+      const auto& [index, outcome] = choice_entries_[i];
+      if (!CheckIndex(index, where)) return false;
+      if (!choices->Assign(atoms_[rank_[index]], outcome)) {
+        Fail("functionally inconsistent serialized choice set");
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Fills `partial` from the pending outcomes and truncations; stops at
+  /// the first error.
+  void Resolve(PartialSpace* partial) {
+    if (!RankTable() || !CheckBase()) return;
+    partial->outcomes.reserve(outcomes_.size());
+    for (const PendingOutcome& pending : outcomes_) {
+      PossibleOutcome outcome;
+      outcome.prob = pending.prob;
+      if (!ResolveChoices(pending.choices, "a choice", &outcome.choices)) {
+        return;
+      }
+      for (size_t i = pending.models.begin; i < pending.models.end; ++i) {
+        StableModel model;
+        if (!Materialise(models_[i], &model)) return;
+        const size_t size = outcome.models.size();
+        // The sender's model order is the local one unless the table was
+        // re-ranked, so its end is the usual hint.
+        outcome.models.insert(outcome.models.end(), std::move(model));
+        if (outcome.models.size() == size) {
+          Fail("an outcome repeats a model");
+          return;
+        }
+      }
+      partial->outcomes.push_back(std::move(outcome));
+    }
+    partial->truncations.reserve(truncations_.size());
+    for (const PendingTruncation& pending : truncations_) {
+      ChoiceSet choices;
+      if (!ResolveChoices(pending.choices, "a truncation", &choices)) return;
+      partial->truncations.emplace_back(std::move(choices), pending.mass);
+    }
+  }
+
+  struct PendingOutcome {
+    Prob prob;
+    Run choices;  ///< Of choice_entries_.
+    Run models;   ///< Of models_.
+  };
+  struct PendingTruncation {
+    Run choices;
+    Prob mass;
+  };
 
   JsonReader reader_;
   const Interner& interner_;
+  /// As read, in the sender's order.
+  std::vector<GroundAtom> table_;
+  std::vector<uint32_t> base_;
+  std::vector<PendingOutcome> outcomes_;
+  std::vector<PendingTruncation> truncations_;
+  /// Every choice entry of the document as read: the table index of its
+  /// Active atom, and its outcome.
+  std::vector<std::pair<uint32_t, Value>> choice_entries_;
+  /// Every model's run of model_indices_: its non-base table indices.
+  std::vector<Run> models_;
+  std::vector<uint32_t> model_indices_;
+  /// The table in local order, and each table index's position in it.
+  std::vector<GroundAtom> atoms_;
+  std::vector<uint32_t> rank_;
+  /// True iff rank_ is the identity.
+  bool in_order_ = true;
+  /// By table index.
+  std::vector<bool> in_base_;
+  /// One model's positions in atoms_, reused across models.
+  std::vector<uint32_t> merged_;
   /// Decodes escaped strings that are used before the next read.
   std::string scratch_;
   std::vector<Value> args_;
@@ -626,20 +927,25 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
           static_cast<long long>(partial.depth_truncated_paths));
   json.KV("pruned_paths", static_cast<long long>(partial.pruned_paths));
 
+  PartialAtoms table(partial);
+  json.Key("atoms").BeginArray();
+  for (const GroundAtom* atom : table.atoms()) {
+    WriteAtom(json, *atom, interner);
+  }
+  json.EndArray();
+  json.Key("base").BeginArray();
+  for (uint32_t index : table.base()) json.Int(index);
+  json.EndArray();
+
   json.Key("outcomes").BeginArray();
   for (const PossibleOutcome& outcome : partial.outcomes) {
     json.BeginObject();
     json.Key("prob");
     WriteExactProb(json, outcome.prob);
     json.Key("choices");
-    WriteChoices(json, outcome.choices, interner);
-    json.Key("models").BeginArray();
-    for (const StableModel& model : outcome.models) {
-      json.BeginArray();
-      for (const GroundAtom& atom : model) WriteAtom(json, atom, interner);
-      json.EndArray();
-    }
-    json.EndArray();
+    WriteChoices(json, outcome.choices, table, interner);
+    json.Key("models");
+    table.WriteModels(json, outcome.models);
     json.EndObject();
   }
   json.EndArray();
@@ -648,7 +954,7 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
   for (const auto& [choices, mass] : partial.truncations) {
     json.BeginObject();
     json.Key("choices");
-    WriteChoices(json, choices, interner);
+    WriteChoices(json, choices, table, interner);
     json.Key("mass");
     WriteExactProb(json, mass);
     json.EndObject();

@@ -59,12 +59,15 @@ std::string OutcomeSpaceToJson(const OutcomeSpace& space,
                                    JsonExportOptions{});
 
 /// Serializes one shard's partial outcome space (plus its plan coordinates)
-/// to a single-line JSON document. The encoding is lossless — exact
-/// rationals as numerator/denominator, inexact masses and double constants
-/// as hex-float strings, symbols by name — so a partial can cross a process
-/// (or machine) boundary and merge into a space bit-identical to a
-/// single-process run. Groundings are not serialized (keep_groundings has
-/// no sharded counterpart).
+/// to a single-line `gdlog.partial.v2` document (grammar in docs/API.md).
+/// The encoding is lossless — exact rationals as numerator/denominator,
+/// inexact masses and double constants as hex-float strings, symbols by
+/// name — so a partial can cross a process (or machine) boundary and merge
+/// into a space bit-identical to a single-process run. Each distinct atom
+/// is written once, in an atom table; models are the table's `base` (the
+/// atoms in every model, D among them) plus a list of indices each, and
+/// choice entries name their Active atom by index. Groundings are not
+/// serialized (keep_groundings has no sharded counterpart).
 std::string PartialSpaceToJson(const PartialSpace& partial,
                                const ShardPartialMeta& meta,
                                const Interner* interner);
@@ -80,7 +83,12 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
 /// Names are resolved against `interner` by lookup only: the caller must
 /// have loaded the same program (and hence interned the same
 /// predicates/symbols) that produced the partial; unknown names are an
-/// error, not an extension point.
+/// error, not an extension point. The atom table is ranked under the local
+/// ids, so every model comes back sorted even when the sender interned
+/// names in another order. A table index out of range, a `base` or model
+/// list that is not strictly ascending, a model list that repeats a base
+/// atom, a repeated table atom or model, a non-empty base with no model,
+/// and any other format (`gdlog.partial.v1` included) are errors.
 Result<PartialSpace> PartialSpaceFromJson(std::string_view json,
                                           const Interner& interner,
                                           ShardPartialMeta* meta);

@@ -50,10 +50,21 @@ InferenceService::Options ServiceOptions() {
   return options;
 }
 
-std::string RegisterNetwork(InferenceService& service) {
+/// The network program with an even negation loop (quarantined/free): not
+/// stratified, so a marginal query reads the same cached space as a job.
+constexpr const char* kQuarantineProgram =
+    "infected(Y, flip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y), "
+    "not quarantined(X).\n"
+    "quarantined(X) :- infected(X, 1), not free(X).\n"
+    "free(X) :- infected(X, 1), not quarantined(X).\n"
+    "uninfected(X) :- router(X), not infected(X, 1).\n"
+    ":- uninfected(X), uninfected(Y), connected(X, Y).\n";
+
+std::string RegisterNetwork(InferenceService& service,
+                            const char* program = kNetworkProgram,
+                            const std::string& db = kClique3Db) {
   JsonWriter reg;
-  reg.BeginObject().KV("program", kNetworkProgram).KV("db", kClique3Db)
-      .EndObject();
+  reg.BeginObject().KV("program", program).KV("db", db).EndObject();
   HttpResponse response =
       service.Handle(MakeRequest("POST", "/v1/programs", reg.str()));
   EXPECT_TRUE(response.status == 200 || response.status == 201)
@@ -270,7 +281,30 @@ TEST(FleetShards, ExploresRequestedIndicesAsNdjson) {
   size_t lines = 0;
   for (char c : response.body) lines += c == '\n';
   EXPECT_EQ(lines, 2u);
-  EXPECT_NE(response.body.find("\"gdlog.partial.v1\""), std::string::npos);
+  EXPECT_NE(response.body.find("\"gdlog.partial.v2\""), std::string::npos);
+  // Each line writes every atom once, in its table: D's router facts are
+  // in every model of a shard, yet a line with a model holds each exactly
+  // once. (Shard 0's one outcome, where no router is infected, breaks the
+  // constraint and has no model.)
+  size_t begin = 0;
+  size_t lines_with_models = 0;
+  for (size_t end = response.body.find('\n'); end != std::string::npos;
+       begin = end + 1, end = response.body.find('\n', begin)) {
+    const std::string line = response.body.substr(begin, end - begin);
+    const size_t expected = line.find(R"("models":[[)") != std::string::npos;
+    lines_with_models += expected;
+    for (int router = 1; router <= 3; ++router) {
+      const std::string fact = R"({"p":"router","a":[{"t":"i","v":)" +
+                               std::to_string(router) + "}]}";
+      size_t count = 0;
+      for (size_t at = line.find(fact); at != std::string::npos;
+           at = line.find(fact, at + 1)) {
+        ++count;
+      }
+      EXPECT_EQ(count, expected) << "router(" << router << ")";
+    }
+  }
+  EXPECT_EQ(lines_with_models, 1u);
   EXPECT_EQ(service.fleet().counters().shards_explored, 2u);
   EXPECT_EQ(service.fleet().counters().partial_cache_misses, 2u);
 
@@ -470,6 +504,45 @@ TEST(FleetJobs, MergedJobIsByteIdenticalToSingleProcess) {
   ASSERT_EQ(cached.status, 200);
   EXPECT_EQ(cached.body, job.body);
   EXPECT_EQ(coordinator.cache().stats().hits, hits_before + 1);
+}
+
+// After a PATCH introduces a new predicate, the coordinator's engine
+// (WithDatabaseDelta) interns it after the program's own names, while each
+// worker parses the shipped database whole and interns it before them. The
+// fleet-merged space must still answer a marginal query as a fresh
+// single-process service does.
+TEST(FleetJobs, MarginalAfterPatchAndJobMatchesAFreshService) {
+  LiveWorker w1;
+  LiveWorker w2;
+  InferenceService coordinator(ServiceOptions());
+  std::string id = RegisterNetwork(coordinator, kQuarantineProgram);
+  HttpResponse patched = coordinator.Handle(MakeRequest(
+      "PATCH", "/v1/programs/" + id + "/db", R"x({"delta":"audit(1)."})x"));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  HttpResponse job = coordinator.Handle(MakeRequest(
+      "POST", "/v1/jobs", JobBody(id, {w1.address(), w2.address()})));
+  ASSERT_EQ(job.status, 200) << job.body;
+  const std::string query =
+      R"x(","queries":["audit(1)","quarantined(2)","free(1)"]})x";
+  HttpResponse answer = coordinator.Handle(MakeRequest(
+      "POST", "/v1/query", R"({"program_id":")" + id + query));
+  ASSERT_EQ(answer.status, 200) << answer.body;
+  // The query read the job's space: the job was the only chase.
+  EXPECT_EQ(coordinator.cache().stats().misses, 1u);
+
+  InferenceService fresh(ServiceOptions());
+  std::string fresh_id = RegisterNetwork(
+      fresh, kQuarantineProgram, std::string(kClique3Db) + "audit(1).\n");
+  HttpResponse reference = fresh.Handle(MakeRequest(
+      "POST", "/v1/query", R"({"program_id":")" + fresh_id + query));
+  ASSERT_EQ(reference.status, 200) << reference.body;
+  // Program ids and revisions differ; everything from "complete" on must
+  // not.
+  auto tail = [](const std::string& body) {
+    return body.substr(std::min(body.find("\"complete\""), body.size()));
+  };
+  EXPECT_EQ(tail(answer.body), tail(reference.body));
+  EXPECT_NE(tail(reference.body), "");
 }
 
 TEST(FleetJobs, WorkerHttp500IsRetriedOnHealthyWorker) {

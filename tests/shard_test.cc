@@ -52,6 +52,45 @@ constexpr const char* kDimeQuarterProgram = R"(
 )";
 constexpr const char* kDimeQuarterDb = "dime(1). dime(2). quarter(3).";
 
+/// The network program with an even negation loop: an infected router is
+/// quarantined or free, so an outcome has several stable models.
+constexpr const char* kQuarantineProgram = R"(
+  infected(Y, flip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y),
+                                  not quarantined(X).
+  quarantined(X) :- infected(X, 1), not free(X).
+  free(X) :- infected(X, 1), not quarantined(X).
+  uninfected(X) :- router(X), not infected(X, 1).
+  :- uninfected(X), uninfected(Y), connected(X, Y).
+)";
+
+/// The E14 skewed tree: a 12-way discrete pick unlocks 9 fair coins on
+/// every fourth branch and 6 elsewhere, each branch weighted by its leaves.
+constexpr const char* kSkewedProgram =
+    "pick(discrete<1, 64.0, 2, 64.0, 3, 64.0, 4, 512.0, 5, 64.0, 6, 64.0, "
+    "7, 64.0, 8, 512.0, 9, 64.0, 10, 64.0, 11, 64.0, 12, 512.0>).\n"
+    "coin(J, flip<0.5>[J]) :- pick(I), unlocks(I, J).\n";
+
+std::string SkewedDb() {
+  std::string db;
+  for (int i = 1; i <= 12; ++i) {
+    for (int j = 1; j <= (i % 4 == 0 ? 9 : 6); ++j) {
+      db += "unlocks(" + std::to_string(i) + "," + std::to_string(j) + ").\n";
+    }
+  }
+  return db;
+}
+
+/// A Δ-free program: one outcome, so every shard but one is empty.
+constexpr const char* kReachIslandsProgram = R"(
+  reach(X) :- start(X).
+  reach(Y) :- reach(X), link(X, Y).
+  link(X, Y) :- edge(X, Y).
+  link(X, Y) :- edge(Y, X).
+  island(X) :- node(X), not reach(X).
+)";
+constexpr const char* kReachIslandsDb =
+    "node(1). node(2). node(3). edge(1, 2). start(1).";
+
 void ExpectIdenticalSpaces(const OutcomeSpace& a, const OutcomeSpace& b,
                            const std::string& label) {
   SCOPED_TRACE(label);
@@ -242,26 +281,38 @@ TEST(ShardBudgetTest, MaxOutcomesBudgetIsRespectedAcrossShards) {
 // Serialization: partials must cross a process boundary losslessly.
 // ---------------------------------------------------------------------------
 
-TEST(ShardSerializationTest, JsonRoundTripMergesBitIdentically) {
-  auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
-  ASSERT_TRUE(engine.ok());
+/// The JSON partials of every shard of a `num_shards`-way plan, each
+/// checked to round-trip byte for byte, and the merge of the parsed
+/// partials checked bit-identical to a single-process run, down to the
+/// CLI's --json export.
+std::vector<std::string> ExpectJsonRoundTrip(const char* program,
+                                             const std::string& db,
+                                             size_t num_shards,
+                                             const std::string& label) {
+  SCOPED_TRACE(label);
+  std::vector<std::string> lines;
+  auto engine = GDatalog::Create(program, db);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return lines;
   ChaseOptions options;
   options.num_threads = 1;
   auto base = engine->Infer(options);
-  ASSERT_TRUE(base.ok());
-
-  auto plan = engine->chase().PlanShards(options, 3);
-  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(base.ok());
+  auto plan = engine->chase().PlanShards(options, num_shards);
+  EXPECT_TRUE(plan.ok());
+  if (!base.ok() || !plan.ok()) return lines;
   const Interner* interner = engine->program().interner();
   std::vector<PartialSpace> partials;
   for (size_t shard = 0; shard < plan->num_shards; ++shard) {
     auto partial = engine->chase().ExploreShard(*plan, shard, options);
-    ASSERT_TRUE(partial.ok());
+    EXPECT_TRUE(partial.ok());
+    if (!partial.ok()) return lines;
     ShardPartialMeta meta = MakeShardPartialMeta(*plan, shard, options);
     std::string json = PartialSpaceToJson(*partial, meta, interner);
     ShardPartialMeta parsed_meta;
     auto parsed = PartialSpaceFromJson(json, *interner, &parsed_meta);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return lines;
     EXPECT_EQ(parsed_meta.num_shards, meta.num_shards);
     EXPECT_EQ(parsed_meta.shard_index, meta.shard_index);
     EXPECT_EQ(parsed_meta.prefix_depth, meta.prefix_depth);
@@ -269,6 +320,7 @@ TEST(ShardSerializationTest, JsonRoundTripMergesBitIdentically) {
     // The round trip itself must be lossless: re-serializing the parsed
     // partial reproduces the document byte for byte.
     EXPECT_EQ(json, PartialSpaceToJson(*parsed, parsed_meta, interner));
+    lines.push_back(std::move(json));
     partials.push_back(std::move(*parsed));
   }
   OutcomeSpace merged =
@@ -283,6 +335,133 @@ TEST(ShardSerializationTest, JsonRoundTripMergesBitIdentically) {
                                export_options),
             OutcomeSpaceToJson(merged, engine->translated(), interner,
                                export_options));
+  return lines;
+}
+
+/// The predicate names of a partial's base atoms.
+std::vector<std::string> BasePredicates(const std::string& json) {
+  std::vector<std::string> names;
+  auto doc = JsonValue::Parse(json);
+  EXPECT_TRUE(doc.ok());
+  if (!doc.ok()) return names;
+  const std::vector<JsonValue>& atoms = doc->Find("atoms")->array();
+  for (const JsonValue& index : doc->Find("base")->array()) {
+    names.push_back(atoms[*index.NumberAsInt()].Find("p")->string_value());
+  }
+  return names;
+}
+
+TEST(ShardSerializationTest, JsonRoundTripMergesBitIdentically) {
+  ExpectJsonRoundTrip(kNetworkProgram, Clique(3), 3, "network clique-3");
+}
+
+// On the E14 tree every model of a shard holds D, and D is most of it: the
+// base carries all 81 'unlocks' facts.
+TEST(ShardSerializationTest, JsonRoundTripOfTheSkewedTreeSharesD) {
+  for (const std::string& json :
+       ExpectJsonRoundTrip(kSkewedProgram, SkewedDb(), 4, "E14 tree")) {
+    std::vector<std::string> base = BasePredicates(json);
+    EXPECT_EQ(std::count(base.begin(), base.end(), "unlocks"), 81);
+  }
+}
+
+// Quarantine clique-3: an outcome where router 2 or 3 is infected has one
+// model with it quarantined and one with it free, so those loop atoms stay
+// out of the base. (Router 1 is free in every model: quarantining it leaves
+// the others uninfected, which the constraint kills.)
+TEST(ShardSerializationTest, JsonRoundTripKeepsLoopAtomsOutOfTheBase) {
+  size_t with_several_models = 0;
+  for (const std::string& json : ExpectJsonRoundTrip(
+           kQuarantineProgram, Clique(3), 3, "quarantine clique-3")) {
+    auto doc = JsonValue::Parse(json);
+    ASSERT_TRUE(doc.ok());
+    bool has_model = false;
+    bool several = false;
+    for (const JsonValue& outcome : doc->Find("outcomes")->array()) {
+      const size_t models = outcome.Find("models")->array().size();
+      has_model |= models > 0;
+      several |= models > 1;
+    }
+    with_several_models += several;
+    if (!has_model) continue;
+    std::vector<std::string> base = BasePredicates(json);
+    EXPECT_EQ(std::count(base.begin(), base.end(), "router"), 3);
+    EXPECT_EQ(std::count(base.begin(), base.end(), "quarantined"), 0);
+  }
+  EXPECT_GT(with_several_models, 0u);
+}
+
+// A Δ-free program has one outcome, so 3 of 4 shards hold no model and
+// write an empty base.
+TEST(ShardSerializationTest, JsonRoundTripOfModelFreeShards) {
+  size_t model_free = 0;
+  for (const std::string& json : ExpectJsonRoundTrip(
+           kReachIslandsProgram, kReachIslandsDb, 4, "reach islands")) {
+    if (json.find("\"outcomes\":[]") != std::string::npos) {
+      ++model_free;
+      EXPECT_NE(json.find("\"base\":[]"), std::string::npos) << json;
+    } else {
+      EXPECT_EQ(json.find("\"base\":[]"), std::string::npos) << json;
+    }
+  }
+  EXPECT_EQ(model_free, 3u);
+}
+
+// A database delta interns its new names after the program's own on an
+// engine built by WithDatabaseDelta (a fleet coordinator after a PATCH),
+// and before them on one that parsed D and the delta together (a worker
+// re-reading the shipped database text). The reader must rank the sender's
+// atoms under its own ids: every parsed model sorted, the merge equal to
+// the receiver's own run.
+TEST(ShardSerializationTest, ReceiverWithOtherInternOrderRanksAtomsLocally) {
+  constexpr const char* kDelta = "audit(1).\n";
+  for (const char* program : {kNetworkProgram, kQuarantineProgram}) {
+    const std::string db = Clique(3);
+    auto base = GDatalog::Create(program, db);
+    ASSERT_TRUE(base.ok());
+    auto coordinator = GDatalog::WithDatabaseDelta(*base, kDelta);
+    ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+    auto worker = GDatalog::Create(program, db + kDelta);
+    ASSERT_TRUE(worker.ok());
+    const Interner& local = *coordinator->program().interner();
+    const Interner& remote = *worker->program().interner();
+    ASSERT_NE(local.Lookup("audit"), remote.Lookup("audit"))
+        << "case no longer interns the delta in a different order";
+
+    ChaseOptions options;
+    options.num_threads = 1;
+    auto expected = coordinator->Infer(options);
+    ASSERT_TRUE(expected.ok());
+    auto plan = worker->chase().PlanShards(options, 3);
+    ASSERT_TRUE(plan.ok());
+    std::vector<PartialSpace> partials;
+    for (size_t shard = 0; shard < plan->num_shards; ++shard) {
+      auto partial = worker->chase().ExploreShard(*plan, shard, options);
+      ASSERT_TRUE(partial.ok());
+      ShardPartialMeta meta;
+      auto parsed = PartialSpaceFromJson(
+          PartialSpaceToJson(*partial,
+                             MakeShardPartialMeta(*plan, shard, options),
+                             &remote),
+          local, &meta);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      for (const PossibleOutcome& outcome : parsed->outcomes) {
+        for (const StableModel& model : outcome.models) {
+          ASSERT_TRUE(std::is_sorted(model.begin(), model.end()));
+        }
+      }
+      partials.push_back(std::move(*parsed));
+    }
+    OutcomeSpace merged =
+        MergePartialSpaces(std::move(partials), options.max_outcomes);
+    ExpectIdenticalSpaces(*expected, merged, program);
+    GroundAtom audit{local.Lookup("audit"), {Value::Int(1)}};
+    OutcomeSpace::Bounds got = merged.Marginal(audit);
+    OutcomeSpace::Bounds want = expected->Marginal(audit);
+    EXPECT_EQ(got.lower, want.lower);
+    EXPECT_EQ(got.upper, want.upper);
+    EXPECT_EQ(want.lower, expected->ProbConsistent());
+  }
 }
 
 // The serialized partial is canonical: per-shard thread counts must not
@@ -406,23 +585,24 @@ TEST(ShardSerializationTest, RejectsForeignAndMalformedPartials) {
   EXPECT_FALSE(PartialSpaceFromJson("not json", interner, &meta).ok());
   EXPECT_FALSE(PartialSpaceFromJson("{}", interner, &meta).ok());
   EXPECT_FALSE(PartialSpaceFromJson(
-                   R"({"format":"gdlog.partial.v1","num_shards":2,)"
+                   R"({"format":"gdlog.partial.v2","num_shards":2,)"
                    R"("shard_index":5,"prefix_depth":1,"budget_hit":false,)"
                    R"("depth_truncated_paths":0,"pruned_paths":0,)"
-                   R"("outcomes":[],"truncations":[]})",
+                   R"("atoms":[],"base":[],"outcomes":[],"truncations":[]})",
                    interner, &meta)
                    .ok());
   // Unknown predicate: a partial from a different program must be refused.
   EXPECT_FALSE(
       PartialSpaceFromJson(
-          R"({"format":"gdlog.partial.v1","num_shards":1,"shard_index":0,)"
-          R"("prefix_depth":0,"max_outcomes":0,"max_depth":4096,)"
-          R"("support_limit":64,"trigger_shuffle_seed":"0",)"
-          R"("min_path_prob":"0x0p+0","budget_hit":false,)"
-          R"("depth_truncated_paths":0,"pruned_paths":0,)"
+          R"({"format":"gdlog.partial.v2","num_shards":1,"shard_index":0,)"
+          R"("prefix_depth":0,"assignment":"weighted","max_outcomes":0,)"
+          R"("max_depth":4096,"support_limit":64,)"
+          R"("trigger_shuffle_seed":"0","min_path_prob":"0x0p+0",)"
+          R"("budget_hit":false,"depth_truncated_paths":0,"pruned_paths":0,)"
+          R"("atoms":[{"p":"no_such_predicate","a":[]}],"base":[],)"
           R"("outcomes":[{"prob":{"n":1,"d":2},)"
-          R"("choices":[{"active":{"p":"no_such_predicate","a":[]},)"
-          R"("outcome":{"t":"i","v":1}}],"models":[]}],"truncations":[]})",
+          R"("choices":[{"active":0,"outcome":{"t":"i","v":1}}],)"
+          R"("models":[]}],"truncations":[]})",
           interner, &meta)
           .ok());
 }
@@ -435,20 +615,24 @@ TEST(ShardSerializationTest, RejectsForeignAndMalformedPartials) {
 // ---------------------------------------------------------------------------
 
 /// A one-shard partial over kDimeQuarterProgram holding every construct of
-/// the grammar: an exact and an inexact mass, a choice set, a model and a
-/// truncation.
+/// the grammar: an atom table, a base, an exact and an inexact mass, a
+/// choice set, an empty and a non-empty model list, and a truncation. Atom
+/// 1 appears only as a choice's Active atom.
 constexpr const char* kMinimalPartial =
-    R"({"format":"gdlog.partial.v1","num_shards":1,"shard_index":0,)"
+    R"({"format":"gdlog.partial.v2","num_shards":1,"shard_index":0,)"
     R"("prefix_depth":0,"assignment":"weighted","max_outcomes":0,)"
     R"("max_depth":4096,"support_limit":64,"trigger_shuffle_seed":"7",)"
     R"("min_path_prob":"0x0p+0","budget_hit":true,)"
     R"("depth_truncated_paths":0,"pruned_paths":0,)"
+    R"("atoms":[{"p":"dime","a":[{"t":"i","v":1}]},)"
+    R"({"p":"dime","a":[{"t":"i","v":2}]},)"
+    R"({"p":"quarter","a":[{"t":"b","v":true},{"t":"d","v":"0x1p-1"}]}],)"
+    R"("base":[0],)"
     R"("outcomes":[{"prob":{"n":1,"d":2},)"
-    R"("choices":[{"active":{"p":"dime","a":[{"t":"i","v":1}]},)"
-    R"("outcome":{"t":"i","v":1}}],)"
-    R"("models":[[{"p":"dime","a":[{"t":"i","v":1}]},)"
-    R"({"p":"quarter","a":[{"t":"b","v":true},{"t":"d","v":"0x1p-1"}]}]]}],)"
-    R"("truncations":[{"choices":[],"mass":{"x":"0x1p-2"}}]})";
+    R"("choices":[{"active":1,"outcome":{"t":"i","v":1}}],)"
+    R"("models":[[],[2]]}],)"
+    R"("truncations":[{"choices":[{"active":1,"outcome":{"t":"i","v":0}}],)"
+    R"("mass":{"x":"0x1p-2"}}]})";
 
 /// How RewritePartial re-renders a parsed document.
 struct Rewrite {
@@ -620,7 +804,8 @@ TEST_F(PartialReaderTest, RejectsEachMissingRequiredField) {
        {"format", "num_shards", "shard_index", "prefix_depth", "assignment",
         "max_outcomes", "max_depth", "support_limit", "trigger_shuffle_seed",
         "min_path_prob", "budget_hit", "depth_truncated_paths",
-        "pruned_paths", "outcomes", "truncations", "prob", "n", "d", "x",
+        "pruned_paths", "atoms", "base", "outcomes", "truncations", "prob",
+        "n", "d", "x",
         "choices", "active", "outcome", "p", "a", "t", "v", "models",
         "mass"}) {
     Rewrite how;
@@ -672,6 +857,80 @@ TEST_F(PartialReaderTest, RejectsNonIntegerAndOutOfRangeIntegers) {
                                          R"({"n":1,"d":2e0})"),
                                     interner(), &meta)
                    .ok());
+}
+
+// The earlier format wrote every model atom in full. Its documents are
+// refused outright, with an error that names the format expected.
+TEST_F(PartialReaderTest, RejectsVersionOneDocuments) {
+  constexpr const char* kVersionOne =
+      R"({"format":"gdlog.partial.v1","num_shards":1,"shard_index":0,)"
+      R"("prefix_depth":0,"assignment":"weighted","max_outcomes":0,)"
+      R"("max_depth":4096,"support_limit":64,"trigger_shuffle_seed":"7",)"
+      R"("min_path_prob":"0x0p+0","budget_hit":true,)"
+      R"("depth_truncated_paths":0,"pruned_paths":0,)"
+      R"("outcomes":[{"prob":{"n":1,"d":2},)"
+      R"("choices":[{"active":{"p":"dime","a":[{"t":"i","v":1}]},)"
+      R"("outcome":{"t":"i","v":1}}],)"
+      R"("models":[[{"p":"dime","a":[{"t":"i","v":1}]}]]}],)"
+      R"("truncations":[]})";
+  ShardPartialMeta meta;
+  auto partial = PartialSpaceFromJson(kVersionOne, interner(), &meta);
+  ASSERT_FALSE(partial.ok());
+  EXPECT_NE(partial.status().message().find("gdlog.partial.v2"),
+            std::string::npos)
+      << partial.status().ToString();
+}
+
+// Every model, choice and truncation names atoms by table index, and a
+// model's own list holds what the base does not. A document that breaks
+// either rule is refused, not read as some other model set.
+TEST_F(PartialReaderTest, RejectsNonCanonicalAtomReferences) {
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* error;
+  };
+  const std::string choice = R"("active":1,"outcome":{"t":"i","v":1})";
+  const std::string truncation = R"("active":1,"outcome":{"t":"i","v":0})";
+  const Case cases[] = {
+      {R"("base":[0])", R"("base":[3])", "in 'base' out of range"},
+      {R"("models":[[],[2]])", R"("models":[[],[3]])",
+       "in a model out of range"},
+      {choice.c_str(), R"("active":3,"outcome":{"t":"i","v":1})",
+       "in a choice out of range"},
+      {truncation.c_str(), R"("active":7,"outcome":{"t":"i","v":0})",
+       "in a truncation out of range"},
+      {R"("models":[[],[2]])", R"("models":[[],[2,1]])",
+       "not strictly ascending"},
+      // A repeated atom: two copies of quarter(...) in one model.
+      {R"("models":[[],[2]])", R"("models":[[],[2,2]])",
+       "not strictly ascending"},
+      {R"("models":[[],[2]])", R"("models":[[],[0,2]])",
+       "lists base atom 0"},
+      {R"("base":[0])", R"("base":[0,0])", "'base' indices are not strictly"},
+      {R"("models":[[],[2]])", R"("models":[])", "has no model"},
+      {R"("models":[[],[2]])", R"("models":[[2],[2]])", "repeats a model"},
+      {R"("atoms":[)", R"("atoms":[{"p":"dime","a":[{"t":"i","v":2}]},)",
+       "atom table repeats dime(2)"},
+      {choice.c_str(), R"("active":1.5,"outcome":{"t":"i","v":1})",
+       "integer"},
+      {choice.c_str(), R"("active":-1,"outcome":{"t":"i","v":1})",
+       "out of range"},
+      {choice.c_str(), R"("active":"1","outcome":{"t":"i","v":1})",
+       "malformed atom index"},
+      {R"("base":[0])", R"("base":[4294967296])", "out of range"},
+  };
+  for (const Case& c : cases) {
+    std::string doc = kMinimalPartial;
+    size_t at = doc.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    doc.replace(at, std::string_view(c.from).size(), c.to);
+    ShardPartialMeta meta;
+    auto partial = PartialSpaceFromJson(doc, interner(), &meta);
+    ASSERT_FALSE(partial.ok()) << c.to;
+    EXPECT_NE(partial.status().message().find(c.error), std::string::npos)
+        << c.to << ": " << partial.status().ToString();
+  }
 }
 
 TEST_F(PartialReaderTest, RejectsTrailingContent) {
@@ -745,9 +1004,9 @@ TEST(PartialReaderEscapes, SymbolNamesRoundTripThroughEscapes) {
 }
 
 // Bounded mutation testing of the partial reader: every strict prefix of a
-// clique-3 partial is an error, and seeded single-byte mutations of it
-// either parse or fail cleanly, never crash (the sanitizer jobs run this
-// too). A mutation that parses must re-serialize.
+// clique-3 partial is an error, and seeded single-byte mutations of it,
+// table indices included, either parse or fail cleanly, never crash (the
+// sanitizer jobs run this too). A mutation that parses must re-serialize.
 TEST(PartialReaderMutation, PrefixesFailAndMutationsNeverCrash) {
   auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
   ASSERT_TRUE(engine.ok());
@@ -768,6 +1027,9 @@ TEST(PartialReaderMutation, PrefixesFailAndMutationsNeverCrash) {
   }
   ASSERT_FALSE(json.empty());
   ASSERT_LT(json.size(), 20000u);
+  // Mutated indices reach the table, base and model-list checks.
+  ASSERT_NE(json.find("\"gdlog.partial.v2\""), std::string::npos);
+  ASSERT_EQ(json.find("\"base\":[]"), std::string::npos);
 
   ShardPartialMeta meta;
   for (size_t length = 0; length < json.size(); ++length) {
