@@ -75,9 +75,8 @@ struct ChaseOptions {
 class ChaseEngine {
  public:
   /// All pointees must outlive the engine.
-  ChaseEngine(const TranslatedProgram* translated, const FactStore* db,
-              const Grounder* grounder)
-      : translated_(translated), db_(db), grounder_(grounder) {}
+  ChaseEngine(const TranslatedProgram* translated, const Grounder* grounder)
+      : translated_(translated), grounder_(grounder) {}
 
   /// Exhaustively explores the chase tree under the given budgets and
   /// returns the resulting outcome space. With options.num_threads != 1
@@ -125,7 +124,6 @@ class ChaseEngine {
 
   const TranslatedProgram& translated() const { return *translated_; }
   const Grounder& grounder() const { return *grounder_; }
-  const FactStore& db() const { return *db_; }
 
   /// sms(Σ ∪ G(Σ)) of a leaf's grounding. When the grounder settles
   /// negation (the perfect grounder), its one candidate model is read off
@@ -156,7 +154,6 @@ class ChaseEngine {
   void DrainFrontier(ExploreState& state, std::vector<WorkItem> roots) const;
 
   const TranslatedProgram* translated_;
-  const FactStore* db_;
   const Grounder* grounder_;
 };
 

@@ -1,5 +1,6 @@
 #include "gdatalog/engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "ast/parser.h"
@@ -10,7 +11,6 @@ namespace gdlog {
 
 struct GDatalog::State {
   Program program;  // desugared
-  FactStore db;
   // Shared (not owned) so that WithDatabase engines can point their
   // Σ_Π delta-signature metadata at the same distribution objects.
   std::shared_ptr<DistributionRegistry> registry;
@@ -26,10 +26,11 @@ struct GDatalog::State {
   std::unique_ptr<ChaseEngine> chase;
 
   /// The state of an engine for this one's program and another database:
-  /// everything but the database, which the caller fills in. The interner
-  /// is cloned so the new engine can intern database-only symbols without
-  /// mutating this one (which may be serving concurrently); Σ_Π, a
-  /// function of Π and the demand goals alone, is adopted.
+  /// everything but the grounder and chase, which FinishEngine builds on
+  /// the caller's database prefix. The interner is cloned so the new
+  /// engine can intern database-only symbols without mutating this one
+  /// (which may be serving concurrently); Σ_Π, a function of Π and the
+  /// demand goals alone, is adopted.
   std::unique_ptr<State> Derive() const {
     auto out = std::make_unique<State>();
     std::shared_ptr<Interner> interner = program.interner()->Clone();
@@ -100,11 +101,6 @@ Result<GDatalog> GDatalog::FromProgram(Program pi, FactStore db,
   // remains available via Program::DesugarConstraints but would make every
   // constraint-bearing program non-stratified.
   GDLOG_RETURN_IF_ERROR(state->program.Validate());
-  state->db = std::move(db);
-  // The database D is shared read-only by every chase worker; building its
-  // column indices eagerly means concurrent readers never mutate it, even
-  // lazily.
-  state->db.Freeze();
   state->registry =
       options.registry != nullptr
           ? std::shared_ptr<DistributionRegistry>(std::move(options.registry))
@@ -125,8 +121,8 @@ Result<GDatalog> GDatalog::FromProgram(Program pi, FactStore db,
     kind = state->stratified ? GrounderKind::kPerfect : GrounderKind::kSimple;
   }
   state->effective_grounder = kind;
-  DatabasePrefix prefix = DatabasePrefix::Of(state->db);
-  return FinishEngine(std::move(state), std::move(prefix));
+  // The prefix is the engine's one copy of D; `db` is dropped on return.
+  return FinishEngine(std::move(state), DatabasePrefix::Of(db));
 }
 
 Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state,
@@ -140,7 +136,7 @@ Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state,
     state->grounder = std::make_unique<SimpleGrounder>(&state->translated,
                                                        std::move(prefix));
   }
-  state->chase = std::make_unique<ChaseEngine>(&state->translated, &state->db,
+  state->chase = std::make_unique<ChaseEngine>(&state->translated,
                                                state->grounder.get());
   return GDatalog(std::move(state));
 }
@@ -148,18 +144,15 @@ Result<GDatalog> GDatalog::FinishEngine(std::unique_ptr<State> state,
 Result<GDatalog> GDatalog::WithDatabase(const GDatalog& base,
                                         std::string_view database_text) {
   std::unique_ptr<State> state = base.state_->Derive();
-  GDLOG_ASSIGN_OR_RETURN(state->db,
+  GDLOG_ASSIGN_OR_RETURN(FactStore db,
                          ParseFacts(database_text, state->program.interner()));
-  state->db.Freeze();
-  DatabasePrefix prefix = DatabasePrefix::Of(state->db);
-  return FinishEngine(std::move(state), std::move(prefix));
+  return FinishEngine(std::move(state), DatabasePrefix::Of(db));
 }
 
 Result<GDatalog> GDatalog::WithDemand(const GDatalog& base,
                                       const std::vector<std::string>& goals) {
   const State& bs = *base.state_;
   std::unique_ptr<State> state = bs.Derive();
-  state->db = bs.db;  // COW: shares the rows and the built indices
   state->RestrictToGoals(goals);
   return FinishEngine(std::move(state), bs.grounder->prefix());
 }
@@ -169,28 +162,24 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
   const State& bs = *base.state_;
   std::unique_ptr<State> state = bs.Derive();
   Interner* interner = state->program.interner();
-  GDLOG_ASSIGN_OR_RETURN(FactDelta delta,
+  GDLOG_ASSIGN_OR_RETURN(std::vector<GroundAtom> facts,
                          ParseFactDelta(delta_text, interner));
 
-  // COW-extend the base database: the copy shares row storage and adopts
-  // the already-built indices, so applying the delta costs O(|delta|) plus
-  // one relation detach per touched predicate — never O(|D|) re-parsing.
-  state->db = bs.db;
-  DeltaRanges ranges;
-  GDLOG_RETURN_IF_ERROR(state->db.ApplyDelta(delta, &ranges));
-  state->db.Freeze();
-
-  state->delta_stats.applied = true;
-  state->delta_stats.rows_appended = ranges.rows_appended;
-  state->delta_stats.duplicates_skipped = ranges.duplicates_skipped;
-  state->delta_stats.predicates_touched = ranges.ranges.size();
-  state->delta_added.reserve(ranges.rows_appended);
-  for (const auto& [pred, range] : ranges.ranges) {
-    const std::vector<Tuple>& rows = state->db.Rows(pred);
-    for (uint32_t r = range.begin; r < range.end && r < rows.size(); ++r) {
-      state->delta_added.push_back(GroundAtom{pred, rows[r]});
+  // Π[D ∪ Δ]'s prefix is D's, shared, with Δ's new facts on its tail: the
+  // prefix skips the facts it already holds and reports the rest.
+  DatabasePrefix prefix =
+      bs.grounder->prefix().Extended(facts, &state->delta_added);
+  const std::vector<GroundAtom>& added = state->delta_added;
+  std::vector<uint32_t> touched;  // sorted: `added` is by predicate
+  for (const GroundAtom& atom : added) {
+    if (touched.empty() || touched.back() != atom.predicate) {
+      touched.push_back(atom.predicate);
     }
   }
+  state->delta_stats.applied = true;
+  state->delta_stats.rows_appended = added.size();
+  state->delta_stats.duplicates_skipped = facts.size() - added.size();
+  state->delta_stats.predicates_touched = touched.size();
 
   // Does the delta touch any rule body of Π — a positive or negated
   // literal, constraints included? Checked against Π itself, which covers
@@ -200,16 +189,13 @@ Result<GDatalog> GDatalog::WithDatabaseDelta(const GDatalog& base,
   bool& touches = state->delta_stats.touches_rule_bodies;
   for (const Rule& rule : state->program.rules()) {
     for (const Literal& lit : rule.body) {
-      touches |= ranges.ranges.count(lit.atom.predicate) != 0;
+      touches |= std::binary_search(touched.begin(), touched.end(),
+                                    lit.atom.predicate);
     }
   }
-  for (const auto& [pred, range] : ranges.ranges) {
-    (void)range;
+  for (uint32_t pred : touched) {
     touches |= interner->Name(pred).rfind("__", 0) == 0;
   }
-
-  // Π[D ∪ Δ]'s prefix is D's, shared, with Δ's new facts on its tail.
-  DatabasePrefix prefix = bs.grounder->prefix().Extended(state->delta_added);
   return FinishEngine(std::move(state), std::move(prefix));
 }
 
@@ -217,7 +203,6 @@ const Program& GDatalog::program() const { return state_->program; }
 const TranslatedProgram& GDatalog::translated() const {
   return state_->translated;
 }
-const FactStore& GDatalog::database() const { return state_->db; }
 const DistributionRegistry& GDatalog::registry() const {
   return *state_->registry;
 }

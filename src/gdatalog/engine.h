@@ -71,6 +71,8 @@ class GDatalog {
 
   /// Builds an engine from an already-parsed program and database. The
   /// program may still contain ⊥-constraints; they are desugared here.
+  /// The grounder's database prefix (DatabasePrefix::Of) is the only copy
+  /// of `db` the engine keeps.
   static Result<GDatalog> FromProgram(Program pi, FactStore db);
   static Result<GDatalog> FromProgram(Program pi, FactStore db,
                                       Options options);
@@ -84,22 +86,24 @@ class GDatalog {
 
   /// Builds an engine for `base`'s program and database with Σ_Π
   /// restricted to the demand of `goals` (as Options::demand_goals; `base`
-  /// itself must be unrestricted). The database, its grounding prefix and
-  /// the name table's ids are `base`'s, so an atom or fact read off either
-  /// engine names the same thing on the other, and nothing is re-parsed.
+  /// itself must be unrestricted). The database prefix is `base`'s,
+  /// shared, and the name table's ids are `base`'s, so an atom or fact
+  /// read off either engine names the same thing on the other, and
+  /// nothing is re-parsed or copied.
   /// The serving layer's per-signature marginal engines.
   static Result<GDatalog> WithDemand(const GDatalog& base,
                                      const std::vector<std::string>& goals);
 
   /// Builds an engine for `base`'s program with `base`'s database extended
   /// by a delta (see ParseFactDelta for the syntax; removals are rejected
-  /// with kUnsupported). The FactStore is COW-extended in place (indices
-  /// included), `base`'s Σ_Π is adopted, and the grounder is built like
-  /// any other on the base grounder's database prefix with the delta's
-  /// new facts appended to its tail — no per-fact rebuild of D. Each
-  /// Ground() still grounds the rules from that prefix: nothing grounded
-  /// by `base` is resumed. delta_stats() on the result reports what was
-  /// appended. The serving layer's PATCH /db path.
+  /// with kUnsupported). `base`'s Σ_Π is adopted, and the grounder is
+  /// built like any other on `base`'s database prefix, shared, with the
+  /// delta's new facts appended to its tail (DatabasePrefix::Extended,
+  /// which skips the facts D or an earlier delta already holds): no part
+  /// of D is copied or re-indexed. Each Ground() still grounds the rules
+  /// from that prefix: nothing grounded by `base` is resumed.
+  /// delta_stats() on the result reports what was appended. The serving
+  /// layer's PATCH /db path.
   static Result<GDatalog> WithDatabaseDelta(const GDatalog& base,
                                             std::string_view delta_text);
 
@@ -111,7 +115,6 @@ class GDatalog {
   const Program& program() const;
   /// Σ_Π with Active/Result metadata.
   const TranslatedProgram& translated() const;
-  const FactStore& database() const;
   const DistributionRegistry& registry() const;
   /// The grounder driving the semantics.
   const Grounder& grounder() const;
@@ -123,8 +126,9 @@ class GDatalog {
   /// Delta counters (applied == false unless this engine came from
   /// WithDatabaseDelta).
   const DeltaStats& delta_stats() const;
-  /// The facts the delta actually appended (duplicates excluded), in
-  /// predicate-sorted row order. Empty unless built by WithDatabaseDelta.
+  /// The facts the delta actually appended (duplicates excluded), ordered
+  /// by predicate id and then by delta order. Empty unless built by
+  /// WithDatabaseDelta.
   /// The serving layer patches revalidated outcome spaces with these.
   const std::vector<GroundAtom>& delta_added_facts() const;
 

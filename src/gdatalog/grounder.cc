@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/histogram.h"
 #include "obs/profile.h"
@@ -114,28 +115,62 @@ void ForEachTailFact(const DatabasePrefix::TailChunk* tail, Visit&& visit) {
   }
 }
 
+/// Hashes and compares the atoms its pointers name, so a set of pointers
+/// into a delta can be probed with the address of any equal atom.
+struct AtomPtrHash {
+  size_t operator()(const GroundAtom* atom) const { return atom->Hash(); }
+};
+struct AtomPtrEq {
+  bool operator()(const GroundAtom* a, const GroundAtom* b) const {
+    return *a == *b;
+  }
+};
+
 }  // namespace
 
 DatabasePrefix DatabasePrefix::Extended(
-    const std::vector<GroundAtom>& facts) const {
-  if (facts.empty()) return *this;
-  if (tail_size() + facts.size() <= base->size()) {
+    const std::vector<GroundAtom>& facts,
+    std::vector<GroundAtom>* appended) const {
+  // The facts missing from the base, each once, in delta order; one walk
+  // over the tail then drops those an earlier delta already appended.
+  std::unordered_set<const GroundAtom*, AtomPtrHash, AtomPtrEq> fresh;
+  std::vector<const GroundAtom*> order;
+  for (const GroundAtom& atom : facts) {
+    if (!base->heads().Contains(atom) && fresh.insert(&atom).second) {
+      order.push_back(&atom);
+    }
+  }
+  for (auto c = tail.get(); c != nullptr && !fresh.empty();
+       c = c->older.get()) {
+    for (const GroundRule& fact : c->facts) fresh.erase(&fact.head);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const GroundAtom* a, const GroundAtom* b) {
+                     return a->predicate < b->predicate;
+                   });
+  appended->clear();
+  for (const GroundAtom* atom : order) {
+    if (fresh.count(atom) != 0) appended->push_back(*atom);
+  }
+  if (appended->empty()) return *this;
+  if (tail_size() + appended->size() <= base->size()) {
     auto chunk = std::make_shared<TailChunk>();
-    chunk->facts.reserve(facts.size());
-    for (const GroundAtom& atom : facts) {
+    chunk->facts.reserve(appended->size());
+    for (const GroundAtom& atom : *appended) {
       GroundRule& fact = chunk->facts.emplace_back();
       fact.head = atom;
     }
     chunk->older = tail;
-    chunk->total = tail_size() + facts.size();
+    chunk->total = tail_size() + appended->size();
     return DatabasePrefix{base, std::move(chunk)};
   }
-  // Fold: base, tail and facts, in that order, become the new frozen base.
+  // Fold: base, tail and the appended facts, in that order, become the new
+  // frozen base.
   GroundRuleSet folded;
   for (const GroundRule* fact : base->rules()) folded.Add(*fact);
   ForEachTailFact(tail.get(),
                   [&](const GroundRule& fact) { folded.Add(fact); });
-  for (const GroundAtom& atom : facts) {
+  for (const GroundAtom& atom : *appended) {
     GroundRule fact;
     fact.head = atom;
     folded.Add(std::move(fact));

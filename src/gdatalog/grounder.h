@@ -56,9 +56,15 @@ struct DatabasePrefix {
   /// The prefix of `db`, one rule per fact, predicate by predicate in row
   /// order.
   static DatabasePrefix Of(const FactStore& db);
-  /// This prefix with `facts` appended to the tail, or folded into a new
-  /// base with the tail when the tail would outgrow the base.
-  DatabasePrefix Extended(const std::vector<GroundAtom>& facts) const;
+  /// This prefix with the facts of `facts` it lacks appended to the tail,
+  /// or folded into a new base with the tail when the tail would outgrow
+  /// the base. A fact already in `base`, already on the tail, or repeated
+  /// within `facts` is skipped. `appended` receives the facts appended,
+  /// ordered by predicate id and then by their order in `facts`. Costs
+  /// O(|facts| + |tail|) without a fold: the tail is walked once, and no
+  /// part of the base is copied.
+  DatabasePrefix Extended(const std::vector<GroundAtom>& facts,
+                          std::vector<GroundAtom>* appended) const;
   /// A fresh grounding holding just the prefix: a clone of `base` (which
   /// shares its rules and indices) with the tail added, oldest fact first.
   GroundRuleSet Instantiate() const;

@@ -226,42 +226,6 @@ const FactStore::CompositeKeyMap* FactStore::GetCompositeIndex(
   return &rel.BuiltComposite(cols).map;
 }
 
-Status FactStore::ApplyDelta(const FactDelta& delta, DeltaRanges* out) {
-  assert(!frozen_ && "ApplyDelta() on a frozen FactStore");
-  if (!delta.removed.empty()) {
-    return Status::Unsupported(
-        "fact removal is not supported (the store is append-only; "
-        "retraction needs DRed-style re-derivation): got " +
-        std::to_string(delta.removed.size()) + " removal(s), first: -" +
-        delta.removed.front().ToString());
-  }
-  DeltaRanges ranges;
-  for (const GroundAtom& atom : delta.added) {
-    auto [it, first_touch] = ranges.ranges.try_emplace(atom.predicate);
-    if (first_touch) {
-      it->second.begin = it->second.end =
-          static_cast<uint32_t>(Count(atom.predicate));
-    }
-    if (Insert(atom)) {
-      it->second.end = static_cast<uint32_t>(Count(atom.predicate));
-      ++ranges.rows_appended;
-    } else {
-      ++ranges.duplicates_skipped;
-    }
-  }
-  // Drop predicates where every fact was a duplicate: consumers treat a
-  // range's presence as "this predicate gained rows".
-  for (auto it = ranges.ranges.begin(); it != ranges.ranges.end();) {
-    if (it->second.begin == it->second.end) {
-      it = ranges.ranges.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (out != nullptr) *out = std::move(ranges);
-  return Status::OK();
-}
-
 void FactStore::Freeze() {
   for (auto& [pred, rel] : relations_) {
     (void)pred;
@@ -328,7 +292,8 @@ Result<FactStore> ParseFacts(std::string_view text, Interner* interner) {
   return store;
 }
 
-Result<FactDelta> ParseFactDelta(std::string_view text, Interner* interner) {
+Result<std::vector<GroundAtom>> ParseFactDelta(std::string_view text,
+                                               Interner* interner) {
   // Split removal lines ("-fact(...)." with the sign stripped) from the
   // rest, then reuse the program parser on each half so the surface syntax
   // (comments, multi-fact lines) matches ParseFacts exactly.
@@ -372,12 +337,18 @@ Result<FactDelta> ParseFactDelta(std::string_view text, Interner* interner) {
     }
     return Status::OK();
   };
-  FactDelta delta;
-  Status status = parse_atoms(added_text, "addition", &delta.added);
-  if (!status.ok()) return status;
-  status = parse_atoms(removed_text, "removal", &delta.removed);
-  if (!status.ok()) return status;
-  return delta;
+  std::vector<GroundAtom> added;
+  std::vector<GroundAtom> removed;
+  GDLOG_RETURN_IF_ERROR(parse_atoms(added_text, "addition", &added));
+  GDLOG_RETURN_IF_ERROR(parse_atoms(removed_text, "removal", &removed));
+  if (!removed.empty()) {
+    return Status::Unsupported(
+        "fact removal is not supported (a database delta only appends; "
+        "retraction needs DRed-style re-derivation): got " +
+        std::to_string(removed.size()) + " removal(s), first: -" +
+        removed.front().ToString(interner));
+  }
+  return added;
 }
 
 }  // namespace gdlog

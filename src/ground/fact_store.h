@@ -60,7 +60,8 @@ struct GroundAtomHash {
 ///    construction must be thread-confined (they are: each chase node
 ///    extends its own copy).
 ///  - Freeze() builds every column index eagerly so a long-lived shared
-///    store (the database D) never mutates again, even lazily.
+///    store (the base of the database prefix) never mutates again, even
+///    lazily.
 class FactStore {
  public:
   FactStore() = default;
@@ -131,16 +132,6 @@ class FactStore {
       std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash>;
   const CompositeKeyMap* GetCompositeIndex(
       uint32_t predicate, const std::vector<uint16_t>& cols) const;
-
-  /// Applies `delta` by appending its added facts (each Insert extends the
-  /// already-built column and composite indices in place, preserving the
-  /// ascending-row-index invariant) and records the appended row ranges in
-  /// `out`. Facts already present are skipped and counted as duplicates.
-  /// Removals are rejected with kUnsupported: rows never move in this
-  /// store, so retraction would require DRed-style re-derivation upstream
-  /// (see ROADMAP "Incremental serving architecture"). Same thread-safety
-  /// contract as Insert(); must not be called on a frozen store.
-  Status ApplyDelta(const struct FactDelta& delta, struct DeltaRanges* out);
 
   /// Builds all column indices eagerly and forbids further Insert()s, so
   /// concurrent readers never mutate even lazily. Idempotent.
@@ -229,35 +220,14 @@ class FactStore {
 /// surface syntax ("router(1). connected(1,2).") into a FactStore.
 Result<FactStore> ParseFacts(std::string_view text, Interner* interner);
 
-/// A database update: facts to add and facts to remove, in source order.
-/// The append-only FactStore rejects removals (see ApplyDelta); they are
-/// carried here so the rejection can name what was asked for.
-struct FactDelta {
-  std::vector<GroundAtom> added;
-  std::vector<GroundAtom> removed;
-
-  bool empty() const { return added.empty() && removed.empty(); }
-};
-
-/// Where a delta landed in a store: the per-predicate row ranges
-/// [begin, end) of the freshly appended rows. This is exactly the shape the
-/// semi-naive old/new machinery consumes — a re-grounding seeded from these
-/// ranges treats only the delta rows as new.
-struct DeltaRanges {
-  struct Range {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
-  /// Only predicates that actually gained rows appear (begin < end).
-  std::map<uint32_t, Range> ranges;
-  size_t rows_appended = 0;
-  size_t duplicates_skipped = 0;
-};
-
-/// Parses a delta in surface syntax. Lines whose first non-blank character
-/// is '-' are removals ("-router(3)."); everything else is parsed as added
-/// facts. Non-fact rules are rejected with kInvalidArgument.
-Result<FactDelta> ParseFactDelta(std::string_view text, Interner* interner);
+/// Parses a database delta in surface syntax: the facts to add, in source
+/// order, duplicates kept (the database prefix skips them). Lines whose
+/// first non-blank character is '-' request removals ("-router(3).");
+/// a delta with any is rejected with kUnsupported naming the first, since
+/// a database only grows by deltas (retraction would need DRed-style
+/// re-derivation). Non-fact rules are rejected with kInvalidArgument.
+Result<std::vector<GroundAtom>> ParseFactDelta(std::string_view text,
+                                               Interner* interner);
 
 }  // namespace gdlog
 

@@ -34,7 +34,7 @@ struct HttpResponse {
   std::string content_type = "application/json";
   std::string body;
   /// Extra response headers, written verbatim after the framing headers
-  /// (e.g. the Deprecation marker on legacy endpoint aliases).
+  /// (e.g. X-Gdlog-Trace, the request's trace id, on every response).
   std::vector<std::pair<std::string, std::string>> headers;
   /// Force-close the connection after this response.
   bool close = false;

@@ -130,13 +130,13 @@ class ProgramRegistry {
   };
 
   /// Applies a fact delta to `id`'s database via
-  /// GDatalog::WithDatabaseDelta — a COW-extended database and the base
-  /// grounder's shared prefix, not a rebuild from the spec — and publishes
-  /// the result under revision + 1 with the delta folded into the lineage
-  /// digest. The demand engines already built on the old entry are extended
-  /// the same way and carried to the new one. Unlike ReplaceDatabase (last
-  /// writer wins), a delta is *relative* to the revision it was computed
-  /// against: if another update
+  /// GDatalog::WithDatabaseDelta — the base grounder's shared database
+  /// prefix with the delta's new facts on its tail, not a rebuild from
+  /// the spec — and publishes the result under revision + 1 with the
+  /// delta folded into the lineage digest. The demand engines already
+  /// built on the old entry are extended the same way and carried to the
+  /// new one. Unlike ReplaceDatabase (last writer wins), a delta is
+  /// *relative* to the revision it was computed against: if another update
   /// published concurrently, returns kAlreadyExists so the caller can
   /// re-read and retry rather than silently dropping the other update.
   /// `on_publish`, when set, runs inside the critical section

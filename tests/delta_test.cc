@@ -1,8 +1,8 @@
-// The incremental-serving path: fact-delta parsing and append-only
-// application (FactStore::ApplyDelta), delta-vs-rebuild bit-identity of
-// GDatalog::WithDatabaseDelta across both grounders and thread counts —
-// chains of deltas included, each extending the first engine's database
-// prefix (a 64-delta chain folds it) — the rule-body check that gates
+// The incremental-serving path: fact-delta parsing, delta-vs-rebuild
+// bit-identity of GDatalog::WithDatabaseDelta across both grounders and
+// thread counts — chains of deltas included, each extending the first
+// engine's database prefix (a 64-delta chain folds it, and its repeated
+// facts pin the prefix's deduplication) — the rule-body check that gates
 // revalidation, the revalidation overlay (AnswerIndex::WithAddedFacts)
 // against the materialized space and a fresh engine, removal rejection,
 // GDatalog::WithDatabase adopting the base's Σ_Π, and the serving layer's
@@ -10,12 +10,14 @@
 // engines a PATCH carries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gdatalog/engine.h"
@@ -116,20 +118,21 @@ constexpr const char* kQuarantineProgram =
     ":- uninfected(X), uninfected(Y), connected(X, Y).\n";
 
 // ---------------------------------------------------------------------------
-// ParseFactDelta / FactStore::ApplyDelta
+// ParseFactDelta
 // ---------------------------------------------------------------------------
 
-TEST(FactDelta, ParsesAdditionsAndRemovals) {
+TEST(FactDelta, ParsesAdditionsInSourceOrder) {
   Interner interner;
   auto delta = ParseFactDelta(
-      "edge(1,2).\n"
-      "  -edge(2,3).\n"
-      "edge(3,4).\n",
+      "edge(3,4).\n"
+      "  edge(1,2). edge(3,4).\n",
       &interner);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(delta->added.size(), 2u);
-  EXPECT_EQ(delta->removed.size(), 1u);
-  EXPECT_FALSE(delta->empty());
+  // Duplicates are kept: the database prefix is what skips them.
+  ASSERT_EQ(delta->size(), 3u);
+  EXPECT_EQ((*delta)[0].ToString(&interner), "edge(3, 4)");
+  EXPECT_EQ((*delta)[1].ToString(&interner), "edge(1, 2)");
+  EXPECT_EQ((*delta)[2], (*delta)[0]);
 }
 
 TEST(FactDelta, RejectsNonFactLines) {
@@ -139,46 +142,17 @@ TEST(FactDelta, RejectsNonFactLines) {
   EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(FactDelta, ApplyAppendsAndExtendsIndices) {
-  Interner interner;
-  auto store = ParseFacts("edge(1,2). edge(2,3).", &interner);
-  ASSERT_TRUE(store.ok());
-  uint32_t edge = interner.Lookup("edge");
-  // Force the column index to exist before the delta, so the append path
-  // must extend it in place rather than getting a fresh lazy build.
-  const auto* pre = store->IndexLookup(edge, 0, Value::Int(1));
-  ASSERT_NE(pre, nullptr);
-  EXPECT_EQ(pre->size(), 1u);
-
-  auto delta = ParseFactDelta("edge(1,4).\nedge(1,2).\n", &interner);
-  ASSERT_TRUE(delta.ok());
-  DeltaRanges ranges;
-  ASSERT_TRUE(store->ApplyDelta(*delta, &ranges).ok());
-  EXPECT_EQ(ranges.rows_appended, 1u);       // edge(1,4)
-  EXPECT_EQ(ranges.duplicates_skipped, 1u);  // edge(1,2)
-  ASSERT_EQ(ranges.ranges.count(edge), 1u);
-  EXPECT_EQ(ranges.ranges.at(edge).begin, 2u);
-  EXPECT_EQ(ranges.ranges.at(edge).end, 3u);
-
-  const auto* post = store->IndexLookup(edge, 0, Value::Int(1));
-  ASSERT_NE(post, nullptr);
-  EXPECT_EQ(post->size(), 2u);
-  EXPECT_TRUE(store->Contains(edge, {Value::Int(1), Value::Int(4)}));
-}
-
 TEST(FactDelta, RemovalsAreRejectedAsUnsupported) {
   Interner interner;
-  auto store = ParseFacts("edge(1,2).", &interner);
-  ASSERT_TRUE(store.ok());
-  auto delta = ParseFactDelta("-edge(1,2).\n", &interner);
-  ASSERT_TRUE(delta.ok());
-  DeltaRanges ranges;
-  Status status = store->ApplyDelta(*delta, &ranges);
-  EXPECT_EQ(status.code(), StatusCode::kUnsupported);
-  EXPECT_NE(status.message().find("removal"), std::string::npos);
-  // Nothing was applied.
-  EXPECT_TRUE(store->Contains(interner.Lookup("edge"),
-                              {Value::Int(1), Value::Int(2)}));
+  auto delta = ParseFactDelta("edge(1,2).\n  -edge(2,3).\n-edge(3,4).\n",
+                              &interner);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kUnsupported);
+  const std::string& message = delta.status().message();
+  EXPECT_NE(message.find("2 removal(s)"), std::string::npos) << message;
+  // The first removal, named through the interner.
+  EXPECT_NE(message.find("first: -edge(2, 3)"), std::string::npos)
+      << message;
 }
 
 // ---------------------------------------------------------------------------
@@ -309,24 +283,56 @@ TEST(DeltaEngine, ChainedDeltasAfterInferMatchRebuild) {
 }
 
 TEST(DeltaEngine, SixtyFourDeltaChainMatchesRebuild) {
-  // A long lineage: 64 one- or two-fact deltas, so the prefix's tail
-  // outgrows the clique-3 base and is folded into a new base several
-  // times. Every eighth link, and the last, must chase to a fresh engine's
-  // space on the merged database.
+  // A long lineage: 64 small deltas, so the prefix's tail outgrows the
+  // clique-3 base and is folded into a new base several times. Deltas
+  // repeat facts of D, facts of earlier links (still on the tail, or
+  // already folded into the base) and facts within themselves; every
+  // link must report exactly the facts that a plain set of the merged
+  // database says are new. Every eighth link, and the last, must chase to
+  // a fresh engine's space on the merged database.
+  Interner scratch;
+  auto d = ParseFacts(Clique(3), &scratch);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  std::set<std::string> d_facts;
+  for (const GroundAtom& atom : d->AllFacts()) {
+    d_facts.insert(atom.ToString(&scratch));
+  }
   for (GrounderKind kind : {GrounderKind::kSimple, GrounderKind::kPerfect}) {
     const char* name = kind == GrounderKind::kSimple ? "simple" : "perfect";
     std::string merged = Clique(3);
+    std::set<std::string> held = d_facts;  // the merged database's facts
     auto base = MakeEngine(kNetworkProgram, merged, kind);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     std::vector<GDatalog> chain;
     chain.push_back(std::move(*base));
     size_t folds = 0;
+    size_t repeats_of_d = 0;
+    size_t repeats_on_tail = 0;
+    size_t repeats_in_base = 0;
+    size_t repeats_within = 0;
     for (int link = 1; link <= 64; ++link) {
-      std::string delta = "audit(" + std::to_string(link) + ").\n";
-      if (link % 3 == 0) delta += "meta(" + std::to_string(link) + ").\n";
-      if (link % 16 == 0) {
-        delta += "connected(" + std::to_string(link) + ",1).\n";
+      SCOPED_TRACE(std::string(name) + " link " + std::to_string(link));
+      const std::string n = std::to_string(link);
+      // (predicate, fact) in delta order.
+      std::vector<std::pair<std::string, std::string>> lines;
+      if (link == 20) {
+        lines.emplace_back("connected", "connected(1, 2)");  // all of D
+      } else {
+        lines.emplace_back("audit", "audit(" + n + ")");
+        if (link % 3 == 0) lines.emplace_back("meta", "meta(" + n + ")");
+        if (link % 16 == 0) {
+          lines.emplace_back("connected", "connected(" + n + ", 1)");
+        }
+        if (link % 7 == 0) lines.emplace_back("connected", "connected(2, 3)");
+        if (link % 5 == 2) {  // the previous link's fact
+          lines.emplace_back("audit",
+                             "audit(" + std::to_string(link - 1) + ")");
+        }
+        if (link % 11 == 0) lines.emplace_back("audit", "audit(1)");
+        if (link % 4 == 0) lines.emplace_back("audit", "audit(" + n + ")");
       }
+      std::string delta;
+      for (const auto& line : lines) delta += line.second + ".\n";
       if (link % 5 == 0) {
         ASSERT_TRUE(chain.back().Infer().ok());
       }
@@ -334,16 +340,64 @@ TEST(DeltaEngine, SixtyFourDeltaChainMatchesRebuild) {
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       const DatabasePrefix& before = chain.back().grounder().prefix();
       const DatabasePrefix& after = next->grounder().prefix();
+
+      // What the delta must append: the facts the merged database lacks,
+      // each once, ordered by predicate id and then by delta order.
+      const Interner* names = next->program().interner();
+      std::vector<std::pair<uint32_t, std::string>> want;
+      std::set<std::string> in_delta;
+      for (const auto& [pred, fact] : lines) {
+        if (!in_delta.insert(fact).second) {
+          ++repeats_within;
+        } else if (d_facts.count(fact) != 0) {
+          ++repeats_of_d;
+        } else if (held.count(fact) != 0) {
+          auto atom = next->LookupGroundAtom(fact);
+          ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+          ++(before.base->heads().Contains(*atom) ? repeats_in_base
+                                                  : repeats_on_tail);
+        } else {
+          want.emplace_back(names->Lookup(pred), fact);
+        }
+      }
+      std::stable_sort(want.begin(), want.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      std::vector<std::string> want_facts;
+      std::set<uint32_t> want_preds;
+      bool want_touches = false;
+      for (const auto& [pred, fact] : want) {
+        want_facts.push_back(fact);
+        want_preds.insert(pred);
+        want_touches |= pred == names->Lookup("connected");
+        held.insert(fact);
+      }
+      std::vector<std::string> got_facts;
+      for (const GroundAtom& atom : next->delta_added_facts()) {
+        got_facts.push_back(atom.ToString(names));
+      }
+      const DeltaStats& stats = next->delta_stats();
+      EXPECT_EQ(got_facts, want_facts);
+      EXPECT_EQ(stats.rows_appended, want.size());
+      EXPECT_EQ(stats.duplicates_skipped, lines.size() - want.size());
+      EXPECT_EQ(stats.predicates_touched, want_preds.size());
+      EXPECT_EQ(stats.touches_rule_bodies, want_touches);
+      if (link == 20) {
+        EXPECT_EQ(stats.rows_appended, 0u);
+        EXPECT_FALSE(stats.touches_rule_bodies);
+      }
+
       if (after.base != before.base) {
         // A fold: the old base, tail and delta are the new base.
         ++folds;
         EXPECT_EQ(after.tail_size(), 0u);
         EXPECT_EQ(after.base->size(), before.base->size() +
                                           before.tail_size() +
-                                          next->delta_stats().rows_appended);
+                                          stats.rows_appended);
       } else {
-        EXPECT_EQ(after.tail_size(), before.tail_size() +
-                                         next->delta_stats().rows_appended);
+        EXPECT_EQ(after.tail_size(),
+                  before.tail_size() + stats.rows_appended);
       }
       EXPECT_LE(after.tail_size(), after.base->size());
       chain.push_back(std::move(*next));
@@ -351,13 +405,17 @@ TEST(DeltaEngine, SixtyFourDeltaChainMatchesRebuild) {
       if (link % 8 != 0) continue;
       auto fresh = MakeEngine(kNetworkProgram, merged, kind);
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      auto want = fresh->Infer();
-      auto got = chain.back().Infer();
-      ASSERT_TRUE(want.ok() && got.ok());
-      EXPECT_EQ(SpaceJson(*fresh, *want), SpaceJson(chain.back(), *got))
-          << name << " link " << link;
+      auto want_space = fresh->Infer();
+      auto got_space = chain.back().Infer();
+      ASSERT_TRUE(want_space.ok() && got_space.ok());
+      EXPECT_EQ(SpaceJson(*fresh, *want_space),
+                SpaceJson(chain.back(), *got_space));
     }
     EXPECT_GE(folds, 3u) << name;
+    EXPECT_GE(repeats_of_d, 1u) << name;
+    EXPECT_GE(repeats_on_tail, 1u) << name;
+    EXPECT_GE(repeats_in_base, 1u) << name;
+    EXPECT_GE(repeats_within, 1u) << name;
   }
 }
 
@@ -550,6 +608,8 @@ TEST(DeltaEngine, RemovalRejectedAtEngineLevel) {
   auto inc = GDatalog::WithDatabaseDelta(*base, "-infected(1, 1).\n");
   ASSERT_FALSE(inc.ok());
   EXPECT_EQ(inc.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(inc.status().message().find("-infected(1, 1)"), std::string::npos)
+      << inc.status().message();
 }
 
 TEST(DeltaGrounder, PerfectExtendRefusesAnUnstalledGrounding) {
@@ -894,6 +954,8 @@ TEST(DeltaService, RemovalDeltaReturns501) {
   HttpResponse response = service.Handle(MakeRequest(
       "PATCH", "/v1/programs/" + id + "/db", PatchBody("-infected(1, 1).\n")));
   EXPECT_EQ(response.status, 501) << response.body;
+  EXPECT_NE(response.body.find("-infected(1, 1)"), std::string::npos)
+      << response.body;
 }
 
 TEST(DeltaService, StatsExposeDeltaCounters) {

@@ -435,8 +435,10 @@ TEST(JoinPlanGrounding, SimpleGrounderMatchesLegacyReference) {
     MatchStats stats;
     ASSERT_TRUE(
         engine->grounder().Ground(ChoiceSet(), &compiled, &stats).ok());
-    GroundRuleSet reference =
-        ReferenceSimpleGround(engine->translated(), engine->database());
+    // D, parsed again against the engine's interner so the ids match.
+    auto db = ParseFacts(c.db, engine->program().shared_interner().get());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    GroundRuleSet reference = ReferenceSimpleGround(engine->translated(), *db);
     const Interner* names = engine->program().interner();
     EXPECT_EQ(RuleStrings(compiled, names), RuleStrings(reference, names));
     EXPECT_GT(stats.bindings, 0u);

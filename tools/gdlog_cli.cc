@@ -8,17 +8,16 @@
 //   --db FILE             database of facts ("" = empty database)
 //   --db-delta FILE       fact delta applied on top of --db through the
 //                         serving layer's PATCH path (GDatalog::
-//                         WithDatabaseDelta): the delta's facts are
-//                         appended to a copy-on-write copy of the
-//                         database, and the grounder shares the --db
-//                         engine's database prefix with those facts as
-//                         its tail; the chase then grounds from that
-//                         prefix as it would for the merged database,
-//                         and the reported space is identical to running
-//                         with the merged database. Lines starting with
-//                         '-' request removal, which is rejected (the
-//                         store is append-only). With --stats, prints the
-//                         DeltaStats counters
+//                         WithDatabaseDelta): the grounder shares the
+//                         --db engine's database prefix with the delta's
+//                         new facts (those --db lacks, each once) as its
+//                         tail; the chase then grounds from that prefix
+//                         as it would for the merged database, and the
+//                         reported space is identical to running with
+//                         the merged database. Lines starting with '-'
+//                         request removal, which is rejected (a database
+//                         only grows by deltas). With --stats, prints
+//                         the DeltaStats counters
 //   --grounder MODE       auto | simple | perfect       (default auto)
 //   --query ATOM          ground atom to report marginals for (repeatable)
 //   --events              print the event table (stable-model sets ↦ mass)
