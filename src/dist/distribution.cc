@@ -10,6 +10,14 @@
 namespace gdlog {
 namespace {
 
+/// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
+/// `signgam`, a data race when chase workers evaluate pmfs at once;
+/// lgamma_r returns the same value and keeps the sign local.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // ---------------------------------------------------------------------------
 // Parameter plumbing. Parameters arrive as ground Values; decimal program
 // text becomes exact rationals (0.1 ↦ 1/10) so pmfs stay exact whenever the
@@ -656,8 +664,8 @@ class BinomialDist : public Distribution {
     if (pd <= 0.0) return k == 0 ? Rational::One() : Rational::Zero();
     if (pd >= 1.0) return k == n ? Rational::One() : Rational::Zero();
     double nd = static_cast<double>(n), kd = static_cast<double>(k);
-    double logm = std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
-                  std::lgamma(nd - kd + 1.0) + kd * std::log(pd) +
+    double logm = LogGamma(nd + 1.0) - LogGamma(kd + 1.0) -
+                  LogGamma(nd - kd + 1.0) + kd * std::log(pd) +
                   (nd - kd) * std::log1p(-pd);
     return Rational::FromDecimal(std::exp(logm));
   }
@@ -826,7 +834,7 @@ class PoissonDist : public Distribution {
 
   static double PmfAt(double lambda, int64_t k) {
     double kd = static_cast<double>(k);
-    return std::exp(-lambda + kd * std::log(lambda) - std::lgamma(kd + 1.0));
+    return std::exp(-lambda + kd * std::log(lambda) - LogGamma(kd + 1.0));
   }
 };
 

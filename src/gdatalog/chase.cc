@@ -211,6 +211,8 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
     if (options.keep_groundings) outcome.grounding = grounding;
     outcome.choices = std::move(item.choices);
     partial.outcomes.push_back(std::move(outcome));
+    std::vector<uint32_t>& ids = state.ids[worker].outcomes;
+    ids.insert(ids.end(), item.ids.begin(), item.ids.end());
     return;
   }
 
@@ -239,6 +241,11 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
   std::vector<Value> support =
       sig->dist->Support(params, finite_support ? 0 : options.support_limit);
 
+  // Every child adds its choice at the same index in entry order; the
+  // new entries' ids are interned once here, for the canonical sort.
+  const size_t slot = item.choices.Position(trigger);
+  const std::vector<uint32_t> entry_ids = state.InternEntries(trigger, support);
+
   Prob enumerated_mass = Prob::Zero();
   children->reserve(children->size() + support.size());
   for (size_t i = 0; i < support.size(); ++i) {
@@ -250,13 +257,16 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
     // the truncation accounting below still needs it.
     if (finite_support && i + 1 == support.size()) {
       child.choices = std::move(item.choices);
+      child.ids = std::move(item.ids);
     } else {
       child.choices = item.choices;
+      child.ids = item.ids;
     }
     if (!child.choices.Assign(trigger, o)) {
       state.RecordError(Status::Internal("functionally inconsistent choice"));
       return;
     }
+    child.ids.insert(child.ids.begin() + slot, entry_ids[i]);
     child.path_prob = item.path_prob * p;
     child.depth = item.depth + 1;
     child.parent_grounding = grounding;
@@ -268,9 +278,40 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
     Prob tail = Prob::One() - enumerated_mass;
     if (tail.value() > 0.0) {
       partial.truncations.emplace_back(item.choices, item.path_prob * tail);
+      std::vector<uint32_t>& ids = state.ids[worker].truncations;
+      ids.insert(ids.end(), item.ids.begin(), item.ids.end());
       state.budget_hit.store(true, std::memory_order_relaxed);
     }
   }
+}
+
+void ChaseEngine::ExploreState::SortPartials(ThreadPool* pool) {
+  if (failed.load(std::memory_order_acquire)) {
+    partials.clear();  // the chase failed; its result is never read
+    ids.clear();
+    return;
+  }
+  const uint64_t start_ns = profiles.empty() ? 0 : MonotonicNanos();
+  if (!partials.empty()) {
+    partials.front().budget_hit = budget_hit.load(std::memory_order_relaxed);
+  }
+  auto ranked =
+      std::make_shared<const RankedEntries>(std::move(entries).Rank());
+  runs.resize(partials.size());
+  for (size_t i = 0; i < partials.size(); ++i) {
+    auto sort = [this, i, ranked](size_t /*worker*/) {
+      runs[i] = SortedRun(std::move(partials[i]), std::move(ids[i]), ranked);
+    };
+    if (pool != nullptr) {
+      pool->Submit(sort);
+    } else {
+      sort(0);
+    }
+  }
+  if (pool != nullptr) pool->WaitIdle();
+  partials.clear();
+  ids.clear();
+  if (!profiles.empty()) sort_time_ns += MonotonicNanos() - start_ns;
 }
 
 void ChaseEngine::DrainFrontier(ExploreState& state,
@@ -295,6 +336,7 @@ void ChaseEngine::DrainFrontier(ExploreState& state,
         stack.push_back(std::move(children[i - 1]));
       }
     }
+    state.SortPartials(nullptr);
     return;
   }
   ThreadPool pool(state.partials.size());
@@ -308,6 +350,7 @@ void ChaseEngine::DrainFrontier(ExploreState& state,
   };
   for (WorkItem& root : roots) enqueue(std::move(root));
   pool.WaitIdle();
+  state.SortPartials(&pool);
 }
 
 Result<OutcomeSpace> ChaseEngine::Explore(const ChaseOptions& options,
@@ -319,8 +362,7 @@ Result<OutcomeSpace> ChaseEngine::Explore(const ChaseOptions& options,
                        ? options.num_threads
                        : ThreadPool::DefaultWorkerCount();
   if (workers < 1) workers = 1;
-  state.partials.resize(workers);
-  if (options.profile && profile != nullptr) state.profiles.resize(workers);
+  state.SetWorkers(workers, options.profile && profile != nullptr);
 
   std::vector<WorkItem> roots(1);
   DrainFrontier(state, std::move(roots));
@@ -328,20 +370,30 @@ Result<OutcomeSpace> ChaseEngine::Explore(const ChaseOptions& options,
   // Worker-index order keeps the merged counts identical for every
   // schedule (each count is schedule-independent per worker-set already;
   // the order only matters for the transient stratum stamps).
-  if (options.profile && profile != nullptr) {
+  const bool profiling = options.profile && profile != nullptr;
+  if (profiling) {
     for (const ChaseProfile& p : state.profiles) profile->Merge(p);
   }
 
   if (!state.first_error.ok()) return state.first_error;
 
-  // Deterministic merge (shard.cc): order everything by the canonical
-  // choice-set order across all partials, only then accumulate masses.
-  // The set of enumerated leaves is schedule-independent whenever no
-  // budget binds (Lemma 4.4 order-invariance), so sorting makes the whole
+  // Deterministic merge (shard.h): the drain left one sorted run per
+  // worker; one k-way merge puts everything in the canonical choice-set
+  // order across all runs, and only then are masses accumulated. The set
+  // of enumerated leaves is schedule-independent whenever no budget binds
+  // (Lemma 4.4 order-invariance), so the canonical order makes the whole
   // OutcomeSpace — including the rounding of inexact double masses —
   // bit-identical for every thread count, and likewise for every shard
   // count when the partials come from ExploreShard.
-  return MergePartialSpaces(state.TakePartials(), options.max_outcomes);
+  const uint64_t merge_start_ns = profiling ? MonotonicNanos() : 0;
+  StreamingMerger merger;
+  for (SortedRun& run : state.runs) merger.Add(std::move(run));
+  OutcomeSpace space = merger.Finish(options.max_outcomes);
+  if (profiling) {
+    profile->merge_time_ns +=
+        state.sort_time_ns + (MonotonicNanos() - merge_start_ns);
+  }
+  return space;
 }
 
 Result<ChaseEngine::PathSample> ChaseEngine::SamplePath(

@@ -1,6 +1,7 @@
 #ifndef GDLOG_GDATALOG_CHOICE_H_
 #define GDLOG_GDATALOG_CHOICE_H_
 
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -38,6 +39,12 @@ class ChoiceSet {
 
   bool Defined(const GroundAtom& active) const {
     return choices_.count(active) != 0;
+  }
+
+  /// The index `active` has in entry order — or would have, once assigned.
+  size_t Position(const GroundAtom& active) const {
+    return static_cast<size_t>(
+        std::distance(choices_.begin(), choices_.lower_bound(active)));
   }
 
   size_t size() const { return choices_.size(); }

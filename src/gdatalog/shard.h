@@ -128,39 +128,49 @@ ShardPartialMeta MakeShardPartialMeta(const ShardPlan& plan,
                                       const ChaseOptions& options);
 
 /// Recombines per-shard partials into the outcome space of the whole chase
-/// tree. Outcomes and truncation entries are sorted in canonical choice-set
-/// order across *all* partials before masses are summed, so for any shard
-/// count (and any thread count within each shard) the result is
-/// bit-identical to ChaseEngine::Explore whenever no budget binds. When
-/// `max_outcomes` != 0 and the union exceeds it, the canonically-first
-/// `max_outcomes` outcomes are kept and the space is marked incomplete
-/// (a single process enumerates a schedule-dependent subset instead; only
-/// the count and the flag are comparable in that regime).
+/// tree: each partial becomes a SortedRun (a worker's is already sorted, so
+/// it is only keyed), then one k-way merge puts outcomes and truncation
+/// entries in global canonical choice-set order, and only then are masses
+/// summed. For any shard count (and any thread count within each shard)
+/// the result is therefore bit-identical to ChaseEngine::Explore whenever
+/// no budget binds. When `max_outcomes` != 0 and the union exceeds it, the
+/// canonically-first `max_outcomes` outcomes are kept and the space is
+/// marked incomplete (a single process enumerates a schedule-dependent
+/// subset instead; only the count and the flag are comparable in that
+/// regime).
 OutcomeSpace MergePartialSpaces(std::vector<PartialSpace> partials,
                                 size_t max_outcomes);
 
-/// Streaming equivalent of MergePartialSpaces: folds per-shard partials
-/// into one canonical-order accumulator one at a time, in any arrival
-/// order, so a coordinator holds O(1) partials resident instead of all of
-/// them. Add() consumes its argument immediately (ordered merge into the
-/// accumulator); Finish() runs the exact buffered tail — truncate to
-/// `max_outcomes`, then sum masses in global canonical order. Because
-/// choice sets are unique across shards the merged sequence is the unique
-/// canonical order regardless of fold order, so the result is
-/// byte-identical to `MergePartialSpaces` over the same partials.
+/// A partial in canonical choice-set order, keyed for the merge
+/// (chase_internal.h).
+class SortedRun;
+
+/// MergePartialSpaces fed one partial at a time, in any arrival order: the
+/// fleet coordinator folds each worker partial as it streams in, and
+/// Explore folds its workers' sorted runs. Add() keeps its argument as a
+/// sorted run (keying it, and sorting it when it arrives unsorted);
+/// Finish() does the one k-way merge, truncates to `max_outcomes`, then
+/// sums masses in global canonical order. Choice sets are unique across
+/// shards, so the merged sequence is the unique canonical order regardless
+/// of arrival order, and the result is byte-identical to
+/// `MergePartialSpaces` over the same partials.
 class StreamingMerger {
  public:
-  /// Folds one partial into the accumulator and discards it.
-  void Add(PartialSpace partial);
+  StreamingMerger();
+  ~StreamingMerger();
 
-  /// Completes the merge; the merger is spent afterwards.
+  /// Keeps one partial for the final merge.
+  void Add(PartialSpace partial);
+  /// Keeps a run the chase already sorted.
+  void Add(SortedRun run);
+
+  /// Completes the merge; the merger is empty again afterwards.
   OutcomeSpace Finish(size_t max_outcomes);
 
-  size_t partials_folded() const { return folded_; }
+  size_t partials_folded() const;
 
  private:
-  PartialSpace accum_;
-  size_t folded_ = 0;
+  std::vector<SortedRun> runs_;
 };
 
 /// In-process driver: plans `num_shards` shards, explores each one

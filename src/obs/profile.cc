@@ -48,6 +48,7 @@ void ChaseProfile::Merge(const ChaseProfile& other) {
   solve_calls += other.solve_calls;
   solve_nodes += other.solve_nodes;
   solve_time_ns += other.solve_time_ns;
+  merge_time_ns += other.merge_time_ns;
 }
 
 ProfileScope::ProfileScope(ChaseProfile* sink) : saved_(g_profile_sink) {
@@ -66,7 +67,7 @@ std::string FormatChaseProfileTable(
   std::snprintf(line, sizeof(line),
                 "chase profile: %llu nodes, ground %llu calls %.3f ms "
                 "(branch %.3f ms), release %.3f ms, "
-                "solve %llu calls %.3f ms, solve_nodes %llu "
+                "solve %llu calls %.3f ms, solve_nodes %llu, merge %.3f ms "
                 "(times non-deterministic)\n",
                 static_cast<unsigned long long>(profile.nodes),
                 static_cast<unsigned long long>(profile.ground_calls),
@@ -74,7 +75,8 @@ std::string FormatChaseProfileTable(
                 ms(profile.release_time_ns),
                 static_cast<unsigned long long>(profile.solve_calls),
                 ms(profile.solve_time_ns),
-                static_cast<unsigned long long>(profile.solve_nodes));
+                static_cast<unsigned long long>(profile.solve_nodes),
+                ms(profile.merge_time_ns));
   out += line;
   std::snprintf(line, sizeof(line), "%10s %8s %10s %12s %12s %12s  %s\n",
                 "time_ms", "stratum", "calls", "bindings", "derived", "",

@@ -51,6 +51,10 @@ struct ChaseProfile {
   uint64_t solve_calls = 0;  ///< stable-model solves (leaves)
   uint64_t solve_nodes = 0;  ///< solver search nodes over those solves
   uint64_t solve_time_ns = 0;
+  /// Putting the outcomes and truncations in canonical choice-set order:
+  /// the per-worker sorts after the frontier drains plus the k-way merge
+  /// of the sorted runs and the mass sums (shard.h).
+  uint64_t merge_time_ns = 0;
   /// Attribution state while collecting (set by the perfect grounder around
   /// each stratum's fixpoint); not an accumulator, never merged.
   int current_stratum = -1;

@@ -16,17 +16,6 @@ bool FitsInt64(Int128 v) {
   return v <= INT64_MAX && v >= INT64_MIN;
 }
 
-Int128 Gcd128(Int128 a, Int128 b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    Int128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
 }  // namespace
 
 Rational::Rational(int64_t num, int64_t den)
@@ -105,17 +94,26 @@ Rational Rational::operator*(const Rational& other) const {
 
 Rational Rational::operator+(const Rational& other) const {
   if (!exact_ || !other.exact_) return Inexact(ToDouble() + other.ToDouble());
-  Int128 num = Int128(num_) * other.den_ + Int128(other.num_) * den_;
-  Int128 den = Int128(den_) * other.den_;
-  Int128 g = Gcd128(num, den);
-  if (g > 1) {
-    num /= g;
-    den /= g;
-  }
+  // Knuth (TAOCP 4.5.1): both operands are in lowest terms, so with
+  // g = gcd(b, d) and t = a·(d/g) + c·(b/g), the sum a/b + c/d is
+  // (t/g2) / ((b/g)·(d/g2)) with g2 = gcd(t, g), already in lowest terms —
+  // the unique reduced form of (a·d + c·b) / (b·d), found with two 64-bit
+  // gcds instead of one over the 128-bit cross products.
+  const int64_t g = std::gcd(den_, other.den_);
+  const Int128 t =
+      Int128(num_) * (other.den_ / g) + Int128(other.num_) * (den_ / g);
+  Int128 rem = t % g;
+  if (rem < 0) rem = -rem;
+  const int64_t g2 = std::gcd(static_cast<int64_t>(rem), g);
+  const Int128 num = t / g2;
+  const Int128 den = Int128(den_ / g) * (other.den_ / g2);
   if (!FitsInt64(num) || !FitsInt64(den)) {
     return Inexact(ToDouble() + other.ToDouble());
   }
-  return Rational(static_cast<int64_t>(num), static_cast<int64_t>(den));
+  Rational sum;
+  sum.num_ = static_cast<int64_t>(num);
+  sum.den_ = static_cast<int64_t>(den);
+  return sum;
 }
 
 Rational Rational::operator-(const Rational& other) const {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity against committed outputs: gdlog_cli --json on E1 (network
 # clique-4), E3 (dime/quarter) and a plain Datalog¬ program must reproduce
-# the files in this directory exactly, serially, with 4 chase threads, with
-# 4 shards in one process, and with 4 shards run one per process
+# the files in this directory exactly, serially, with 3, 4 and 8 chase
+# threads (3 makes uneven per-worker sorted runs; 8 outnumbers a 4-vCPU
+# host's cores and leaves some workers' runs empty on the small programs),
+# with 4 shards in one process, and with 4 shards run one per process
 # (--shard-index 0..3, each partial written to a file) and recombined by
 # --merge, which sends every partial through the partial wire format. A
 # fifth configuration re-renders each partial file with Python's json
@@ -58,8 +60,8 @@ run() {
 }
 
 status=0
-for config in "--threads 1" "--threads 4" "--shards 4" "--shard-index/--merge" \
-    "--shard-index/rekey/--merge"; do
+for config in "--threads 1" "--threads 3" "--threads 4" "--threads 8" \
+    "--shards 4" "--shard-index/--merge" "--shard-index/rekey/--merge"; do
   if ! run --program network.gdl --db clique4.db --json --events \
       | cmp - e1_clique4.json; then
     echo "E1 clique-4 differs from the golden ($config)" >&2

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gdatalog/engine.h"
+#include "gdatalog/shard.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -324,6 +325,39 @@ TEST(ChaseProfileCounts, BranchAndReleaseTotalsMergeAndStayZeroWhenOff) {
   EXPECT_EQ(off.release_time_ns, 0u);
   EXPECT_EQ(off.ground_time_ns, 0u);
   EXPECT_TRUE(off.empty());
+}
+
+TEST(ChaseProfileCounts, MergePhaseMergesAndStaysZeroWhenOff) {
+  ChaseProfile a;
+  a.merge_time_ns = 13;
+  ChaseProfile b;
+  b.merge_time_ns = 17;
+  a.Merge(b);
+  EXPECT_EQ(a.merge_time_ns, 30u);
+
+  // The serial drain sorts its one partial; a pooled drain sorts one run
+  // per worker and k-way merges them. Both are timed.
+  for (size_t threads : {1, 4}) {
+    ChaseProfile on = ProfileAt(threads);
+    EXPECT_GT(on.merge_time_ns, 0u) << threads << " threads";
+  }
+  auto engine = GDatalog::Create(kNetworkProgram, kClique3Db);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ChaseOptions chase;
+  chase.num_threads = 4;
+  chase.profile = true;
+  ChaseProfile sharded;
+  ASSERT_TRUE(ShardedExplore(engine->chase(), chase, 3, 0, &sharded).ok());
+  EXPECT_GT(sharded.merge_time_ns, 0u);
+  EXPECT_NE(FormatChaseProfileTable(sharded, engine->SigmaRuleLabels())
+                .find(", merge "),
+            std::string::npos);
+
+  chase.profile = false;
+  ChaseProfile off;
+  ASSERT_TRUE(engine->Infer(chase, &off).ok());
+  ASSERT_TRUE(ShardedExplore(engine->chase(), chase, 3, 0, &off).ok());
+  EXPECT_EQ(off.merge_time_ns, 0u);
 }
 
 // ---------------------------------------------------------------------------

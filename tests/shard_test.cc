@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <iterator>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -575,6 +577,340 @@ TEST(ShardMergeTest, StreamedMergeMatchesBufferedMergeUnderRandomOrder) {
           << "round " << round;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The canonical order, checked against ChoiceSet::operator< itself
+// ---------------------------------------------------------------------------
+//
+// Every merge test above compares one configuration of the engine against
+// another, and all of them sort through the same ranked keys. These check
+// the keys' order against the definition: ChoiceSet::operator< on the
+// choice sets, and std::sort by it as the reference merge.
+
+/// Negative uniformint outcomes, double parameters (flip<0.1>, flip<0.25>,
+/// poisson<0.5>), a symbol and int constants in one argument position, and
+/// a poisson support that a small support_limit truncates.
+constexpr const char* kMixedProgram = R"(
+  shift(X, uniformint<-2, 1>[X]) :- kind(X).
+  light(X, flip<0.1>[X]) :- shift(X, -2).
+  heavy(X, flip<0.25>[X]) :- shift(X, 1).
+  burst(X, poisson<0.5>[X]) :- light(X, 1).
+)";
+constexpr const char* kMixedDb = "kind(a). kind(1). kind(b).";
+
+using Truncation = std::pair<ChoiceSet, Prob>;
+
+const ChoiceSet& ChoicesOf(const PossibleOutcome& outcome) {
+  return outcome.choices;
+}
+const ChoiceSet& ChoicesOf(const Truncation& truncation) {
+  return truncation.first;
+}
+
+template <typename T>
+void ExpectStrictlyAscending(const std::vector<T>& items,
+                             const std::string& label) {
+  for (size_t i = 1; i < items.size(); ++i) {
+    ASSERT_TRUE(ChoicesOf(items[i - 1]) < ChoicesOf(items[i]))
+        << label << ": item " << i << " is not above item " << i - 1;
+  }
+}
+
+template <typename T>
+void SortByChoiceSets(std::vector<T>* items) {
+  std::sort(items->begin(), items->end(), [](const T& a, const T& b) {
+    return ChoicesOf(a) < ChoicesOf(b);
+  });
+}
+
+/// `merged` must hold exactly `outcomes` (any order) in ChoiceSet order,
+/// with both masses summed in that order, bit for bit.
+void ExpectReferenceMerge(const OutcomeSpace& merged,
+                          std::vector<PossibleOutcome> outcomes,
+                          std::vector<Truncation> truncations,
+                          const std::string& label) {
+  SCOPED_TRACE(label);
+  SortByChoiceSets(&outcomes);
+  SortByChoiceSets(&truncations);
+  ASSERT_EQ(merged.outcomes.size(), outcomes.size());
+  Prob finite = Prob::Zero();
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_TRUE(merged.outcomes[i].choices == outcomes[i].choices)
+        << "outcome " << i;
+    EXPECT_EQ(merged.outcomes[i].prob, outcomes[i].prob) << "outcome " << i;
+    finite = finite + outcomes[i].prob;
+  }
+  Prob truncated = Prob::Zero();
+  for (const Truncation& truncation : truncations) {
+    truncated = truncated + truncation.second;
+  }
+  EXPECT_EQ(merged.finite_mass, finite);
+  EXPECT_EQ(merged.finite_mass.value(), finite.value());
+  EXPECT_EQ(merged.support_truncation_mass, truncated);
+  EXPECT_EQ(merged.support_truncation_mass.value(), truncated.value());
+}
+
+TEST(CanonicalOrderTest, InferAndShardMergesAscendUnderChoiceSetOrder) {
+  struct Case {
+    const char* label;
+    const char* program;
+    std::string db;
+    size_t support_limit;
+    /// The order never reads models; quarantine's leaves would each run
+    /// the stable-model solver, which would dominate the test.
+    bool compute_models;
+  };
+  const Case cases[] = {
+      {"E1 network", kNetworkProgram, Clique(4), 64, true},
+      {"quarantine", kQuarantineProgram, Clique(4), 64, false},
+      {"E3 dime/quarter", kDimeQuarterProgram, kDimeQuarterDb, 64, true},
+      {"mixed", kMixedProgram, kMixedDb, 3, true},
+  };
+  for (const Case& c : cases) {
+    auto engine = GDatalog::Create(c.program, c.db);
+    ASSERT_TRUE(engine.ok()) << c.label << ": "
+                             << engine.status().ToString();
+    size_t truncations_seen = 0;
+    for (size_t threads : {1, 3, 4, 8}) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      options.support_limit = c.support_limit;
+      options.compute_models = c.compute_models;
+      const std::string label =
+          std::string(c.label) + ", " + std::to_string(threads) + " threads";
+      auto space = engine->Infer(options);
+      ASSERT_TRUE(space.ok()) << label;
+      ExpectStrictlyAscending(space->outcomes, label + ", Infer");
+
+      for (size_t shards : {1, 3}) {
+        const std::string sharded =
+            label + ", " + std::to_string(shards) + " shards";
+        // ShardedExplore's steps, one at a time, so each shard's
+        // truncations (which the merged space only sums) can be checked.
+        auto plan = engine->chase().PlanShards(options, shards);
+        ASSERT_TRUE(plan.ok()) << sharded;
+        std::vector<PartialSpace> partials;
+        std::vector<PossibleOutcome> outcomes;
+        std::vector<Truncation> truncations;
+        for (size_t shard = 0; shard < plan->num_shards; ++shard) {
+          auto partial = engine->chase().ExploreShard(*plan, shard, options);
+          ASSERT_TRUE(partial.ok()) << sharded;
+          const std::string where = sharded + ", shard " +
+                                    std::to_string(shard);
+          ExpectStrictlyAscending(partial->outcomes, where + " outcomes");
+          ExpectStrictlyAscending(partial->truncations,
+                                  where + " truncations");
+          outcomes.insert(outcomes.end(), partial->outcomes.begin(),
+                          partial->outcomes.end());
+          truncations.insert(truncations.end(), partial->truncations.begin(),
+                             partial->truncations.end());
+          partials.push_back(std::move(*partial));
+        }
+        truncations_seen += truncations.size();
+        OutcomeSpace merged =
+            MergePartialSpaces(std::move(partials), options.max_outcomes);
+        ExpectStrictlyAscending(merged.outcomes, sharded);
+        ExpectReferenceMerge(merged, std::move(outcomes),
+                             std::move(truncations), sharded);
+        ExpectIdenticalSpaces(*space, merged, sharded + " vs Infer");
+      }
+    }
+    if (c.support_limit == 3) {
+      EXPECT_GT(truncations_seen, 0u) << c.label << " no longer truncates";
+    }
+  }
+}
+
+/// A hand-made outcome: `prob` is inexact, so the order masses are summed
+/// in shows in their bits.
+PossibleOutcome MadeOutcome(ChoiceSet choices, double prob) {
+  PossibleOutcome outcome;
+  outcome.choices = std::move(choices);
+  outcome.prob = Prob(Rational::Approx(prob));
+  return outcome;
+}
+
+GroundAtom MadeAtom(uint32_t predicate, Tuple args) {
+  GroundAtom atom;
+  atom.predicate = predicate;
+  atom.args = std::move(args);
+  return atom;
+}
+
+/// `count` distinct random choice sets over `actives`, each Active atom
+/// chosen or not at random, with an outcome drawn from a pool that mixes
+/// negative ints, doubles, symbols and booleans.
+std::vector<ChoiceSet> RandomChoiceSets(const std::vector<GroundAtom>& actives,
+                                        size_t count, std::mt19937* rng) {
+  const Value pool[] = {Value::Int(-3),       Value::Int(0),
+                        Value::Int(2),        Value::Double(-0.5),
+                        Value::Double(0.25),  Value::Symbol(4),
+                        Value::Symbol(1),     Value::Bool(true)};
+  std::set<ChoiceSet> seen;
+  std::vector<ChoiceSet> out;
+  while (out.size() < count) {
+    ChoiceSet choices;
+    for (const GroundAtom& active : actives) {
+      if ((*rng)() % 3 == 0) continue;
+      choices.Assign(active, pool[(*rng)() % std::size(pool)]);
+    }
+    if (seen.insert(choices).second) out.push_back(std::move(choices));
+  }
+  return out;
+}
+
+std::vector<GroundAtom> RandomActives(uint32_t predicate) {
+  return {MadeAtom(predicate, {Value::Double(0.1), Value::Int(1)}),
+          MadeAtom(predicate, {Value::Double(0.1), Value::Symbol(2)}),
+          MadeAtom(predicate, {Value::Double(0.25), Value::Int(-1)}),
+          MadeAtom(predicate, {Value::Double(0.25), Value::Symbol(3)}),
+          MadeAtom(predicate + 1, {Value::Int(7)})};
+}
+
+/// Deals `sets` into `runs` partials at random, with random inexact masses
+/// and every fifth set also a truncation entry. Unsorted on purpose.
+std::vector<PartialSpace> DealPartials(const std::vector<ChoiceSet>& sets,
+                                       size_t runs, std::mt19937* rng) {
+  std::vector<PartialSpace> partials(runs);
+  std::uniform_real_distribution<double> mass(1e-9, 1e-3);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    PartialSpace& partial = partials[(*rng)() % runs];
+    if (i % 5 == 0) {
+      partial.truncations.emplace_back(sets[i], Prob(Rational::Approx(mass(*rng))));
+    } else {
+      partial.outcomes.push_back(MadeOutcome(sets[i], mass(*rng)));
+    }
+  }
+  return partials;
+}
+
+void ExpectMergeMatchesOneSort(std::vector<PartialSpace> partials,
+                               const std::string& label) {
+  std::vector<PossibleOutcome> outcomes;
+  std::vector<Truncation> truncations;
+  for (const PartialSpace& partial : partials) {
+    outcomes.insert(outcomes.end(), partial.outcomes.begin(),
+                    partial.outcomes.end());
+    truncations.insert(truncations.end(), partial.truncations.begin(),
+                       partial.truncations.end());
+  }
+  OutcomeSpace merged =
+      MergePartialSpaces(std::move(partials), /*max_outcomes=*/0);
+  ExpectStrictlyAscending(merged.outcomes, label);
+  ExpectReferenceMerge(merged, std::move(outcomes), std::move(truncations),
+                       label);
+}
+
+TEST(CanonicalOrderTest, DisjointAndOverlappingEntryTablesMergeLikeOneSort) {
+  std::mt19937 rng(0x5eed);
+  for (int round = 0; round < 20; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    // Disjoint: each run's choices range over Active atoms of its own
+    // predicates, so the runs' entry tables share nothing.
+    std::vector<PartialSpace> disjoint;
+    for (uint32_t predicate : {10u, 20u, 30u}) {
+      std::vector<ChoiceSet> sets =
+          RandomChoiceSets(RandomActives(predicate), 40, &rng);
+      disjoint.push_back(std::move(DealPartials(sets, 1, &rng).front()));
+    }
+    ExpectMergeMatchesOneSort(std::move(disjoint), label + ", disjoint");
+    // Overlapping: every run draws from the same Active atoms and
+    // outcomes, so the tables mostly coincide and interleave.
+    std::vector<ChoiceSet> sets = RandomChoiceSets(RandomActives(10), 150, &rng);
+    ExpectMergeMatchesOneSort(DealPartials(sets, 4, &rng),
+                              label + ", overlapping");
+  }
+}
+
+TEST(CanonicalOrderTest, NegativeAndPositiveZeroRankAsOneEntry) {
+  // std::map and Value::Hash treat -0.0 and 0.0 as one outcome, so a
+  // choice set holding either compares by its other entries: {a→-0.0, b→1}
+  // sorts after {a→0.0, b→0}. Ranking the two zeros apart would flip it.
+  const GroundAtom a = MadeAtom(5, {Value::Int(1)});
+  const GroundAtom b = MadeAtom(5, {Value::Int(2)});
+  auto made = [&](double zero, int64_t b_outcome) {
+    ChoiceSet choices;
+    choices.Assign(a, Value::Double(zero));
+    choices.Assign(b, Value::Int(b_outcome));
+    return choices;
+  };
+  const ChoiceSet negative_zero = made(-0.0, 1);
+  const ChoiceSet positive_zero = made(0.0, 0);
+  ASSERT_TRUE(positive_zero < negative_zero);
+
+  // Both zeros in one run, and one in each run.
+  std::vector<PartialSpace> one_run(1);
+  one_run[0].outcomes.push_back(MadeOutcome(negative_zero, 0.5));
+  one_run[0].outcomes.push_back(MadeOutcome(positive_zero, 0.25));
+  std::vector<PartialSpace> two_runs(2);
+  two_runs[0].outcomes.push_back(MadeOutcome(negative_zero, 0.5));
+  two_runs[1].outcomes.push_back(MadeOutcome(positive_zero, 0.25));
+  for (auto* partials : {&one_run, &two_runs}) {
+    OutcomeSpace merged = MergePartialSpaces(*partials, /*max_outcomes=*/0);
+    ASSERT_EQ(merged.outcomes.size(), 2u);
+    EXPECT_EQ(merged.outcomes[0].choices.Lookup(b), Value::Int(0));
+    EXPECT_EQ(merged.outcomes[1].choices.Lookup(b), Value::Int(1));
+  }
+}
+
+TEST(CanonicalOrderTest, ShuffledPartialFoldsToTheSortedBytes) {
+  auto engine = GDatalog::Create(kMixedProgram, kMixedDb);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ChaseOptions options;
+  options.num_threads = 2;
+  options.support_limit = 3;
+  auto plan = engine->chase().PlanShards(options, 2);
+  ASSERT_TRUE(plan.ok());
+  std::vector<PartialSpace> sorted;
+  for (size_t shard = 0; shard < plan->num_shards; ++shard) {
+    auto partial = engine->chase().ExploreShard(*plan, shard, options);
+    ASSERT_TRUE(partial.ok());
+    sorted.push_back(std::move(*partial));
+  }
+  ASSERT_FALSE(sorted[0].truncations.empty());
+  const std::string reference = OutcomeSpaceToJson(
+      MergePartialSpaces(sorted, options.max_outcomes), engine->translated(),
+      engine->program().interner(), {});
+
+  std::mt19937 rng(0x5bf);
+  for (int round = 0; round < 4; ++round) {
+    StreamingMerger merger;
+    for (PartialSpace partial : sorted) {
+      std::shuffle(partial.outcomes.begin(), partial.outcomes.end(), rng);
+      std::shuffle(partial.truncations.begin(), partial.truncations.end(),
+                   rng);
+      merger.Add(std::move(partial));
+    }
+    EXPECT_EQ(reference,
+              OutcomeSpaceToJson(merger.Finish(options.max_outcomes),
+                                 engine->translated(),
+                                 engine->program().interner(), {}))
+        << "round " << round;
+  }
+}
+
+TEST(CanonicalOrderTest, BindingMaxOutcomesKeepsTheCanonicallyFirst) {
+  std::mt19937 rng(0xb0d9e7);
+  std::vector<ChoiceSet> sets = RandomChoiceSets(RandomActives(10), 120, &rng);
+  std::vector<PartialSpace> partials = DealPartials(sets, 3, &rng);
+  std::vector<PossibleOutcome> reference;
+  for (const PartialSpace& partial : partials) {
+    reference.insert(reference.end(), partial.outcomes.begin(),
+                     partial.outcomes.end());
+  }
+  SortByChoiceSets(&reference);
+  constexpr size_t kBudget = 17;
+  ASSERT_GT(reference.size(), kBudget);
+  OutcomeSpace merged = MergePartialSpaces(std::move(partials), kBudget);
+  EXPECT_FALSE(merged.complete);
+  ASSERT_EQ(merged.outcomes.size(), kBudget);
+  Prob finite = Prob::Zero();
+  for (size_t i = 0; i < kBudget; ++i) {
+    EXPECT_TRUE(merged.outcomes[i].choices == reference[i].choices) << i;
+    finite = finite + reference[i].prob;
+  }
+  EXPECT_EQ(merged.finite_mass.value(), finite.value());
 }
 
 TEST(ShardSerializationTest, RejectsForeignAndMalformedPartials) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -300,6 +301,54 @@ TEST(Rational, OverflowFallsBackToInexact) {
   // close.
   EXPECT_FALSE(acc.exact());
   EXPECT_NEAR(acc.ToDouble(), std::pow(1e-9, 5), 1e-47);
+}
+
+TEST(Rational, SumMatchesReducedCrossProducts) {
+  // The sum is in lowest terms and exact exactly when the reduced cross
+  // products a·d + c·b over b·d fit in 64 bits.
+  using Int128 = __int128;
+  auto gcd128 = [](Int128 a, Int128 b) {
+    if (a < 0) a = -a;
+    while (b != 0) {
+      Int128 t = a % b;
+      a = b;
+      b = t;
+    }
+    return a;
+  };
+  Rng rng(0x5a1e);
+  const int64_t dens[] = {1, 2, 3, 10, 1000, 999999937, int64_t{1} << 40,
+                          1000000000000, INT64_MAX};
+  for (int i = 0; i < 20000; ++i) {
+    auto pick = [&] {
+      int64_t den = dens[rng.NextBounded(std::size(dens))];
+      if (rng.NextBounded(2) == 0) den = 1 + rng.NextBounded(1000000);
+      int64_t num = static_cast<int64_t>(rng.NextBounded(
+          static_cast<uint64_t>(den < 1000000 ? 3 * den : den)));
+      if (rng.NextBounded(3) == 0) num = -num;
+      return Rational(num, den);
+    };
+    const Rational a = pick();
+    const Rational b = pick();
+    const Rational sum = a + b;
+    Int128 num = Int128(a.numerator()) * b.denominator() +
+                 Int128(b.numerator()) * a.denominator();
+    Int128 den = Int128(a.denominator()) * b.denominator();
+    const Int128 g = gcd128(num, den);
+    num /= g;
+    den /= g;
+    const bool fits = num <= INT64_MAX && num >= INT64_MIN &&
+                      den <= INT64_MAX;
+    ASSERT_EQ(sum.exact(), fits) << a.ToString() << " + " << b.ToString();
+    if (fits) {
+      EXPECT_EQ(sum.numerator(), static_cast<int64_t>(num))
+          << a.ToString() << " + " << b.ToString();
+      EXPECT_EQ(sum.denominator(), static_cast<int64_t>(den))
+          << a.ToString() << " + " << b.ToString();
+    } else {
+      EXPECT_EQ(sum.ToDouble(), a.ToDouble() + b.ToDouble());
+    }
+  }
 }
 
 TEST(Rational, ToStringRendering) {
