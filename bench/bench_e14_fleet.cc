@@ -1,19 +1,19 @@
-// E14 — Fleet partitioning: probability-mass-weighted shard assignment
-// versus round-robin on a deliberately skewed chase tree. The first
-// choice picks a branch whose probability is proportional to its subtree
-// leaf count (branch i unlocks log2(leaves(i)) independent fair flips),
-// so path mass is a perfect work proxy. Every fourth branch is heavy —
-// the stride-aligned skew that is round-robin's classic pathology: with
-// four shards, all heavy branches land on the same shard, and the
-// fleet's wall-clock (the makespan, its slowest shard) carries most of
-// the tree. The weighted greedy (largest mass onto the lightest shard)
-// spreads them and lands within one light task of the ideal quarter.
-// The assignment is part of the pure plan function, so both policies
-// stay zero-coordination: every worker recomputes the same partition
-// from the same coordinates.
+// E14 — Fleet partitioning: the probability-mass-weighted shard
+// assignment on a deliberately skewed chase tree. The first choice picks
+// a branch whose probability is proportional to its subtree leaf count
+// (branch i unlocks log2(leaves(i)) independent fair flips), so path mass
+// is a perfect work proxy. Every fourth branch is heavy — a stride-aligned
+// skew that would put all heavy branches on one shard under a task-index
+// stride with four shards. The weighted greedy (largest mass onto the
+// lightest shard) spreads them and lands within one light task of the
+// ideal quarter; the fleet's wall-clock (the makespan, its slowest shard)
+// follows. The assignment is part of the pure plan function, so it stays
+// zero-coordination: every worker recomputes the same partition from the
+// same coordinates.
 // Two live-fleet scenarios ride along (printed before the benchmark
 // table): a SLEEPING STRAGGLER worker, where mid-job shard stealing must
-// beat the no-steal makespan by well over 1.5x, and a REPEATED JOB, where
+// beat a job whose steal threshold outlasts the straggler by well over
+// 1.5x, and a REPEATED JOB, where
 // the worker-side partial cache must serve the second coordinator's whole
 // job with zero additional chases.
 #include <benchmark/benchmark.h>
@@ -68,12 +68,11 @@ std::string SkewedDb() {
   return db;
 }
 
-gdlog::ShardPlan MustPlan(const gdlog::GDatalog& engine,
-                          gdlog::ShardAssignment assignment) {
+gdlog::ShardPlan MustPlan(const gdlog::GDatalog& engine) {
   gdlog::ChaseOptions options;
   // Depth 1 = one task per discrete branch: the cleanest skew exhibit.
   auto plan = engine.chase().PlanShards(options, kShards,
-                                        /*prefix_depth=*/1, assignment);
+                                        /*prefix_depth=*/1);
   if (!plan.ok()) {
     std::fprintf(stderr, "bench plan failed: %s\n",
                  plan.status().ToString().c_str());
@@ -99,39 +98,35 @@ size_t HeaviestShard(const gdlog::ShardPlan& plan) {
 void VerificationTable() {
   auto engine = MustCreate(SkewedProgram(), SkewedDb());
   gdlog::ChaseOptions options;
-  std::printf("=== E14: weighted vs round-robin shard partitioning ===\n");
+  std::printf("=== E14: weighted shard partitioning ===\n");
   std::printf("skewed tree: %d branches, P(branch i) = leaves(i)/total "
               "(mass == work)\n\n",
               kBranches);
-  for (gdlog::ShardAssignment assignment :
-       {gdlog::ShardAssignment::kWeighted,
-        gdlog::ShardAssignment::kRoundRobin}) {
-    gdlog::ShardPlan plan = MustPlan(engine, assignment);
-    std::vector<double> mass = ShardMasses(plan);
-    double worst = 0.0;
-    double makespan_ms = 0.0;
-    size_t outcomes = 0;
-    std::printf("%-12s", gdlog::ShardAssignmentName(assignment));
-    for (size_t shard = 0; shard < plan.num_shards; ++shard) {
-      auto start = std::chrono::steady_clock::now();
-      auto partial = engine.chase().ExploreShard(plan, shard, options);
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      if (!partial.ok()) {
-        std::fprintf(stderr, "bench explore failed: %s\n",
-                     partial.status().ToString().c_str());
-        std::abort();
-      }
-      outcomes += partial->outcomes.size();
-      worst = std::max(worst, mass[shard]);
-      makespan_ms = std::max(makespan_ms, ms);
-      std::printf("  shard%zu: mass=%.3f %7.2fms", shard, mass[shard], ms);
+  gdlog::ShardPlan plan = MustPlan(engine);
+  std::vector<double> mass = ShardMasses(plan);
+  double worst = 0.0;
+  double makespan_ms = 0.0;
+  size_t outcomes = 0;
+  std::printf("%-12s", "weighted");
+  for (size_t shard = 0; shard < plan.num_shards; ++shard) {
+    auto start = std::chrono::steady_clock::now();
+    auto partial = engine.chase().ExploreShard(plan, shard, options);
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    if (!partial.ok()) {
+      std::fprintf(stderr, "bench explore failed: %s\n",
+                   partial.status().ToString().c_str());
+      std::abort();
     }
-    std::printf("\n%-12s  worst-shard mass=%.3f (ideal %.3f), "
-                "makespan=%.2fms, outcomes=%zu\n\n",
-                "", worst, 1.0 / double(kShards), makespan_ms, outcomes);
+    outcomes += partial->outcomes.size();
+    worst = std::max(worst, mass[shard]);
+    makespan_ms = std::max(makespan_ms, ms);
+    std::printf("  shard%zu: mass=%.3f %7.2fms", shard, mass[shard], ms);
   }
+  std::printf("\n%-12s  worst-shard mass=%.3f (ideal %.3f), "
+              "makespan=%.2fms, outcomes=%zu\n\n",
+              "", worst, 1.0 / double(kShards), makespan_ms, outcomes);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ class BenchWorker {
 /// Registers the skewed program on `coordinator` and runs one /v1/jobs
 /// against `workers`, returning the job wall time in ms.
 double RunFleetJob(gdlog::InferenceService& coordinator,
-                   const std::vector<std::string>& workers, bool steal,
+                   const std::vector<std::string>& workers,
                    int steal_after_ms, size_t shards) {
   gdlog::JsonWriter reg;
   reg.BeginObject().KV("program", SkewedProgram()).KV("db", SkewedDb())
@@ -199,7 +194,6 @@ double RunFleetJob(gdlog::InferenceService& coordinator,
   job.BeginObject();
   job.KV("program_id", id->string_value());
   job.KV("shards", static_cast<long long>(shards));
-  if (!steal) job.KV("steal", false);
   job.KV("steal_after_ms", static_cast<long long>(steal_after_ms));
   job.Key("workers").BeginArray();
   for (const std::string& worker : workers) job.String(worker);
@@ -222,8 +216,9 @@ double RunFleetJob(gdlog::InferenceService& coordinator,
 void StragglerScenario() {
   std::printf("=== straggler: mid-job stealing vs waiting ===\n");
   // One worker sleeps 900 ms before every shard exchange; the other is
-  // healthy. Fresh coordinators per run (the job cache would otherwise
-  // serve the second run for free).
+  // healthy. Waiting means a steal threshold past the default 60 s
+  // deadline, so no flight ever becomes stealable. Fresh coordinators per
+  // run (the job cache would otherwise serve the second run for free).
   BenchWorker straggler(/*shard_delay_ms=*/900);
   BenchWorker healthy;
   std::vector<std::string> workers = {straggler.address(),
@@ -233,10 +228,9 @@ void StragglerScenario() {
 
   gdlog::InferenceService no_steal_coord(options);
   double no_steal_ms = RunFleetJob(no_steal_coord, workers,
-                                   /*steal=*/false,
-                                   /*steal_after_ms=*/100, kShards);
+                                   /*steal_after_ms=*/120'000, kShards);
   gdlog::InferenceService steal_coord(options);
-  double steal_ms = RunFleetJob(steal_coord, workers, /*steal=*/true,
+  double steal_ms = RunFleetJob(steal_coord, workers,
                                 /*steal_after_ms=*/100, kShards);
   uint64_t steals = steal_coord.fleet().counters().steals;
   double ratio = steal_ms > 0 ? no_steal_ms / steal_ms : 0;
@@ -257,12 +251,12 @@ void RepeatedJobScenario() {
   options.default_chase.num_threads = 1;
 
   gdlog::InferenceService cold_coord(options);
-  double cold_ms = RunFleetJob(cold_coord, workers, /*steal=*/true,
+  double cold_ms = RunFleetJob(cold_coord, workers,
                                /*steal_after_ms=*/250, kShards);
   uint64_t explored_after_cold =
       worker.service().fleet().counters().shards_explored;
   gdlog::InferenceService warm_coord(options);
-  double warm_ms = RunFleetJob(warm_coord, workers, /*steal=*/true,
+  double warm_ms = RunFleetJob(warm_coord, workers,
                                /*steal_after_ms=*/250, kShards);
   gdlog::FleetService::Counters after =
       worker.service().fleet().counters();
@@ -275,15 +269,11 @@ void RepeatedJobScenario() {
               extra_chases == 0 ? "OK" : "MISS");
 }
 
-/// The fleet wall-clock proxy: exploring the heaviest shard of the plan.
-/// Weighted keeps it near total/kShards; round-robin's carries roughly
-/// half the tree.
+/// The fleet wall-clock proxy: exploring the heaviest shard of the plan,
+/// which the weighted assignment keeps near total/kShards.
 void BM_Fleet_WorstShard(benchmark::State& state) {
-  gdlog::ShardAssignment assignment = state.range(0) == 0
-                                          ? gdlog::ShardAssignment::kWeighted
-                                          : gdlog::ShardAssignment::kRoundRobin;
   auto engine = MustCreate(SkewedProgram(), SkewedDb());
-  gdlog::ShardPlan plan = MustPlan(engine, assignment);
+  gdlog::ShardPlan plan = MustPlan(engine);
   size_t shard = HeaviestShard(plan);
   gdlog::ChaseOptions options;
   for (auto _ : state) {
@@ -292,9 +282,9 @@ void BM_Fleet_WorstShard(benchmark::State& state) {
     benchmark::DoNotOptimize(partial->outcomes);
   }
   state.counters["worst_mass"] = ShardMasses(plan)[shard];
-  state.SetLabel(gdlog::ShardAssignmentName(assignment));
+  state.SetLabel("weighted");
 }
-BENCHMARK(BM_Fleet_WorstShard)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fleet_WorstShard)->Arg(0)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -150,21 +150,30 @@ constexpr const char* kQuarantineProgram = R"(
 )";
 
 void BM_SolveOutcome_QuarantineClique4(benchmark::State& state) {
-  // Replays ChaseEngine::SolveOutcome over the kept grounding of every leaf
-  // (2,535 outcomes): model-program build, search and model conversion, as
+  // Replays ChaseEngine::SolveOutcome over the grounding of every leaf
+  // (2,535 outcomes, each re-grounded from its choice set before timing): model-program build, search and model conversion, as
   // the chase pays them per leaf. leaf_time is the time per leaf.
   auto engine = gdlog_bench::MustCreate(kQuarantineProgram,
                                         gdlog_bench::Clique(4));
   gdlog::ChaseOptions options;
   options.num_threads = 1;
-  options.keep_groundings = true;
   const gdlog::OutcomeSpace space = gdlog_bench::MustInfer(engine, options);
+  std::vector<gdlog::GroundRuleSet> groundings(space.outcomes.size());
+  for (size_t i = 0; i < space.outcomes.size(); ++i) {
+    if (!engine.grounder()
+             .Ground(space.outcomes[i].choices, &groundings[i])
+             .ok()) {
+      state.SkipWithError("Ground failed");
+      return;
+    }
+  }
   size_t models = 0;
   for (auto _ : state) {
     models = 0;
-    for (const gdlog::PossibleOutcome& outcome : space.outcomes) {
+    for (size_t i = 0; i < space.outcomes.size(); ++i) {
+      const gdlog::PossibleOutcome& outcome = space.outcomes[i];
       auto solved = engine.chase().SolveOutcome(
-          outcome.choices, *outcome.grounding, options.solver_max_nodes);
+          outcome.choices, groundings[i], options.solver_max_nodes);
       if (!solved.ok() || *solved != outcome.models) {
         state.SkipWithError("SolveOutcome disagrees with the chase");
         return;

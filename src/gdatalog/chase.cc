@@ -208,7 +208,6 @@ void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,
       }
       outcome.models = std::move(models).value();
     }
-    if (options.keep_groundings) outcome.grounding = grounding;
     outcome.choices = std::move(item.choices);
     partial.outcomes.push_back(std::move(outcome));
     std::vector<uint32_t>& ids = state.ids[worker].outcomes;
@@ -401,19 +400,18 @@ Result<ChaseEngine::PathSample> ChaseEngine::SamplePath(
   PathSample sample;
   // A single path never backtracks, so one grounding is threaded through
   // the whole walk and extended in place, without cloning.
-  auto grounding = std::make_shared<GroundRuleSet>();
-  GDLOG_RETURN_IF_ERROR(grounder_->Ground(sample.choices, grounding.get()));
+  GroundRuleSet grounding;
+  GDLOG_RETURN_IF_ERROR(grounder_->Ground(sample.choices, &grounding));
   for (size_t depth = 0;; ++depth) {
     std::vector<GroundAtom> triggers =
-        FindTriggers(*translated_, *grounding, sample.choices);
+        FindTriggers(*translated_, grounding, sample.choices);
     if (triggers.empty()) {
       if (options.compute_models) {
         GDLOG_ASSIGN_OR_RETURN(
             sample.models,
-            SolveOutcome(sample.choices, *grounding,
+            SolveOutcome(sample.choices, grounding,
                          options.solver_max_nodes));
       }
-      if (options.keep_groundings) sample.grounding = grounding;
       return sample;
     }
     if (depth >= options.max_depth) {
@@ -436,7 +434,7 @@ Result<ChaseEngine::PathSample> ChaseEngine::SamplePath(
       return Status::Internal("functionally inconsistent sampled choice");
     }
     GDLOG_RETURN_IF_ERROR(
-        grounder_->Extend(sample.choices, trigger, grounding.get()));
+        grounder_->Extend(sample.choices, trigger, &grounding));
   }
 }
 

@@ -14,7 +14,6 @@ namespace gdlog {
 struct ShardPlan;
 struct PartialSpace;
 struct ChaseProfile;
-enum class ShardAssignment;
 
 /// Budgets and knobs for chase-tree exploration (§4). The chase tree of a
 /// program may be infinite (countably infinite distribution supports,
@@ -33,8 +32,6 @@ struct ChaseOptions {
   /// Paths whose probability falls below this are pruned into the residual
   /// (0 disables pruning).
   double min_path_prob = 0.0;
-  /// Retain G(Σ) inside each PossibleOutcome.
-  bool keep_groundings = false;
   /// Compute sms(Σ ∪ G(Σ)) for each outcome (required for event queries).
   bool compute_models = true;
   /// Node budget for the stable-model solver per outcome.
@@ -90,14 +87,14 @@ class ChaseEngine {
 
   /// Plans a decomposition of the chase tree into `num_shards` shards by
   /// expanding the first `prefix_depth` choice levels serially and
-  /// partitioning the resulting frontier (shard.h) under `assignment`
-  /// (default: probability-mass-weighted). `prefix_depth` 0 picks the
+  /// partitioning the resulting frontier by probability mass
+  /// (AssignTasksToShards, shard.h). `prefix_depth` 0 picks the
   /// smallest depth whose frontier holds at least a few tasks per shard.
   /// The plan is deterministic — independent processes recompute the
   /// identical plan — and cheap (only the prefix levels are grounded).
-  Result<ShardPlan> PlanShards(
-      const ChaseOptions& options, size_t num_shards, size_t prefix_depth = 0,
-      ShardAssignment assignment = ShardAssignment{}) const;
+  Result<ShardPlan> PlanShards(const ChaseOptions& options,
+                               size_t num_shards,
+                               size_t prefix_depth = 0) const;
 
   /// Executes one shard of `plan`: explores the subtree below every task
   /// assigned to `shard_index`, using the parallel frontier per
@@ -118,7 +115,6 @@ class ChaseEngine {
     Prob prob = Prob::One();
     bool truncated = false;
     StableModelSet models;
-    std::shared_ptr<const GroundRuleSet> grounding;
   };
   Result<PathSample> SamplePath(Rng* rng, const ChaseOptions& options) const;
 

@@ -38,6 +38,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr const char* kPartialFormat = "gdlog.partial.v2";
+/// The one shard placement (AssignTasksToShards). Every partial names it,
+/// so a reader can refuse one planned under another policy.
+constexpr const char* kPartialAssignment = "weighted";
 
 std::string HexDouble(double d) {
   char buf[40];
@@ -265,12 +268,14 @@ class PartialReader {
         case kPrefixDepth:
           return ReadSize("prefix_depth", &meta->prefix_depth);
         case kAssignment: {
-          auto parsed = ParseShardAssignment(
-              ReadScalar(JsonValue::Kind::kString, "assignment").text);
-          if (parsed.ok()) {
-            meta->assignment = *parsed;
-          } else {
-            Fail("malformed 'assignment'");
+          // Placement is always mass-weighted. A partial planned under
+          // another policy (an older build's round-robin) covers other
+          // tasks per shard index and must never merge with these.
+          std::string_view assignment =
+              ReadScalar(JsonValue::Kind::kString, "assignment").text;
+          if (assignment != kPartialAssignment) {
+            Fail(std::string("expected assignment '") + kPartialAssignment +
+                 "', got '" + std::string(assignment) + "'");
           }
           return;
         }
@@ -914,7 +919,7 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
   json.KV("num_shards", static_cast<long long>(meta.num_shards));
   json.KV("shard_index", static_cast<long long>(meta.shard_index));
   json.KV("prefix_depth", static_cast<long long>(meta.prefix_depth));
-  json.KV("assignment", ShardAssignmentName(meta.assignment));
+  json.KV("assignment", kPartialAssignment);
   json.KV("max_outcomes", static_cast<long long>(meta.max_outcomes));
   json.KV("max_depth", static_cast<long long>(meta.max_depth));
   json.KV("support_limit", static_cast<long long>(meta.support_limit));

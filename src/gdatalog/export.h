@@ -66,8 +66,7 @@ std::string OutcomeSpaceToJson(const OutcomeSpace& space,
 /// into a space bit-identical to a single-process run. Each distinct atom
 /// is written once, in an atom table; models are the table's `base` (the
 /// atoms in every model, D among them) plus a list of indices each, and
-/// choice entries name their Active atom by index. Groundings are not
-/// serialized (keep_groundings has no sharded counterpart).
+/// choice entries name their Active atom by index.
 std::string PartialSpaceToJson(const PartialSpace& partial,
                                const ShardPartialMeta& meta,
                                const Interner* interner);

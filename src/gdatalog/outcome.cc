@@ -81,7 +81,6 @@ struct PossibleOutcomeFields {
   ChoiceSet choices;
   Prob prob;
   StableModelSet models;
-  std::shared_ptr<const GroundRuleSet> grounding;
 };
 static_assert(sizeof(OutcomeSpace) == sizeof(OutcomeSpaceFields),
               "OutcomeSpace changed: update WithAddedFacts and the mirror");
@@ -109,7 +108,6 @@ OutcomeSpace OutcomeSpace::WithAddedFacts(
     PossibleOutcome& patched = out.outcomes.emplace_back();
     patched.choices = outcome.choices;
     patched.prob = outcome.prob;
-    patched.grounding = outcome.grounding;
     for (const StableModel& model : outcome.models) {
       StableModel merged;
       merged.reserve(model.size() + sorted.size());

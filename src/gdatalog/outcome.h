@@ -15,15 +15,14 @@
 namespace gdlog {
 
 /// A finite possible outcome of D w.r.t. Π relative to a grounder G
-/// (Definition 3.7): the choice set Σ with its grounding G(Σ), its
-/// probability Pr(Σ) = Π δ⟨p̄⟩(o) over the Result atoms of heads(Σ), and
-/// the induced set of stable models sms(Σ ∪ G(Σ)).
+/// (Definition 3.7): the choice set Σ, its probability Pr(Σ) = Π δ⟨p̄⟩(o)
+/// over the Result atoms of heads(Σ), and the induced set of stable models
+/// sms(Σ ∪ G(Σ)). The grounding G(Σ) is not kept: it is a function of Σ
+/// (Definition 3.3), so `grounder().Ground(choices, &g)` re-derives it.
 struct PossibleOutcome {
   ChoiceSet choices;
   Prob prob;
   StableModelSet models;
-  /// The grounding G(Σ), retained only when ChaseOptions.keep_groundings.
-  std::shared_ptr<const GroundRuleSet> grounding;
 };
 
 /// The probability space Π_G(D) = (Ω, F, P) restricted to what a finite

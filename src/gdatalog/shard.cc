@@ -14,8 +14,8 @@ namespace gdlog {
 namespace {
 
 /// Auto planning stops deepening once the frontier holds this many tasks
-/// per shard — enough for the assignment policy to balance subtree sizes
-/// without ballooning the plan.
+/// per shard — enough for the mass-weighted assignment to balance subtree
+/// sizes without ballooning the plan.
 constexpr size_t kTasksPerShard = 4;
 /// Hard caps for auto planning: the prefix never exceeds this depth, and a
 /// frontier this large is always accepted (the plan itself must stay cheap
@@ -189,36 +189,10 @@ RankedEntries EntryInterner::Rank() && {
   return ranked;
 }
 
-const char* ShardAssignmentName(ShardAssignment assignment) {
-  switch (assignment) {
-    case ShardAssignment::kWeighted: return "weighted";
-    case ShardAssignment::kRoundRobin: return "round_robin";
-  }
-  return "weighted";
-}
-
-Result<ShardAssignment> ParseShardAssignment(std::string_view name) {
-  if (name == "weighted") return ShardAssignment::kWeighted;
-  if (name == "round_robin") return ShardAssignment::kRoundRobin;
-  return Status::InvalidArgument(
-      "assignment must be weighted or round_robin; got '" +
-      std::string(name) + "'");
-}
-
 std::vector<uint32_t> AssignTasksToShards(const std::vector<ShardTask>& tasks,
-                                          size_t num_shards,
-                                          ShardAssignment policy) {
+                                          size_t num_shards) {
   if (num_shards < 1) num_shards = 1;
   std::vector<uint32_t> shard_of(tasks.size(), 0);
-  if (policy == ShardAssignment::kRoundRobin || num_shards == 1) {
-    if (num_shards > 1) {
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        shard_of[i] = static_cast<uint32_t>(i % num_shards);
-      }
-    }
-    return shard_of;
-  }
-
   // Greedy LPT over path-probability mass: visit tasks heaviest-first and
   // place each on the lightest shard so far. Ties break on the canonical
   // task index (for the order) and the lowest shard index (for the bin),
@@ -248,11 +222,9 @@ std::vector<uint32_t> AssignTasksToShards(const std::vector<ShardTask>& tasks,
 
 Result<ShardPlan> ChaseEngine::PlanShards(const ChaseOptions& options,
                                           size_t num_shards,
-                                          size_t prefix_depth,
-                                          ShardAssignment assignment) const {
+                                          size_t prefix_depth) const {
   ShardPlan plan;
   plan.num_shards = num_shards < 1 ? 1 : num_shards;
-  plan.assignment = assignment;
   size_t cut_tasks = 0;
 
   // Expands the first `depth` choice levels serially; every node at the
@@ -297,7 +269,7 @@ Result<ShardPlan> ChaseEngine::PlanShards(const ChaseOptions& options,
             [](const ShardTask& a, const ShardTask& b) {
               return a.choices < b.choices;
             });
-  plan.shard_of = AssignTasksToShards(plan.tasks, plan.num_shards, assignment);
+  plan.shard_of = AssignTasksToShards(plan.tasks, plan.num_shards);
   return plan;
 }
 
@@ -362,7 +334,6 @@ ShardPartialMeta MakeShardPartialMeta(const ShardPlan& plan,
   meta.num_shards = plan.num_shards;
   meta.shard_index = shard_index;
   meta.prefix_depth = plan.prefix_depth;
-  meta.assignment = plan.assignment;
   meta.max_outcomes = options.max_outcomes;
   meta.max_depth = options.max_depth;
   meta.support_limit = options.support_limit;

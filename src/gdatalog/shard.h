@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,45 +44,27 @@ struct PartialSpace {
   bool budget_hit = false;
 };
 
-/// How plan tasks are partitioned across shards. Both policies are pure
-/// functions of the (canonically ordered) task list, so independent
-/// processes recompute the identical partition.
-enum class ShardAssignment {
-  /// Greedy LPT over the tasks' path probabilities: tasks in descending
-  /// mass order, each placed on the currently lightest shard. Chase work
-  /// below a frontier node grows with the mass-bearing width of its
-  /// subtree, so mass is the planner's best stand-in for cost and skewed
-  /// trees balance where round-robin serializes behind the heavy shard.
-  kWeighted = 0,
-  /// Task i → shard i % num_shards (PR 3's policy; kept for comparison
-  /// benches and as the implicit policy of plans without an assignment).
-  kRoundRobin = 1,
-};
-
-/// Stable wire names ("weighted" / "round_robin") for serialized plans and
-/// the HTTP API.
-const char* ShardAssignmentName(ShardAssignment assignment);
-Result<ShardAssignment> ParseShardAssignment(std::string_view name);
-
-/// The task → shard map for `policy`, as a pure function of the task list
-/// (which PlanShards emits in canonical choice-set order) — workers
-/// recompute it identically from the plan alone.
+/// The task → shard map, as a pure function of the task list (which
+/// PlanShards emits in canonical choice-set order), so workers recompute it
+/// identically from the plan alone. Greedy LPT over the tasks' path
+/// probabilities: tasks in descending mass order (ties: lower task index
+/// first), each placed on the currently lightest shard (ties: lower shard
+/// index). Chase work below a frontier node grows with the mass-bearing
+/// width of its subtree, so mass is the planner's stand-in for cost.
 std::vector<uint32_t> AssignTasksToShards(const std::vector<ShardTask>& tasks,
-                                          size_t num_shards,
-                                          ShardAssignment policy);
+                                          size_t num_shards);
 
 /// A deterministic decomposition of the chase tree: the frontier after
 /// expanding every node of the first `prefix_depth` choice levels, in
 /// canonical choice-set order. Task i belongs to shard shard_of[i]
-/// (computed by AssignTasksToShards under `assignment`).
+/// (computed by AssignTasksToShards).
 /// The plan is a pure function of (program, database, grounder, options,
-/// num_shards, prefix_depth, assignment), so independent processes — or
+/// num_shards, prefix_depth), so independent processes — or
 /// machines — recompute the identical plan from the program text alone and
 /// never need to exchange it.
 struct ShardPlan {
   size_t num_shards = 1;
   size_t prefix_depth = 0;
-  ShardAssignment assignment = ShardAssignment::kWeighted;
   std::vector<ShardTask> tasks;
   /// tasks[i] belongs to shard shard_of[i]; always tasks.size() entries.
   std::vector<uint32_t> shard_of;
@@ -102,7 +83,6 @@ struct ShardPartialMeta {
   size_t num_shards = 1;
   size_t shard_index = 0;
   size_t prefix_depth = 0;
-  ShardAssignment assignment = ShardAssignment::kWeighted;
   size_t max_outcomes = 0;
   size_t max_depth = 0;
   size_t support_limit = 0;
@@ -112,7 +92,6 @@ struct ShardPartialMeta {
   bool SamePlanAndBudgets(const ShardPartialMeta& other) const {
     return num_shards == other.num_shards &&
            prefix_depth == other.prefix_depth &&
-           assignment == other.assignment &&
            max_outcomes == other.max_outcomes &&
            max_depth == other.max_depth &&
            support_limit == other.support_limit &&

@@ -194,7 +194,7 @@ class InferenceCache {
   /// Canonical cache key: KeyPrefix plus exactly the ChaseOptions fields
   /// that affect the resulting space — max_outcomes, max_depth,
   /// support_limit, min_path_prob, trigger_shuffle_seed, solver_max_nodes.
-  /// num_threads, profile and keep_groundings are deliberately excluded
+  /// num_threads and profile are deliberately excluded
   /// (they change the computation, not the result);
   /// compute_models is forced true by the serving layer.
   static std::string Fingerprint(std::string_view program_id,

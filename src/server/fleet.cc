@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -27,7 +26,6 @@ namespace {
 struct PlanCoordinates {
   size_t shards = 1;
   size_t prefix_depth = 0;
-  ShardAssignment assignment = ShardAssignment::kWeighted;
 };
 
 Result<PlanCoordinates> ReadPlanCoordinates(const JsonValue& body,
@@ -43,11 +41,6 @@ Result<PlanCoordinates> ReadPlanCoordinates(const JsonValue& body,
   GDLOG_ASSIGN_OR_RETURN(uint64_t depth,
                          OptionalU64(body, "prefix_depth", 0));
   plan.prefix_depth = static_cast<size_t>(depth);
-  GDLOG_ASSIGN_OR_RETURN(
-      std::string assignment,
-      OptionalString(body, "assignment",
-                     ShardAssignmentName(ShardAssignment::kWeighted)));
-  GDLOG_ASSIGN_OR_RETURN(plan.assignment, ParseShardAssignment(assignment));
   return plan;
 }
 
@@ -92,7 +85,6 @@ std::string ShardRequestBody(const ProgramSpec& spec,
   json.EndObject();
   json.KV("shards", static_cast<long long>(plan.shards));
   json.KV("prefix_depth", static_cast<long long>(plan.prefix_depth));
-  json.KV("assignment", ShardAssignmentName(plan.assignment));
   json.Key("shard_indices").BeginArray();
   for (size_t index : indices) json.Int(static_cast<long long>(index));
   json.EndArray();
@@ -198,9 +190,8 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
     indices.push_back(static_cast<size_t>(*value));
   }
 
-  auto plan = entry->engine.chase().PlanShards(
-      *chase, plan_coords->shards, plan_coords->prefix_depth,
-      plan_coords->assignment);
+  auto plan = entry->engine.chase().PlanShards(*chase, plan_coords->shards,
+                                               plan_coords->prefix_depth);
   if (!plan.ok()) return ErrorResponse(plan.status());
 
   // Shared with the streaming closure, which outlives this frame.
@@ -225,8 +216,7 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
                                   state->entry->lineage_digest,
                                   state->chase) +
       "|plan=" + std::to_string(state->plan.num_shards) + "," +
-      std::to_string(state->plan.prefix_depth) + "," +
-      ShardAssignmentName(state->plan.assignment);
+      std::to_string(state->plan.prefix_depth);
 
   using Line = std::shared_ptr<const std::string>;
   auto produce = [this, state](size_t index) -> Result<Line> {
@@ -328,9 +318,16 @@ HttpResponse FleetService::HandleJobs(const HttpRequest& request,
     return fail(Status::InvalidArgument(
         "no workers: pass 'workers' or start gdlogd with --fleet-workers"));
   }
+  if (workers.size() > kMaxJobWorkers) {
+    return fail(Status::InvalidArgument(
+        "a job takes at most " + std::to_string(kMaxJobWorkers) +
+        " workers; got " + std::to_string(workers.size())));
+  }
+  std::vector<std::pair<std::string, int>> endpoints;
   for (const std::string& worker : workers) {
     auto parsed = ParseHostPort(worker);
     if (!parsed.ok()) return fail(parsed.status());
+    endpoints.push_back(std::move(*parsed));
   }
 
   auto plan_coords =
@@ -342,8 +339,6 @@ HttpResponse FleetService::HandleJobs(const HttpRequest& request,
   int deadline_ms =
       static_cast<int>(std::min<uint64_t>(*deadline, 3'600'000));
   if (deadline_ms < 1) deadline_ms = 1;
-  auto steal = OptionalBool(*body, "steal", true);
-  if (!steal.ok()) return fail(steal.status());
   auto steal_after =
       OptionalU64(*body, "steal_after_ms",
                   static_cast<uint64_t>(options_.steal_after_ms));
@@ -371,9 +366,8 @@ HttpResponse FleetService::HandleJobs(const HttpRequest& request,
   auto space = cache_->LookupOrCompute(key, [&]() {
     computed = true;
     return RunJob(*entry, *chase, plan_coords->shards,
-                  plan_coords->prefix_depth, plan_coords->assignment,
-                  workers, deadline_ms, *steal, steal_after_ms, trace,
-                  &spans);
+                  plan_coords->prefix_depth, workers, endpoints, deadline_ms,
+                  steal_after_ms, trace, &spans);
   });
   if (!space.ok()) return fail(space.status());
   if (computed) {
@@ -431,47 +425,40 @@ HttpResponse FleetService::HandleJobs(const HttpRequest& request,
 
 Result<OutcomeSpace> FleetService::RunJob(
     const ProgramRegistry::Entry& entry, const ChaseOptions& chase,
-    size_t num_shards, size_t prefix_depth, ShardAssignment assignment,
-    const std::vector<std::string>& workers, int deadline_ms, bool steal,
-    int steal_after_ms, const std::string& trace, JobSpans* spans) {
+    size_t num_shards, size_t prefix_depth,
+    const std::vector<std::string>& workers,
+    const std::vector<std::pair<std::string, int>>& endpoints,
+    int deadline_ms, int steal_after_ms, const std::string& trace,
+    JobSpans* spans) {
   const uint64_t plan_start_ns = MonotonicNanos();
   GDLOG_ASSIGN_OR_RETURN(
       ShardPlan plan,
-      entry.engine.chase().PlanShards(chase, num_shards, prefix_depth,
-                                      assignment));
+      entry.engine.chase().PlanShards(chase, num_shards, prefix_depth));
   if (spans != nullptr) spans->plan_ns = MonotonicNanos() - plan_start_ns;
   const Interner& interner = *entry.engine.program().interner();
 
-  // Shard groups, one per worker (modular when shards outnumber workers).
-  // The weighted assignment already balanced mass across *shards*, so the
-  // grouping needs no weighting of its own.
+  // Seed groups: worker w first explores the shards congruent to w
+  // (modulo the group count when shards outnumber workers; a worker past
+  // the shard count has no seed). The plan already balanced mass across
+  // *shards*, so the grouping needs no weighting of its own.
   const size_t num_groups = std::min(workers.size(), plan.num_shards);
-  std::vector<std::vector<size_t>> groups(num_groups);
+  std::vector<std::vector<size_t>> seeds(workers.size());
   for (size_t shard = 0; shard < plan.num_shards; ++shard) {
-    groups[shard % num_groups].push_back(shard);
+    seeds[shard % num_groups].push_back(shard);
   }
   // Workers recompute the plan from these coordinates; the resolved
   // prefix_depth is sent (not the request's, which may have been 0 =
   // auto) so workers skip the auto-deepening search and provably expand
   // the same frontier.
-  PlanCoordinates coords;
-  coords.shards = plan.num_shards;
-  coords.prefix_depth = plan.prefix_depth;
-  coords.assignment = plan.assignment;
+  const PlanCoordinates coords{plan.num_shards, plan.prefix_depth};
 
   const ShardPartialMeta expected = MakeShardPartialMeta(plan, 0, chase);
 
   // --- shared job state -----------------------------------------------
   // All dispatch decisions happen under one mutex; the exchanges
   // themselves (network + parse) run outside it. Invariant: every
-  // unmerged shard index lives in `pending` or in some active flight.
-  struct PendingGroup {
-    std::vector<size_t> indices;
-    /// First-wave seed owner, or kNoWorker once the group returned to the
-    /// common pool after a failure.
-    size_t preferred = kNoWorker;
-    bool is_retry = false;
-  };
+  // unmerged shard index is in a seed not yet dispatched, in `orphaned`,
+  // or in some active flight.
   struct Flight {
     bool active = false;
     std::vector<size_t> indices;
@@ -486,27 +473,23 @@ Result<OutcomeSpace> FleetService::RunJob(
     StreamingMerger merger;
     std::vector<char> merged;
     size_t remaining = 0;
-    std::vector<std::vector<char>> attempted;  ///< [worker][shard]
-    std::deque<PendingGroup> pending;
+    /// [shard]: bit w is set once worker w was sent the shard. Each worker
+    /// is sent each shard at most once — the monotone set that guarantees
+    /// the dispatch loop terminates.
+    std::vector<uint64_t> attempted;
+    /// Undelivered indices of failed exchanges, claimed as a "retry" by
+    /// any healthy worker that has not attempted them.
+    std::vector<size_t> orphaned;
     std::vector<Flight> flights;  ///< [worker]
     std::vector<char> healthy;
-    size_t active_workers = 0;
     size_t next_exchange = 0;
     Status last_error = Status::OK();
   } st;
   st.merged.assign(plan.num_shards, 0);
   st.remaining = plan.num_shards;
-  st.attempted.assign(workers.size(),
-                      std::vector<char>(plan.num_shards, 0));
+  st.attempted.assign(plan.num_shards, 0);
   st.flights.resize(workers.size());
   st.healthy.assign(workers.size(), 1);
-  st.active_workers = workers.size();
-  for (size_t group = 0; group < num_groups; ++group) {
-    PendingGroup seed;
-    seed.indices = groups[group];
-    seed.preferred = group;
-    st.pending.push_back(std::move(seed));
-  }
 
   std::atomic<bool> job_done{false};
   // Resident-partials accounting: parsed-but-not-yet-folded partials. The
@@ -567,37 +550,32 @@ Result<OutcomeSpace> FleetService::RunJob(
     const uint64_t start_ns = MonotonicNanos();
     size_t delivered = 0;
     Status result = Status::OK();
-    auto host_port = ParseHostPort(workers[worker]);
-    if (!host_port.ok()) {
-      result = host_port.status();
+    auto client = HttpClient::Connect(endpoints[worker].first,
+                                      endpoints[worker].second, deadline_ms);
+    if (!client.ok()) {
+      result = client.status();
     } else {
-      auto client = HttpClient::Connect(host_port->first, host_port->second,
-                                        deadline_ms);
-      if (!client.ok()) {
-        result = client.status();
-      } else {
-        HttpClient::HeaderList extra_headers;
-        if (!trace.empty()) extra_headers.emplace_back(kTraceHeader, trace);
-        auto on_line = [&](std::string_view line) -> Status {
-          GDLOG_RETURN_IF_ERROR(deliver_line(indices, delivered, line));
-          ++delivered;
-          return Status::OK();
-        };
-        auto response = client->RequestStreamingLines(
-            "POST", "/v1/shards", request_body, deadline_ms, extra_headers,
-            on_line, &job_done);
-        if (!response.ok()) {
-          result = response.status();
-        } else if (response->status != 200) {
-          result = Status::Internal(
-              "worker " + workers[worker] + " returned HTTP " +
-              std::to_string(response->status));
-        } else if (delivered != indices.size()) {
-          result = Status::Internal(
-              "worker " + workers[worker] + " returned " +
-              std::to_string(delivered) + " partials for " +
-              std::to_string(indices.size()) + " shards");
-        }
+      HttpClient::HeaderList extra_headers;
+      if (!trace.empty()) extra_headers.emplace_back(kTraceHeader, trace);
+      auto on_line = [&](std::string_view line) -> Status {
+        GDLOG_RETURN_IF_ERROR(deliver_line(indices, delivered, line));
+        ++delivered;
+        return Status::OK();
+      };
+      auto response = client->RequestStreamingLines(
+          "POST", "/v1/shards", request_body, deadline_ms, extra_headers,
+          on_line, &job_done);
+      if (!response.ok()) {
+        result = response.status();
+      } else if (response->status != 200) {
+        result = Status::Internal("worker " + workers[worker] +
+                                  " returned HTTP " +
+                                  std::to_string(response->status));
+      } else if (delivered != indices.size()) {
+        result = Status::Internal(
+            "worker " + workers[worker] + " returned " +
+            std::to_string(delivered) + " partials for " +
+            std::to_string(indices.size()) + " shards");
       }
     }
     const uint64_t elapsed_ns = MonotonicNanos() - start_ns;
@@ -616,188 +594,129 @@ Result<OutcomeSpace> FleetService::RunJob(
       spans->exchanges.push_back(std::move(span));
     }
     st.flights[worker].active = false;
-    // Attempt-at-most-once per (worker, shard): the monotone set that
-    // guarantees the dispatch loop terminates.
-    for (size_t index : indices) st.attempted[worker][index] = 1;
     if (!result.ok() && !job_done.load(std::memory_order_acquire)) {
       // A genuine failure — not the deliberate cancel of a straggler
       // exchange after the job completed. The worker is abandoned and the
-      // undelivered indices return to the common pool.
+      // undelivered indices are orphaned.
       counters_.worker_failures.Add();
       st.healthy[worker] = 0;
       st.last_error = result;
-      std::vector<size_t> undelivered;
       for (size_t index : indices) {
-        if (!st.merged[index]) undelivered.push_back(index);
-      }
-      if (!undelivered.empty()) {
-        PendingGroup regroup;
-        regroup.indices = std::move(undelivered);
-        regroup.is_retry = true;
-        st.pending.push_back(std::move(regroup));
+        if (!st.merged[index]) st.orphaned.push_back(index);
       }
     }
     st.cv.notify_all();
   };
 
-  // Per-worker dispatch loop over the shared pool: own seeded group
-  // first, then orphaned pending work, then — once idle and past the
-  // steal threshold — a straggler's undelivered indices.
+  // Per-worker dispatch loop: its own seed group first, then orphaned
+  // indices it has not tried, then — once idle — a straggler's
+  // undelivered indices, one steal per flight, once the flight is
+  // steal_after_ms old.
+  const uint64_t steal_after_ns =
+      static_cast<uint64_t>(steal_after_ms) * 1'000'000ull;
   auto worker_loop = [&](size_t w) {
+    const uint64_t bit = uint64_t{1} << w;
+    std::vector<size_t> take = std::move(seeds[w]);
+    const char* kind = "dispatch";
     std::unique_lock<std::mutex> lock(st.mu);
+    auto untried = [&](size_t index) {
+      return !st.merged[index] && !(st.attempted[index] & bit);
+    };
     for (;;) {
-      if (st.remaining == 0 || !st.healthy[w]) break;
-      // Monotone exit: a worker that has attempted every still-unmerged
-      // index can never contribute again.
-      bool can_contribute = false;
-      for (size_t index = 0; index < plan.num_shards; ++index) {
-        if (!st.merged[index] && !st.attempted[w][index]) {
-          can_contribute = true;
-          break;
-        }
-      }
-      if (!can_contribute) break;
-
-      // Prune pending: drop merged indices, erase emptied groups.
-      for (auto it = st.pending.begin(); it != st.pending.end();) {
-        std::vector<size_t> unmerged;
-        for (size_t index : it->indices) {
-          if (!st.merged[index]) unmerged.push_back(index);
-        }
-        if (unmerged.empty()) {
-          it = st.pending.erase(it);
-        } else {
-          it->indices = std::move(unmerged);
-          ++it;
-        }
-      }
-
-      std::vector<size_t> take;
-      const char* kind = "dispatch";
-      // 1) Pending work. Own seed wins outright; a foreign seed is only
-      // up for grabs once its owner is unhealthy (the owner claims it
-      // first otherwise); failure re-groups (preferred == kNoWorker) go
-      // to whoever is free. Indices this worker already attempted stay
-      // pending for someone else — that split is what lets a group
-      // bounce between workers without ever losing an index.
-      auto chosen = st.pending.end();
-      for (auto it = st.pending.begin(); it != st.pending.end(); ++it) {
-        bool claimable = it->preferred == w ||
-                         it->preferred == kNoWorker ||
-                         !st.healthy[it->preferred];
-        if (!claimable) continue;
-        bool has_untried = false;
-        for (size_t index : it->indices) {
-          if (!st.attempted[w][index]) {
-            has_untried = true;
+      long long wait_ms = -1;
+      if (take.empty()) {
+        if (st.remaining == 0 || !st.healthy[w]) break;
+        // Monotone exit: a worker that has attempted every still-unmerged
+        // index can never contribute again.
+        bool can_contribute = false;
+        for (size_t index = 0; index < plan.num_shards; ++index) {
+          if (untried(index)) {
+            can_contribute = true;
             break;
           }
         }
-        if (!has_untried) continue;
-        if (it->preferred == w) {
-          chosen = it;
-          break;
+        if (!can_contribute) break;
+
+        // 1) Retry: every orphaned index this worker has not tried. The
+        // ones it has stay orphaned for someone else, so an index can
+        // bounce between workers without ever being lost.
+        std::vector<size_t> left;
+        for (size_t index : st.orphaned) {
+          if (st.merged[index]) continue;
+          (untried(index) ? take : left).push_back(index);
         }
-        if (chosen == st.pending.end()) chosen = it;
-      }
-      if (chosen != st.pending.end()) {
-        std::vector<size_t> leftover;
-        for (size_t index : chosen->indices) {
-          (st.attempted[w][index] ? leftover : take).push_back(index);
-        }
-        kind = chosen->is_retry ? "retry" : "dispatch";
-        if (chosen->is_retry) {
+        st.orphaned = std::move(left);
+        if (!take.empty()) {
+          kind = "retry";
           counters_.retries.Add();
         }
-        if (leftover.empty()) {
-          st.pending.erase(chosen);
-        } else {
-          chosen->indices = std::move(leftover);
-        }
       }
-
-      // 2) Steal: duplicate the undelivered indices of the oldest-past-
-      // threshold straggler flight. Safe because any re-assignment of the
-      // pure plan is valid; the first delivered copy wins.
-      if (take.empty() && steal) {
-        uint64_t now_ns = MonotonicNanos();
-        size_t best = kNoWorker;
-        size_t best_count = 0;
+      if (take.empty()) {
+        // 2) Steal: duplicate the untried undelivered indices of the
+        // straggler flight holding most of them. Safe because any
+        // re-assignment of the pure plan is valid; the first delivered
+        // copy wins. Younger flights bound the wait below.
+        const uint64_t now_ns = MonotonicNanos();
+        size_t victim = kNoWorker;
+        size_t victim_count = 0;
         for (size_t v = 0; v < workers.size(); ++v) {
-          if (v == w) continue;
           const Flight& flight = st.flights[v];
-          if (!flight.active || flight.steal_target) continue;
-          if (now_ns - flight.start_ns <
-              static_cast<uint64_t>(steal_after_ms) * 1'000'000ull) {
+          if (v == w || !flight.active || flight.steal_target) continue;
+          size_t count = static_cast<size_t>(std::count_if(
+              flight.indices.begin(), flight.indices.end(), untried));
+          if (count == 0) continue;
+          const uint64_t age_ns = now_ns - flight.start_ns;
+          if (age_ns >= steal_after_ns) {
+            if (count > victim_count) {
+              victim = v;
+              victim_count = count;
+            }
             continue;
           }
-          size_t count = 0;
-          for (size_t index : flight.indices) {
-            if (!st.merged[index] && !st.attempted[w][index]) ++count;
-          }
-          if (count > best_count) {
-            best_count = count;
-            best = v;
-          }
+          const long long remain_ms =
+              static_cast<long long>((steal_after_ns - age_ns) / 1'000'000) + 1;
+          if (wait_ms < 0 || remain_ms < wait_ms) wait_ms = remain_ms;
         }
-        if (best != kNoWorker) {
-          Flight& victim = st.flights[best];
-          for (size_t index : victim.indices) {
-            if (!st.merged[index] && !st.attempted[w][index]) {
-              take.push_back(index);
-            }
+        if (victim != kNoWorker) {
+          Flight& target = st.flights[victim];
+          for (size_t index : target.indices) {
+            if (untried(index)) take.push_back(index);
           }
-          victim.steal_target = true;
+          target.steal_target = true;
           kind = "steal";
           counters_.steals.Add();
         }
       }
 
-      if (!take.empty()) {
-        Flight& mine = st.flights[w];
-        mine.active = true;
-        mine.indices = take;
-        mine.start_ns = MonotonicNanos();
-        mine.steal_target = false;
-        size_t ordinal = st.next_exchange++;
-        // A newly activated flight changes every idle worker's steal
-        // horizon — without this wake, a worker that scanned before the
-        // flight existed would sleep with no bound until the flight
-        // settles (lost-wakeup: only settles and folds notify).
-        st.cv.notify_all();
-        lock.unlock();
-        dispatch(w, std::move(take), kind, ordinal);
-        lock.lock();
+      if (take.empty()) {
+        // Nothing claimable right now. Every state change (line folded,
+        // flight started or settled) notifies the cv; the only silent
+        // transition is a flight aging past the steal threshold, so the
+        // wait is bounded by the soonest such moment.
+        if (wait_ms < 0) {
+          st.cv.wait(lock);
+        } else {
+          st.cv.wait_for(lock, std::chrono::milliseconds(wait_ms));
+        }
         continue;
       }
-
-      // Nothing claimable right now. Every state change (line folded,
-      // flight settled) notifies the cv; the only silent transition is a
-      // flight aging past the steal threshold, so bound the wait by the
-      // soonest such moment.
-      long long wait_ms = -1;
-      if (steal) {
-        uint64_t now_ns = MonotonicNanos();
-        for (size_t v = 0; v < workers.size(); ++v) {
-          if (v == w) continue;
-          const Flight& flight = st.flights[v];
-          if (!flight.active || flight.steal_target) continue;
-          uint64_t age_ms = (now_ns - flight.start_ns) / 1'000'000ull;
-          long long remain =
-              static_cast<long long>(steal_after_ms) -
-              static_cast<long long>(age_ms) + 1;
-          if (remain < 1) remain = 1;
-          if (wait_ms < 0 || remain < wait_ms) wait_ms = remain;
-        }
-      }
-      if (wait_ms < 0) {
-        st.cv.wait(lock);
-      } else {
-        st.cv.wait_for(lock, std::chrono::milliseconds(wait_ms));
-      }
+      for (size_t index : take) st.attempted[index] |= bit;
+      Flight& mine = st.flights[w];
+      mine.active = true;
+      mine.indices = take;
+      mine.start_ns = MonotonicNanos();
+      mine.steal_target = false;
+      size_t ordinal = st.next_exchange++;
+      // A newly activated flight changes every idle worker's steal
+      // horizon — without this wake, a worker that scanned before the
+      // flight existed would sleep with no bound until the flight
+      // settles.
+      st.cv.notify_all();
+      lock.unlock();
+      dispatch(w, std::move(take), kind, ordinal);
+      take.clear();
+      lock.lock();
     }
-    --st.active_workers;
-    st.cv.notify_all();
   };
 
   {

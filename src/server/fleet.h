@@ -20,12 +20,17 @@
 
 namespace gdlog {
 
+/// Upper bound on a /v1/jobs worker list. A job runs one dispatch thread
+/// per worker and keeps one bit per worker in each shard's attempt mask,
+/// so a longer list is refused with a 400 before any planning.
+constexpr size_t kMaxJobWorkers = 64;
+
 /// The distributed chase dispatcher: the worker and coordinator halves of
 /// gdlogd's fleet mode.
 ///
 /// The whole protocol rides on one fact from PR 3: the shard plan is a
 /// pure function of (program, database, grounder, options, shard count,
-/// prefix depth, assignment policy), and per-shard partials merge — in
+/// prefix depth), and per-shard partials merge — in
 /// canonical choice-set order — into a space bit-identical to a
 /// single-process run. So there is zero coordination state: a coordinator
 /// ships the *query* (program spec + options + shard coordinates), every
@@ -35,7 +40,7 @@ namespace gdlog {
 ///   POST /v1/shards   (worker) — explore shard indices of a plan.
 ///     Request: {program_id | program[, db, grounder, extensions,
 ///               normalgrid_max_cells], revision?, lineage?, options?,
-///               shards, prefix_depth?, assignment?, shard_indices: [i...]}
+///               shards, prefix_depth?, shard_indices: [i...]}
 ///     The inline-program form registers the spec idempotently (the
 ///     registry's dedup makes re-sends free) — this is how a coordinator
 ///     distributes a program to workers that have never seen it; the
@@ -50,22 +55,23 @@ namespace gdlog {
 ///
 ///   POST /v1/jobs     (coordinator) — run a query across a worker fleet.
 ///     Request: {program_id, options?, workers?: ["host:port"...],
-///               shards?, prefix_depth?, assignment?, deadline_ms?,
-///               steal?, steal_after_ms?, include_outcomes?,
-///               include_models?, include_events?}
-///     Plans shards (default: one per worker), dispatches shard groups
-///     concurrently, and folds each partial line into a streaming merge
-///     accumulator the moment it arrives — the coordinator holds O(1)
-///     partials resident, not O(shards). A failed worker's undelivered
-///     indices are re-dispatched to the remaining healthy workers; an
-///     *idle* worker additionally steals the undelivered indices of a
-///     straggler's in-flight exchange once it is `steal_after_ms` old
-///     (any re-assignment of the pure plan is valid), with the first
-///     delivered copy of a shard winning and late duplicates discarded
-///     deterministically. The merged space is bit-identical to a
-///     single-process run, so jobs and /query share cache entries. The
-///     200 body is the same OutcomeSpaceToJson document /query produces
-///     (byte-identical to `gdlog_cli --json`).
+///               shards?, prefix_depth?, deadline_ms?, steal_after_ms?,
+///               include_outcomes?, include_models?, include_events?}
+///     At most kMaxJobWorkers workers. Plans shards (default: one per
+///     worker); each worker first explores its own seed group, and every
+///     partial line is folded into a streaming merge accumulator the
+///     moment it arrives — the coordinator holds O(1) partials resident,
+///     not O(shards). A failed exchange's undelivered indices are orphaned
+///     and retried by the remaining healthy workers; an *idle* worker
+///     additionally steals the undelivered indices of a straggler's
+///     in-flight exchange once it is `steal_after_ms` old (any
+///     re-assignment of the pure plan is valid), with the first delivered
+///     copy of a shard winning and late duplicates discarded
+///     deterministically. Neither rule has a switch: a job that should
+///     never steal sets `steal_after_ms` above `deadline_ms`. The merged
+///     space is bit-identical to a single-process run, so jobs and /query
+///     share cache entries. The 200 body is the same OutcomeSpaceToJson
+///     document /query produces (byte-identical to `gdlog_cli --json`).
 class FleetService {
  public:
   struct Options {
@@ -103,9 +109,9 @@ class FleetService {
       size_t exchange = 0;  ///< dispatch ordinal within the job
       size_t shards = 0;    ///< shard indices requested
       std::string worker;
-      /// "dispatch" (first wave), "retry" (re-dispatch of a failed
-      /// exchange's undelivered indices), or "steal" (speculative
-      /// duplicate of a straggler's undelivered indices).
+      /// "dispatch" (the worker's own seed group), "retry" (orphaned
+      /// indices of a failed exchange), or "steal" (speculative duplicate
+      /// of a straggler's undelivered indices).
       const char* kind = "dispatch";
       bool ok = false;  ///< the exchange delivered every requested line
       uint64_t time_ns = 0;
@@ -181,18 +187,21 @@ class FleetService {
 
  private:
   /// The dispatch loop behind /v1/jobs: plans, runs one dispatch thread
-  /// per worker over a shared work pool (seeded groups, failure
-  /// re-dispatch, mid-job steals), folds every delivered partial line
+  /// per worker (its seed group, then orphaned indices of failed
+  /// exchanges, then mid-job steals), folds every delivered partial line
   /// into a StreamingMerger on arrival, and finishes the merge once every
-  /// shard was delivered exactly once. Pure with respect to the cache
-  /// (the caller feeds the result through LookupOrCompute); `spans`
-  /// (optional) receives the wall-time breakdown of this run.
-  Result<OutcomeSpace> RunJob(const ProgramRegistry::Entry& entry,
-                              const ChaseOptions& chase, size_t num_shards,
-                              size_t prefix_depth, ShardAssignment assignment,
-                              const std::vector<std::string>& workers,
-                              int deadline_ms, bool steal, int steal_after_ms,
-                              const std::string& trace, JobSpans* spans);
+  /// shard was delivered exactly once. `workers` are the addresses as
+  /// given and `endpoints` their parsed (host, port), at most
+  /// kMaxJobWorkers of each. Pure with respect to the cache (the caller
+  /// feeds the result through LookupOrCompute); `spans` (optional)
+  /// receives the wall-time breakdown of this run.
+  Result<OutcomeSpace> RunJob(
+      const ProgramRegistry::Entry& entry, const ChaseOptions& chase,
+      size_t num_shards, size_t prefix_depth,
+      const std::vector<std::string>& workers,
+      const std::vector<std::pair<std::string, int>>& endpoints,
+      int deadline_ms, int steal_after_ms, const std::string& trace,
+      JobSpans* spans);
 
   void RecordWorkerDispatch(const std::string& worker, uint64_t ns);
 

@@ -164,7 +164,6 @@ Result<ChaseOptions> ReadChaseOptions(const JsonValue& body,
     chase.profile = profile;
   }
   chase.compute_models = true;
-  chase.keep_groundings = false;
   return chase;
 }
 

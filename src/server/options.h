@@ -53,8 +53,7 @@ Result<ProgramSpec> ParseProgramSpec(const JsonValue& body);
 /// Applies the request's "options" object (if any) over `defaults`. Only
 /// exploration budgets and determinism knobs are exposed; range checks
 /// (min_path_prob in [0, 1], num_threads clamped to the hardware) live
-/// here and nowhere else. keep_groundings/compute_models are owned by the
-/// server.
+/// here and nowhere else. compute_models is owned by the server.
 Result<ChaseOptions> ReadChaseOptions(const JsonValue& body,
                                       ChaseOptions defaults);
 

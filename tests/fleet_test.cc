@@ -207,8 +207,8 @@ class FakeWorker {
 
 std::string JobBody(const std::string& id,
                     const std::vector<std::string>& workers,
-                    int deadline_ms = 0, bool steal = true,
-                    int shards = 0) {
+                    int deadline_ms = 0, int shards = 0,
+                    int steal_after_ms = 0) {
   JsonWriter body;
   body.BeginObject();
   body.KV("program_id", id);
@@ -221,8 +221,10 @@ std::string JobBody(const std::string& id,
   if (deadline_ms > 0) {
     body.KV("deadline_ms", static_cast<long long>(deadline_ms));
   }
-  if (!steal) body.KV("steal", false);
   if (shards > 0) body.KV("shards", static_cast<long long>(shards));
+  if (steal_after_ms > 0) {
+    body.KV("steal_after_ms", static_cast<long long>(steal_after_ms));
+  }
   body.EndObject();
   return body.str();
 }
@@ -413,11 +415,6 @@ TEST(FleetShards, RejectsBadRequests) {
                        "\",\"revision\":7,\"shards\":2,"
                        "\"shard_indices\":[0]}",
                    409});
-  cases.push_back({"bad assignment",
-                   "{\"program_id\":\"" + id +
-                       "\",\"shards\":2,\"assignment\":\"psychic\","
-                       "\"shard_indices\":[0]}",
-                   400});
   for (const Case& c : cases) {
     HttpResponse response =
         service.Handle(MakeRequest("POST", "/v1/shards", c.body));
@@ -426,6 +423,28 @@ TEST(FleetShards, RejectsBadRequests) {
     ASSERT_TRUE(doc.ok()) << c.name;
     EXPECT_NE(doc->Find("error"), nullptr) << c.name;
   }
+}
+
+// Placement has one rule, so a request's "assignment" member is not read:
+// whatever it says, the worker explores the same shard, byte for byte.
+TEST(FleetShards, IgnoresAnAssignmentMember) {
+  InferenceService service(ServiceOptions());
+  auto explore = [&](const char* assignment) {
+    JsonWriter body;
+    body.BeginObject().KV("program", kNetworkProgram).KV("db", kClique3Db)
+        .KV("shards", 2ll);
+    if (assignment != nullptr) body.KV("assignment", assignment);
+    body.Key("shard_indices").BeginArray().Int(1).EndArray();
+    body.EndObject();
+    HttpResponse response =
+        service.Handle(MakeRequest("POST", "/v1/shards", body.str()));
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_TRUE(response.Drain().ok());
+    return response.body;
+  };
+  const std::string plain = explore(nullptr);
+  EXPECT_NE(plain.find(R"("assignment":"weighted")"), std::string::npos);
+  EXPECT_EQ(explore("psychic"), plain);
 }
 
 TEST(FleetShards, OversizedShardCountIsRejectedAndServingContinues) {
@@ -612,13 +631,15 @@ TEST(FleetJobs, StragglerPastDeadlineIsRetriedWhenStealingIsOff) {
   InferenceService coordinator(ServiceOptions());
   std::string id = RegisterNetwork(coordinator);
 
-  // With "steal": false the pre-v2 behavior holds: the coordinator's
-  // per-exchange deadline — not any worker-side event — ends the
-  // exchange, and the group is re-dispatched to the healthy worker.
+  // With steal_after_ms above deadline_ms no flight lives long enough to
+  // be stolen: the coordinator's per-exchange deadline — not any
+  // worker-side event — ends the exchange, and the group is re-dispatched
+  // to the healthy worker.
   HttpResponse job = coordinator.Handle(
       MakeRequest("POST", "/v1/jobs",
                   JobBody(id, {straggler.address(), healthy.address()},
-                          /*deadline_ms=*/400, /*steal=*/false)));
+                          /*deadline_ms=*/400, /*shards=*/0,
+                          /*steal_after_ms=*/60'000)));
   ASSERT_EQ(job.status, 200) << job.body;
   EXPECT_EQ(job.body, ReferenceBody());
 
@@ -660,8 +681,7 @@ TEST(FleetJobs, CoordinatorHoldsO1ResidentPartials) {
   // the worker count, never the shard count.
   HttpResponse job = coordinator.Handle(MakeRequest(
       "POST", "/v1/jobs",
-      JobBody(id, {worker.address()}, /*deadline_ms=*/0, /*steal=*/true,
-              /*shards=*/8)));
+      JobBody(id, {worker.address()}, /*deadline_ms=*/0, /*shards=*/8)));
   ASSERT_EQ(job.status, 200) << job.body;
   EXPECT_EQ(job.body, ReferenceBody());
 
@@ -685,6 +705,31 @@ TEST(FleetJobs, AllWorkersDeadFailsWithFleetError) {
   const JsonValue* error = doc->Find("error");
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(coordinator.fleet().counters().jobs_failed, 1u);
+}
+
+// Unbounded, a long worker list starts one dispatch thread per entry and
+// overflows the per-shard attempt masks. One entry past kMaxJobWorkers is
+// a 400 that names the bound, and the daemon keeps serving.
+TEST(FleetJobs, RejectsMoreWorkersThanTheBound) {
+  LiveWorker server;
+  std::string id = RegisterNetwork(server.service());
+  std::vector<std::string> workers(kMaxJobWorkers + 1, server.address());
+  auto client = HttpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto job = client->Request("POST", "/v1/jobs", JobBody(id, workers));
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(job->status, 400) << job->body;
+  EXPECT_NE(job->body.find("at most " + std::to_string(kMaxJobWorkers)),
+            std::string::npos)
+      << job->body;
+  const FleetService::Counters counters = server.service().fleet().counters();
+  EXPECT_EQ(counters.jobs_failed, 1u);
+  EXPECT_EQ(counters.dispatches, 0u);
+  client = HttpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto health = client->Request("GET", "/v1/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200) << health->body;
 }
 
 TEST(FleetJobs, RejectsJobWithoutWorkers) {

@@ -417,12 +417,14 @@ TEST_P(PerfectResumeTest, ReadOffMatchesSolverOnEveryLeaf) {
       ChaseOptions options;
       options.num_threads = threads;
       options.trigger_shuffle_seed = shuffle;
-      options.keep_groundings = true;
       auto space = engine->Infer(options);
       ASSERT_TRUE(space.ok()) << space.status().ToString();
       for (const PossibleOutcome& o : space->outcomes) {
-        ASSERT_NE(o.grounding, nullptr);
-        ASSERT_EQ(o.models, SolverModels(*engine, o.choices, *o.grounding))
+        // G(Σ) is a function of Σ (Definition 3.3), so the leaf's
+        // grounding is re-derived from its choice set.
+        GroundRuleSet grounding;
+        ASSERT_TRUE(engine->grounder().Ground(o.choices, &grounding).ok());
+        ASSERT_EQ(o.models, SolverModels(*engine, o.choices, grounding))
             << "threads " << threads << ", shuffle " << shuffle;
       }
       if (reference.empty()) reference = Leaves(*space);

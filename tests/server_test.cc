@@ -502,7 +502,6 @@ TEST(InferenceCache, FingerprintSeparatesSemanticOptions) {
   ChaseOptions threads = base;
   threads.num_threads = 16;
   threads.profile = true;
-  threads.keep_groundings = true;
   EXPECT_EQ(InferenceCache::Fingerprint("p1", 0, threads), key);
 }
 

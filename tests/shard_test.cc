@@ -237,6 +237,30 @@ TEST(ShardPlanTest, PlanWithoutShardMapIsRejected) {
   EXPECT_EQ(partial.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The one placement rule, on a hand-built task list: heaviest task first
+// (ties: lower task index), each onto the lightest shard (ties: lower shard
+// index). Masses are powers of two, so every load sum is exact.
+TEST(ShardPlanTest, AssignTasksToShardsPlacesHeaviestFirstOnTheLightest) {
+  std::vector<ShardTask> tasks(6);
+  const Rational masses[] = {Rational(1, 8),  Rational(1, 2),
+                             Rational(1, 8),  Rational(1, 4),
+                             Rational(1, 16), Rational(1, 4)};
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].path_prob = Prob(masses[i]);
+  }
+  // Visit order 1, 3, 5, 0, 2, 4. Loads after each step: {1/2, 0, 0},
+  // {1/2, 1/4, 0}, {1/2, 1/4, 1/4}, {1/2, 3/8, 1/4}, {1/2, 3/8, 3/8},
+  // {1/2, 7/16, 3/8}.
+  EXPECT_EQ(AssignTasksToShards(tasks, 3),
+            (std::vector<uint32_t>{1, 0, 2, 1, 1, 2}));
+  EXPECT_EQ(AssignTasksToShards(tasks, 2),
+            (std::vector<uint32_t>{0, 0, 1, 1, 0, 1}));
+  EXPECT_EQ(AssignTasksToShards(tasks, 1), std::vector<uint32_t>(6, 0));
+  // More shards than tasks: one task per shard, in visit order.
+  EXPECT_EQ(AssignTasksToShards(tasks, 8),
+            (std::vector<uint32_t>{3, 0, 4, 1, 5, 2}));
+}
+
 // Countably infinite supports: the truncation tail mass must be counted
 // exactly once globally and summed in canonical order, whichever shard (or
 // the planner itself) truncated the node.
@@ -1213,6 +1237,21 @@ TEST_F(PartialReaderTest, RejectsVersionOneDocuments) {
   auto partial = PartialSpaceFromJson(kVersionOne, interner(), &meta);
   ASSERT_FALSE(partial.ok());
   EXPECT_NE(partial.status().message().find("gdlog.partial.v2"),
+            std::string::npos)
+      << partial.status().ToString();
+}
+
+// Shard placement is always mass-weighted. A partial that names another
+// policy covers other tasks per shard index, so it is refused by name.
+TEST_F(PartialReaderTest, RejectsAnyAssignmentButWeighted) {
+  std::string doc = kMinimalPartial;
+  const std::string weighted = R"("assignment":"weighted")";
+  doc.replace(doc.find(weighted), weighted.size(),
+              R"("assignment":"round_robin")");
+  ShardPartialMeta meta;
+  auto partial = PartialSpaceFromJson(doc, interner(), &meta);
+  ASSERT_FALSE(partial.ok());
+  EXPECT_NE(partial.status().message().find("round_robin"),
             std::string::npos)
       << partial.status().ToString();
 }
