@@ -26,6 +26,13 @@
 # empty. reach_islands.json was generated by the engine that still carried
 # a separate stratified Datalog evaluator.
 #
+# e1_mc_clique4.txt and e1_quarantine_mc_clique4.txt are the Monte-Carlo
+# report (--mc 2000 --seed 7, two --query atoms) of the network and the
+# quarantine program on clique-4, generated by the build that still walked
+# the sampled paths once per statistic (1 + 2k passes for k queries). They
+# run once, after the configuration loop: --mc takes no --threads or
+# --shards.
+#
 #   tests/golden/check.sh [path/to/gdlog_cli]   (default build/tools/gdlog_cli)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
@@ -86,6 +93,15 @@ for config in "--threads 1" "--threads 3" "--threads 4" "--threads 8" \
   if ! run --program reach_islands.gdl --db reach_islands.db --json \
       --outcomes --events | cmp - reach_islands.json; then
     echo "plain reach/islands differs from the golden ($config)" >&2
+    status=1
+  fi
+done
+for pair in network:e1_mc_clique4.txt \
+    quarantine:e1_quarantine_mc_clique4.txt; do
+  if ! "$cli" --program "${pair%%:*}.gdl" --db clique4.db --mc 2000 \
+      --seed 7 --query 'infected(2, 1)' --query 'infected(3, 1)' \
+      | cmp - "${pair#*:}"; then
+    echo "Monte-Carlo report of ${pair%%:*}.gdl differs from the golden" >&2
     status=1
   fi
 done
