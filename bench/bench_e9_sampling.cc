@@ -16,15 +16,16 @@ using namespace gdlog_bench;
 void VerificationTable() {
   std::printf("=== E9: Monte-Carlo convergence (exact P = 0.19) ===\n");
   auto engine = MustCreate(kNetworkProgram, Clique(3));
-  gdlog::MonteCarloEstimator estimator(&engine.chase(), gdlog::ChaseOptions{});
   std::printf("%-10s %-12s %-12s %-10s\n", "samples", "estimate", "stderr",
               "|err|/se");
   for (size_t n : {100u, 1000u, 10000u}) {
-    auto est = estimator.EstimateProbConsistent(n, /*seed=*/2023);
-    if (!est.ok()) continue;
-    double err = std::fabs(est->mean - 0.19);
-    std::printf("%-10zu %-12.5f %-12.5f %-10.2f\n", n, est->mean,
-                est->std_error, est->std_error > 0 ? err / est->std_error : 0);
+    auto result = gdlog::EstimateByMonteCarlo(
+        engine.chase(), gdlog::ChaseOptions{}, n, /*seed=*/2023);
+    if (!result.ok()) continue;
+    const gdlog::MonteCarloResult::Estimate& est = result->consistent;
+    double err = std::fabs(est.mean - 0.19);
+    std::printf("%-10zu %-12.5f %-12.5f %-10.2f\n", n, est.mean,
+                est.std_error, est.std_error > 0 ? err / est.std_error : 0);
   }
 
   std::printf("\nlarger networks (exact enumeration infeasible):\n");
@@ -33,10 +34,10 @@ void VerificationTable() {
     auto big = MustCreate(NetworkProgram(0.3), RandomNetwork(n, 0.3, 99));
     gdlog::ChaseOptions options;
     options.max_depth = 100000;
-    gdlog::MonteCarloEstimator mc(&big.chase(), options);
-    auto est = mc.EstimateProbConsistent(500, 7);
-    if (est.ok()) {
-      std::printf("%-10d %-14.4f %-12.4f\n", n, est->mean, est->std_error);
+    auto result = gdlog::EstimateByMonteCarlo(big.chase(), options, 500, 7);
+    if (result.ok()) {
+      std::printf("%-10d %-14.4f %-12.4f\n", n, result->consistent.mean,
+                  result->consistent.std_error);
     }
   }
   std::printf("\n");

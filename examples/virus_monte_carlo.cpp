@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "gdatalog/engine.h"
 #include "gdatalog/sampler.h"
@@ -49,30 +50,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Brave marginal of a specific router's infection, estimated on the same
+  // walks as domination.
+  std::vector<gdlog::GroundAtom> atoms;
+  auto atom = engine->ParseGroundAtom("infected(2, 1)");
+  if (atom.ok()) atoms.push_back(std::move(*atom));
+
   gdlog::ChaseOptions options;
   options.max_depth = 10000;
-  gdlog::MonteCarloEstimator estimator(&engine->chase(), options);
-
   std::printf("routers=%d edges~0.3, samples=%zu\n", routers, samples);
-  auto dominated = estimator.EstimateProbInconsistent(samples, /*seed=*/42);
-  if (!dominated.ok()) {
-    std::fprintf(stderr, "error: %s\n", dominated.status().ToString().c_str());
+  auto result = gdlog::EstimateByMonteCarlo(engine->chase(), options, samples,
+                                            /*seed=*/42, atoms);
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;
   }
   // Note the flip of perspective vs the exact example: here we report the
   // NOT-dominated probability too.
   std::printf("P(not dominated) ~= %.4f +- %.4f  (truncated walks: %zu)\n",
-              dominated->mean, 2 * dominated->std_error, dominated->truncated);
-  std::printf("P(dominated)     ~= %.4f\n", 1.0 - dominated->mean);
-
-  // Brave/cautious marginal of a specific router's infection.
-  auto atom = engine->ParseGroundAtom("infected(2, 1)");
-  if (atom.ok()) {
-    auto upper = estimator.EstimateMarginalUpper(samples, 43, *atom);
-    if (upper.ok()) {
-      std::printf("P(infected(2)) ~= %.4f +- %.4f\n", upper->mean,
-                  2 * upper->std_error);
-    }
+              result->inconsistent.mean, 2 * result->inconsistent.std_error,
+              result->truncated);
+  std::printf("P(dominated)     ~= %.4f\n", 1.0 - result->inconsistent.mean);
+  if (!atoms.empty()) {
+    const gdlog::MonteCarloResult::Estimate& upper = result->marginals[0].upper;
+    std::printf("P(infected(2)) ~= %.4f +- %.4f\n", upper.mean,
+                2 * upper.std_error);
   }
   return 0;
 }

@@ -43,4 +43,15 @@ size_t RestrictToDemand(TranslatedProgram* translated,
   return dropped;
 }
 
+std::string QueryPredicateName(std::string_view text) {
+  size_t begin = text.find_first_not_of(" \t");
+  if (begin == std::string_view::npos) return "";
+  size_t end = begin;
+  while (end < text.size() && text[end] != '(' && text[end] != ' ' &&
+         text[end] != '\t') {
+    ++end;
+  }
+  return std::string(text.substr(begin, end - begin));
+}
+
 }  // namespace gdlog

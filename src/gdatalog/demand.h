@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "gdatalog/translation.h"
@@ -20,6 +22,11 @@ namespace gdlog {
 /// argument). Returns the number of rules dropped; empty goals drop none.
 size_t RestrictToDemand(TranslatedProgram* translated,
                         const std::vector<uint32_t>& goal_preds);
+
+/// The predicate name of a query atom in surface syntax ("infected(2, 1)"
+/// → "infected"); empty when the text has no leading name. How gdlog_cli
+/// and the serving layer turn queried atoms into demand goals.
+std::string QueryPredicateName(std::string_view text);
 
 }  // namespace gdlog
 

@@ -132,7 +132,8 @@ class GDatalog {
   /// The serving layer patches revalidated outcome spaces with these.
   const std::vector<GroundAtom>& delta_added_facts() const;
 
-  /// The chase engine (Explore/SamplePath live there).
+  /// The chase engine: Explore, PlanShards/ExploreShard and SamplePath
+  /// live there, and EstimateByMonteCarlo (sampler.h) walks it.
   const ChaseEngine& chase() const;
 
   /// Exhaustive inference: explores the chase tree and returns the outcome

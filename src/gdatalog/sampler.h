@@ -1,57 +1,45 @@
 #ifndef GDLOG_GDATALOG_SAMPLER_H_
 #define GDLOG_GDATALOG_SAMPLER_H_
 
-#include <functional>
+#include <vector>
 
 #include "gdatalog/chase.h"
 
 namespace gdlog {
 
-/// Monte-Carlo inference over chase paths. Each sample is one random
-/// maximal path (Theorem 4.6 makes path sampling equivalent to outcome
-/// sampling); the estimator averages an arbitrary statistic of the sampled
-/// outcome. Depth-truncated walks are counted separately — they estimate
-/// the error-event mass.
-class MonteCarloEstimator {
- public:
-  MonteCarloEstimator(const ChaseEngine* engine, ChaseOptions options)
-      : engine_(engine), options_(std::move(options)) {}
-
+/// What one Monte-Carlo pass estimates. Every figure is the mean of a 0/1
+/// indicator over all walks; a depth-truncated walk counts 0 for every
+/// indicator (the paper treats infinite outcomes as invalid) and is
+/// reported in `truncated`.
+struct MonteCarloResult {
   struct Estimate {
     double mean = 0.0;
-    /// Standard error of the mean (σ/√n over non-truncated samples).
+    /// Standard error of the mean (σ/√n over all n walks).
     double std_error = 0.0;
-    size_t samples = 0;    ///< Valid (finite) samples.
-    size_t truncated = 0;  ///< Depth-truncated walks (error-event samples).
+  };
+  /// Cautious (lower) and brave (upper) marginal of one atom.
+  struct Bounds {
+    Estimate lower;  ///< P(outcome consistent and atom in every model).
+    Estimate upper;  ///< P(atom in some stable model).
   };
 
-  /// Averages f over n sampled finite outcomes. Truncated walks contribute
-  /// value 0 and are reported in `truncated` (consistent with the paper's
-  /// treatment of infinite outcomes as invalid).
-  Result<Estimate> EstimateStatistic(
-      size_t n, uint64_t seed,
-      const std::function<double(const ChaseEngine::PathSample&)>& f) const;
-
-  /// P(some stable model exists).
-  Result<Estimate> EstimateProbConsistent(size_t n, uint64_t seed) const;
-
-  /// P(no stable model) — e.g. P(domination) in the paper's running
-  /// example.
-  Result<Estimate> EstimateProbInconsistent(size_t n, uint64_t seed) const;
-
-  /// Brave (upper) marginal: P(atom belongs to some stable model).
-  Result<Estimate> EstimateMarginalUpper(size_t n, uint64_t seed,
-                                         const GroundAtom& atom) const;
-
-  /// Cautious (lower) marginal: P(outcome consistent and atom in every
-  /// stable model).
-  Result<Estimate> EstimateMarginalLower(size_t n, uint64_t seed,
-                                         const GroundAtom& atom) const;
-
- private:
-  const ChaseEngine* engine_;
-  ChaseOptions options_;
+  size_t samples = 0;    ///< Walks that reached a finite outcome.
+  size_t truncated = 0;  ///< Depth-truncated walks (error-event samples).
+  Estimate consistent;   ///< P(some stable model exists).
+  /// P(no stable model), e.g. P(domination) in the paper's running example.
+  Estimate inconsistent;
+  /// One entry per queried atom, in query order.
+  std::vector<Bounds> marginals;
 };
+
+/// Monte-Carlo inference over chase paths. Walks `n` random maximal paths
+/// with one Rng(seed); Theorem 4.6 makes each walk a sample of a possible
+/// outcome, so one walk settles every statistic at once: consistency, and
+/// each atom's brave and cautious membership. The cost is n walks however
+/// many atoms are asked for.
+Result<MonteCarloResult> EstimateByMonteCarlo(
+    const ChaseEngine& engine, const ChaseOptions& options, size_t n,
+    uint64_t seed, const std::vector<GroundAtom>& atoms = {});
 
 }  // namespace gdlog
 

@@ -473,13 +473,6 @@ Result<HttpResponse> HttpClient::Request(std::string_view method,
                          /*deadline_ms=*/-1, extra_headers);
 }
 
-Result<HttpResponse> HttpClient::RequestWithDeadline(
-    std::string_view method, std::string_view target, std::string_view body,
-    int deadline_ms, const HeaderList& extra_headers) {
-  return RequestInternal(method, target, body, "application/json",
-                         deadline_ms, extra_headers);
-}
-
 Result<HttpResponse> HttpClient::RequestStreamingLines(
     std::string_view method, std::string_view target, std::string_view body,
     int deadline_ms, const HeaderList& extra_headers, const LineSink& on_line,

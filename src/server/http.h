@@ -154,34 +154,25 @@ class HttpClient {
                                    "application/json",
                                const HeaderList& extra_headers = {});
 
-  /// Like Request(), but bounds the *whole* exchange by `deadline_ms`:
-  /// every socket wait gets only the remaining budget, so a trickling
-  /// straggler cannot stretch the request past the deadline byte by byte.
-  /// Expiry surfaces as kBudgetExhausted — the same code the engine's
-  /// timeout-kill machinery uses — so callers retry uniformly.
-  Result<HttpResponse> RequestWithDeadline(std::string_view method,
-                                           std::string_view target,
-                                           std::string_view body,
-                                           int deadline_ms,
-                                           const HeaderList& extra_headers =
-                                               {});
-
   /// Receives one newline-terminated body line, newline stripped, while
   /// the exchange is still in flight. A non-OK return aborts the exchange
   /// (the connection is dead afterwards).
   using LineSink = std::function<Status(std::string_view line)>;
 
-  /// Like RequestWithDeadline(), but delivers a 200 response's body
-  /// incrementally: `on_line` fires once per line as bytes arrive, for
-  /// both chunked and length-framed bodies, and the returned response has
-  /// an empty `body`. Non-200 responses are buffered whole instead (the
-  /// error envelope stays intact) and `on_line` never fires. A chunked
-  /// stream the server abandons before the terminal chunk surfaces as
-  /// kBudgetExhausted — the same retryable code a deadline expiry uses —
-  /// never as a successfully completed response. A non-null `cancel` is
-  /// polled between read slices (≤ 100 ms); once set, the exchange aborts
-  /// with kBudgetExhausted("exchange canceled"). Requires a positive
-  /// deadline.
+  /// Like Request(), but bounds the *whole* exchange by `deadline_ms` and
+  /// delivers a 200 response's body incrementally. Every socket wait gets
+  /// only the remaining budget, so a trickling straggler cannot stretch
+  /// the exchange past the deadline byte by byte; expiry surfaces as
+  /// kBudgetExhausted, so callers retry uniformly. `on_line` fires once
+  /// per line as bytes arrive, for both chunked and length-framed bodies,
+  /// and the returned response has an empty `body`. Non-200 responses are
+  /// buffered whole instead (the error envelope stays intact) and
+  /// `on_line` never fires. A chunked stream the server abandons before
+  /// the terminal chunk surfaces as kBudgetExhausted — the same retryable
+  /// code a deadline expiry uses — never as a successfully completed
+  /// response. A non-null `cancel` is polled between read slices
+  /// (≤ 100 ms); once set, the exchange aborts with
+  /// kBudgetExhausted("exchange canceled"). Requires a positive deadline.
   Result<HttpResponse> RequestStreamingLines(
       std::string_view method, std::string_view target, std::string_view body,
       int deadline_ms, const HeaderList& extra_headers,

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "gdatalog/demand.h"
 #include "gdatalog/export.h"
 #include "gdatalog/sampler.h"
 #include "obs/metrics.h"
@@ -30,7 +31,7 @@ void WriteInfo(JsonWriter& json, const ProgramRegistry::Info& info) {
 }
 
 void WriteEstimate(JsonWriter& json,
-                   const MonteCarloEstimator::Estimate& estimate) {
+                   const MonteCarloResult::Estimate& estimate) {
   json.BeginObject();
   json.KV("mean", estimate.mean);
   json.KV("std_error", estimate.std_error);
@@ -62,23 +63,6 @@ double HistogramQuantileMs(const LatencyHistogram::Snapshot& snapshot,
              LatencyHistogram::kFiniteBuckets - 1)) /
          1e6;
 }
-
-/// The predicate name of a query atom in surface syntax ("infected(2, 1)"
-/// → "infected"); empty when the text has no leading name.
-std::string QueryPredicateName(const std::string& text) {
-  size_t begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  size_t end = begin;
-  while (end < text.size() && text[end] != '(' && text[end] != ' ' &&
-         text[end] != '\t') {
-    ++end;
-  }
-  return text.substr(begin, end - begin);
-}
-
-}  // namespace
-
-namespace {
 
 FleetService::Options FleetOptionsFrom(const InferenceService::Options& o) {
   FleetService::Options fleet;
@@ -565,57 +549,62 @@ HttpResponse InferenceService::HandleSample(const HttpRequest& request) {
   auto chase = ReadChaseOptions(*body, options_.default_chase);
   if (!chase.ok()) return ErrorResponse(chase.status());
 
-  MonteCarloEstimator estimator(&entry->engine.chase(), *chase);
-  auto consistent = estimator.EstimateProbConsistent(*samples, *seed);
-  if (!consistent.ok()) return ErrorResponse(consistent.status());
-
-  JsonWriter json;
-  json.BeginObject();
-  json.KV("program_id", entry->id);
-  json.KV("samples", static_cast<long long>(consistent->samples));
-  json.KV("truncated", static_cast<long long>(consistent->truncated));
-  json.Key("prob_consistent");
-  WriteEstimate(json, *consistent);
+  // Every query resolves before the first walk, so a malformed one costs
+  // no sampling. A name the program never interned occurs in no sample:
+  // its marginal is an exact zero and the pass does not test for it.
+  constexpr size_t kNeverInterned = static_cast<size_t>(-1);
   const JsonValue* queries = body->Find("queries");
+  std::vector<GroundAtom> atoms;
+  std::vector<size_t> atom_index;  // per query: into `atoms` or kNeverInterned
   if (queries != nullptr) {
     if (!queries->is_array()) {
       return ErrorResponse(
           Status::InvalidArgument("'queries' must be an array of atoms"));
     }
-    json.Key("marginals").BeginArray();
     for (const JsonValue& query : queries->array()) {
       if (!query.is_string()) {
         return ErrorResponse(
             Status::InvalidArgument("'queries' must be an array of atoms"));
       }
-      const std::string& text = query.string_value();
-      auto atom = entry->engine.LookupGroundAtom(text);
-      json.BeginObject();
-      json.KV("atom", text);
+      auto atom = entry->engine.LookupGroundAtom(query.string_value());
       if (!atom.ok() && atom.status().code() == StatusCode::kNotFound) {
-        // Never-mentioned names occur in no sample; report exact zeros
-        // rather than burning 2n chase walks on them.
-        MonteCarloEstimator::Estimate zero;
-        zero.samples = *samples;
-        json.Key("lower");
-        WriteEstimate(json, zero);
-        json.Key("upper");
-        WriteEstimate(json, zero);
-        json.EndObject();
+        atom_index.push_back(kNeverInterned);
         continue;
       }
       if (!atom.ok()) {
-        return ErrorResponse(Status::InvalidArgument(
-            "bad query '" + text + "': " + atom.status().message()));
+        return ErrorResponse(
+            Status::InvalidArgument("bad query '" + query.string_value() +
+                                    "': " + atom.status().message()));
       }
-      auto lower = estimator.EstimateMarginalLower(*samples, *seed, *atom);
-      if (!lower.ok()) return ErrorResponse(lower.status());
-      auto upper = estimator.EstimateMarginalUpper(*samples, *seed, *atom);
-      if (!upper.ok()) return ErrorResponse(upper.status());
+      atom_index.push_back(atoms.size());
+      atoms.push_back(std::move(*atom));
+    }
+  }
+
+  auto result = EstimateByMonteCarlo(entry->engine.chase(), *chase, *samples,
+                                     *seed, atoms);
+  if (!result.ok()) return ErrorResponse(result.status());
+
+  JsonWriter json;
+  json.BeginObject();
+  json.KV("program_id", entry->id);
+  json.KV("samples", static_cast<long long>(result->samples));
+  json.KV("truncated", static_cast<long long>(result->truncated));
+  json.Key("prob_consistent");
+  WriteEstimate(json, result->consistent);
+  if (queries != nullptr) {
+    const MonteCarloResult::Bounds zero;
+    json.Key("marginals").BeginArray();
+    for (size_t q = 0; q < atom_index.size(); ++q) {
+      const MonteCarloResult::Bounds& bounds =
+          atom_index[q] == kNeverInterned ? zero
+                                          : result->marginals[atom_index[q]];
+      json.BeginObject();
+      json.KV("atom", queries->array()[q].string_value());
       json.Key("lower");
-      WriteEstimate(json, *lower);
+      WriteEstimate(json, bounds.lower);
       json.Key("upper");
-      WriteEstimate(json, *upper);
+      WriteEstimate(json, bounds.upper);
       json.EndObject();
     }
     json.EndArray();

@@ -15,7 +15,9 @@ enum class Truth : uint8_t { kFalse = 0, kUndefined = 1, kTrue = 2 };
 /// interpretation that soundly approximates every stable model (true atoms
 /// belong to all of them, false atoms to none). For (locally) stratified
 /// programs the well-founded model is total and equals the unique stable
-/// model — this is the engine's stratified fast path.
+/// model. No engine path computes it: stratified leaves are read off the
+/// perfect grounder's grounding, and the solver's propagation subsumes it
+/// at every search node. Tests and bench_e8 use it as a reference.
 struct WellFoundedModel {
   std::vector<Truth> truth;  ///< Indexed by atom id.
 

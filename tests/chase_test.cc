@@ -4,10 +4,15 @@
 // sampler against exact inference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
 
 #include "ast/parser.h"
+#include "dist/distribution.h"
 #include "gdatalog/bckov.h"
 #include "gdatalog/compare.h"
 #include "gdatalog/engine.h"
@@ -338,13 +343,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Sampler, ConvergesToExactDominationProbability) {
   auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
   ASSERT_TRUE(engine.ok());
-  MonteCarloEstimator estimator(&engine->chase(), ChaseOptions{});
-  auto est = estimator.EstimateProbConsistent(20000, /*seed=*/7);
+  auto est = EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 20000,
+                                  /*seed=*/7);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   EXPECT_EQ(est->samples, 20000u);
   EXPECT_EQ(est->truncated, 0u);
-  EXPECT_NEAR(est->mean, 0.19, 5 * est->std_error + 1e-9);
-  EXPECT_NEAR(est->mean, 0.19, 0.02);
+  EXPECT_NEAR(est->consistent.mean, 0.19, 5 * est->consistent.std_error + 1e-9);
+  EXPECT_NEAR(est->consistent.mean, 0.19, 0.02);
+  EXPECT_TRUE(est->marginals.empty());
 }
 
 TEST(Sampler, MarginalEstimatesMatchExact) {
@@ -352,13 +358,12 @@ TEST(Sampler, MarginalEstimatesMatchExact) {
   ASSERT_TRUE(engine.ok());
   auto atom = engine->ParseGroundAtom("infected(2, 1)");
   ASSERT_TRUE(atom.ok());
-  MonteCarloEstimator estimator(&engine->chase(), ChaseOptions{});
-  auto upper = estimator.EstimateMarginalUpper(20000, 11, *atom);
-  ASSERT_TRUE(upper.ok());
-  EXPECT_NEAR(upper->mean, 0.109, 0.02);
-  auto lower = estimator.EstimateMarginalLower(20000, 11, *atom);
-  ASSERT_TRUE(lower.ok());
-  EXPECT_NEAR(lower->mean, 0.109, 0.02);
+  auto est = EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 20000, 11,
+                                  {*atom});
+  ASSERT_TRUE(est.ok());
+  ASSERT_EQ(est->marginals.size(), 1u);
+  EXPECT_NEAR(est->marginals[0].upper.mean, 0.109, 0.02);
+  EXPECT_NEAR(est->marginals[0].lower.mean, 0.109, 0.02);
 }
 
 TEST(Sampler, SamplePathProbabilityMatchesChoices) {
@@ -374,23 +379,28 @@ TEST(Sampler, SamplePathProbabilityMatchesChoices) {
   }
 }
 
-TEST(Sampler, TruncatedWalksAreReported) {
-  const char* program = R"(
-    count(0, flip<0.9>).
-    count(N1, flip<0.9>[N1]) :- succ(N, N1), count(N, 1).
-  )";
+// Depth-capped counter: with continue-probability 0.9 and a depth cap of 3,
+// most walks truncate.
+constexpr const char* kCounterProgram = R"(
+  count(0, flip<0.9>).
+  count(N1, flip<0.9>[N1]) :- succ(N, N1), count(N, 1).
+)";
+
+std::string CounterDb() {
   std::string db;
   for (int i = 0; i < 100; ++i) {
     db += "succ(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
   }
-  auto engine = GDatalog::Create(program, db);
+  return db;
+}
+
+TEST(Sampler, TruncatedWalksAreReported) {
+  auto engine = GDatalog::Create(kCounterProgram, CounterDb());
   ASSERT_TRUE(engine.ok());
   ChaseOptions options;
   options.max_depth = 3;
-  MonteCarloEstimator estimator(&engine->chase(), options);
-  auto est = estimator.EstimateProbConsistent(500, 3);
+  auto est = EstimateByMonteCarlo(engine->chase(), options, 500, 3);
   ASSERT_TRUE(est.ok());
-  // With continue-probability 0.9 and depth cap 3, most walks truncate.
   EXPECT_GT(est->truncated, 250u);
   EXPECT_EQ(est->samples + est->truncated, 500u);
 }
@@ -398,11 +408,211 @@ TEST(Sampler, TruncatedWalksAreReported) {
 TEST(Sampler, DeterministicGivenSeed) {
   auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
   ASSERT_TRUE(engine.ok());
-  MonteCarloEstimator estimator(&engine->chase(), ChaseOptions{});
-  auto a = estimator.EstimateProbConsistent(200, 42);
-  auto b = estimator.EstimateProbConsistent(200, 42);
+  auto a = EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 200, 42);
+  auto b = EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 200, 42);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->mean, b->mean);
+  EXPECT_EQ(a->consistent.mean, b->consistent.mean);
+}
+
+// The estimator the one pass replaced: a fresh Rng(seed) and n walks for
+// each statistic, averaging `f` with a running sum and sum of squares (a
+// truncated walk counts 0).
+struct ReferenceEstimate {
+  double mean = 0.0;
+  double std_error = 0.0;
+  size_t samples = 0;
+  size_t truncated = 0;
+};
+
+ReferenceEstimate EstimatePerStatistic(
+    const ChaseEngine& chase, const ChaseOptions& options, size_t n,
+    uint64_t seed,
+    const std::function<double(const ChaseEngine::PathSample&)>& f) {
+  Rng rng(seed);
+  ReferenceEstimate est;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    auto sample = chase.SamplePath(&rng, options);
+    EXPECT_TRUE(sample.ok());
+    if (!sample.ok()) return est;
+    double value = 0.0;
+    if (sample->truncated) {
+      ++est.truncated;
+    } else {
+      ++est.samples;
+      value = f(*sample);
+    }
+    sum += value;
+    sum_sq += value * value;
+  }
+  if (n > 0) {
+    est.mean = sum / static_cast<double>(n);
+    if (n > 1) {
+      double var = (sum_sq - sum * sum / static_cast<double>(n)) /
+                   static_cast<double>(n - 1);
+      est.std_error = std::sqrt(std::max(0.0, var) / static_cast<double>(n));
+    }
+  }
+  return est;
+}
+
+void ExpectSame(const ReferenceEstimate& want, const MonteCarloResult& result,
+                const MonteCarloResult::Estimate& got, const char* what) {
+  EXPECT_EQ(got.mean, want.mean) << what;
+  EXPECT_EQ(got.std_error, want.std_error) << what;
+  EXPECT_EQ(result.samples, want.samples) << what;
+  EXPECT_EQ(result.truncated, want.truncated) << what;
+}
+
+// One pass reports, to the bit, what one pass per statistic reported:
+// P(consistent), P(inconsistent) and both bounds of every atom, on a
+// stratified program, an unstratified one (brave and cautious differ) and
+// a program whose walks truncate.
+TEST(Sampler, OnePassMatchesOnePassPerStatistic) {
+  constexpr const char* kQuarantineProgram = R"(
+    infected(Y, flip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y),
+                                    not quarantined(X).
+    quarantined(X) :- infected(X, 1), not free(X).
+    free(X) :- infected(X, 1), not quarantined(X).
+    uninfected(X) :- router(X), not infected(X, 1).
+    :- uninfected(X), uninfected(Y), connected(X, Y).
+  )";
+  ChaseOptions capped;
+  capped.max_depth = 3;
+  struct Case {
+    const char* program;
+    std::string db;
+    ChaseOptions options;
+    std::vector<std::string> queries;
+    uint64_t seed;
+  };
+  const std::vector<Case> cases = {
+      {kNetworkProgram, Clique(3), ChaseOptions{},
+       {"infected(2, 1)", "infected(3, 1)", "uninfected(2)"}, 7},
+      {kQuarantineProgram, Clique(3), ChaseOptions{},
+       {"infected(2, 1)", "quarantined(1)", "free(1)"}, 11},
+      {kCounterProgram, CounterDb(), capped, {"count(1, 1)", "count(2, 1)"},
+       3},
+  };
+  constexpr size_t kWalks = 600;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.program);
+    auto engine = GDatalog::Create(c.program, c.db);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::vector<GroundAtom> atoms;
+    for (const std::string& query : c.queries) {
+      auto atom = engine->ParseGroundAtom(query);
+      ASSERT_TRUE(atom.ok()) << query;
+      atoms.push_back(*atom);
+    }
+    auto result = EstimateByMonteCarlo(engine->chase(), c.options, kWalks,
+                                       c.seed, atoms);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->marginals.size(), atoms.size());
+    // The capped counter does truncate, so the truncated count is pinned.
+    if (c.program == kCounterProgram) {
+      EXPECT_GT(result->truncated, 0u);
+    }
+    const ChaseEngine& chase = engine->chase();
+    ExpectSame(EstimatePerStatistic(chase, c.options, kWalks, c.seed,
+                                    [](const ChaseEngine::PathSample& s) {
+                                      return s.models.empty() ? 0.0 : 1.0;
+                                    }),
+               *result, result->consistent, "P(consistent)");
+    ExpectSame(EstimatePerStatistic(chase, c.options, kWalks, c.seed,
+                                    [](const ChaseEngine::PathSample& s) {
+                                      return s.models.empty() ? 1.0 : 0.0;
+                                    }),
+               *result, result->inconsistent, "P(inconsistent)");
+    for (size_t a = 0; a < atoms.size(); ++a) {
+      const GroundAtom& atom = atoms[a];
+      auto upper = [&](const ChaseEngine::PathSample& s) {
+        for (const StableModel& model : s.models) {
+          if (std::binary_search(model.begin(), model.end(), atom)) return 1.0;
+        }
+        return 0.0;
+      };
+      auto lower = [&](const ChaseEngine::PathSample& s) {
+        if (s.models.empty()) return 0.0;
+        for (const StableModel& model : s.models) {
+          if (!std::binary_search(model.begin(), model.end(), atom)) {
+            return 0.0;
+          }
+        }
+        return 1.0;
+      };
+      ExpectSame(EstimatePerStatistic(chase, c.options, kWalks, c.seed, lower),
+                 *result, result->marginals[a].lower, c.queries[a].c_str());
+      ExpectSame(EstimatePerStatistic(chase, c.options, kWalks, c.seed, upper),
+                 *result, result->marginals[a].upper, c.queries[a].c_str());
+    }
+  }
+}
+
+// flip under another name that counts its Sample() calls: one per trigger
+// a walk resolves, so the count measures how many walks a pass makes.
+class CountingFlip : public Distribution {
+ public:
+  explicit CountingFlip(std::atomic<size_t>* calls) : calls_(calls) {}
+  std::string_view name() const override { return "cflip"; }
+  bool AcceptsDim(size_t dim) const override { return flip().AcceptsDim(dim); }
+  Prob Pmf(const std::vector<Value>& params,
+           const Value& outcome) const override {
+    return flip().Pmf(params, outcome);
+  }
+  bool HasFiniteSupport(const std::vector<Value>& params) const override {
+    return flip().HasFiniteSupport(params);
+  }
+  std::vector<Value> Support(const std::vector<Value>& params,
+                             size_t limit) const override {
+    return flip().Support(params, limit);
+  }
+  Value Sample(const std::vector<Value>& params, Rng* rng) const override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return flip().Sample(params, rng);
+  }
+
+ private:
+  const Distribution& flip() const { return *builtins_.Lookup("flip"); }
+
+  DistributionRegistry builtins_ = DistributionRegistry::Builtins();
+  std::atomic<size_t>* calls_;
+};
+
+TEST(Sampler, WalksEachPathOnceWhateverItAsks) {
+  std::atomic<size_t> calls{0};
+  GDatalog::Options options;
+  options.registry = std::make_unique<DistributionRegistry>(
+      DistributionRegistry::Builtins());
+  ASSERT_TRUE(
+      options.registry->Register(std::make_unique<CountingFlip>(&calls)).ok());
+  auto engine = GDatalog::Create(R"(
+    infected(Y, cflip<0.1>[X, Y]) :- infected(X, 1), connected(X, Y).
+    uninfected(X) :- router(X), not infected(X, 1).
+    :- uninfected(X), uninfected(Y), connected(X, Y).
+  )",
+                                 Clique(3), std::move(options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<GroundAtom> atoms;
+  for (const char* query :
+       {"infected(2, 1)", "infected(3, 1)", "uninfected(2)"}) {
+    auto atom = engine->ParseGroundAtom(query);
+    ASSERT_TRUE(atom.ok()) << query;
+    atoms.push_back(*atom);
+  }
+
+  calls = 0;
+  auto none = EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 300, 5);
+  ASSERT_TRUE(none.ok());
+  const size_t calls_without_queries = calls.load();
+  calls = 0;
+  auto three =
+      EstimateByMonteCarlo(engine->chase(), ChaseOptions{}, 300, 5, atoms);
+  ASSERT_TRUE(three.ok());
+  EXPECT_GT(calls_without_queries, 0u);
+  EXPECT_EQ(calls.load(), calls_without_queries);
+  EXPECT_EQ(three->consistent.mean, none->consistent.mean);
 }
 
 }  // namespace

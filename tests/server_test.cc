@@ -826,6 +826,32 @@ TEST(InferenceService, SampleEndpointEstimatesAndNeverCaches) {
   EXPECT_EQ(too_many.status, 400);
 }
 
+// Every query resolves before the first walk. The solver budget of one
+// node fails any walk on this even loop, so the request answers the walk's
+// error if it samples before reading its queries, and 400 if it does not.
+TEST(InferenceService, SampleValidatesQueriesBeforeAnyWalk) {
+  InferenceService service(ServiceOptions());
+  std::string id = MustRegister(
+      service, "coin(flip<0.5>). a :- coin(1), not b. b :- coin(1), not a.\n");
+  std::string prefix = std::string(R"({"program_id":")") + id +
+                       R"(","samples":50,"options":{"solver_max_nodes":1},)";
+  HttpResponse walked = service.Handle(
+      MakeRequest("POST", "/v1/sample", prefix + R"("queries":["a"]})"));
+  ASSERT_NE(walked.status, 200) << walked.body;
+  EXPECT_EQ(walked.body.find("bad query"), std::string::npos) << walked.body;
+  for (const char* queries :
+       {R"j(["a","nosuch(1)","not an atom ("])j", R"(["a",3])", R"("a")"}) {
+    HttpResponse response = service.Handle(MakeRequest(
+        "POST", "/v1/sample", prefix + R"("queries":)" + queries + "}"));
+    EXPECT_EQ(response.status, 400) << queries << ": " << response.body;
+    EXPECT_TRUE(response.body.find("bad query 'not an atom ('") !=
+                    std::string::npos ||
+                response.body.find("'queries' must be an array of atoms") !=
+                    std::string::npos)
+        << queries << ": " << response.body;
+  }
+}
+
 TEST(InferenceService, DatabaseReplacementInvalidatesCachedSpaces) {
   InferenceService service(ServiceOptions());
   std::string id = MustRegister(service, kNetworkProgram, kClique3Db);

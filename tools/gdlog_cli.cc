@@ -91,6 +91,7 @@
 #include <vector>
 
 #include "flags.h"
+#include "gdatalog/demand.h"
 #include "gdatalog/engine.h"
 #include "gdatalog/export.h"
 #include "gdatalog/sampler.h"
@@ -266,19 +267,6 @@ void PrintProfile(const gdlog::GDatalog& engine,
       gdlog::FormatChaseProfileTable(profile, engine.SigmaRuleLabels())
           .c_str(),
       to_stderr ? stderr : stdout);
-}
-
-// The predicate name of a query atom in surface syntax ("infected(2, 1)"
-// → "infected"); empty when the text has no leading name.
-std::string QueryPredicate(const std::string& text) {
-  size_t begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  size_t end = begin;
-  while (end < text.size() && text[end] != '(' && text[end] != ' ' &&
-         text[end] != '\t') {
-    ++end;
-  }
-  return text.substr(begin, end - begin);
 }
 
 // --stats: what the demand restriction did at engine construction.
@@ -555,23 +543,9 @@ int RunMerge(const gdlog::GDatalog& engine, const CliOptions& opts) {
 }
 
 int RunMonteCarlo(const gdlog::GDatalog& engine, const CliOptions& opts) {
-  gdlog::ChaseOptions chase;
-  chase.max_depth = opts.max_depth;
-  chase.support_limit = opts.support_limit;
-  gdlog::MonteCarloEstimator estimator(&engine.chase(), chase);
-
-  auto consistent =
-      estimator.EstimateProbConsistent(opts.mc_samples, opts.seed);
-  if (!consistent.ok()) {
-    std::fprintf(stderr, "sampling error: %s\n",
-                 consistent.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("samples            : %zu (+%zu truncated)\n",
-              consistent->samples, consistent->truncated);
-  std::printf("P(consistent)      : %.6f +- %.6f\n", consistent->mean,
-              2 * consistent->std_error);
-
+  // Every query parses before the first walk; one pass then estimates
+  // P(consistent) and both bounds of every queried atom.
+  std::vector<gdlog::GroundAtom> atoms;
   for (const std::string& query : opts.queries) {
     auto atom = engine.ParseGroundAtom(query);
     if (!atom.ok()) {
@@ -579,23 +553,27 @@ int RunMonteCarlo(const gdlog::GDatalog& engine, const CliOptions& opts) {
                    atom.status().ToString().c_str());
       return 1;
     }
-    auto lower =
-        estimator.EstimateMarginalLower(opts.mc_samples, opts.seed, *atom);
-    if (!lower.ok()) {
-      std::fprintf(stderr, "sampling error for '%s': %s\n", query.c_str(),
-                   lower.status().ToString().c_str());
-      return 1;
-    }
-    auto upper =
-        estimator.EstimateMarginalUpper(opts.mc_samples, opts.seed, *atom);
-    if (!upper.ok()) {
-      std::fprintf(stderr, "sampling error for '%s': %s\n", query.c_str(),
-                   upper.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("P(%s) in [%.6f, %.6f] (+- %.6f)\n", query.c_str(),
-                lower->mean, upper->mean,
-                2 * std::max(lower->std_error, upper->std_error));
+    atoms.push_back(std::move(*atom));
+  }
+  gdlog::ChaseOptions chase;
+  chase.max_depth = opts.max_depth;
+  chase.support_limit = opts.support_limit;
+  auto result = gdlog::EstimateByMonteCarlo(engine.chase(), chase,
+                                            opts.mc_samples, opts.seed, atoms);
+  if (!result.ok()) {
+    std::fprintf(stderr, "sampling error: %s\n",
+                 result.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("samples            : %zu (+%zu truncated)\n", result->samples,
+              result->truncated);
+  std::printf("P(consistent)      : %.6f +- %.6f\n", result->consistent.mean,
+              2 * result->consistent.std_error);
+  for (size_t q = 0; q < opts.queries.size(); ++q) {
+    const gdlog::MonteCarloResult::Bounds& bounds = result->marginals[q];
+    std::printf("P(%s) in [%.6f, %.6f] (+- %.6f)\n", opts.queries[q].c_str(),
+                bounds.lower.mean, bounds.upper.mean,
+                2 * std::max(bounds.lower.std_error, bounds.upper.std_error));
   }
   return 0;
 }
@@ -640,7 +618,7 @@ int main(int argc, char** argv) {
       !opts.print_outcomes && opts.mc_samples == 0 && opts.shards == 0 &&
       opts.shard_index == kNoShardIndex && opts.merge_files.empty()) {
     for (const std::string& query : opts.queries) {
-      std::string name = QueryPredicate(query);
+      std::string name = gdlog::QueryPredicateName(query);
       if (!name.empty()) engine_options.demand_goals.push_back(name);
     }
   }

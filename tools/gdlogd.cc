@@ -17,9 +17,10 @@
 //   --max-body-mb N       request-body cap in MiB         (default 32)
 //   --idle-timeout-ms N   keep-alive idle timeout         (default 30000)
 //   --max-samples N       per-request /sample cap         (default 10^7)
-//   --fleet-workers LIST  comma-separated "host:port" worker addresses;
-//                         becomes the default worker set for /v1/jobs,
-//                         turning this daemon into a fleet coordinator
+//   --fleet-workers LIST  comma-separated "host:port" worker addresses
+//                         (at most 64); becomes the default worker set
+//                         for /v1/jobs, turning this daemon into a fleet
+//                         coordinator
 //   --fleet-deadline-ms N per-exchange worker deadline    (default 60000)
 //   --fleet-steal-after-ms N  age an in-flight exchange must reach before
 //                         an idle worker steals its undelivered shards
@@ -30,7 +31,7 @@
 //
 // Numeric values are plain decimal counts (ports at most 65535); anything
 // else — a sign, trailing characters, overflow — exits 2 before any socket
-// is opened.
+// is opened, and so does a --fleet-workers list no job could use.
 //
 // Every request is access-logged to stderr as
 //   gdlogd: METHOD TARGET status=N trace=ID
@@ -56,6 +57,7 @@
 #include "flags.h"
 #include "obs/trace.h"
 #include "obs/version.h"
+#include "server/fleet.h"
 #include "server/http.h"
 #include "server/service.h"
 
@@ -82,8 +84,10 @@ void HandleSignal(int /*sig*/) {
 }
 
 // Splits a comma-separated worker list, dropping empty segments (so a
-// trailing comma is harmless).
-std::vector<std::string> SplitWorkers(const char* list) {
+// trailing comma is harmless), and checks it as /v1/jobs would: a list
+// longer than kMaxJobWorkers or an entry that is not host:port exits 2
+// here rather than failing every job that uses the default list.
+std::vector<std::string> ParseWorkers(const char* argv0, const char* list) {
   std::vector<std::string> workers;
   std::string current;
   for (const char* p = list;; ++p) {
@@ -93,6 +97,18 @@ std::vector<std::string> SplitWorkers(const char* list) {
       if (*p == '\0') break;
     } else {
       current.push_back(*p);
+    }
+  }
+  if (workers.size() > gdlog::kMaxJobWorkers) {
+    Usage(argv0, ("--fleet-workers takes at most " +
+                  std::to_string(gdlog::kMaxJobWorkers) + " workers; got " +
+                  std::to_string(workers.size()))
+                     .c_str());
+  }
+  for (const std::string& worker : workers) {
+    auto parsed = gdlog::ParseHostPort(worker);
+    if (!parsed.ok()) {
+      Usage(argv0, ("--fleet-workers: " + parsed.status().message()).c_str());
     }
   }
   return workers;
@@ -126,7 +142,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--max-samples")) {
       service_options.max_samples = flags.Count(i);
     } else if (!std::strcmp(arg, "--fleet-workers")) {
-      service_options.fleet_workers = SplitWorkers(flags.Value(i));
+      service_options.fleet_workers = ParseWorkers(argv[0], flags.Value(i));
     } else if (!std::strcmp(arg, "--fleet-deadline-ms")) {
       service_options.fleet_deadline_ms = flags.Int(i);
     } else if (!std::strcmp(arg, "--fleet-steal-after-ms")) {
